@@ -2,9 +2,16 @@
 deterministic JSON/CSV artifact emission.
 
 Artifacts are written atomically with a fixed 17-significant-digit float
-format, so identical config + seed reproduce byte-identical files. Exit
-codes: 0 success, 1 assert-mode check failed, 2 config parse error,
-3 solver failure.
+format, so identical config + seed reproduce byte-identical files.
+
+Exit codes:
+
+    0  success
+    1  an assert-mode check failed (the failure report path is printed)
+    2  config error: unreadable or invalid config, space or measure, or a
+       geodesic request that cannot be met (GeodesyError)
+    3  solver failure: SolverError (InfeasibleError included), FormError,
+       HeatError or EviError
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import numpy as np
 
 from . import evi, geodesy, heat, measures, mmspace, ot
 from .dirichlet import (
+    FormError,
     cheeger_energy,
     dirichlet_form,
     gamma,
@@ -313,11 +321,11 @@ def run(config, base_dir=".") -> int:
                 for key, val in _series(payload):
                     scalars.append((name, key, val))
                 any_failures.extend(f"{name}: {f}" for f in failures)
-    except SolverError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
+    except (SolverError, FormError, heat.HeatError, evi.EviError) as err:
+        print(f"solver failure: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
-    except (ConfigError, mmspace.SpaceError, measures.MeasureError) as err:
-        print(f"config error: {err}", file=sys.stderr)
+    except (ConfigError, mmspace.SpaceError, measures.MeasureError, geodesy.GeodesyError) as err:
+        print(f"config error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 
     csv_path = os.path.join(out_dir, "diagnostics.csv")

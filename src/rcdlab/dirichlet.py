@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import ProbMeasure
-from .mmspace import FiniteMMSpace
+from .mmspace import FiniteMMSpace, _freeze
 
 
 class FormError(ValueError):
@@ -26,12 +26,6 @@ class FormError(ValueError):
 
 class ModulusInfeasibleError(FormError):
     """A curve family member admits no admissible density (2-modulus infinite)."""
-
-
-def _freeze(a):
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)

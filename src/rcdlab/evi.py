@@ -23,12 +23,6 @@ class EviError(ValueError):
     pass
 
 
-def _freeze(a):
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class InequalityReport:
     """Residual series of one inequality check; positive residual = violation.

@@ -4,8 +4,8 @@ The intermediate set I_t^eps(mu0, mu1) collects measures within tW + eps of
 mu0 and (1-t)W + eps of mu1 in W2. On a finite space the exact set (eps = 0)
 is often empty, so builders first compute the least feasible relaxation with
 a feasibility LP and report the slack actually used. Midpoint measures are
-entropy minimizers over the relaxed set, produced by the shared entropic
-engine with certified optimality gaps; when both endpoints are Dirac masses
+entropy minimizers over the relaxed set, produced by a conditional-gradient
+solver with certified optimality gaps; when both endpoints are Dirac masses
 the budgets are linear in the middle marginal and an exact exponential-family
 solve is used instead.
 """
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import ProbMeasure, relative_entropy, support_radius
+from .mmspace import _freeze
 from .ot import KantorovichPair, TransportPlan, w2
 from .solvers import (
     InfeasibleError,
@@ -31,12 +32,6 @@ from .solvers import (
 
 class GeodesyError(ValueError):
     pass
-
-
-def _freeze(a):
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +146,7 @@ def intermediate_entropy_min(mu0: ProbMeasure, mu1: ProbMeasure, t, epsilon, tol
     C0, C1 = C[sel0], C[sel1]
     m0, m1 = mu0.weights[sel0], mu1.weights[sel1]
 
-    slack, nu_int = interior_point(C0, C1, m0, m1, budgets[0], budgets[1])
+    slack, _ = interior_point(C0, C1, m0, m1, budgets[0], budgets[1])
     if slack < -1e-12:
         eps_need = epsilon_min(mu0, mu1, t)
         raise InfeasibleError(
@@ -169,8 +164,7 @@ def intermediate_entropy_min(mu0: ProbMeasure, mu1: ProbMeasure, t, epsilon, tol
 
     warm = []
     try:
-        coarse = entropy_capacity_min(m, [(m0, C0), (m1, C1)], budgets, tol=np.inf, tau_floor=5e-2, max_sweeps=80)
-        warm.append(coarse.nu)
+        warm.append(entropy_capacity_min(m, [(m0, C0), (m1, C1)], budgets))
     except SolverError:
         pass
     res = entropy_budget_min(m, [(m0, C0), (m1, C1)], budgets, tol=tol, warm_points=warm)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dirichlet import DirichletForm, laplacian_matrix, product_form
 from .measures import ProbMeasure, fisher_information, relative_entropy, uniform_measure
-from .mmspace import product_space
+from .mmspace import _freeze, product_space
 from .solvers import SolverError, exact_ot, prox_entropy_step
 
 _KERNEL_CLIP_TOL = 1e-12
@@ -27,12 +27,6 @@ _KERNEL_CLIP_TOL = 1e-12
 
 class HeatError(ValueError):
     pass
-
-
-def _freeze(a):
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)

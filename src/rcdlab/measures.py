@@ -11,19 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mmspace import FiniteMMSpace
+from .mmspace import FiniteMMSpace, _freeze
 
 MASS_TOL = 1e-12
 
 
 class MeasureError(ValueError):
     pass
-
-
-def _freeze(a):
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import ProbMeasure
-from .mmspace import FiniteMMSpace
+from .mmspace import FiniteMMSpace, _freeze
 from .solvers import exact_ot
 
 MARGINAL_TOL = 1e-10
@@ -21,12 +21,6 @@ FEAS_TOL = 1e-9
 
 class TransportError(ValueError):
     pass
-
-
-def _freeze(a):
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,21 +1,24 @@
-"""Shared convex machinery: exact transport LPs and the entropic engine.
+"""Shared convex machinery: exact transport LPs and the entropy minimizers.
 
-Two workhorses live here.
+Every HiGHS call goes through _solve_lp, the one place where a solver status
+is read: a proven-infeasible LP raises InfeasibleError, any other failure
+(time limit, numerical trouble) raises SolverError.
 
-exact_ot solves the transport LP with HiGHS and returns primal plan and dual
-potentials at machine precision; every W2 value in the package routes through
-it.
+exact_ot solves the transport LP and returns primal plan and dual potentials
+at machine precision; every W2 value in the package routes through it.
+interior_point and epsilon_min measure the common slack of the linked-pair
+polytope: two couplings sharing their second marginal, each under a
+quadratic-cost budget.
 
-entropy_capacity_min minimizes relative entropy over measures linked to one
-or two anchor marginals by couplings with quadratic-cost budgets. It runs a
-cyclic exact block-coordinate ascent on the dual of an entropic-barrier
-relaxation: marginal potentials and the linking potentials have closed-form
-updates, and each budget multiplier is updated by a safeguarded Newton step
-on its scalar stationarity equation (the log-cost is convex in the
-multiplier, so Newton from the infeasible side stays monotone). A decreasing
-barrier schedule with warm starts drives the bias down; the output carries an
-exactly-verifiable Lagrangian dual bound, so the caller gets a certified
-optimality gap independent of how the iteration behaved.
+entropy_budget_min minimizes relative entropy over that polytope with a
+fully-corrective conditional-gradient method whose LP oracle returns exact
+extreme points; weak duality of the oracle LP gives the certified optimality
+gap, and it is the only certificate for those midpoints. dirac_pair_min
+solves the case of Dirac anchors exactly through its low-dimensional dual.
+
+entropy_capacity_min is an uncertified warm probe for entropy_budget_min: a
+short barrier schedule of cyclic block-coordinate ascent on the dual of an
+entropic relaxation, whose measure is used only as an extra gradient probe.
 
 prox_entropy_step is the single-anchor variant used by the minimizing-
 movement flow, with a debiasing linear term that cancels the smoothing drift
@@ -24,6 +27,7 @@ at the current iterate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 _EXP_FLOOR = -745.0  # exp underflow threshold
+_LP_TIME_LIMIT = 120.0  # seconds per HiGHS call
 
 
 class SolverError(RuntimeError):
@@ -49,18 +54,31 @@ class InfeasibleError(SolverError):
         self.min_budget = min_budget
 
 
+def _entropy(nu, m):
+    """Ent_m(nu) = sum nu log(nu / m), with 0 log 0 = 0."""
+    return float(np.sum(np.where(nu > 0, nu * np.log(np.maximum(nu / m, 1e-300)), 0.0)))
+
+
 # ---------------------------------------------------------------------------
-# exact transport LP
+# LPs
 # ---------------------------------------------------------------------------
 
 
 def _solve_lp(obj, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
     """linprog via HiGHS; retries without presolve, which can misreport tiny
-    but feasible marginals as infeasible."""
-    res = linprog(obj, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    but feasible marginals as infeasible.
+
+    Raises InfeasibleError when HiGHS proves the LP infeasible and SolverError
+    on any other failure, so a time limit is never read as infeasibility.
+    """
+    lp = dict(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(obj, **lp, options={"time_limit": _LP_TIME_LIMIT})
     if res.status != 0:
-        res = linprog(obj, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
-                      method="highs", options={"presolve": False})
+        res = linprog(obj, **lp, options={"presolve": False, "time_limit": _LP_TIME_LIMIT})
+    if res.status == 2:
+        raise InfeasibleError(f"LP infeasible: {res.message}")
+    if res.status != 0:
+        raise SolverError(f"LP failed with status {res.status}: {res.message}")
     return res
 
 
@@ -90,39 +108,29 @@ def exact_ot(C, a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n0, n1 = C.shape
-    A = _marginal_matrix(n0, n1)
-    res = _solve_lp(C.ravel(), A, np.concatenate([a, b]))
-    if res.status != 0:
-        raise SolverError(f"transport LP failed with status {res.status}: {res.message}")
-    plan = res.x.reshape(n0, n1)
+    res = _solve_lp(C.ravel(), _marginal_matrix(n0, n1), np.concatenate([a, b]))
     marg = res.eqlin.marginals
-    return float(res.fun), plan, marg[:n0].copy(), marg[n0:].copy()
+    return float(res.fun), res.x.reshape(n0, n1), marg[:n0].copy(), marg[n0:].copy()
 
 
-def w2_squared(C, a, b):
-    return exact_ot(C, a, b)[0]
-
-
-# ---------------------------------------------------------------------------
-# linked-pair LPs (two couplings sharing their second marginal)
-# ---------------------------------------------------------------------------
-
+@functools.lru_cache(maxsize=256)
 def _linked_pair_matrix(s0, s1, n):
-    N0, N1 = s0 * n, s1 * n
-    rows, cols, vals = [], [], []
-    for a in range(s0):
-        rows.extend([a] * n)
-        cols.extend(range(a * n, (a + 1) * n))
-        vals.extend([1.0] * n)
-    for b in range(s1):
-        rows.extend([s0 + b] * n)
-        cols.extend(range(N0 + b * n, N0 + (b + 1) * n))
-        vals.extend([1.0] * n)
-    for y in range(n):
-        rows.extend([s0 + s1 + y] * (s0 + s1))
-        cols.extend(list(range(y, N0, n)) + list(range(N0 + y, N0 + N1, n)))
-        vals.extend([1.0] * s0 + [-1.0] * s1)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(s0 + s1 + n, N0 + N1))
+    M0, M1 = _marginal_matrix(s0, n), _marginal_matrix(s1, n)
+    return sparse.bmat([[M0[:s0], None], [None, M1[:s1]], [M0[s0:], -M1[s1:]]], format="csr")
+
+
+def _linked_pair_lp(C0, C1, mu0, mu1, scale=(1.0, 1.0)):
+    """Constraints on two couplings, of (mu0, nu) and of (mu1, nu), that share
+    their second marginal nu; the variables are the raveled couplings.
+
+    Returns (A_eq, b_eq, budget_rows): the marginal equalities and the dense
+    rows <gamma_i, C_i> / scale_i.
+    """
+    s0, n = C0.shape
+    rows = np.zeros((2, C0.size + C1.size))
+    rows[0, : C0.size] = C0.ravel() / scale[0]
+    rows[1, C0.size :] = C1.ravel() / scale[1]
+    return _linked_pair_matrix(s0, C1.shape[0], n), np.concatenate([mu0, mu1, np.zeros(n)]), rows
 
 
 def interior_point(C0, C1, mu0, mu1, budget0, budget1):
@@ -132,22 +140,15 @@ def interior_point(C0, C1, mu0, mu1, budget0, budget1):
     feasibility. Returns (s, nu).
     """
     s0, n = C0.shape
-    s1 = C1.shape[0]
-    N = s0 * n + s1 * n
-    Aeq = _linked_pair_matrix(s0, s1, n)
-    Aeq = sparse.hstack([Aeq, sparse.csr_matrix((Aeq.shape[0], 1))]).tocsr()
-    beq = np.concatenate([mu0, mu1, np.zeros(n)])
-    Aub = sparse.lil_matrix((2, N + 1))
-    Aub[0, : s0 * n] = C0.ravel()
-    Aub[1, s0 * n : N] = C1.ravel()
-    Aub[0, N] = 1.0
-    Aub[1, N] = 1.0
+    A_eq, b_eq, rows = _linked_pair_lp(C0, C1, mu0, mu1)
+    N = rows.shape[1]
+    # one more variable, the free slack s: absent from the equalities, in both budget rows
+    A_eq = sparse.csr_matrix((A_eq.data, A_eq.indices, A_eq.indptr), shape=(A_eq.shape[0], N + 1))
+    A_ub = sparse.csr_matrix(np.hstack([rows, np.ones((2, 1))]))
     obj = np.zeros(N + 1)
     obj[N] = -1.0
-    res = _solve_lp(obj, Aeq, beq, Aub.tocsr(), np.array([budget0, budget1]),
+    res = _solve_lp(obj, A_eq, b_eq, A_ub, np.array([budget0, budget1]),
                     bounds=[(0, None)] * N + [(None, None)])
-    if res.status != 0:
-        raise SolverError(f"interior-point LP failed: {res.message}")
     nu = res.x[: s0 * n].reshape(s0, n).sum(axis=0)
     return float(res.x[N]), nu
 
@@ -181,29 +182,31 @@ def epsilon_min(C, mu0, mu1, t, W, tol=1e-10):
     return hi
 
 
+def _budgeted_oracle(C0, C1, mu0, mu1, budgets, c):
+    """LP oracle: minimize <c, nu> over the linked polytope with cost budgets.
+
+    Budget rows are rescaled to unit right-hand side and the objective is
+    shifted to be nonnegative; both leave the conditional-gradient bound
+    invariant while keeping the LP well scaled at small budgets. Returns
+    (nu_vertex, optimal value).
+    """
+    s0, n = C0.shape
+    scale = np.maximum(np.asarray(budgets, dtype=float), 1e-14)
+    A_eq, b_eq, rows = _linked_pair_lp(C0, C1, mu0, mu1, scale)
+    shift = float(c.min())
+    obj = np.concatenate([np.tile(c - shift, s0), np.zeros(C1.size)])
+    res = _solve_lp(obj, A_eq, b_eq, sparse.csr_matrix(rows), np.ones(2))
+    return res.x[: s0 * n].reshape(s0, n).sum(axis=0), float(res.fun) + shift
+
+
 # ---------------------------------------------------------------------------
-# entropic engine
+# entropic warm probe
 # ---------------------------------------------------------------------------
 
 def logsumexp(a, axis=None):
     amax = np.max(a, axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
     return np.log(np.sum(np.exp(np.maximum(a - amax, _EXP_FLOOR)), axis=axis)) + np.squeeze(amax, axis=axis)
-
-
-@dataclass
-class EntropyMinResult:
-    """Certified output of the anchored entropy minimization."""
-
-    nu: np.ndarray               # feasible middle marginal, sums to 1
-    entropy: float               # Ent_m(nu)
-    dual_bound: float            # exact Lagrangian lower bound on the optimum
-    gap: float                   # entropy - dual_bound
-    lam: np.ndarray              # budget multipliers
-    transport_costs: np.ndarray  # exact squared transport costs to the anchors
-    eps_used: float              # achieved radius slack in distance units
-    iterations: int
-    tau_final: float
 
 
 def _lambda_update(base, C, tau, budget, lam0):
@@ -250,39 +253,18 @@ def _lambda_update(base, C, tau, budget, lam0):
     return lam
 
 
-def dual_bound_capacity(sup_mus, Cs, ws, lam, budgets, m):
-    """Exact weak-duality bound for the budget-constrained entropy program.
+def entropy_capacity_min(m, anchors, budgets):
+    """Uncertified warm probe for entropy_budget_min.
 
-    Row potentials are repaired to hard feasibility by a min over columns, so
-    the returned value is a true lower bound whatever state the solver is in.
+    Approximately minimizes Ent_m(nu) over nu admitting couplings to the
+    anchors with squared-cost budgets; anchors: list of (weights, cost_rows),
+    cost_rows shaped (support, n). Runs cyclic exact block-coordinate ascent on
+    the dual of an entropic-barrier relaxation down a short temperature
+    schedule: marginal and linking potentials have closed-form updates, each
+    budget multiplier a safeguarded Newton step. Returns the primal measure of
+    the last dual iterate; it need not be feasible.
     """
-    total = 0.0
-    for i, mu in enumerate(sup_mus):
-        repaired = (lam[i] * Cs[i] - ws[i][None, :]).min(axis=1)
-        total += float(repaired @ mu)
-    shift = -1.0 - ws.sum(axis=0)
-    total -= float(np.sum(m * np.exp(np.maximum(shift, _EXP_FLOOR))))
-    total -= float(np.dot(lam, budgets))
-    return total
-
-
-def entropy_capacity_min(
-    m,
-    anchors,
-    budgets,
-    tol=1e-4,
-    tau_floor=2e-5,
-    max_sweeps=1200,
-    interior=None,
-):
-    """Minimize Ent_m(nu) over nu admitting couplings to the anchors with
-    squared-cost budgets.
-
-    anchors: list of (weights, cost_rows), cost_rows shaped (support, n).
-    interior: optional (slack, nu) from interior_point; used to repair small
-    budget violations of the barrier iterate by convex blending.
-    Raises SolverError when the certified gap stays above tol.
-    """
+    tau_floor, max_sweeps = 5e-2, 80
     m = np.asarray(m, dtype=float)
     n = len(m)
     k = len(anchors)
@@ -301,105 +283,43 @@ def entropy_capacity_min(
     schedule.append(tau_floor)
 
     ws = np.zeros((k, n))
-    alphas = [np.zeros(len(mu)) for mu in sup_mus]
     lam = np.zeros(k)
-    sweeps_done = 0
-
-    def run_stage(tau, sweeps):
-        nonlocal ws, lam, sweeps_done, alphas
-        for _ in range(sweeps):
-            sweeps_done += 1
+    for tau in schedule:
+        for _ in range(max_sweeps):
             logT = np.empty((k, n))
             for i in range(k):
                 lse = logsumexp((ws[i][None, :] - lam[i] * Cs[i]) / tau + log_m[None, :], axis=1)
-                alphas[i] = tau * (log_mus[i] - lse + 1.0)
-                base = (alphas[i][:, None] + ws[i][None, :]) / tau + log_m[None, :] - 1.0
+                alpha = tau * (log_mus[i] - lse + 1.0)
+                base = (alpha[:, None] + ws[i][None, :]) / tau + log_m[None, :] - 1.0
                 lam[i] = _lambda_update(base, Cs[i], tau, budgets[i], lam[i])
-                logT[i] = logsumexp((alphas[i][:, None] - lam[i] * Cs[i]) / tau - 1.0, axis=0)
+                logT[i] = logsumexp((alpha[:, None] - lam[i] * Cs[i]) / tau - 1.0, axis=0)
             b = -1.0 - logT
             ws_new = tau * b - (tau * tau * b.sum(axis=0) / (1.0 + k * tau))[None, :]
             delta = np.abs(ws_new - ws).max()
-            ws[...] = ws_new
+            ws = ws_new
             if delta < 1e-10 * max(tau, 1e-7):
                 break
 
-    def harvest(tau):
-        shift = -1.0 - ws.sum(axis=0)
-        nu = m * np.exp(np.maximum(shift, _EXP_FLOOR))
-        if nu.sum() <= 0:
-            raise SolverError("entropy engine produced the zero vector")
-        nu = nu / nu.sum()
-        bound = dual_bound_capacity(sup_mus, Cs, ws, lam, budgets, m)
-        costs = np.array([exact_ot(Cs[i], sup_mus[i], nu)[0] for i in range(k)])
-        viol = float(np.max(costs - budgets))
-        if viol > 0 and interior is not None and interior[0] > 0:
-            theta = min(1.0, viol / (viol + interior[0]))
-            nu = (1.0 - theta) * nu + theta * interior[1]
-            nu = nu / nu.sum()
-            costs = np.array([exact_ot(Cs[i], sup_mus[i], nu)[0] for i in range(k)])
-        ent = float(np.sum(np.where(nu > 0, nu * np.log(np.maximum(nu / m, 1e-300)), 0.0)))
-        return EntropyMinResult(
-            nu=nu, entropy=ent, dual_bound=bound, gap=ent - bound, lam=lam.copy(),
-            transport_costs=costs, eps_used=0.0, iterations=sweeps_done, tau_final=tau,
-        )
-
-    for tau in schedule:
-        run_stage(tau, max_sweeps)
-    best = harvest(schedule[-1])
-    tau = schedule[-1]
-    for _ in range(3):
-        if best.gap <= tol:
-            return best
-        tau /= 5.0
-        run_stage(tau, 2 * max_sweeps)
-        cand = harvest(tau)
-        if cand.entropy < best.entropy or cand.dual_bound > best.dual_bound:
-            merged = cand if cand.entropy < best.entropy else best
-            bound = max(cand.dual_bound, best.dual_bound)
-            merged.dual_bound = bound
-            merged.gap = merged.entropy - bound
-            best = merged
-    if best.gap > tol:
-        raise SolverError(f"entropy minimization gap {best.gap:.3e} exceeds tol {tol:.3e}", gap=best.gap)
-    return best
+    nu = m * np.exp(np.maximum(-1.0 - ws.sum(axis=0), _EXP_FLOOR))
+    if nu.sum() <= 0:
+        raise SolverError("entropy engine produced the zero vector")
+    return nu / nu.sum()
 
 
 # ---------------------------------------------------------------------------
 # certified entropy minimization over the budgeted linked polytope
 # ---------------------------------------------------------------------------
 
-def _budgeted_oracle(C0, C1, mu0, mu1, budgets, c, want_value=False):
-    """LP oracle: minimize <c, nu> over the linked polytope with cost budgets.
+@dataclass
+class EntropyMinResult:
+    """Certified output of entropy_budget_min."""
 
-    Budget rows are rescaled to unit right-hand side and the objective is
-    shifted to be nonnegative; both leave the conditional-gradient bound
-    invariant while keeping the LP well scaled at small budgets. Returns
-    (nu_vertex, budget_duals[, optimal value]).
-    """
-    s0, n = C0.shape
-    s1 = C1.shape[0]
-    budgets = np.asarray(budgets, dtype=float)
-    scale = np.maximum(budgets, 1e-14)
-    Aeq = _linked_pair_matrix(s0, s1, n)
-    beq = np.concatenate([mu0, mu1, np.zeros(n)])
-    Aub = sparse.vstack([
-        sparse.hstack([sparse.csr_matrix(C0.reshape(1, -1) / scale[0]), sparse.csr_matrix((1, s1 * n))]),
-        sparse.hstack([sparse.csr_matrix((1, s0 * n)), sparse.csr_matrix(C1.reshape(1, -1) / scale[1])]),
-    ]).tocsr()
-    shift = float(c.min())
-    obj = np.concatenate([np.tile(c - shift, s0), np.zeros(s1 * n)])
-    res = linprog(obj, A_eq=Aeq, b_eq=beq, A_ub=Aub, b_ub=np.ones(2), bounds=(0, None),
-                  method="highs", options={"time_limit": 60})
-    if res.status != 0:
-        res = linprog(obj, A_eq=Aeq, b_eq=beq, A_ub=Aub, b_ub=np.ones(2), bounds=(0, None),
-                      method="highs", options={"presolve": False, "time_limit": 120})
-    if res.status != 0:
-        raise InfeasibleError(f"budgeted oracle LP failed: {res.message}")
-    nu = res.x[: s0 * n].reshape(s0, n).sum(axis=0)
-    lam = -np.asarray(res.ineqlin.marginals, dtype=float) / scale
-    if want_value:
-        return nu, np.maximum(lam, 0.0), float(res.fun) + shift
-    return nu, np.maximum(lam, 0.0)
+    nu: np.ndarray               # feasible middle marginal, sums to 1
+    entropy: float               # Ent_m(nu)
+    dual_bound: float            # certified lower bound on the optimum
+    gap: float                   # entropy - dual_bound
+    transport_costs: np.ndarray  # exact squared transport costs to the anchors
+    iterations: int
 
 
 def _hull_minimize(vertices, m, theta0=None, iters=120):
@@ -492,12 +412,11 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, max_oracle=80, warm_points
     def grad_at(nu):
         return np.where(nu > 0, np.log(np.maximum(nu / m, 1e-300)) + 1.0, CLAMP)
 
-    vertices = []
-    lam_seed = np.zeros(len(anchors))
+    def oracle(c):
+        return _budgeted_oracle(Cs[0], Cs[1], sup_mus[0], sup_mus[1], budgets, c)
+
     probes = [np.zeros(len(m))] + [grad_at(p) for p in warm_points]
-    for c in probes:
-        v, lam_seed = _budgeted_oracle(Cs[0], Cs[1], sup_mus[0], sup_mus[1], budgets, c)
-        vertices.append(v)
+    vertices = [oracle(c)[0] for c in probes]
     theta, _ = _hull_minimize(np.array(vertices), m)
 
     best = None
@@ -505,22 +424,18 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, max_oracle=80, warm_points
         nu = theta @ np.array(vertices)
         nu = np.maximum(nu, 0.0)
         nu = nu / nu.sum()
-        ent = float(np.sum(np.where(nu > 0, nu * np.log(np.maximum(nu / m, 1e-300)), 0.0)))
+        ent = _entropy(nu, m)
         c = grad_at(nu)
-        v_new, lam_oracle, lp_value = _budgeted_oracle(Cs[0], Cs[1], sup_mus[0], sup_mus[1], budgets, c, want_value=True)
+        v_new, lp_value = oracle(c)
         zero_corr = float(np.sum(m[nu <= 0] * np.exp(CLAMP - 1.0)))
         bound = ent + lp_value - float(c @ nu) - zero_corr
         if best is None or ent - bound < best.gap or ent < best.entropy - 1e-15:
-            lam = np.maximum(lam_oracle, 0.0) if np.isfinite(lam_oracle).all() else lam_seed
-            best = EntropyMinResult(
-                nu=nu, entropy=ent, dual_bound=max(bound, best.dual_bound if best else -np.inf),
-                gap=0.0, lam=lam, transport_costs=np.zeros(len(anchors)),
-                eps_used=0.0, iterations=it, tau_final=0.0,
-            )
-            best.gap = best.entropy - best.dual_bound
+            prev = best.dual_bound if best else -np.inf
+            best = EntropyMinResult(nu=nu, entropy=ent, dual_bound=max(bound, prev), gap=0.0,
+                                    transport_costs=None, iterations=it)
         else:
             best.dual_bound = max(best.dual_bound, bound)
-            best.gap = best.entropy - best.dual_bound
+        best.gap = best.entropy - best.dual_bound
         if best.gap <= tol:
             break
         vertices.append(v_new)
@@ -621,7 +536,7 @@ def dirac_pair_min(m, q_list, budgets, lam_cap=1e12, sweeps=80):
             break
     nu, logZ = state(lam)
     bound = -logZ - float(lam @ b)
-    ent = float(np.sum(np.where(nu > 0, nu * np.log(np.maximum(nu / m, 1e-300)), 0.0)))
+    ent = _entropy(nu, m)
     return nu, ent, bound, lam
 
 
@@ -705,8 +620,7 @@ def prox_entropy_step(mu, C, m, tau, taub, debias=True, max_sweeps=20000, sweep_
     # primal at a feasible point: round the dual coupling to exact marginals
     gam = np.exp(np.maximum(loggam, _EXP_FLOOR))
     gam = _round_coupling(gam, mu[sel], nu)
-    ent_nu = float(np.sum(np.where(nu > 0, nu * np.log(np.maximum(nu / m, 1e-300)), 0.0)))
-    ref = np.broadcast_to(m[None, :], gam.shape)
-    kl_term = float(np.sum(np.where(gam > 0, gam * np.log(np.maximum(gam / ref, 1e-300)), 0.0)))
+    ent_nu = _entropy(nu, m)
+    kl_term = _entropy(gam, m)
     primal = ent_nu - float(dbf @ nu) + lam * float((gam * Cr).sum()) + taub * kl_term
     return nu, float(primal - dual), sweeps

@@ -156,3 +156,25 @@ def test_parallel_group_same_artifacts(tmp_path, monkeypatch):
     assert cli.run(dict(base, output_dir=str(tmp_path / "seq"))) == 0
     for name in ("o1.json", "o2.json", "diagnostics.csv"):
         assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "seq" / name).read_bytes()
+
+
+def test_geodesy_error_exit_code(tmp_path, capsys):
+    # no measure lies exactly halfway between the ends of segment:4, and a
+    # fixed epsilon of 0 forbids any relaxation
+    cfg = {"space": {"kind": "segment", "n": 4}, "seed": 0,
+           "output_dir": str(tmp_path / "o"),
+           "tasks": [{"op": "geodesic", "name": "g", "depth": 1, "epsilon": 0.0,
+                      "mu0": {"kind": "dirac", "at": 0}, "mu1": {"kind": "dirac", "at": 3}}]}
+    assert cli.run(cfg) == 2
+    err = capsys.readouterr().err
+    assert "GeodesyError" in err and "Traceback" not in err
+
+
+def test_form_error_exit_code(tmp_path, capsys):
+    # the intrinsic metric of cycle:8 misses its certificate tolerance
+    cfg = {"space": {"kind": "cycle", "n": 8}, "seed": 0,
+           "output_dir": str(tmp_path / "o"),
+           "tasks": [{"op": "form", "name": "d", "sub": "intrinsic"}]}
+    assert cli.run(cfg) == 3
+    err = capsys.readouterr().err
+    assert "FormError" in err and "Traceback" not in err
