@@ -2,12 +2,12 @@
 
 The intermediate set I_t^eps(mu0, mu1) collects measures within tW + eps of
 mu0 and (1-t)W + eps of mu1 in W2. On a finite space the exact set (eps = 0)
-is often empty, so builders first compute the least feasible relaxation with
-a feasibility LP and report the slack actually used. Midpoint measures are
-entropy minimizers over the relaxed set, produced by a conditional-gradient
-solver with certified optimality gaps; when both endpoints are Dirac masses
-the budgets are linear in the middle marginal and an exact exponential-family
-solve is used instead.
+is often empty, so builders first compute the least feasible relaxation
+(solvers.epsilon_min, by dual Newton cuts on a feasibility LP) and report the
+slack actually used. Midpoint measures are entropy minimizers over the relaxed
+set, produced by a conditional-gradient solver with certified optimality gaps;
+when both endpoints are Dirac masses the budgets are linear in the middle
+marginal and an exact exponential-family solve is used instead.
 """
 
 from __future__ import annotations
@@ -106,11 +106,11 @@ def _snap(w, rel=1e-12):
     return w / w.sum()
 
 
-def epsilon_min(mu0: ProbMeasure, mu1: ProbMeasure, t, tol=1e-10) -> float:
-    """Least uniform relaxation making I_t^eps nonempty."""
-    C = mu0.space.metric ** 2
-    W = w2(mu0, mu1)[0]
-    return _epsilon_min_lp(C, mu0.weights, mu1.weights, t, W, tol=tol)
+def epsilon_min(mu0: ProbMeasure, mu1: ProbMeasure, t) -> float:
+    """Least uniform relaxation making I_t^eps nonempty, by solvers.epsilon_min's
+    dual Newton cuts: each iterate is a certified lower bound, and the value
+    returned has verified slack."""
+    return _epsilon_min_lp(mu0.space.metric ** 2, mu0.weights, mu1.weights, t, w2(mu0, mu1)[0])
 
 
 def intermediate_entropy_min(mu0: ProbMeasure, mu1: ProbMeasure, t, epsilon, tol=1e-3, W=None):
@@ -146,9 +146,9 @@ def intermediate_entropy_min(mu0: ProbMeasure, mu1: ProbMeasure, t, epsilon, tol
     C0, C1 = C[sel0], C[sel1]
     m0, m1 = mu0.weights[sel0], mu1.weights[sel1]
 
-    slack, _ = interior_point(C0, C1, m0, m1, budgets[0], budgets[1])
+    slack = interior_point(C0, C1, m0, m1, budgets[0], budgets[1])[0]
     if slack < -1e-12:
-        eps_need = epsilon_min(mu0, mu1, t)
+        eps_need = _epsilon_min_lp(C, mu0.weights, mu1.weights, t, W)
         raise InfeasibleError(
             f"I_t^eps empty at epsilon={epsilon:.3e}; needs >= {eps_need:.3e}", min_budget=eps_need
         )
@@ -222,19 +222,10 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
         Wab = w2(a, b)[0]
         eps_here = eps_req
         if auto:
-            # one-LP estimate of the needed relaxation; the retry below
-            # covers underestimates, so no bisection is needed here
-            sel_a, sel_b = a.weights > 0, b.weights > 0
-            C = space.metric ** 2
-            s0, _ = interior_point(
-                C[sel_a], C[sel_b], a.weights[sel_a], b.weights[sel_b],
-                (frac * Wab) ** 2, ((1 - frac) * Wab) ** 2,
-            )
-            if s0 >= 0:
-                eps_here = eps_req
-            else:
-                r = min(frac, 1 - frac) * Wab
-                need = float(np.sqrt(r * r - s0) - r)
+            # margin above the least relaxation gives the entropy minimizer
+            # room; the retry below still covers an LP that disagrees
+            need = _epsilon_min_lp(space.metric ** 2, a.weights, b.weights, frac, Wab)
+            if need > 0:
                 eps_here = max(eps_req, 1.2 * need + 1e-6)
         try:
             nu, cert = intermediate_entropy_min(a, b, frac, eps_here, tol=tol, W=Wab)

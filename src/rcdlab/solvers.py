@@ -6,9 +6,11 @@ is read: a proven-infeasible LP raises InfeasibleError, any other failure
 
 exact_ot solves the transport LP and returns primal plan and dual potentials
 at machine precision; every W2 value in the package routes through it.
-interior_point and epsilon_min measure the common slack of the linked-pair
-polytope: two couplings sharing their second marginal, each under a
-quadratic-cost budget.
+interior_point measures the common slack of the linked-pair polytope: two
+couplings sharing their second marginal, each under a quadratic-cost budget.
+epsilon_min finds the least relaxation of those budgets by dual Newton cuts
+on that slack: every iterate is an LP-duality lower bound, and the value
+returned has its slack verified by one more LP.
 
 entropy_budget_min minimizes relative entropy over that polytope with a
 fully-corrective conditional-gradient method whose LP oracle returns exact
@@ -36,6 +38,7 @@ from scipy.optimize import linprog
 
 _EXP_FLOOR = -745.0  # exp underflow threshold
 _LP_TIME_LIMIT = 120.0  # seconds per HiGHS call
+_NEWTON_CAP = 50  # LPs per epsilon_min call; two or three suffice in practice
 
 
 class SolverError(RuntimeError):
@@ -65,15 +68,15 @@ def _entropy(nu, m):
 
 
 def _solve_lp(obj, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
-    """linprog via HiGHS; retries without presolve, which can misreport tiny
-    but feasible marginals as infeasible.
+    """linprog via HiGHS; an LP reported infeasible is retried without
+    presolve, which can misreport tiny but feasible marginals as infeasible.
 
     Raises InfeasibleError when HiGHS proves the LP infeasible and SolverError
     on any other failure, so a time limit is never read as infeasibility.
     """
     lp = dict(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     res = linprog(obj, **lp, options={"time_limit": _LP_TIME_LIMIT})
-    if res.status != 0:
+    if res.status == 2:
         res = linprog(obj, **lp, options={"presolve": False, "time_limit": _LP_TIME_LIMIT})
     if res.status == 2:
         raise InfeasibleError(f"LP infeasible: {res.message}")
@@ -137,7 +140,8 @@ def interior_point(C0, C1, mu0, mu1, budget0, budget1):
     """Maximize the common slack s over couplings with costs <= budgets - s.
 
     s < 0 measures the uniform squared-budget inflation needed to reach
-    feasibility. Returns (s, nu).
+    feasibility. Returns (s, nu, y), with y >= 0, sum(y) = 1, the duals of the
+    two budget rows.
     """
     s0, n = C0.shape
     A_eq, b_eq, rows = _linked_pair_lp(C0, C1, mu0, mu1)
@@ -150,36 +154,37 @@ def interior_point(C0, C1, mu0, mu1, budget0, budget1):
     res = _solve_lp(obj, A_eq, b_eq, A_ub, np.array([budget0, budget1]),
                     bounds=[(0, None)] * N + [(None, None)])
     nu = res.x[: s0 * n].reshape(s0, n).sum(axis=0)
-    return float(res.x[N]), nu
+    return float(res.x[N]), nu, -res.ineqlin.marginals
 
 
-def epsilon_min(C, mu0, mu1, t, W, tol=1e-10):
+def epsilon_min(C, mu0, mu1, t, W):
     """Least uniform relaxation of the two intermediate-set radius constraints:
-    min over nu of max(W2(mu0,nu) - tW, W2(mu1,nu) - (1-t)W, 0), by bisection
-    with one feasibility LP per step."""
+    min over nu of max(W2(mu0,nu) - tW, W2(mu1,nu) - (1-t)W, 0).
+
+    Dual Newton cuts (Kelley's cutting plane on the slack): with budgets
+    B(eps) = ((tW+eps)^2, ((1-t)W+eps)^2), the interior_point LP at eps gives
+    slack s and budget duals y, and LP duality bounds the slack at every eps'
+    by s + y.(B(eps') - B(eps)). The next eps is the root of that bound, so
+    every iterate is a certified lower bound on the least relaxation and the
+    iterates increase. Returns the first iterate whose LP slack is >= -1e-12,
+    i.e. a value with verified slack; raises SolverError after _NEWTON_CAP LPs.
+    """
     sel0 = mu0 > 0
     sel1 = mu1 > 0
     C0, C1 = C[sel0], C[sel1]
     m0, m1 = mu0[sel0], mu1[sel1]
-
-    def slack(eps):
-        s, _ = interior_point(C0, C1, m0, m1, (t * W + eps) ** 2, ((1 - t) * W + eps) ** 2)
-        return s
-
-    if slack(0.0) >= 0:
-        return 0.0
-    lo, hi = 0.0, max(W, tol)
-    while slack(hi) < 0:
-        hi *= 2
-        if hi > 1e6 * max(W, 1.0):
-            raise SolverError("epsilon_min bracket failure")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if slack(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    a, b = t * W, (1 - t) * W
+    eps = 0.0
+    for _ in range(_NEWTON_CAP):
+        B = np.array([(a + eps) ** 2, (b + eps) ** 2])
+        s, _, y = interior_point(C0, C1, m0, m1, B[0], B[1])
+        if s >= -1e-12:
+            return eps
+        # root of y0 (a + eps)^2 + y1 (b + eps)^2 = H, H = y.B - s <= y.(costs of any feasible pair)
+        H = float(y @ B) - s
+        ybar = float(y[0] * a + y[1] * b)
+        eps = float(np.sqrt(ybar * ybar - y[0] * a * a - y[1] * b * b + H) - ybar)
+    raise SolverError(f"epsilon_min: slack still negative after {_NEWTON_CAP} LPs")
 
 
 def _budgeted_oracle(C0, C1, mu0, mu1, budgets, c):

@@ -242,8 +242,8 @@ def test_combine_restricted_entropy_surgery_decreases():
     sel0, sel1 = mu0.weights > 0, mu1.weights > 0
     C = s.metric ** 2
     W = w2(mu0, mu1)[0]
-    _, nu_flat = interior_point(C[sel0], C[sel1], mu0.weights[sel0], mu1.weights[sel1],
-                                (0.5 * W + eps_room) ** 2, (0.5 * W + eps_room) ** 2)
+    _, nu_flat, _ = interior_point(C[sel0], C[sel1], mu0.weights[sel0], mu1.weights[sel1],
+                                   (0.5 * W + eps_room) ** 2, (0.5 * W + eps_room) ** 2)
     nu_flat = ProbMeasure(s, nu_flat / nu_flat.sum())
     f = np.ones_like(plan.coupling)
     out = combine_restricted(tr, plan, f, nu_flat, 0.5)

@@ -1,16 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
-from rcdlab import geodesy, solvers
+from rcdlab import cli, geodesy, solvers
 from rcdlab.geodesy import build_good_geodesic
 from rcdlab.measures import bump_measure, gaussian_measure
 from rcdlab.mmspace import make_model_space
 from rcdlab.solvers import InfeasibleError, SolverError
 
 
-def _failing_linprog(status):
+def _failing_linprog(status, calls=None):
     def linprog(*args, **kwargs):
+        if calls is not None:
+            calls.append(kwargs["options"])
         return OptimizeResult(status=status, message=f"stub status {status}", x=None, fun=None)
     return linprog
 
@@ -32,6 +37,16 @@ def test_infeasible_status_raises_infeasible_error(monkeypatch):
     monkeypatch.setattr(solvers, "linprog", _failing_linprog(2))
     with pytest.raises(InfeasibleError):
         solvers._budgeted_oracle(*_oracle_args())
+
+
+@pytest.mark.parametrize("status, error, n_calls", [(1, SolverError, 1), (2, InfeasibleError, 2)])
+def test_only_an_infeasible_report_is_retried_without_presolve(monkeypatch, status, error, n_calls):
+    # a time limit is not a presolve artifact: solving again would double the wait
+    calls = []
+    monkeypatch.setattr(solvers, "linprog", _failing_linprog(status, calls))
+    with pytest.raises(error):
+        solvers._budgeted_oracle(*_oracle_args())
+    assert [options.get("presolve", True) for options in calls] == [True, False][:n_calls]
 
 
 def test_oracle_vertex_meets_the_budgets():
@@ -67,3 +82,69 @@ def test_auto_epsilon_build_propagates_a_solver_failure(monkeypatch):
         build_good_geodesic(mu0, mu1, 1, epsilon="auto", tol=5e-3)
     assert not isinstance(err.value, InfeasibleError)
     assert calls == [1]
+
+
+# -- epsilon_min ----------------------------------------------------------------
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _three_point_pair(draw):
+    """Criterion 4's battery: distances in [0.5, 1] obeying the triangle
+    inequality, interior endpoint measures."""
+    d01, d02, d12 = (0.5 + 0.5 * draw(_UNIT) for _ in range(3))
+    d02 = min(d02, d01 + d12 - 1e-3)
+    metric = np.array([[0, d01, d02], [d01, 0, d12], [d02, d12, 0]])
+    w0, w1 = (np.array([0.2 + draw(_UNIT) for _ in range(3)]) for _ in range(2))
+    return metric ** 2, w0 / w0.sum(), w1 / w1.sum()
+
+
+@st.composite
+def _segment_pair(draw):
+    """Lattice weights on segment:n: sparse supports and Dirac pairs included."""
+    n = draw(st.integers(2, 12))
+    weights = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
+    w0, w1 = (np.array(draw(weights), dtype=float) for _ in range(2))
+    return make_model_space("segment", n).metric ** 2, w0 / w0.sum(), w1 / w1.sum()
+
+
+def _slack(C, mu0, mu1, t, W, eps):
+    sel0, sel1 = mu0 > 0, mu1 > 0
+    return solvers.interior_point(C[sel0], C[sel1], mu0[sel0], mu1[sel1],
+                                  (t * W + eps) ** 2, ((1 - t) * W + eps) ** 2)[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(pair=st.one_of(_three_point_pair(), _segment_pair()), t=st.floats(0.05, 0.95))
+def test_epsilon_min_is_verified_and_least(pair, t):
+    C, mu0, mu1 = pair
+    W = float(np.sqrt(max(solvers.exact_ot(C, mu0, mu1)[0], 0.0)))
+    with mock.patch.object(solvers, "interior_point", wraps=solvers.interior_point) as lp:
+        eps = solvers.epsilon_min(C, mu0, mu1, t, W)
+    assert lp.call_count <= 6
+    assert _slack(C, mu0, mu1, t, W, eps) >= -1e-12
+    if eps > 1e-7:
+        assert _slack(C, mu0, mu1, t, W, eps - 1e-7) < 0
+    # zero exactly when the unrelaxed set passes the same slack test
+    assert (eps == 0.0) == (_slack(C, mu0, mu1, t, W, 0.0) >= -1e-12)
+
+
+def _never_feasible(C0, C1, mu0, mu1, budget0, budget1):
+    return -1.0, np.full(C0.shape[1], 1.0 / C0.shape[1]), np.array([0.5, 0.5])
+
+
+def test_epsilon_min_raises_a_solver_error_at_its_cap(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(solvers, "interior_point", mock.Mock(side_effect=_never_feasible))
+    C = make_model_space("segment", 4).metric ** 2
+    mu0, mu1 = np.array([1.0, 0, 0, 0]), np.array([0, 0, 0, 1.0])
+    with pytest.raises(SolverError, match="epsilon_min") as err:
+        solvers.epsilon_min(C, mu0, mu1, 0.5, 1.0)
+    assert not isinstance(err.value, InfeasibleError)
+    assert solvers.interior_point.call_count == solvers._NEWTON_CAP
+    # an auto-epsilon geodesic task reports it as a solver failure
+    cfg = {"space": {"kind": "segment", "n": 4}, "seed": 0, "output_dir": str(tmp_path / "o"),
+           "tasks": [{"op": "geodesic", "name": "g", "depth": 1,
+                      "mu0": {"kind": "dirac", "at": 0}, "mu1": {"kind": "dirac", "at": 3}}]}
+    assert cli.run(cfg) == 3
+    assert "SolverError" in capsys.readouterr().err
