@@ -124,60 +124,59 @@ def intermediate_entropy_min(mu0: ProbMeasure, mu1: ProbMeasure, t, epsilon, tol
         raise GeodesyError("t in [0,1] required")
     if epsilon < 0:
         raise GeodesyError("epsilon >= 0 required")
-    space = mu0.space
-    m = space.ref_measure
-    C = space.metric ** 2
     if W is None:
         W = w2(mu0, mu1)[0]
-
     prob = IntermediateSpec(float(t), float(epsilon), float(W))
     if epsilon == 0.0 and t in (0.0, 1.0):
         mu = mu0 if t == 0.0 else mu1
-        ent = relative_entropy(mu, m)
-        cert = MinimizerCertificate(ent, ent, 0.0, (0.0 if t == 0.0 else W**2, W**2 if t == 0.0 else 0.0), 0.0, "endpoint", 0, prob)
-        return mu, cert
+        ent = relative_entropy(mu, mu0.space.ref_measure)
+        return mu, MinimizerCertificate(ent, ent, 0.0, (0.0 if t == 0.0 else W**2, W**2 if t == 0.0 else 0.0), 0.0, "endpoint", 0, prob)
+    if W >= 1e-14:
+        C = mu0.space.metric ** 2
+        sel0, sel1 = mu0.weights > 0, mu1.weights > 0
+        budgets = [r ** 2 for r in prob.radii()]
+        if interior_point(C[sel0], C[sel1], mu0.weights[sel0], mu1.weights[sel1], *budgets)[0] < -1e-12:
+            eps_need = _epsilon_min_lp(C, mu0.weights, mu1.weights, t, W)
+            raise InfeasibleError(
+                f"I_t^eps empty at epsilon={epsilon:.3e}; needs >= {eps_need:.3e}", min_budget=eps_need
+            )
+    return _entropy_min(mu0, mu1, prob, tol)
+
+
+def _entropy_min(mu0, mu1, prob, tol):
+    """The minimization behind intermediate_entropy_min, for 0 < t < 1 or
+    epsilon > 0, on a set already known to be nonempty. The certificate's
+    entropy, transport costs and eps_used are those of the returned (snapped)
+    measure."""
+    t, W = prob.t, prob.W
+    space = mu0.space
+    m = space.ref_measure
     if W < 1e-14:
         ent = relative_entropy(mu0, m)
         return mu0, MinimizerCertificate(ent, ent, 0.0, (0.0, 0.0), 0.0, "coincident", 0, prob)
 
-    budgets = np.array([(t * W + epsilon) ** 2, ((1.0 - t) * W + epsilon) ** 2])
+    C = space.metric ** 2
+    budgets = np.array([r ** 2 for r in prob.radii()])
     sel0 = mu0.weights > 0
     sel1 = mu1.weights > 0
     C0, C1 = C[sel0], C[sel1]
     m0, m1 = mu0.weights[sel0], mu1.weights[sel1]
-
-    slack = interior_point(C0, C1, m0, m1, budgets[0], budgets[1])[0]
-    if slack < -1e-12:
-        eps_need = _epsilon_min_lp(C, mu0.weights, mu1.weights, t, W)
-        raise InfeasibleError(
-            f"I_t^eps empty at epsilon={epsilon:.3e}; needs >= {eps_need:.3e}", min_budget=eps_need
-        )
-
     if sel0.sum() == 1 and sel1.sum() == 1:
-        nu, ent, bound, _ = dirac_pair_min(m, np.vstack([C0[0], C1[0]]), budgets)
-        nu = _snap(nu)
-        costs = (float(nu @ C0[0]), float(nu @ C1[0]))
-        eps_used = max(np.sqrt(max(costs[0], 0.0)) - t * W, np.sqrt(max(costs[1], 0.0)) - (1 - t) * W, 0.0)
-        cert = MinimizerCertificate(ent, bound, ent - bound, costs, float(eps_used), "dirac_newton", 0, prob)
-        mu = ProbMeasure(space, nu / nu.sum())
-        return mu, cert
-
-    warm = []
-    try:
-        warm.append(entropy_capacity_min(m, [(m0, C0), (m1, C1)], budgets))
-    except SolverError:
-        pass
-    res = entropy_budget_min(m, [(m0, C0), (m1, C1)], budgets, tol=tol, warm_points=warm)
-    eps_used = max(
-        float(np.sqrt(max(res.transport_costs[0], 0.0)) - t * W),
-        float(np.sqrt(max(res.transport_costs[1], 0.0)) - (1 - t) * W),
-        0.0,
-    )
-    cert = MinimizerCertificate(
-        res.entropy, res.dual_bound, res.gap, tuple(map(float, res.transport_costs)),
-        eps_used, "budgeted_fw", res.iterations, prob,
-    )
-    return ProbMeasure(space, _snap(res.nu)), cert
+        nu, bound = dirac_pair_min(m, np.vstack([C0[0], C1[0]]), budgets)
+        method, iterations = "dirac_newton", 0
+    else:
+        warm = []
+        try:
+            warm.append(entropy_capacity_min(m, [(m0, C0), (m1, C1)], budgets))
+        except SolverError:
+            pass
+        res = entropy_budget_min(m, [(m0, C0), (m1, C1)], budgets, tol=tol, warm_points=warm)
+        nu, bound, method, iterations = res.nu, res.dual_bound, "budgeted_fw", res.iterations
+    mu = ProbMeasure(space, _snap(nu))
+    ent = relative_entropy(mu, m)
+    costs = (exact_ot(C0, m0, mu.weights)[0], exact_ot(C1, m1, mu.weights)[0])
+    eps_used = max(np.sqrt(max(costs[0], 0.0)) - t * W, np.sqrt(max(costs[1], 0.0)) - (1.0 - t) * W, 0.0)
+    return mu, MinimizerCertificate(ent, bound, ent - bound, costs, float(eps_used), method, iterations, prob)
 
 
 def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto", K=0.0, tol=1e-3) -> GeodesicTrace:
@@ -220,27 +219,26 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
         a, b = nodes[ta], nodes[tb]
         frac = (tmid - ta) / (tb - ta)
         Wab = w2(a, b)[0]
-        eps_here = eps_req
         if auto:
-            # margin above the least relaxation gives the entropy minimizer
-            # room; the retry below still covers an LP that disagrees
+            # the least relaxation comes with verified slack and the set only
+            # grows with epsilon, so the margin, which gives the entropy
+            # minimizer room, needs no second feasibility check
             need = _epsilon_min_lp(space.metric ** 2, a.weights, b.weights, frac, Wab)
-            if need > 0:
-                eps_here = max(eps_req, 1.2 * need + 1e-6)
-        try:
-            nu, cert = intermediate_entropy_min(a, b, frac, eps_here, tol=tol, W=Wab)
-        except InfeasibleError as err:
-            need = err.min_budget if err.min_budget is not None else epsilon_min(a, b, frac)
-            retry_eps = max(eps_here, need) + max(1e-6, 0.05 * need)
-            if not auto and retry_eps > eps_req:
+            eps_here = 1.2 * need + 1e-6 if need > 0 else 0.0
+            nu, cert = _entropy_min(a, b, IntermediateSpec(frac, eps_here, Wab), tol)
+        else:
+            try:
+                nu, cert = intermediate_entropy_min(a, b, frac, eps_req, tol=tol, W=Wab)
+            except InfeasibleError as err:
+                if err.min_budget is None:  # a solver report, not an empty set
+                    raise
                 raise GeodesyError(
-                    f"infeasible interval ({ta}, {tb}) at epsilon={eps_here:.3e}; needs {need:.3e}"
+                    f"infeasible interval ({ta}, {tb}) at epsilon={eps_req:.3e}; needs {err.min_budget:.3e}"
                 ) from err
-            nu, cert = intermediate_entropy_min(a, b, frac, retry_eps, tol=tol, W=Wab)
         nodes[tmid] = nu
         certs[tmid] = cert
         construction[tmid] = (ta, tb)
-        eps_max = max(eps_max, cert.eps_used, eps_here if not auto else cert.eps_used)
+        eps_max = max(eps_max, cert.eps_used, eps_req)
 
     if t0 is not None and abs(t0 - 0.5) > 1e-12:
         solve_between(0.0, 1.0, t0)

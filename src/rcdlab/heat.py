@@ -224,35 +224,28 @@ def identification_check(form: DirichletForm, f0, t_grid, tau_grid, blur=0.25, d
 
 def bakry_emery_check(form: DirichletForm, f, t_grid, K, tol=1e-10) -> dict:
     """Pointwise residual of Gamma(h_t f) <= exp(-2Kt) h_t Gamma(f) over the
-    time grid, plus the largest K passing at tol (bisection)."""
+    time grid, plus the largest K passing at tol, in closed form.
+
+    With L_t = Gamma(h_t f) and R_t = h_t Gamma(f), the residual
+    L_t - exp(-2Kt) R_t increases with K for t > 0. A site with L_t > tol
+    therefore caps K at log(R_t / (L_t - tol)) / (2t), and admits no K when
+    R_t <= 0; the largest K is the least cap (-inf when some site admits no
+    K, +inf when no site binds). At t = 0, L = R exactly and nothing binds.
+    """
     f = np.asarray(f, dtype=float)
     gf = form.gamma_vector(f, f)
-
-    def worst(Kv):
-        r = -np.inf
-        for t in t_grid:
-            lhs = form.gamma_vector(semigroup_apply(form, f, t), semigroup_apply(form, f, t))
-            rhs = np.exp(-2.0 * Kv * t) * semigroup_apply(form, gf, t)
-            r = max(r, float((lhs - rhs).max()))
-        return r
-
-    res = worst(K)
-    lo, hi = K - 1.0, K + 1.0
-    while worst(lo) > tol:
-        lo -= max(1.0, abs(lo))
-        if lo < -1e6:
-            break
-    while worst(hi) <= tol:
-        hi += max(1.0, abs(hi))
-        if hi > 1e6:
-            break
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if worst(mid) <= tol:
-            lo = mid
-        else:
-            hi = mid
-    return {"worst_residual": res, "largest_K": lo, "tol": tol}
+    worst, largest = -np.inf, np.inf
+    for t in t_grid:
+        ht_f = semigroup_apply(form, f, t)
+        L = form.gamma_vector(ht_f, ht_f)
+        R = semigroup_apply(form, gf, t)
+        worst = max(worst, float((L - np.exp(-2.0 * K * t) * R).max()))
+        bind = L > tol
+        if t > 0 and bind.any():
+            with np.errstate(divide="ignore"):
+                caps = np.log(np.maximum(R[bind], 0.0) / (L[bind] - tol)) / (2.0 * t)
+            largest = min(largest, float(caps.min()))
+    return {"worst_residual": worst, "largest_K": largest, "tol": tol}
 
 
 def i_rate(K, t):
@@ -284,38 +277,30 @@ def lipschitz_regularization_check(form: DirichletForm, f, t, K) -> dict:
 
 def log_sobolev_check(form: DirichletForm, f, K, n_family=20, seed=0) -> dict:
     """Residual Ent - Fisher/(2K) for the given density, plus the largest K
-    satisfying the inequality over a randomized density family (bisection)."""
+    satisfying the inequality at 1e-12 over a randomized density family.
+
+    Ent - Fisher/(2K) <= 1e-12 holds for every K > 0 when Ent <= 1e-12, and
+    otherwise exactly when K <= Fisher / (2 (Ent - 1e-12)); best_K is the
+    least of these caps over the family, +inf when none binds.
+    """
     if K <= 0:
         raise HeatError("K > 0 required")
     m = form.vertex_measure
     space = form.space
 
-    def resid(dens, Kv):
+    def ent_fisher(dens):
         mu = ProbMeasure(space, dens * m / (dens * m).sum())
-        return relative_entropy(mu, m) - fisher_information(mu, form) / (2.0 * Kv)
+        return relative_entropy(mu, m), fisher_information(mu, form)
 
     rng = np.random.default_rng(seed)
     fam = [np.asarray(f, dtype=float)]
     for _ in range(n_family):
         g = np.exp(rng.normal(scale=0.8, size=form.n))
         fam.append(semigroup_apply(form, g, 0.01 * rng.uniform(0.5, 2.0)))
-
-    def all_pass(Kv):
-        return all(resid(g, Kv) <= 1e-12 for g in fam)
-
-    lo, hi = 1e-6, 1e-6
-    while all_pass(hi):
-        hi *= 2
-        if hi > 1e9:
-            break
-    lo = hi / 2 if hi > 1e-6 else 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if all_pass(mid):
-            lo = mid
-        else:
-            hi = mid
-    return {"residual": resid(np.asarray(f, dtype=float), K), "best_K": lo}
+    pairs = [ent_fisher(g) for g in fam]
+    best = min((fi / (2.0 * (ent - 1e-12)) for ent, fi in pairs if ent > 1e-12), default=np.inf)
+    ent, fi = pairs[0]
+    return {"residual": ent - fi / (2.0 * K), "best_K": float(best)}
 
 
 def contraction_check(form: DirichletForm, mu: ProbMeasure, nu: ProbMeasure, K, t_grid) -> dict:

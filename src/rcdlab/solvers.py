@@ -217,15 +217,20 @@ def logsumexp(a, axis=None):
 def _lambda_update(base, C, tau, budget, lam0):
     """Solve <gamma(lam), C> = budget over lam >= 0 for gamma = exp(base - lam*C/tau).
 
-    log<gamma(lam), C> is convex, decreasing; Newton from the infeasible side
-    increases monotonically to the root, bisection covers the other side.
+    f(lam) = log<gamma(lam), C> is a log-sum-exp of affine functions of lam,
+    so it is convex and decreasing. Its tangent lies below it, so a Newton
+    step from either side lands at or left of the root, and the clamp at 0
+    stays left because f(0) > log(budget) is checked first. From there Newton
+    increases monotonically to the root: one loop, warm-started at lam0.
+    Terms of gamma that underflow count as 0; a floored exponent would make f
+    flat far right of the root and stall the steps there.
     """
     logb = np.log(budget)
 
     def moments(lam):
         E = base - lam * C / tau
         shift = E.max()
-        G = np.exp(np.maximum(E - shift, _EXP_FLOOR))
+        G = np.exp(E - shift)
         c1 = float((G * C).sum())
         if c1 <= 0.0:
             return -np.inf, 1.0
@@ -236,23 +241,12 @@ def _lambda_update(base, C, tau, budget, lam0):
         return 0.0
     lam = max(lam0, 0.0)
     lc, ratio = moments(lam)
-    if lc <= logb:  # overshot previously: bisect in [0, lam]
-        lo, hi = 0.0, lam
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if moments(mid)[0] > logb:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * (1.0 + hi):
-                break
-        return hi
     for _ in range(100):
-        lam_new = lam + (lc - logb) * tau / max(ratio, 1e-300)
+        lam_new = max(lam + (lc - logb) * tau / max(ratio, 1e-300), 0.0)
         lc, ratio = moments(lam_new)
         if abs(lc - logb) <= 1e-12 * max(1.0, abs(logb)):
             return lam_new
-        if lam_new - lam <= 1e-15 * (1.0 + lam):
+        if abs(lam_new - lam) <= 1e-15 * (1.0 + lam):
             return lam_new
         lam = lam_new
     return lam
@@ -266,7 +260,7 @@ def entropy_capacity_min(m, anchors, budgets):
     cost_rows shaped (support, n). Runs cyclic exact block-coordinate ascent on
     the dual of an entropic-barrier relaxation down a short temperature
     schedule: marginal and linking potentials have closed-form updates, each
-    budget multiplier a safeguarded Newton step. Returns the primal measure of
+    budget multiplier a monotone Newton solve. Returns the primal measure of
     the last dual iterate; it need not be feasible.
     """
     tau_floor, max_sweeps = 5e-2, 80
@@ -323,7 +317,6 @@ class EntropyMinResult:
     entropy: float               # Ent_m(nu)
     dual_bound: float            # certified lower bound on the optimum
     gap: float                   # entropy - dual_bound
-    transport_costs: np.ndarray  # exact squared transport costs to the anchors
     iterations: int
 
 
@@ -436,8 +429,7 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, max_oracle=80, warm_points
         bound = ent + lp_value - float(c @ nu) - zero_corr
         if best is None or ent - bound < best.gap or ent < best.entropy - 1e-15:
             prev = best.dual_bound if best else -np.inf
-            best = EntropyMinResult(nu=nu, entropy=ent, dual_bound=max(bound, prev), gap=0.0,
-                                    transport_costs=None, iterations=it)
+            best = EntropyMinResult(nu=nu, entropy=ent, dual_bound=max(bound, prev), gap=0.0, iterations=it)
         else:
             best.dual_bound = max(best.dual_bound, bound)
         best.gap = best.entropy - best.dual_bound
@@ -447,7 +439,6 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, max_oracle=80, warm_points
         theta, _ = _hull_minimize(np.array(vertices), m, theta0=np.append(theta * (1 - 1e-3), 1e-3))
     if best.gap > tol:
         raise SolverError(f"budgeted entropy gap {best.gap:.3e} exceeds tol {tol:.3e}", gap=best.gap)
-    best.transport_costs = np.array([exact_ot(C, mu_s, best.nu)[0] for mu_s, C in zip(sup_mus, Cs)])
     return best
 
 
@@ -458,7 +449,7 @@ def dirac_pair_min(m, q_list, budgets, lam_cap=1e12, sweeps=80):
     low-dimensional exponential-family fit. Cyclic coordinate bisection on the
     concave dual is used because the feasible set can degenerate to a single
     point, where the multipliers diverge and the exponential weights underflow
-    to an exact vertex. Returns (nu, entropy, dual_bound, lam).
+    to an exact vertex. Returns (nu, dual_bound).
     """
     m = np.asarray(m, dtype=float)
     q = np.asarray(q_list, dtype=float)
@@ -540,9 +531,7 @@ def dirac_pair_min(m, q_list, budgets, lam_cap=1e12, sweeps=80):
         if moved <= 1e-12 * (1.0 + np.abs(lam).max()):
             break
     nu, logZ = state(lam)
-    bound = -logZ - float(lam @ b)
-    ent = _entropy(nu, m)
-    return nu, ent, bound, lam
+    return nu, -logZ - float(lam @ b)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +608,7 @@ def prox_entropy_step(mu, C, m, tau, taub, debias=True, max_sweeps=20000, sweep_
 
     # dual lower bound of the solved (smoothed, debiased) program
     loggam = (alpha[:, None] + w[None, :]) / taub - lam * Cr / taub - 1.0 + log_m[None, :]
-    gam_mass = float(np.exp(np.maximum(loggam - loggam.max(), _EXP_FLOOR)).sum()) * np.exp(min(loggam.max(), 700.0))
+    gam_mass = float(np.exp(np.maximum(loggam - loggam.max(), _EXP_FLOOR)).sum()) * np.exp(loggam.max())
     dual = float(alpha @ mu[sel]) - taub * gam_mass - float(nu_raw.sum())
 
     # primal at a feasible point: round the dual coupling to exact marginals

@@ -89,6 +89,27 @@ def test_certificate_contract_randomized():
         assert np.sqrt(cert.transport_costs[1]) <= 0.5 * W + eps + 1e-8
 
 
+def test_certificate_describes_the_returned_measure():
+    # entropy, transport costs and eps_used are those of the measure returned,
+    # after snapping, on both the Dirac-pair and the Frank-Wolfe path
+    rng = np.random.default_rng(8)
+    s9, s11 = make_model_space("segment", 9), make_model_space("segment", 11)
+    mu0, mu1 = ProbMeasure(s11, rng.dirichlet(np.ones(11) * 2)), ProbMeasure(s11, rng.dirichlet(np.ones(11) * 2))
+    cases = [(dirac(s9, 0), dirac(s9, 8), 0.5, 0.0, "dirac_newton"),
+             (mu0, mu1, 0.5, epsilon_min(mu0, mu1, 0.5) + 2e-3, "budgeted_fw")]
+    for a, b, t, eps, method in cases:
+        nu, cert = intermediate_entropy_min(a, b, t, eps, tol=1e-3)
+        assert cert.method == method
+        assert abs(cert.entropy - relative_entropy(nu, a.space.ref_measure)) <= 1e-15
+        assert cert.gap == cert.entropy - cert.dual_bound
+        costs = (w2(a, nu)[0] ** 2, w2(nu, b)[0] ** 2)
+        assert cert.transport_costs == pytest.approx(costs, rel=1e-12, abs=1e-15)
+        W = w2(a, b)[0]
+        slack = max(np.sqrt(costs[0]) - t * W, np.sqrt(costs[1]) - (1 - t) * W, 0.0)
+        assert cert.eps_used == pytest.approx(slack, abs=1e-12)
+        assert cert.eps_used <= eps + 1e-8
+
+
 def test_intermediate_set_convexity_midpoints():
     rng = np.random.default_rng(9)
     s = make_model_space("segment", 9)

@@ -191,6 +191,7 @@ def test_bakry_emery_trivial_cases():
     const = np.full(16, 2.0)
     rep = bakry_emery_check(form, const, [0.1, 1.0], K=5.0)
     assert rep["worst_residual"] <= 1e-15
+    assert rep["largest_K"] == np.inf  # a constant passes for every K
     rng = np.random.default_rng(4)
     f = rng.normal(size=16)
     lhs = form.gamma_vector(semigroup_apply(form, f, 0.0), semigroup_apply(form, f, 0.0))
@@ -206,6 +207,20 @@ def test_bakry_emery_cycles_nonnegative_curvature():
         rep = bakry_emery_check(form, f, [0.01, 0.1, 1.0], K=0.0)
         assert rep["worst_residual"] <= 1e-8
         assert rep["largest_K"] >= 0.0
+
+
+def test_bakry_emery_largest_K_is_where_the_estimate_binds():
+    rng = np.random.default_rng(5)
+    grid = [0.0, 0.01, 0.1, 1.0]
+    for n in (16, 64):
+        s, form = cycle_form(n)
+        f = rng.normal(size=n)
+        K = bakry_emery_check(form, f, grid, K=0.0)["largest_K"]
+        assert np.isfinite(K)
+        # at K the residual equals tol up to rounding; below it passes, above it fails
+        assert abs(bakry_emery_check(form, f, grid, K)["worst_residual"] - 1e-10) <= 1e-16
+        assert bakry_emery_check(form, f, grid, K * (1 - 1e-9))["worst_residual"] <= 1e-10
+        assert bakry_emery_check(form, f, grid, K * (1 + 1e-9))["worst_residual"] > 1e-10
 
 
 def test_lipschitz_regularization():
@@ -263,6 +278,19 @@ def test_log_sobolev_gaussian_segment_family():
         if prev is not None:
             assert gap <= prev + 1e-9
         prev = gap
+
+
+def test_log_sobolev_best_K_is_where_the_inequality_binds():
+    s = make_model_space("segment", 16, {"measure": {"gaussian": 8.0}})
+    form = dirichlet_form(s)
+    f = np.exp(np.random.default_rng(3).normal(scale=0.8, size=16))
+    # a family of one: best_K is the density's own constant Fisher / (2 Ent)
+    K = log_sobolev_check(form, f, K=1.0, n_family=0)["best_K"]
+    assert abs(log_sobolev_check(form, f, K, n_family=0)["residual"] - 1e-12) <= 1e-15
+    assert log_sobolev_check(form, f, K * (1 - 1e-9), n_family=0)["residual"] <= 1e-12
+    assert log_sobolev_check(form, f, K * (1 + 1e-9), n_family=0)["residual"] > 1e-12
+    # the uniform density has zero entropy and caps nothing
+    assert log_sobolev_check(form, np.ones(16), K=1.0, n_family=0)["best_K"] == np.inf
 
 
 def test_contraction_trivial_and_cycle():

@@ -3,7 +3,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, brentq
+from scipy.special import logsumexp
 
 from rcdlab import cli, geodesy, solvers
 from rcdlab.geodesy import build_good_geodesic
@@ -60,28 +61,94 @@ def test_oracle_vertex_meets_the_budgets():
     assert nu[-1] < 1.0
 
 
-def test_auto_epsilon_build_propagates_a_solver_failure(monkeypatch):
-    # every LP of the Frank-Wolfe solver hits its time limit; the builder must
-    # report that, not retry the interval with a larger relaxation
+def _build_with_failing_fw(monkeypatch, status, epsilon):
+    """Build a depth-1 geodesic on segment:9 in which every LP of the
+    Frank-Wolfe solver reports the given HiGHS status; returns the error
+    raised and the number of Frank-Wolfe solves attempted."""
     real_linprog = solvers.linprog
     real_fw = geodesy.entropy_budget_min
     calls = []
 
-    def timed_out_fw(*args, **kwargs):
+    def failing_fw(*args, **kwargs):
         calls.append(1)
-        monkeypatch.setattr(solvers, "linprog", _failing_linprog(1))
+        monkeypatch.setattr(solvers, "linprog", _failing_linprog(status))
         try:
             return real_fw(*args, **kwargs)
         finally:
             monkeypatch.setattr(solvers, "linprog", real_linprog)
 
-    monkeypatch.setattr(geodesy, "entropy_budget_min", timed_out_fw)
+    monkeypatch.setattr(geodesy, "entropy_budget_min", failing_fw)
     space = make_model_space("segment", 9)
     mu0, mu1 = gaussian_measure(space, 8.0), bump_measure(space, 6, 0.2)
-    with pytest.raises(SolverError, match="status 1") as err:
-        build_good_geodesic(mu0, mu1, 1, epsilon="auto", tol=5e-3)
-    assert not isinstance(err.value, InfeasibleError)
-    assert calls == [1]
+    with pytest.raises(SolverError) as err:
+        build_good_geodesic(mu0, mu1, 1, epsilon=epsilon, tol=5e-3)
+    return err.value, len(calls)
+
+
+def test_auto_epsilon_build_propagates_a_solver_failure(monkeypatch):
+    # every LP of the Frank-Wolfe solver hits its time limit; the builder must
+    # report that, not retry the interval with a larger relaxation
+    err, calls = _build_with_failing_fw(monkeypatch, 1, "auto")
+    assert "status 1" in str(err)
+    assert not isinstance(err, InfeasibleError)
+    assert calls == 1
+
+
+def test_auto_epsilon_build_does_not_read_an_lp_report_as_too_small_epsilon(monkeypatch):
+    # the interval's relaxation was verified by epsilon_min; an infeasible
+    # report from the oracle LP is a solver failure, not a cue to enlarge it
+    err, calls = _build_with_failing_fw(monkeypatch, 2, "auto")
+    assert isinstance(err, InfeasibleError)
+    assert err.min_budget is None
+    assert calls == 1
+
+
+def test_fixed_epsilon_build_reports_an_lp_failure_as_a_solver_error(monkeypatch):
+    # the interval is nonempty at epsilon = 0.5: only an empty set is a GeodesyError
+    err, calls = _build_with_failing_fw(monkeypatch, 2, 0.5)
+    assert isinstance(err, InfeasibleError)
+    assert calls == 1
+
+
+# -- _lambda_update ---------------------------------------------------------------
+
+
+def _log_moment(base, C, tau, lam):
+    """log<gamma(lam), C> by scipy's logsumexp over the positive costs."""
+    pos = C > 0
+    return float(logsumexp(base[pos] - lam * C[pos] / tau + np.log(C[pos])))
+
+
+@st.composite
+def _lambda_problem(draw):
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    base = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=k * n, max_size=k * n))).reshape(k, n)
+    cost = st.one_of(st.just(0.0), st.floats(0.01, 4.0))
+    C = np.array(draw(st.lists(cost, min_size=k * n, max_size=k * n))).reshape(k, n)
+    C[0, 0] = max(C[0, 0], 0.01)  # a positive cost makes <gamma(0), C>, and so the budget, positive
+    tau = draw(st.floats(0.05, 2.0))
+    ratio = draw(st.one_of(st.floats(1e-3, 0.99), st.floats(1.01, 2.0)))
+    return base, C, tau, ratio * float(np.exp(_log_moment(base, C, tau, 0.0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(problem=_lambda_problem())
+def test_lambda_update_reaches_the_root_from_either_side(problem):
+    base, C, tau, budget = problem
+    logb = np.log(budget)
+    feasible_at_zero = _log_moment(base, C, tau, 0.0) <= logb
+    root = 0.0
+    if not feasible_at_zero:
+        hi = 1.0
+        while _log_moment(base, C, tau, hi) > logb:
+            hi *= 2.0
+        root = brentq(lambda lam: _log_moment(base, C, tau, lam) - logb, 0.0, hi, xtol=1e-15)
+    for lam0 in (0.0, root * (1.0 - 1e-6), root * (1.0 + 1e-6), 10.0 * root, 1e6 * root):
+        lam = solvers._lambda_update(base, C, tau, budget, lam0)
+        assert lam >= 0.0
+        assert (lam == 0.0) == feasible_at_zero
+        if not feasible_at_zero:
+            assert abs(_log_moment(base, C, tau, lam) - logb) <= 1e-10 * max(1.0, abs(logb))
 
 
 # -- epsilon_min ----------------------------------------------------------------
