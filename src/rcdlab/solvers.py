@@ -5,7 +5,10 @@ is read: a proven-infeasible LP raises InfeasibleError, any other failure
 (time limit, numerical trouble) raises SolverError.
 
 exact_ot solves the transport LP and returns primal plan and dual potentials
-at machine precision; every W2 value in the package routes through it.
+at machine precision; every W2 value in the package routes through it. It
+remembers its last successful solve, so a W2 value followed by the potentials
+of the same problem costs one LP; its arrays are read-only because a repeat
+call hands the same objects to the next caller.
 interior_point measures the common slack of the linked-pair polytope: two
 couplings sharing their second marginal, each under a quadratic-cost budget.
 epsilon_min finds the least relaxation of those budgets by dual Newton cuts
@@ -35,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+
+from .mmspace import _freeze
 
 _EXP_FLOOR = -745.0  # exp underflow threshold
 _LP_TIME_LIMIT = 120.0  # seconds per HiGHS call
@@ -101,19 +106,37 @@ def _marginal_matrix(n0, n1):
     return _MARGINAL_CACHE[key]
 
 
+# (key, result) of the last successful exact_ot solve; replaced whole by one
+# assignment, so a reader on another thread sees an old or a new pair, never a mix
+_OT_LAST = (None, None)
+
+
 def exact_ot(C, a, b):
     """Exact LP optimum of <gamma, C> over couplings of (a, b).
 
     Returns (cost, plan, u, v) where (u, v) are dual potentials satisfying
     u(x) + v(y) <= C(x, y) and cost = <u, a> + <v, b> up to solver precision.
+    plan, u and v are read-only.
+
+    The last successful solve is remembered: a call whose C, a and b are
+    byte-equal to it returns the same objects without an LP. HiGHS is
+    deterministic, so a new solve would return the same bits. A failed solve
+    leaves the memory as it was.
     """
+    global _OT_LAST
     C = np.asarray(C, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    key = (C.shape, C.tobytes(), a.tobytes(), b.tobytes())
+    last_key, last = _OT_LAST
+    if key == last_key:
+        return last
     n0, n1 = C.shape
     res = _solve_lp(C.ravel(), _marginal_matrix(n0, n1), np.concatenate([a, b]))
     marg = res.eqlin.marginals
-    return float(res.fun), res.x.reshape(n0, n1), marg[:n0].copy(), marg[n0:].copy()
+    out = (float(res.fun), _freeze(res.x.reshape(n0, n1)), _freeze(marg[:n0]), _freeze(marg[n0:]))
+    _OT_LAST = (key, out)
+    return out
 
 
 @functools.lru_cache(maxsize=256)

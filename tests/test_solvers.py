@@ -1,3 +1,5 @@
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -108,6 +110,118 @@ def test_fixed_epsilon_build_reports_an_lp_failure_as_a_solver_error(monkeypatch
     err, calls = _build_with_failing_fw(monkeypatch, 2, 0.5)
     assert isinstance(err, InfeasibleError)
     assert calls == 1
+
+
+# -- exact_ot's memory of its last solve -----------------------------------------
+
+
+def _counted_linprog(monkeypatch):
+    """Empty exact_ot's memory and count the HiGHS calls from here on."""
+    real_linprog, calls = solvers.linprog, []
+
+    def linprog(*args, **kwargs):
+        calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "linprog", linprog)
+    monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
+    return calls
+
+
+def _ot_problem(seed, n=7):
+    rng = np.random.default_rng(seed)
+    C = make_model_space("random_metric", n, {"seed": seed}).metric ** 2
+    return C, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+
+
+def test_a_byte_equal_repeat_returns_the_same_objects_without_an_lp(monkeypatch):
+    calls = _counted_linprog(monkeypatch)
+    C, a, b = _ot_problem(1)
+    first = solvers.exact_ot(C, a, b)
+    again = solvers.exact_ot(C.copy(), list(a), b.copy())  # equal bytes, new objects
+    assert len(calls) == 1
+    assert all(x is y for x, y in zip(again, first))
+
+
+def _one_ulp(x, index):
+    x = np.array(x, dtype=float)
+    x[index] = np.nextafter(x[index], np.inf)
+    return x
+
+
+@pytest.mark.parametrize("change", ["a", "b", "C", "transposed"])
+def test_any_change_of_the_problem_solves_again(monkeypatch, change):
+    calls = _counted_linprog(monkeypatch)
+    C, a, b = _ot_problem(2)
+    changed = {
+        "a": (C, _one_ulp(a, 3), b),
+        "b": (C, a, _one_ulp(b, 0)),
+        "C": (_one_ulp(C, (2, 5)), a, b),
+        "transposed": (C[:, :5].T, b[:5] / b[:5].sum(), a),
+    }[change]
+    base = (C[:, :5], a, b[:5] / b[:5].sum()) if change == "transposed" else (C, a, b)
+    first = solvers.exact_ot(*base)
+    other = solvers.exact_ot(*changed)
+    assert len(calls) == 2
+    assert other[1] is not first[1]
+    assert solvers.exact_ot(*changed) is other  # the memory now holds the changed problem
+    assert len(calls) == 2
+    solvers.exact_ot(*base)  # and only that one
+    assert len(calls) == 3
+
+
+def test_a_failed_solve_is_not_remembered(monkeypatch):
+    calls = _counted_linprog(monkeypatch)
+    counted = solvers.linprog
+    P, Q = _ot_problem(3), _ot_problem(4)
+    kept = solvers.exact_ot(*P)
+    monkeypatch.setattr(solvers, "linprog", _failing_linprog(1))
+    with pytest.raises(SolverError, match="status 1"):
+        solvers.exact_ot(*Q)
+    monkeypatch.setattr(solvers, "linprog", counted)
+    assert solvers.exact_ot(*P) is kept
+    assert len(calls) == 1
+    solvers.exact_ot(*Q)
+    assert len(calls) == 2
+
+
+def test_the_returned_arrays_are_read_only(monkeypatch):
+    _counted_linprog(monkeypatch)
+    _, plan, u, v = solvers.exact_ot(*_ot_problem(5))
+    for arr in (plan, u, v):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_threads_alternating_two_problems_get_their_own_results(monkeypatch):
+    calls = _counted_linprog(monkeypatch)
+    problems = [_ot_problem(6), _ot_problem(7, n=9)]
+    expected = [solvers.exact_ot(*p) for p in problems]
+    expected = [(cost, plan.tobytes(), u.tobytes(), v.tobytes()) for cost, plan, u, v in expected]
+    wrong = []
+    turn = threading.Barrier(2, timeout=60)
+
+    def worker(k):
+        for _ in range(200):
+            turn.wait()  # the threads take turns with the memory, round by round
+            for _ in range(2):  # a back-to-back repeat hits unless the other thread came between
+                cost, plan, u, v = solvers.exact_ot(*problems[k])
+                if (cost, plan.tobytes(), u.tobytes(), v.tobytes()) != expected[k]:
+                    wrong.append(k)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not turn.broken
+    assert wrong == []
+    assert len(calls) < 2 + 800  # some repeats were answered from the memory
 
 
 # -- _lambda_update ---------------------------------------------------------------
