@@ -42,14 +42,16 @@ def test_infeasible_status_raises_infeasible_error(monkeypatch):
         solvers._budgeted_oracle(*_oracle_args())
 
 
-@pytest.mark.parametrize("status, error, n_calls", [(1, SolverError, 1), (2, InfeasibleError, 2)])
-def test_only_an_infeasible_report_is_retried_without_presolve(monkeypatch, status, error, n_calls):
-    # a time limit is not a presolve artifact: solving again would double the wait
+@pytest.mark.parametrize("status, error", [(1, SolverError), (2, InfeasibleError)])
+def test_one_highs_call_per_lp(monkeypatch, status, error):
+    # neither a time limit nor an infeasibility report is solved again
     calls = []
     monkeypatch.setattr(solvers, "linprog", _failing_linprog(status, calls))
-    with pytest.raises(error):
+    with pytest.raises(error) as err:
         solvers._budgeted_oracle(*_oracle_args())
-    assert [options.get("presolve", True) for options in calls] == [True, False][:n_calls]
+    assert type(err.value) is error
+    assert calls == [{"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                      "time_limit": solvers._LP_TIME_LIMIT}]
 
 
 def test_oracle_vertex_meets_the_budgets():
