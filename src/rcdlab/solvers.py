@@ -19,9 +19,12 @@ returned has its slack verified by one more LP.
 
 entropy_budget_min minimizes relative entropy over that polytope with a
 fully-corrective conditional-gradient method whose LP oracle returns exact
-extreme points; weak duality of the oracle LP gives the certified optimality
-gap, and it is the only certificate for those midpoints. dirac_pair_min
-solves the case of Dirac anchors exactly through its low-dimensional dual.
+extreme points; _hull_minimize re-optimizes the hull weights by one SLSQP
+solve on the simplex. Weak duality of the oracle LP gives the certified
+optimality gap, and it is the only certificate for those midpoints.
+dirac_pair_min solves the case of Dirac anchors by projected Newton on its
+low-dimensional dual. Both dual bounds are returned less an allowance for
+their rounding error, so a certified gap is never negative.
 
 entropy_capacity_min is an uncertified warm probe for entropy_budget_min: a
 short barrier schedule of cyclic block-coordinate ascent on the dual of an
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from .mmspace import _freeze
 
@@ -47,6 +50,8 @@ _EXP_FLOOR = -745.0  # exp underflow threshold
 _LP_TIME_LIMIT = 120.0  # seconds per HiGHS call
 _LP_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "time_limit": _LP_TIME_LIMIT}
 _NEWTON_CAP = 50  # LPs per epsilon_min call; two or three suffice in practice
+_DUAL_NEWTON_CAP = 200  # Newton steps per dirac_pair_min call; about 35 at a pinned vertex
+_BACKTRACK_CAP = 60  # step halvings per Newton step
 
 
 class SolverError(RuntimeError):
@@ -63,6 +68,19 @@ class InfeasibleError(SolverError):
     def __init__(self, msg, min_budget=None):
         super().__init__(msg)
         self.min_budget = min_budget
+
+
+def _rounding_allowance(n, scale):
+    """Bound on the rounding error of a value evaluated from at most n + 8
+    correctly rounded operations on each path, over terms whose absolute
+    values sum to at most scale: gamma_{n+8} * scale with
+    gamma_k = k u / (1 - k u) and u = 2^-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, Lemma 3.1), doubled to cover the exp and
+    log calls, which are accurate to one ulp.
+    """
+    k = n + 8
+    u = np.finfo(float).eps / 2
+    return 2.0 * k * u / (1.0 - k * u) * scale
 
 
 def _entropy(nu, m):
@@ -343,11 +361,11 @@ class EntropyMinResult:
     iterations: int
 
 
-def _hull_minimize(vertices, m, theta0=None, iters=120):
-    """Minimize Ent_m over the convex hull of the vertex rows: mirror descent
-    with Armijo line search, then an SLSQP polish on the weight simplex."""
-    from scipy.optimize import minimize as _scipy_min
-
+def _hull_minimize(vertices, m, theta0=None):
+    """Minimize Ent_m over the convex hull of the vertex rows by one SLSQP
+    solve on the weight simplex, from theta0 or the uniform weights. The SLSQP
+    result is kept only if it lowers the entropy of the start.
+    Returns (theta, entropy)."""
     V = np.asarray(vertices, dtype=float)
     r = V.shape[0]
     theta = np.full(r, 1.0 / r) if theta0 is None else np.asarray(theta0, dtype=float)
@@ -365,41 +383,12 @@ def _hull_minimize(vertices, m, theta0=None, iters=120):
         return ent(th), V @ glog
 
     cur = ent(theta)
-    step = 1.0
-    stall = 0
-    for _ in range(iters):
-        _, g = ent_grad(theta)
-        g = g - g.min()
-        if g.max() <= 0:
-            break
-        improved = False
-        s = step / max(g.max(), 1e-12)
-        for _ in range(50):
-            cand = theta * np.exp(np.maximum(-s * g, _EXP_FLOOR))
-            total = cand.sum()
-            if not np.isfinite(total) or total <= 0:
-                s /= 2
-                continue
-            cand = cand / total
-            val = ent(cand)
-            if val < cur - 1e-15 * max(1.0, abs(cur)):
-                theta, cur = cand, val
-                step = min(step * 1.6, 1e4)
-                improved = True
-                break
-            s /= 2
-        if not improved:
-            stall += 1
-            step = max(step / 4, 1e-8)
-            if stall > 6:
-                break
-        else:
-            stall = 0
-    res = _scipy_min(
+    res = minimize(
         ent_grad, theta, jac=True, method="SLSQP",
         bounds=[(0.0, 1.0)] * r,
         constraints=[{"type": "eq", "fun": lambda th: th.sum() - 1.0, "jac": lambda th: np.ones(r)}],
-        options=dict(maxiter=300, ftol=1e-14),
+        # at ftol 1e-14 SLSQP stops with simplex KKT residuals up to 1e-6
+        options=dict(maxiter=300, ftol=1e-16),
     )
     if res.x is not None and np.isfinite(res.fun):
         th = np.maximum(res.x, 0.0)
@@ -421,8 +410,10 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, max_oracle=80, warm_points
     duality give Ent >= Ent(nu) + [LP min <c, .> - <c, nu>] over the feasible
     set, corrected by -sum m_y e^{c_y - 1} on the incumbent's zero coordinates
     (the pointwise minimum of the entropy integrand against the chosen linear
-    lower bound there). warm_points supply extra gradient probes; they need
-    not be feasible, only their gradients are used.
+    lower bound there). The bound is taken less the rounding allowance of its
+    terms and of the entropy, and never above Ent(nu) less that allowance.
+    warm_points supply extra gradient probes; they need not be feasible, only
+    their gradients are used.
     """
     m = np.asarray(m, dtype=float)
     sup_mus = [np.asarray(a[0], dtype=float) for a in anchors]
@@ -437,124 +428,101 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, max_oracle=80, warm_points
         return _budgeted_oracle(Cs[0], Cs[1], sup_mus[0], sup_mus[1], budgets, c)
 
     probes = [np.zeros(len(m))] + [grad_at(p) for p in warm_points]
-    vertices = [oracle(c)[0] for c in probes]
-    theta, _ = _hull_minimize(np.array(vertices), m)
+    V = np.array([oracle(c)[0] for c in probes])
+    theta, _ = _hull_minimize(V, m)
 
     best = None
     for it in range(max_oracle):
-        nu = theta @ np.array(vertices)
+        nu = theta @ V
         nu = np.maximum(nu, 0.0)
         nu = nu / nu.sum()
         ent = _entropy(nu, m)
         c = grad_at(nu)
         v_new, lp_value = oracle(c)
         zero_corr = float(np.sum(m[nu <= 0] * np.exp(CLAMP - 1.0)))
-        bound = ent + lp_value - float(c @ nu) - zero_corr
+        # each term of Ent(nu), of <c, nu> and of the entropy the caller
+        # evaluates for the measure returned is at most nu_y (|c_y| + 2)
+        allowance = _rounding_allowance(len(m), 4.0 * (float(np.abs(c) @ nu) + 2.0) + abs(lp_value) + zero_corr)
+        bound = ent + lp_value - float(c @ nu) - zero_corr - allowance
         if best is None or ent - bound < best.gap or ent < best.entropy - 1e-15:
             prev = best.dual_bound if best else -np.inf
             best = EntropyMinResult(nu=nu, entropy=ent, dual_bound=max(bound, prev), gap=0.0, iterations=it)
+            ceiling = ent - allowance
         else:
             best.dual_bound = max(best.dual_bound, bound)
+        # nu lies in the hull of the oracle's vertices, so the optimum is at most
+        # Ent(nu); a bound above that is an LP value HiGHS left within its
+        # optimality tolerance, not a fact
+        best.dual_bound = min(best.dual_bound, ceiling)
         best.gap = best.entropy - best.dual_bound
         if best.gap <= tol:
             break
-        vertices.append(v_new)
-        theta, _ = _hull_minimize(np.array(vertices), m, theta0=np.append(theta * (1 - 1e-3), 1e-3))
+        V = np.vstack([V, v_new])
+        theta, _ = _hull_minimize(V, m, theta0=np.append(theta * (1 - 1e-3), 1e-3))
     if best.gap > tol:
         raise SolverError(f"budgeted entropy gap {best.gap:.3e} exceeds tol {tol:.3e}", gap=best.gap)
     return best
 
 
-def dirac_pair_min(m, q_list, budgets, lam_cap=1e12, sweeps=80):
+def dirac_pair_min(m, q_list, budgets):
     """Entropy minimization when every anchor is a Dirac mass.
 
-    The budgets are then linear constraints <nu, q_i> <= b_i and the dual is a
-    low-dimensional exponential-family fit. Cyclic coordinate bisection on the
-    concave dual is used because the feasible set can degenerate to a single
-    point, where the multipliers diverge and the exponential weights underflow
-    to an exact vertex. Returns (nu, dual_bound).
+    The budgets are then linear constraints <nu, q_i> <= b_i, and the dual is
+    the concave g(lam) = -log Z(lam) - lam.b over lam >= 0, with
+    Z(lam) = sum_y m_y exp(-lam.q_y). Projected Newton ascends it: the
+    gradient is E_nu[q] - b and the Hessian -Cov_nu(q) for the Gibbs measure
+    nu = m exp(-lam.q) / Z, both restricted to the free set
+    {lam_i > 0 or d_i g > 0}, with backtracking on g. The loop stops when
+    Ent(nu) - g(lam) = -lam.grad g is within the rounding allowance of g and
+    no budget with lam_i = 0 is exceeded. Where the feasible set is a single
+    point the multipliers run off along a ray; Newton then takes
+    near-constant steps along it, each shrinking the mass off that point by
+    a constant factor, until that mass no longer shows in the gap.
+    Every lam >= 0 gives a weak-duality bound, so the bound is certified
+    wherever the loop stops; it is returned less its rounding allowance.
+    Returns (nu, dual_bound).
     """
     m = np.asarray(m, dtype=float)
-    q = np.asarray(q_list, dtype=float)
+    log_m = np.log(m)
+    # g(lam) = -log sum_y m_y exp(-lam.(q_y - b)): at a pinned vertex q_y - b
+    # vanishes, so the dominant exponent carries no cancellation. Each budget
+    # is relaxed by 8 ulp, which only lowers the bound: a lattice point that
+    # meets its budgets in exact arithmetic may miss them by the rounding of
+    # q and b, and the dual of that point would diverge
     b = np.asarray(budgets, dtype=float)
-    k = q.shape[0]
-    lam = np.zeros(k)
+    r = np.asarray(q_list, dtype=float) - (b + 8 * np.finfo(float).eps * np.abs(b))[:, None]
 
-    def state(lam_vec):
-        e = np.log(m) - lam_vec @ q
+    def dual(lam):
+        """(g(lam), nu, rounding allowance of g(lam))"""
+        e = log_m - lam @ r
         shift = e.max()
-        p = np.exp(np.maximum(e - shift, _EXP_FLOOR))
+        p = np.exp(e - shift)
         Z = p.sum()
-        return p / Z, np.log(Z) + shift
+        nu = p / Z
+        g = -np.log(Z) - shift
+        scale = 3.0 * (float(nu @ (np.abs(log_m) + lam @ np.abs(r))) + abs(shift) + abs(g) + 1.0)
+        return g, nu, _rounding_allowance(len(m) + len(lam), scale)
 
-    def moment(lam_vec, i):
-        nu, _ = state(lam_vec)
-        return float(nu @ q[i])
-
-    def coordinate_sweep():
-        moved = 0.0
-        for i in range(k):
-            trial = lam.copy()
-            trial[i] = 0.0
-            if moment(trial, i) <= b[i]:
-                moved = max(moved, abs(lam[i]))
-                lam[i] = 0.0
-                continue
-            lo = 0.0
-            hi = max(2.0 * lam[i], 1.0)
-            trial[i] = hi
-            while moment(trial, i) > b[i] and hi < lam_cap:
-                hi *= 4.0
-                trial[i] = hi
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                trial[i] = mid
-                if moment(trial, i) > b[i]:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-14 * (1.0 + hi):
-                    break
-            moved = max(moved, abs(lam[i] - hi))
-            lam[i] = hi
-        return moved
-
-    def ray_climb():
-        # the dual can recede along a ray when the budgets pin a vertex;
-        # climb the current direction until its directional derivative flips
-        nonlocal lam
-        norm = np.abs(lam).max()
-        if norm <= 0:
-            return
-        direc = lam / norm
-
-        def dslope(s):
-            nu, _ = state(s * direc)
-            return float(nu @ (direc @ q)) - float(direc @ b)
-
-        if dslope(norm) <= 0:
-            return
-        lo, hi = norm, 2.0 * norm
-        while dslope(hi) > 0 and hi < lam_cap:
-            hi *= 4.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if dslope(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * (1.0 + hi):
-                break
-        lam = 0.5 * (lo + hi) * direc
-
-    for _ in range(sweeps):
-        moved = coordinate_sweep()
-        ray_climb()
-        moved = max(moved, coordinate_sweep())
-        if moved <= 1e-12 * (1.0 + np.abs(lam).max()):
+    lam = np.zeros(r.shape[0])
+    g, nu, allow = dual(lam)
+    for _ in range(_DUAL_NEWTON_CAP):
+        grad = r @ nu
+        if abs(float(lam @ grad)) <= 0.5 * allow and np.all(grad[lam == 0] <= 0):
             break
-    nu, logZ = state(lam)
-    return nu, -logZ - float(lam @ b)
+        free = (lam > 0) | (grad > 0)
+        dev = r[free] - grad[free][:, None]
+        step = np.linalg.lstsq((dev * nu) @ dev.T, grad[free], rcond=None)[0]
+        # near the optimum the full step moves g by less than its rounding; take it
+        for k in range(_BACKTRACK_CAP):
+            trial = lam.copy()
+            trial[free] = np.maximum(lam[free] + 0.5 ** k * step, 0.0)
+            g_t, nu_t, allow_t = dual(trial)
+            if g_t >= g - allow:
+                break
+        else:
+            break
+        lam, g, nu, allow = trial, g_t, nu_t, allow_t
+    return nu, g - allow
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,29 @@ def test_certificate_describes_the_returned_measure():
         assert cert.eps_used <= eps + 1e-8
 
 
+def test_midpoint_certificates_have_nonnegative_gaps():
+    # both dual bounds are taken less their rounding allowance, and the
+    # Frank-Wolfe bound never passes the entropy of its hull point, so no
+    # certificate gap is negative: not on the lattice Dirac midpoints, where
+    # bound and entropy agree to rounding, and not where HiGHS returns an
+    # oracle vertex only optimal to its tolerance (criterion 4's battery)
+    from rcdlab.mmspace import FiniteMMSpace
+    from test_acceptance import _three_point_battery
+
+    s9, s17 = make_model_space("segment", 9), make_model_space("segment", 17)
+    builds = [build_good_geodesic(dirac(s9, 0), dirac(s9, 8), 3, epsilon=0.0),
+              build_good_geodesic(gaussian_measure(s17, 8.0), bump_measure(s17, 12, 0.13), 4,
+                                  epsilon="auto", K=0.0, tol=5e-3)]
+    certs = [c for tr in builds for c in tr.certificates if c is not None]
+    for metric, m, w0, w1, t in _three_point_battery():
+        space = FiniteMMSpace((0, 1, 2), metric, m)
+        mu0, mu1 = ProbMeasure(space, w0), ProbMeasure(space, w1)
+        eps = max(epsilon_min(mu0, mu1, t), 0.0) + 0.05 * w2(mu0, mu1)[0]
+        certs.append(intermediate_entropy_min(mu0, mu1, t, eps, tol=2e-4)[1])
+    assert len(certs) == 7 + 15 + 20
+    assert min(c.gap for c in certs) >= 0.0
+
+
 def test_intermediate_set_convexity_midpoints():
     rng = np.random.default_rng(9)
     s = make_model_space("segment", 9)
