@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -124,6 +123,13 @@ def _load_space_spec(spec, base_dir="."):
     return mmspace.space_from_json(spec)
 
 
+def _required(spec, key):
+    """spec[key] of a task or measure spec; a missing key is a ConfigError."""
+    if key not in spec:
+        raise ConfigError(f"spec {spec!r} lacks required field {key!r}")
+    return spec[key]
+
+
 def _load_measure(space, spec, base_dir="."):
     if isinstance(spec, str):
         with open(os.path.join(base_dir, spec)) as fh:
@@ -134,11 +140,11 @@ def _load_measure(space, spec, base_dir="."):
     if kind == "uniform":
         return measures.uniform_measure(space)
     if kind == "dirac":
-        return measures.dirac(space, spec["at"])
+        return measures.dirac(space, _required(spec, "at"))
     if kind == "gaussian":
-        return measures.gaussian_measure(space, spec["c2"], spec.get("x0"))
+        return measures.gaussian_measure(space, _required(spec, "c2"), spec.get("x0"))
     if kind == "bump":
-        return measures.bump_measure(space, spec["center"], spec["radius"])
+        return measures.bump_measure(space, _required(spec, "center"), _required(spec, "radius"))
     raise ConfigError(f"unknown measure spec {spec!r}")
 
 
@@ -163,7 +169,7 @@ def _series(report):
 
 def run_task(task, space, base_dir, seed):
     """Execute one task spec; returns (payload dict, assert_failures list)."""
-    op = task["op"]
+    op = _required(task, "op")
     failures = []
     if op == "validate":
         rep = mmspace.validate_space(space)
@@ -171,8 +177,8 @@ def run_task(task, space, base_dir, seed):
         if task.get("assert_pass", True) and not rep.passed:
             failures.append("validate: space invalid")
     elif op == "ot":
-        mu = _load_measure(space, task["mu"], base_dir)
-        nu = _load_measure(space, task["nu"], base_dir)
+        mu = _load_measure(space, _required(task, "mu"), base_dir)
+        nu = _load_measure(space, _required(task, "nu"), base_dir)
         val, plan = ot.w2(mu, nu)
         pair = ot.kantorovich_potentials(mu, nu, gauge=task.get("gauge"))
         sup = plan.support()
@@ -187,8 +193,8 @@ def run_task(task, space, base_dir, seed):
         if abs(pair.gap) > tol * max(1.0, 0.5 * val * val):
             failures.append(f"ot: duality gap {pair.gap}")
     elif op == "geodesic":
-        mu0 = _load_measure(space, task["mu0"], base_dir)
-        mu1 = _load_measure(space, task["mu1"], base_dir)
+        mu0 = _load_measure(space, _required(task, "mu0"), base_dir)
+        mu1 = _load_measure(space, _required(task, "mu1"), base_dir)
         eps = task.get("epsilon", "auto")
         trace = geodesy.build_good_geodesic(
             mu0, mu1, int(task.get("depth", 3)),
@@ -222,7 +228,7 @@ def run_task(task, space, base_dir, seed):
             payload = {"laplacian": laplacian(form, f).tolist()}
         elif sub == "mod2":
             from .dirichlet import path_step_lengths
-            paths = [(p, path_step_lengths(space, p)) for p in task["paths"]]
+            paths = [(p, path_step_lengths(space, p)) for p in _required(task, "paths")]
             val, dens = mod2(paths, form.vertex_measure)
             payload = {"mod2": val, "density": dens.tolist()}
         elif sub == "intrinsic":
@@ -232,13 +238,13 @@ def run_task(task, space, base_dir, seed):
             raise ConfigError(f"unknown form sub-op {sub!r}")
     elif op == "flow":
         form = dirichlet_form(space, task.get("rule", "metric_measure"))
-        f0 = _load_measure(space, task["f0"], base_dir)
+        f0 = _load_measure(space, _required(task, "f0"), base_dir)
         flavor = task.get("flavor", "semigroup")
         if flavor == "semigroup":
             grid = task.get("t_grid") or np.linspace(0, float(task.get("t", 0.1)), int(task.get("steps", 20)) + 1).tolist()
             trace = heat.semigroup_flow(form, f0.density(), grid)
         elif flavor == "jko":
-            trace = heat.jko_flow(f0, float(task["tau"]), int(task["steps"]),
+            trace = heat.jko_flow(f0, float(_required(task, "tau")), int(_required(task, "steps")),
                                   inner_tol=float(task.get("inner_tol", 1e-6)),
                                   blur=float(task.get("blur", 0.25)), form=form)
         else:
@@ -289,38 +295,15 @@ def run(config, base_dir=".") -> int:
     scalars = []
     any_failures = []
 
-    def execute(idx_task):
-        idx, task = idx_task
-        payload, failures = run_task(task, space, base_dir, seed if seed is None else int(seed) + idx)
-        return idx, task, payload, failures
-
-    groups = []
-    cur = []
-    for idx, task in enumerate(tasks):
-        if task.get("parallel_group") and cur and cur[-1][1].get("parallel_group") == task["parallel_group"]:
-            cur.append((idx, task))
-        else:
-            if cur:
-                groups.append(cur)
-            cur = [(idx, task)]
-    if cur:
-        groups.append(cur)
-
-    max_workers = int(os.environ.get("RCDLAB_THREADS", "1") or 1)
     try:
-        for group in groups:
-            if len(group) > 1 and max_workers > 1:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    results = list(pool.map(execute, group))
-            else:
-                results = [execute(it) for it in group]
-            for idx, task, payload, failures in sorted(results, key=lambda r: r[0]):
-                name = task.get("name", f"task{idx:02d}_{task['op']}")
-                artifact = _wrap_artifact(payload, config, tolerances=task.get("tolerances"), method={"op": task["op"]})
-                write_atomic(os.path.join(out_dir, f"{name}.json"), dumps_canonical(artifact) + "\n")
-                for key, val in _series(payload):
-                    scalars.append((name, key, val))
-                any_failures.extend(f"{name}: {f}" for f in failures)
+        for idx, task in enumerate(tasks):
+            payload, failures = run_task(task, space, base_dir, seed if seed is None else int(seed) + idx)
+            name = task.get("name", f"task{idx:02d}_{task['op']}")
+            artifact = _wrap_artifact(payload, config, tolerances=task.get("tolerances"), method={"op": task["op"]})
+            write_atomic(os.path.join(out_dir, f"{name}.json"), dumps_canonical(artifact) + "\n")
+            for key, val in _series(payload):
+                scalars.append((name, key, val))
+            any_failures.extend(f"{name}: {f}" for f in failures)
     except (SolverError, FormError, heat.HeatError, evi.EviError) as err:
         print(f"solver failure: {type(err).__name__}: {err}", file=sys.stderr)
         return 3

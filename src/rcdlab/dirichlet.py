@@ -314,7 +314,7 @@ def essential_bound_check(form: DirichletForm, g, g_prime, phi) -> dict:
 # intrinsic metric
 # ---------------------------------------------------------------------------
 
-def _pair_distance(form: DirichletForm, x, y, rel_tol, eta0_value=0.5):
+def _pair_distance(form: DirichletForm, x, y, eta0_value=0.5):
     """sup g(x) - g(y) over Gamma(g, g) <= 1, via the Lagrangian dual.
 
     The dual in the vertex multipliers eta >= 0 is sum(eta) + c^T Q(eta)^+ c / 4
@@ -425,7 +425,7 @@ def intrinsic_metric(form: DirichletForm, rel_tol=1e-6, eta0_value=0.5):
                 subforms[lab] = (DirichletForm(sub_space, form.weights[np.ix_(idx, idx)], form.vertex_measure[idx]),
                                  {int(g): k for k, g in enumerate(idx)})
             sf, remap = subforms[lab]
-            val, ub = _pair_distance(sf, remap[x], remap[y], rel_tol, eta0_value)
+            val, ub = _pair_distance(sf, remap[x], remap[y], eta0_value)
             if ub - val > rel_tol * (1.0 + abs(val)):
                 raise FormError(f"intrinsic metric pair ({x},{y}) gap {ub - val:.2e} above tolerance")
             d = 0.5 * (val + ub)

@@ -18,6 +18,8 @@ from .measures import ProbMeasure, relative_entropy
 from .ot import kantorovich_potentials
 from .solvers import exact_ot
 
+_TREND_FLOOR = 1e-16  # fit_trend reads a smaller worst residual as this
+
 
 class EviError(ValueError):
     pass
@@ -25,18 +27,12 @@ class EviError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class InequalityReport:
-    """Residual series of one inequality check; positive residual = violation.
-
-    trend is the log-log slope of worst residual against the refinement
-    parameter and is present only when a family of at least three runs is
-    summarized.
-    """
+    """Residual series of one inequality check; positive residual = violation."""
 
     name: str
     grid: tuple
     residuals: tuple
     worst: float
-    trend: float | None = None
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -44,16 +40,17 @@ class InequalityReport:
             raise EviError("worst must equal the max residual")
 
 
-def fit_trend(params, worsts, floor=1e-16):
-    """Log-log slope of worst residuals against a refinement parameter."""
+def fit_trend(params, worsts):
+    """Log-log slope of worst residuals against a refinement parameter; None
+    for fewer than three runs."""
     p = np.asarray(params, dtype=float)
-    w = np.maximum(np.asarray(worsts, dtype=float), floor)
+    w = np.maximum(np.asarray(worsts, dtype=float), _TREND_FLOOR)
     if len(p) < 3:
         return None
     return float(np.polyfit(np.log(p), np.log(w), 1)[0])
 
 
-def evi_check(flow: FlowTrace, sigma: ProbMeasure, K, dt=None) -> InequalityReport:
+def evi_check(flow: FlowTrace, sigma: ProbMeasure, K) -> InequalityReport:
     """Centered-difference residual of the evolution variational inequality
     d/dt W2^2(mu_t, sigma)/2 + K W2^2/2 + Ent(mu_t) - Ent(sigma) <= 0."""
     times = np.asarray(flow.times)
@@ -108,7 +105,7 @@ def _weighted_energy(form: DirichletForm, mu: ProbMeasure, u, v) -> float:
     return energy(wf, np.asarray(u)[idx], np.asarray(v)[idx])
 
 
-def dw2_derivative_check(flow: FlowTrace, sigma: ProbMeasure, form: DirichletForm, dt=None) -> InequalityReport:
+def dw2_derivative_check(flow: FlowTrace, sigma: ProbMeasure, form: DirichletForm) -> InequalityReport:
     """Residual of d/dt W2^2(mu_t, sigma)/2 = -E_{mu_t}(phi_t, log f_t) at
     interior trace times, using gauge-normalized potentials; also evaluates
     the a-priori difference-quotient envelope as a sanity check."""

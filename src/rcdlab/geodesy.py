@@ -29,6 +29,9 @@ from .solvers import (
     interior_point,
 )
 
+_SNAP_REL = 1e-12  # _snap drops weights below this fraction of the largest
+_CURVE_CAP = 64  # paths curve_plan_from_trace strips at most
+
 
 class GeodesyError(ValueError):
     pass
@@ -99,10 +102,10 @@ class DiscreteCurvePlan:
         object.__setattr__(self, "weights", _freeze(self.weights))
 
 
-def _snap(w, rel=1e-12):
+def _snap(w):
     """Drop weights below a relative threshold and renormalize; keeps exact
     lattice instances exactly on the lattice."""
-    w = np.where(w >= rel * w.max(), w, 0.0)
+    w = np.where(w >= _SNAP_REL * w.max(), w, 0.0)
     return w / w.sum()
 
 
@@ -429,7 +432,7 @@ def metric_brenier_probe(trace: GeodesicTrace, pair: KantorovichPair, t_values=N
     return {"t_values": list(map(float, t_values)), "l2_gaps": gaps}
 
 
-def curve_plan_from_trace(trace: GeodesicTrace, max_curves=64) -> DiscreteCurvePlan:
+def curve_plan_from_trace(trace: GeodesicTrace) -> DiscreteCurvePlan:
     """Greedy path decomposition of the chain of consecutive couplings.
 
     Deterministic: strips the largest-mass path first. Gives a discrete curve
@@ -443,7 +446,7 @@ def curve_plan_from_trace(trace: GeodesicTrace, max_curves=64) -> DiscreteCurveP
         couplings.append(exact_ot(d**2, a.weights, b.weights)[1].copy())
     curves = []
     weights = []
-    for _ in range(max_curves):
+    for _ in range(_CURVE_CAP):
         # follow argmax transitions from the heaviest available start
         start = int(np.argmax(couplings[0].sum(axis=1)))
         path = [start]

@@ -23,6 +23,7 @@ from .mmspace import _freeze, product_space
 from .solvers import SolverError, exact_ot, prox_entropy_step
 
 _KERNEL_CLIP_TOL = 1e-12
+_DT_DISS = 1e-4  # half-width of identification_check's centered entropy difference
 
 
 class HeatError(ValueError):
@@ -156,6 +157,8 @@ def jko_flow(mu0: ProbMeasure, tau, nsteps, inner_tol=1e-8, blur=0.25, form=None
     """
     if tau <= 0:
         raise HeatError("tau > 0 required")
+    if blur <= 0:
+        raise HeatError("blur > 0 required")
     space = mu0.space
     m = space.ref_measure
     C = space.metric ** 2
@@ -164,7 +167,7 @@ def jko_flow(mu0: ProbMeasure, tau, nsteps, inner_tol=1e-8, blur=0.25, form=None
     w = mu0.weights.copy()
     gaps = []
     for k in range(nsteps):
-        w_new, gap, _ = prox_entropy_step(w, C, m, tau, blur, debias=blur > 0)
+        w_new, gap, _ = prox_entropy_step(w, C, m, tau, blur)
         if gap > inner_tol:
             raise SolverError(f"proximal step {k} gap {gap:.2e} exceeds inner_tol", gap=gap)
         gaps.append(gap)
@@ -183,7 +186,7 @@ def jko_flow(mu0: ProbMeasure, tau, nsteps, inner_tol=1e-8, blur=0.25, form=None
     )
 
 
-def identification_check(form: DirichletForm, f0, t_grid, tau_grid, blur=0.25, dt_diss=1e-4, t_diss=0.1) -> dict:
+def identification_check(form: DirichletForm, f0, t_grid, tau_grid, blur=0.25, t_diss=0.1) -> dict:
     """Compare the proximal flow against the semigroup and fit the order in
     tau; check -dEnt/dt = Fisher along the semigroup by centered differences."""
     f0 = np.asarray(f0, dtype=float)
@@ -207,10 +210,10 @@ def identification_check(form: DirichletForm, f0, t_grid, tau_grid, blur=0.25, d
         order = float("nan")
 
     f_mid = semigroup_apply(form, f0, t_diss)
-    f_lo = semigroup_apply(form, f0, t_diss - dt_diss)
-    f_hi = semigroup_apply(form, f0, t_diss + dt_diss)
+    f_lo = semigroup_apply(form, f0, t_diss - _DT_DISS)
+    f_hi = semigroup_apply(form, f0, t_diss + _DT_DISS)
     ent = lambda f: relative_entropy(ProbMeasure(space, f * m / (f * m).sum()), m)
-    dent = (ent(f_hi) - ent(f_lo)) / (2 * dt_diss)
+    dent = (ent(f_hi) - ent(f_lo)) / (2 * _DT_DISS)
     fisher = fisher_information(ProbMeasure(space, f_mid * m / (f_mid * m).sum()), form)
     rel = abs(-dent - fisher) / max(abs(fisher), 1e-300)
     return {

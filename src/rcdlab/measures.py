@@ -22,7 +22,7 @@ class MeasureError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ProbMeasure:
-    """Nonnegative weights over the points of a space, summing to one.
+    """Finite nonnegative weights over the points of a space, summing to one.
 
     meta can carry profile tags used by the geodesic builder:
       gaussian: {"c1": sup-density, "c2": decay rate, "x0": index}
@@ -38,6 +38,8 @@ class ProbMeasure:
         w = self.weights
         if w.shape != (self.space.n,):
             raise MeasureError(f"weights length {w.shape} != {self.space.n}")
+        if not np.isfinite(w).all():
+            raise MeasureError("non-finite weight")
         if w.min() < -MASS_TOL:
             raise MeasureError(f"negative weight {w.min()}")
         if abs(w.sum() - 1.0) > MASS_TOL:

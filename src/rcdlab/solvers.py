@@ -52,6 +52,11 @@ _LP_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "time_l
 _NEWTON_CAP = 50  # LPs per epsilon_min call; two or three suffice in practice
 _DUAL_NEWTON_CAP = 200  # Newton steps per dirac_pair_min call; about 35 at a pinned vertex
 _BACKTRACK_CAP = 60  # step halvings per Newton step
+_ORACLE_CAP = 80  # oracle LPs per entropy_budget_min call
+_POTENTIAL_CAP = 2000  # scaling steps per symmetric_potential call
+_POTENTIAL_TOL = 1e-13  # symmetric_potential stops on a step below this times eps
+_PROX_SWEEP_CAP = 20000  # dual sweeps per prox_entropy_step call
+_PROX_SWEEP_TOL = 1e-11  # prox_entropy_step stops on a sweep below this times taub
 
 
 class SolverError(RuntimeError):
@@ -398,7 +403,7 @@ def _hull_minimize(vertices, m, theta0=None):
     return theta, cur
 
 
-def entropy_budget_min(m, anchors, budgets, tol=1e-3, max_oracle=80, warm_points=()):
+def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
     """Certified entropy minimization over the budgeted linked polytope.
 
     Fully-corrective conditional-gradient method: the LP oracle returns exact
@@ -432,7 +437,7 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, max_oracle=80, warm_points
     theta, _ = _hull_minimize(V, m)
 
     best = None
-    for it in range(max_oracle):
+    for it in range(_ORACLE_CAP):
         nu = theta @ V
         nu = np.maximum(nu, 0.0)
         nu = nu / nu.sum()
@@ -529,16 +534,16 @@ def dirac_pair_min(m, q_list, budgets):
 # proximal entropy step for the minimizing-movement flow
 # ---------------------------------------------------------------------------
 
-def symmetric_potential(mu, C, m, eps, iters=2000, tol=1e-13):
+def symmetric_potential(mu, C, m, eps):
     """Self-transport potential of mu at temperature eps: the fixed point of
     the symmetric scaling for the problem transporting mu onto itself."""
     log_m = np.log(m)
     log_mu = np.log(np.maximum(mu, 1e-300))
     p = np.zeros(len(mu))
-    for _ in range(iters):
+    for _ in range(_POTENTIAL_CAP):
         lse = logsumexp((p[None, :] - C) / eps + log_m[None, :] - 1.0, axis=1)
         p_new = 0.5 * (p + eps * (log_mu - log_m) - eps * lse)
-        if np.abs(p_new - p).max() < tol * eps:
+        if np.abs(p_new - p).max() < _POTENTIAL_TOL * eps:
             return p_new
         p = p_new
     return p
@@ -556,14 +561,14 @@ def _round_coupling(g, a, b):
     return g
 
 
-def prox_entropy_step(mu, C, m, tau, taub, debias=True, max_sweeps=20000, sweep_tol=1e-11):
+def prox_entropy_step(mu, C, m, tau, taub):
     """One minimizing-movement step for the entropy.
 
     Solves min_nu Ent_m(nu) + [<g, C> + eps KL(g | 1 x m)]/(2 tau) - <p, nu>/(2 tau)
     over couplings g of (mu, nu), with smoothing temperature eps = 2*tau*taub
-    and p the self-transport potential of mu (the debias term; it makes nu=mu
-    stationary when mu minimizes the entropy). Returns (nu, certified duality
-    gap of the solved program, sweeps).
+    (taub > 0) and p the self-transport potential of mu (the debias term; it
+    makes nu=mu stationary when mu minimizes the entropy). Returns (nu,
+    certified duality gap of the solved program, sweeps).
     """
     m = np.asarray(m, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -576,21 +581,19 @@ def prox_entropy_step(mu, C, m, tau, taub, debias=True, max_sweeps=20000, sweep_
     log_mu = np.log(mu[sel])
 
     dbf = np.zeros(n)
-    if debias:
-        p = symmetric_potential(mu[sel], C[np.ix_(sel, sel)], m[sel], eps)
-        dbf[sel] = p / (2.0 * tau)
+    dbf[sel] = symmetric_potential(mu[sel], C[np.ix_(sel, sel)], m[sel], eps) / (2.0 * tau)
 
     w = np.zeros(n)
     alpha = np.zeros(int(sel.sum()))
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, _PROX_SWEEP_CAP + 1):
         lse = logsumexp((w[None, :] - lam * Cr) / taub + log_m[None, :], axis=1)
         alpha = taub * (log_mu - lse + 1.0)
         logT = logsumexp((alpha[:, None] - lam * Cr) / taub - 1.0, axis=0)
         w_new = taub * (-1.0 + dbf - logT) / (1.0 + taub)
         delta = np.abs(w_new - w).max()
         w = w_new
-        if delta < sweep_tol * max(taub, 1e-8):
+        if delta < _PROX_SWEEP_TOL * max(taub, 1e-8):
             break
 
     shift = -1.0 - w + dbf

@@ -140,24 +140,6 @@ def test_solver_failure_exit_code(tmp_path):
     assert cli.run(cfg) == 3
 
 
-def test_parallel_group_same_artifacts(tmp_path, monkeypatch):
-    base = {"space": {"kind": "cycle", "n": 12}, "seed": 2,
-            "tasks": [
-                {"op": "ot", "name": "o1", "parallel_group": "g",
-                 "mu": {"kind": "bump", "center": 1, "radius": 0.1},
-                 "nu": {"kind": "bump", "center": 6, "radius": 0.1}},
-                {"op": "ot", "name": "o2", "parallel_group": "g",
-                 "mu": {"kind": "bump", "center": 2, "radius": 0.1},
-                 "nu": {"kind": "bump", "center": 9, "radius": 0.1}},
-            ]}
-    monkeypatch.setenv("RCDLAB_THREADS", "2")
-    assert cli.run(dict(base, output_dir=str(tmp_path / "par"))) == 0
-    monkeypatch.setenv("RCDLAB_THREADS", "1")
-    assert cli.run(dict(base, output_dir=str(tmp_path / "seq"))) == 0
-    for name in ("o1.json", "o2.json", "diagnostics.csv"):
-        assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "seq" / name).read_bytes()
-
-
 def test_geodesy_error_exit_code(tmp_path, capsys):
     # no measure lies exactly halfway between the ends of segment:4, and a
     # fixed epsilon of 0 forbids any relaxation
@@ -178,3 +160,52 @@ def test_form_error_exit_code(tmp_path, capsys):
     assert cli.run(cfg) == 3
     err = capsys.readouterr().err
     assert "FormError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("task, field", [
+    ({"op": "ot", "name": "o", "nu": {"kind": "uniform"}}, "mu"),
+    ({"op": "ot", "name": "o", "mu": {"kind": "dirac"}, "nu": {"kind": "uniform"}}, "at"),
+    ({"op": "ot", "name": "o", "mu": {"kind": "bump", "center": 2}, "nu": {"kind": "uniform"}}, "radius"),
+    ({"op": "geodesic", "name": "g", "mu0": {"kind": "uniform"}}, "mu1"),
+    ({"op": "flow", "name": "f", "f0": {"kind": "uniform"}, "flavor": "jko", "steps": 2}, "tau"),
+    ({"name": "nothing"}, "op"),
+])
+def test_missing_required_field_is_config_error(tmp_path, capsys, task, field):
+    cfg = {"space": {"kind": "cycle", "n": 8}, "seed": 0,
+           "output_dir": str(tmp_path / "o"), "tasks": [task]}
+    assert cli.run(cfg) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and repr(field) in err and "Traceback" not in err
+
+
+def test_non_finite_weights_spec_is_config_error(tmp_path, capsys):
+    cfg = {"space": {"kind": "cycle", "n": 12}, "seed": 0,
+           "output_dir": str(tmp_path / "o"),
+           "tasks": [{"op": "ot", "name": "o",
+                      "mu": {"weights": [float("nan")] * 12}, "nu": {"kind": "uniform"}}]}
+    assert cli.run(cfg) == 2
+    err = capsys.readouterr().err
+    assert "MeasureError" in err and "Traceback" not in err
+
+
+def test_zero_blur_flow_is_solver_failure(tmp_path, capsys):
+    cfg = {"space": {"kind": "cycle", "n": 8}, "seed": 0,
+           "output_dir": str(tmp_path / "o"),
+           "tasks": [{"op": "flow", "name": "f", "f0": {"kind": "uniform"},
+                      "flavor": "jko", "tau": 0.01, "steps": 1, "blur": 0}]}
+    assert cli.run(cfg) == 3
+    err = capsys.readouterr().err
+    assert "HeatError" in err and "blur > 0" in err
+
+
+def test_tasks_run_in_list_order(tmp_path):
+    # task k draws its random f from seed + k, and the CSV lists tasks in order
+    energy = {"op": "form", "sub": "energy"}
+    cfg = {"space": {"kind": "cycle", "n": 8}, "seed": 4, "output_dir": str(tmp_path / "all"),
+           "tasks": [dict(energy, name="a"), dict(energy, name="c", f=[1.0] * 8), dict(energy, name="b")]}
+    assert cli.run(cfg) == 0
+    alone = dict(cfg, seed=6, output_dir=str(tmp_path / "b"), tasks=[dict(energy, name="b")])
+    assert cli.run(alone) == 0
+    rows = (tmp_path / "all" / "diagnostics.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["a", "c", "b"]
+    assert rows[-1] == (tmp_path / "b" / "diagnostics.csv").read_text().splitlines()[1]

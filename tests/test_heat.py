@@ -145,11 +145,11 @@ def test_jko_two_point_scalar_oracle():
 
     mu = np.array([0.85, 0.15])
     # small tau: below the lattice threshold the step is stationary
-    nu_impl, gap, _ = prox_entropy_step(mu, C, m, 0.05, 0.25, debias=True)
+    nu_impl, gap, _ = prox_entropy_step(mu, C, m, 0.05, 0.25)
     assert gap <= 1e-8
     assert nu_impl[0] == pytest.approx(oracle_step(mu, 0.05, 0.25), abs=1e-6)
     # large tau: the step genuinely moves toward the uniform minimizer
-    nu_impl2, gap2, _ = prox_entropy_step(mu, C, m, 0.6, 0.25, debias=True)
+    nu_impl2, gap2, _ = prox_entropy_step(mu, C, m, 0.6, 0.25)
     assert gap2 <= 1e-8
     target = oracle_step(mu, 0.6, 0.25)
     assert target < mu[0] - 1e-3
@@ -337,6 +337,13 @@ def test_negative_time_rejected():
         semigroup_apply(form, np.ones(8), -0.1)
     with pytest.raises(HeatError):
         heat_kernel(form, 0.0)
+
+
+def test_jko_flow_requires_positive_blur():
+    # the debiased step divides by the smoothing temperature 2*tau*blur
+    s, form = cycle_form(8)
+    with pytest.raises(HeatError, match="blur > 0"):
+        jko_flow(uniform_measure(s), 1e-2, 1, blur=0.0, form=form)
 
 
 def test_fisher_nonincreasing_on_cycles_and_segments():

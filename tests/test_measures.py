@@ -3,6 +3,7 @@ import pytest
 
 from rcdlab.dirichlet import dirichlet_form
 from rcdlab.measures import (
+    MeasureError,
     ProbMeasure,
     bump_measure,
     dirac,
@@ -182,3 +183,15 @@ def test_bump_and_support_metadata():
     rho = mu.density()
     sup = mu.support()
     assert np.allclose(rho[sup], rho[sup][0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_rejected(bad):
+    # every comparison with NaN is false, so the sign and mass checks alone pass it
+    s = make_model_space("cycle", 12)
+    with pytest.raises(MeasureError, match="non-finite"):
+        ProbMeasure(s, np.full(12, bad))
+    w = np.full(12, 1 / 12)
+    w[3] = bad
+    with pytest.raises(MeasureError, match="non-finite"):
+        ProbMeasure(s, w)
