@@ -17,6 +17,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -119,7 +120,7 @@ def _load_space_spec(spec, base_dir="."):
         return mmspace.load_space(os.path.join(base_dir, spec))
     if "kind" in spec:
         params = dict(spec.get("params", {}))
-        return mmspace.make_model_space(spec["kind"], int(spec["n"]), params)
+        return mmspace.make_model_space(spec["kind"], _coerced(spec, "n", int), params)
     return mmspace.space_from_json(spec)
 
 
@@ -130,21 +131,36 @@ def _required(spec, key):
     return spec[key]
 
 
+def _coerced(spec, key, kind, *default):
+    """kind(spec[key]) of a task, measure or space spec. An absent or null
+    field gives the default when one is passed and is a ConfigError when none
+    is; a value kind cannot convert is a ConfigError."""
+    if default and spec.get(key) is None:
+        return default[0]
+    try:
+        return kind(_required(spec, key))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"field {key!r} of spec {spec!r}: {err}") from None
+
+
+_floats = functools.partial(np.asarray, dtype=float)
+
+
 def _load_measure(space, spec, base_dir="."):
     if isinstance(spec, str):
         with open(os.path.join(base_dir, spec)) as fh:
             spec = json.load(fh)
     if "weights" in spec:
-        return measures.ProbMeasure(space, np.asarray(spec["weights"], dtype=float), dict(spec.get("meta", {})))
+        return measures.ProbMeasure(space, _coerced(spec, "weights", _floats), dict(spec.get("meta", {})))
     kind = spec.get("kind")
     if kind == "uniform":
         return measures.uniform_measure(space)
     if kind == "dirac":
-        return measures.dirac(space, _required(spec, "at"))
+        return measures.dirac(space, _coerced(spec, "at", int))
     if kind == "gaussian":
-        return measures.gaussian_measure(space, _required(spec, "c2"), spec.get("x0"))
+        return measures.gaussian_measure(space, _coerced(spec, "c2", float), _coerced(spec, "x0", int, None))
     if kind == "bump":
-        return measures.bump_measure(space, _required(spec, "center"), _required(spec, "radius"))
+        return measures.bump_measure(space, _coerced(spec, "center", int), _coerced(spec, "radius", float))
     raise ConfigError(f"unknown measure spec {spec!r}")
 
 
@@ -189,19 +205,19 @@ def run_task(task, space, base_dir, seed):
             "psi": [None if not np.isfinite(v) else float(v) for v in pair.psi],
             "gap": pair.gap,
         }
-        tol = float(task.get("gap_tol", 1e-9))
+        tol = _coerced(task, "gap_tol", float, 1e-9)
         if abs(pair.gap) > tol * max(1.0, 0.5 * val * val):
             failures.append(f"ot: duality gap {pair.gap}")
     elif op == "geodesic":
         mu0 = _load_measure(space, _required(task, "mu0"), base_dir)
         mu1 = _load_measure(space, _required(task, "mu1"), base_dir)
-        eps = task.get("epsilon", "auto")
+        eps = "auto" if task.get("epsilon", "auto") == "auto" else _coerced(task, "epsilon", float)
+        K = _coerced(task, "K", float, 0.0)
         trace = geodesy.build_good_geodesic(
-            mu0, mu1, int(task.get("depth", 3)),
-            epsilon=eps if eps == "auto" else float(eps),
-            K=float(task.get("K", 0.0)), tol=float(task.get("tol", 2e-3)),
+            mu0, mu1, _coerced(task, "depth", int, 3),
+            epsilon=eps, K=K, tol=_coerced(task, "tol", float, 2e-3),
         )
-        cd = geodesy.cd_convexity_check(trace, float(task.get("K", 0.0)))
+        cd = geodesy.cd_convexity_check(trace, K)
         payload = {
             "times": list(trace.times),
             "measures": [mu.weights.tolist() for mu in trace.measures],
@@ -212,17 +228,17 @@ def run_task(task, space, base_dir, seed):
             "certificate_gaps": [c.gap if c else None for c in trace.certificates],
             "cd_worst": cd["worst"],
         }
-        if "cd_tol" in task and cd["worst"] > float(task["cd_tol"]):
+        if "cd_tol" in task and cd["worst"] > _coerced(task, "cd_tol", float):
             failures.append(f"geodesic: cd residual {cd['worst']}")
     elif op == "form":
         form = dirichlet_form(space, task.get("rule", "metric_measure"))
         sub = task.get("sub", "energy")
         rng = np.random.default_rng(seed)
-        f = np.asarray(task["f"], dtype=float) if "f" in task else rng.normal(size=space.n)
+        f = _coerced(task, "f", _floats) if "f" in task else rng.normal(size=space.n)
         if sub == "energy":
             payload = {"cheeger": cheeger_energy(form, f)}
         elif sub == "gamma":
-            g = np.asarray(task.get("g", f), dtype=float)
+            g = _coerced(task, "g", _floats, f)
             payload = {"gamma": gamma(form, f, g).values.tolist()}
         elif sub == "laplacian":
             payload = {"laplacian": laplacian(form, f).tolist()}
@@ -232,7 +248,7 @@ def run_task(task, space, base_dir, seed):
             val, dens = mod2(paths, form.vertex_measure)
             payload = {"mod2": val, "density": dens.tolist()}
         elif sub == "intrinsic":
-            d = intrinsic_metric(form, rel_tol=float(task.get("rel_tol", 1e-6)))
+            d = intrinsic_metric(form, rel_tol=_coerced(task, "rel_tol", float, 1e-6))
             payload = {"intrinsic_metric": d.tolist()}
         else:
             raise ConfigError(f"unknown form sub-op {sub!r}")
@@ -241,12 +257,13 @@ def run_task(task, space, base_dir, seed):
         f0 = _load_measure(space, _required(task, "f0"), base_dir)
         flavor = task.get("flavor", "semigroup")
         if flavor == "semigroup":
-            grid = task.get("t_grid") or np.linspace(0, float(task.get("t", 0.1)), int(task.get("steps", 20)) + 1).tolist()
+            grid = task.get("t_grid") or np.linspace(
+                0, _coerced(task, "t", float, 0.1), _coerced(task, "steps", int, 20) + 1).tolist()
             trace = heat.semigroup_flow(form, f0.density(), grid)
         elif flavor == "jko":
-            trace = heat.jko_flow(f0, float(_required(task, "tau")), int(_required(task, "steps")),
-                                  inner_tol=float(task.get("inner_tol", 1e-6)),
-                                  blur=float(task.get("blur", 0.25)), form=form)
+            trace = heat.jko_flow(f0, _coerced(task, "tau", float), _coerced(task, "steps", int),
+                                  inner_tol=_coerced(task, "inner_tol", float, 1e-6),
+                                  blur=_coerced(task, "blur", float, 0.25), form=form)
         else:
             raise ConfigError(f"unknown flavor {flavor!r}")
         payload = {
@@ -282,7 +299,7 @@ def run(config, base_dir=".") -> int:
     """Execute an experiment config; returns the process exit status."""
     try:
         tasks = config["tasks"]
-        seed = config.get("seed")
+        seed = _coerced(config, "seed", int, None)
         if seed is None and any(t.get("op") in ("verify", "form") and "f" not in t for t in tasks):
             raise ConfigError("seed is mandatory when any task uses randomness")
         out_dir = os.path.join(base_dir, config.get("output_dir", "artifacts"))
@@ -297,7 +314,7 @@ def run(config, base_dir=".") -> int:
 
     try:
         for idx, task in enumerate(tasks):
-            payload, failures = run_task(task, space, base_dir, seed if seed is None else int(seed) + idx)
+            payload, failures = run_task(task, space, base_dir, seed if seed is None else seed + idx)
             name = task.get("name", f"task{idx:02d}_{task['op']}")
             artifact = _wrap_artifact(payload, config, tolerances=task.get("tolerances"), method={"op": task["op"]})
             write_atomic(os.path.join(out_dir, f"{name}.json"), dumps_canonical(artifact) + "\n")

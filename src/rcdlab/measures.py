@@ -160,10 +160,18 @@ def uniform_measure(space: FiniteMMSpace) -> ProbMeasure:
     return ProbMeasure(space, m / m.sum())
 
 
+def _point(space: FiniteMMSpace, i) -> int:
+    """int(i) for a point index of space; anything else is a MeasureError."""
+    if not 0 <= int(i) < space.n:
+        raise MeasureError(f"point index {i} outside 0..{space.n - 1}")
+    return int(i)
+
+
 def dirac(space: FiniteMMSpace, i) -> ProbMeasure:
+    i = _point(space, i)
     w = np.zeros(space.n)
-    w[int(i)] = 1.0
-    return ProbMeasure(space, w, meta={"bounded_support": {"center": int(i)}})
+    w[i] = 1.0
+    return ProbMeasure(space, w, meta={"bounded_support": {"center": i}})
 
 
 def gaussian_measure(space: FiniteMMSpace, c2, x0=None) -> ProbMeasure:
@@ -171,7 +179,7 @@ def gaussian_measure(space: FiniteMMSpace, c2, x0=None) -> ProbMeasure:
     sup-density c1 and decay rate c2 needed by the good-geodesic builder."""
     if c2 <= 0:
         raise MeasureError("c2 > 0 required")
-    i = space.base_point if x0 is None else int(x0)
+    i = space.base_point if x0 is None else _point(space, x0)
     V = space.metric[:, i]
     w = np.exp(-c2 * V**2) * space.ref_measure
     w = w / w.sum()
@@ -181,7 +189,7 @@ def gaussian_measure(space: FiniteMMSpace, c2, x0=None) -> ProbMeasure:
 
 def bump_measure(space: FiniteMMSpace, center, radius) -> ProbMeasure:
     """Uniform-density measure on the metric ball around center."""
-    i = int(center)
+    i = _point(space, center)
     sel = space.metric[:, i] <= radius + 1e-15
     w = np.where(sel, space.ref_measure, 0.0)
     if w.sum() <= 0:

@@ -209,3 +209,24 @@ def test_tasks_run_in_list_order(tmp_path):
     rows = (tmp_path / "all" / "diagnostics.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["a", "c", "b"]
     assert rows[-1] == (tmp_path / "b" / "diagnostics.csv").read_text().splitlines()[1]
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"seed": "abc", "tasks": [{"op": "validate", "name": "v"}]}, "seed"),
+    ({"seed": 0, "tasks": [{"op": "flow", "name": "f", "f0": {"kind": "uniform"},
+                            "flavor": "jko", "tau": 0.01, "steps": "x"}]}, "steps"),
+])
+def test_wrong_type_field_is_config_error(tmp_path, capsys, config, field):
+    cfg = dict(config, space={"kind": "cycle", "n": 8}, output_dir=str(tmp_path / "o"))
+    assert cli.run(cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(field) in err and "Traceback" not in err
+
+
+def test_out_of_range_point_is_measure_error(tmp_path, capsys):
+    cfg = {"space": {"kind": "cycle", "n": 8}, "seed": 0,
+           "output_dir": str(tmp_path / "o"),
+           "tasks": [{"op": "ot", "name": "o", "mu": {"kind": "dirac", "at": 99}, "nu": {"kind": "uniform"}}]}
+    assert cli.run(cfg) == 2
+    err = capsys.readouterr().err
+    assert "MeasureError" in err and "99" in err and "Traceback" not in err

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import OptimizeResult, brentq, minimize
+from scipy.optimize import OptimizeResult, brentq, linprog as scipy_linprog, minimize
 from scipy.special import logsumexp
 
 from rcdlab import cli, geodesy, solvers
@@ -224,6 +224,103 @@ def test_threads_alternating_two_problems_get_their_own_results(monkeypatch):
     assert not any(t.is_alive() for t in threads) and not turn.broken
     assert wrong == []
     assert len(calls) < 2 + 800  # some repeats were answered from the memory
+
+
+# -- solvers.linprog: one direct HiGHS call ---------------------------------------
+
+
+def _linked_pair_args(seed, n=9):
+    rng = np.random.default_rng(seed)
+    C = make_model_space("random_metric", n, {"seed": seed}).metric ** 2
+    mu0, mu1 = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    budgets = rng.uniform(1.0, 1.5, 2) * solvers.exact_ot(C, mu0, mu1)[0]  # nu = mu0 or mu1 meets them
+    return C, C, mu0, mu1, budgets
+
+
+def _interior_point_lps():
+    for seed in (1, 2):
+        C0, C1, mu0, mu1, budgets = _linked_pair_args(seed)
+        for scale in (0.1, 1.0, 4.0):  # far too small to ample: slack of either sign
+            solvers.interior_point(C0, C1, mu0, mu1, *(scale * budgets))
+
+
+def _oracle_lps():
+    for seed in (3, 4, 5):
+        solvers._budgeted_oracle(*_linked_pair_args(seed), np.random.default_rng(seed).normal(size=9))
+
+
+_LP_CASES = {
+    "exact_ot-5": lambda: solvers.exact_ot(*_ot_problem(11, n=5)),
+    "exact_ot-17": lambda: solvers.exact_ot(*_ot_problem(12, n=17)),
+    "exact_ot-64": lambda: solvers.exact_ot(*_ot_problem(13, n=64)),
+    "interior_point": _interior_point_lps,
+    "_budgeted_oracle": _oracle_lps,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LP_CASES))
+def test_linprog_is_bit_identical_to_scipy(monkeypatch, case):
+    # guards the private scipy.optimize._highspy API that linprog drives: the
+    # LPs rcdlab builds must give scipy's bits for x, fun and both duals
+    real_linprog, lps = solvers.linprog, []
+
+    def recording(*args, **kwargs):
+        lps.append(args)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "linprog", recording)
+    monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
+    _LP_CASES[case]()
+    assert lps
+    for c, A_eq, b_eq, A_ub, b_ub, bounds in lps:
+        ours = real_linprog(c, A_eq, b_eq, A_ub, b_ub, bounds, options=solvers._LP_OPTIONS)
+        ref = scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs",
+                            options=solvers._LP_OPTIONS)
+        assert ours.status == ref.status == 0
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
+        assert ours.eqlin.marginals.tobytes() == ref.eqlin.marginals.tobytes()
+        assert ours.ineqlin.marginals.tobytes() == ref.ineqlin.marginals.tobytes()
+
+
+def test_unequal_masses_are_infeasible():
+    C, a, b = _ot_problem(14)
+    with pytest.raises(InfeasibleError):
+        solvers.exact_ot(C, a, 1.5 * b)
+
+
+def test_a_real_time_limit_is_a_solver_error_not_infeasibility(monkeypatch):
+    monkeypatch.setattr(solvers, "_LP_OPTIONS", {**solvers._LP_OPTIONS, "time_limit": 0.0})
+    monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
+    with pytest.raises(SolverError, match="status 1") as err:
+        solvers.exact_ot(*_ot_problem(15))
+    assert not isinstance(err.value, InfeasibleError)
+
+
+def test_an_optimum_off_its_constraints_is_a_solver_error(monkeypatch):
+    # scipy's post-solve check: at a negative tolerance every optimal x misses
+    monkeypatch.setattr(solvers, "_RESULT_TOL", -1.0)
+    monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
+    with pytest.raises(SolverError, match="status 4") as err:
+        solvers.exact_ot(*_ot_problem(17))
+    assert not isinstance(err.value, InfeasibleError)
+
+
+def test_disagreeing_lp_shapes_are_a_value_error():
+    # HiGHS would read past the arrays it is given
+    C, a, b = _ot_problem(18)
+    M = solvers._marginal_matrix(7, 7)
+    with pytest.raises(ValueError, match="shapes"):
+        solvers.linprog(C.ravel()[:-1], M, np.concatenate([a, b]))
+    with pytest.raises(ValueError, match="shapes"):
+        solvers.linprog(C.ravel(), M, a)
+
+
+def test_a_nan_cost_is_a_value_error():
+    C, a, b = _ot_problem(16)
+    C[2, 3] = np.nan
+    with pytest.raises(ValueError):
+        solvers.exact_ot(C, a, b)
 
 
 # -- _lambda_update ---------------------------------------------------------------
