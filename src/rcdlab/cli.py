@@ -35,6 +35,7 @@ from .dirichlet import (
     intrinsic_metric,
     laplacian,
     mod2,
+    path_step_lengths,
 )
 from .solvers import SolverError
 
@@ -243,7 +244,6 @@ def run_task(task, space, base_dir, seed):
         elif sub == "laplacian":
             payload = {"laplacian": laplacian(form, f).tolist()}
         elif sub == "mod2":
-            from .dirichlet import path_step_lengths
             paths = [(p, path_step_lengths(space, p)) for p in _required(task, "paths")]
             val, dens = mod2(paths, form.vertex_measure)
             payload = {"mod2": val, "density": dens.tolist()}

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .measures import ProbMeasure
 from .mmspace import FiniteMMSpace, _freeze
@@ -50,23 +51,9 @@ class DirichletForm:
         return self.weights.shape[0]
 
     def components(self):
-        """Connected components of the positive-conductance graph."""
-        n = self.n
-        labels = -np.ones(n, dtype=int)
-        cur = 0
-        for s in range(n):
-            if labels[s] >= 0:
-                continue
-            stack = [s]
-            labels[s] = cur
-            while stack:
-                x = stack.pop()
-                for y in np.nonzero(self.weights[x] > 0)[0]:
-                    if labels[y] < 0:
-                        labels[y] = cur
-                        stack.append(y)
-            cur += 1
-        return labels
+        """Connected components of the positive-conductance graph, labelled
+        in order of each component's lowest vertex."""
+        return connected_components(self.weights > 0, directed=False)[1]
 
     def gamma_vector(self, f, g):
         f = np.asarray(f, dtype=float)
@@ -464,20 +451,10 @@ def _path_metric(n, h):
 def product_form(form_a: DirichletForm, form_b: DirichletForm, product) -> DirichletForm:
     """Form on a product space whose generator splits as Lap_a + Lap_b:
     horizontal conductances w_a * m_b and vertical m_a * w_b."""
-    na, nb = form_a.n, form_b.n
-    if product.n != na * nb:
+    if product.n != form_a.n * form_b.n:
         raise FormError("product space size mismatch")
-    W = np.zeros((na * nb, na * nb))
     ma, mb = form_a.vertex_measure, form_b.vertex_measure
-    Wa, Wb = form_a.weights, form_b.weights
-    for i in range(na):
-        for j in range(na):
-            if Wa[i, j] > 0:
-                for y in range(nb):
-                    W[i * nb + y, j * nb + y] = Wa[i, j] * mb[y]
-    for i in range(nb):
-        for j in range(nb):
-            if Wb[i, j] > 0:
-                for x in range(na):
-                    W[x * nb + i, x * nb + j] = Wb[i, j] * ma[x]
+    # the horizontal and vertical terms have disjoint supports off the zero
+    # diagonal, so each entry is a single product w * m, exactly rounded
+    W = np.kron(form_a.weights, np.diag(mb)) + np.kron(np.diag(ma), form_b.weights)
     return DirichletForm(product, W, (ma[:, None] * mb[None, :]).ravel())

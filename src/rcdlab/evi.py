@@ -96,15 +96,6 @@ def ede_check(flow: FlowTrace) -> InequalityReport:
     )
 
 
-def _weighted_energy(form: DirichletForm, mu: ProbMeasure, u, v) -> float:
-    """E_mu(u, v) through the weight-transferred form (support-restricted)."""
-    wf = weighted_form(form, mu)
-    if wf.n == form.n:
-        return energy(wf, u, v)
-    idx = mu.support()
-    return energy(wf, np.asarray(u)[idx], np.asarray(v)[idx])
-
-
 def dw2_derivative_check(flow: FlowTrace, sigma: ProbMeasure, form: DirichletForm) -> InequalityReport:
     """Residual of d/dt W2^2(mu_t, sigma)/2 = -E_{mu_t}(phi_t, log f_t) at
     interior trace times, using gauge-normalized potentials; also evaluates
@@ -126,7 +117,7 @@ def dw2_derivative_check(flow: FlowTrace, sigma: ProbMeasure, form: DirichletFor
         if f_t.min() <= 0:
             continue
         pair = kantorovich_potentials(mu_t, sigma, gauge=gauge)
-        rhs = -_weighted_energy(form, mu_t, pair.phi, np.log(f_t))
+        rhs = -energy(weighted_form(form, mu_t), pair.phi, np.log(f_t))
         h = 0.5 * (times[i + 1] - times[i - 1])
         lhs = (wsq[i + 1] - wsq[i - 1]) / (2.0 * h) / 2.0
         residuals.append(float(abs(lhs - rhs)))
@@ -165,7 +156,7 @@ def entropy_inequality_check(eta: ProbMeasure, sigma: ProbMeasure, K, form: Diri
     wsq = exact_ot(space.metric ** 2, eta.weights, sigma.weights)[0]
     lhs = relative_entropy(sigma, m) - relative_entropy(eta, m) - 0.5 * K * wsq
     pair = kantorovich_potentials(eta, sigma, gauge=int(sigma.support()[0]))
-    resid = float(lhs + _weighted_energy(form, eta, pair.phi, np.log(f)))
+    resid = float(lhs + energy(weighted_form(form, eta), pair.phi, np.log(f)))
     return InequalityReport(
         "entropy_inequality", (0.0,), (-resid,), -resid,
         extras={"status": "ok" if resid >= 0 else "violation_candidate", "K": K},

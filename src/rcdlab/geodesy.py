@@ -245,11 +245,8 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
 
     if t0 is not None and abs(t0 - 0.5) > 1e-12:
         solve_between(0.0, 1.0, t0)
-        anchors = [0.0, t0, 1.0]
-    else:
-        anchors = [0.0, 1.0]
-        if t0 is not None:
-            meta["t0"] = 0.5
+    elif t0 is not None:
+        meta["t0"] = 0.5
 
     for _ in range(depth):
         times = sorted(nodes)

@@ -78,34 +78,17 @@ def spectral_gap(form: DirichletForm) -> float:
     return float(nz.min()) if nz.size else 0.0
 
 
-def semigroup_apply(form: DirichletForm, f, t, method="expm"):
-    """Apply the heat semigroup to a function.
-
-    method "expm" evaluates the exact matrix exponential spectrally (dense,
-    for n <= 512); ("implicit_euler", dt) does unconditionally stable implicit
-    stepping, which preserves positivity exactly.
-    """
+def semigroup_apply(form: DirichletForm, f, t):
+    """Apply the heat semigroup h_t = exp(t Lap) to a function, by the
+    eigendecomposition of the symmetrized generator that heat_kernel uses."""
     f = np.asarray(f, dtype=float)
     if t < 0:
         raise HeatError("t >= 0 required")
     if t == 0:
         return f.copy()
-    if method == "expm":
-        if form.n > 512:
-            raise HeatError("dense exponential limited to n <= 512; use implicit_euler")
-        evals, U, sm = _spectral(form)
-        g = U.T @ (sm * f)
-        return (U @ (np.exp(t * evals) * g)) / sm
-    if isinstance(method, tuple) and method[0] == "implicit_euler":
-        dt = float(method[1])
-        steps = max(int(round(t / dt)), 1)
-        dt = t / steps
-        A = np.eye(form.n) - dt * laplacian_matrix(form)
-        u = f.copy()
-        for _ in range(steps):
-            u = np.linalg.solve(A, u)
-        return u
-    raise HeatError(f"unknown method {method!r}")
+    evals, U, sm = _spectral(form)
+    g = U.T @ (sm * f)
+    return (U @ (np.exp(t * evals) * g)) / sm
 
 
 def heat_kernel(form: DirichletForm, t) -> HeatKernel:
@@ -142,7 +125,7 @@ def semigroup_flow(form: DirichletForm, f0, t_grid) -> FlowTrace:
     for a, b, t0, t1 in zip(measures, measures[1:], times, times[1:]):
         cost = exact_ot(C, a.weights, b.weights)[0]
         speeds.append(float(np.sqrt(max(cost, 0.0)) / (t1 - t0)))
-    return FlowTrace(tuple(times), tuple(measures), tuple(entropies), tuple(fishers), tuple(speeds), "semigroup", {"method": "expm"})
+    return FlowTrace(tuple(times), tuple(measures), tuple(entropies), tuple(fishers), tuple(speeds), "semigroup")
 
 
 def jko_flow(mu0: ProbMeasure, tau, nsteps, inner_tol=1e-8, blur=0.25, form=None) -> FlowTrace:

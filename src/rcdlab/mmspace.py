@@ -58,12 +58,6 @@ class FiniteMMSpace:
     def n(self):
         return len(self.points)
 
-    def total_mass(self):
-        return float(self.ref_measure.sum())
-
-    def index_of(self, point) -> int:
-        return self.points.index(point)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -200,7 +194,7 @@ def make_model_space(kind, n, params=None) -> FiniteMMSpace:
         x0 = 0
         meta = {"positions": tuple(pos.tolist()), "kind": "cycle"}
     elif kind == "grid":
-        side = n
+        side, n = n, n * n
         h = 1.0 / (side - 1) if side > 1 else 0.0
         pts = [(i, j) for i in range(side) for j in range(side)]
         xy = np.array(pts, dtype=float) * h
@@ -211,13 +205,8 @@ def make_model_space(kind, n, params=None) -> FiniteMMSpace:
                 edges.append((a, a + side, h))
             if j + 1 < side:
                 edges.append((a, a + 1, h))
-        x0 = len(pts) // 2
+        x0 = n // 2
         meta = {"positions": tuple(map(tuple, xy.tolist())), "kind": "grid", "metric_kind": "l2_product"}
-        m_raw, c = _measure_profile(profile, d[:, x0], len(pts))
-        m = m_raw / m_raw.sum()
-        if c is not None:
-            meta["gaussian_c"] = c
-        return FiniteMMSpace(tuple(range(len(pts))), d, m, tuple(edges), x0, meta)
     elif kind == "two_point":
         dist = float(params.get("distance", 1.0))
         d = np.array([[0.0, dist], [dist, 0.0]])
@@ -244,13 +233,11 @@ def make_model_space(kind, n, params=None) -> FiniteMMSpace:
     else:
         raise SpaceError(f"unknown kind {kind!r}")
 
-    if kind != "grid":
-        V = d[:, x0]
-        m_raw, c = _measure_profile(profile, V, n)
-        m = m_raw / m_raw.sum()
-        if c is not None:
-            meta["gaussian_c"] = c
-        return FiniteMMSpace(tuple(range(n)), d, m, tuple(edges), x0, meta)
+    m_raw, c = _measure_profile(profile, d[:, x0], n)
+    m = m_raw / m_raw.sum()
+    if c is not None:
+        meta["gaussian_c"] = c
+    return FiniteMMSpace(tuple(range(n)), d, m, tuple(edges), x0, meta)
 
 
 def product_space(a: FiniteMMSpace, b: FiniteMMSpace) -> FiniteMMSpace:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import ProbMeasure
+from .measures import ProbMeasure, measure_from_density
 from .mmspace import FiniteMMSpace, _freeze
 from .solvers import exact_ot
 
@@ -186,8 +186,6 @@ def check_slackness(space: FiniteMMSpace, pair: KantorovichPair, plan: Transport
 def potential_stability_probe(space: FiniteMMSpace, density_seq, density_lim, sigma: ProbMeasure, gauge=None) -> dict:
     """Re-solve the transport problem along a converging density sequence and
     report value gaps and pointwise gaps of gauge-normalized potentials."""
-    from .measures import measure_from_density
-
     if gauge is None:
         gauge = int(sigma.support()[0])
     lim = measure_from_density(space, density_lim)

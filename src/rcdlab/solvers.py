@@ -63,12 +63,12 @@ _HIGHS_FIXED = {
     "log_to_console": False,
     "output_flag": False,
 }
-# scipy's status code for each HiGHS model status but optimal (0); every other one is 4
+# scipy's status code for each HiGHS model status but optimal (0); every other
+# one, the model error included, is 4
 _SCIPY_STATUS = {
     _highs.HighsModelStatus.kTimeLimit: 1,
     _highs.HighsModelStatus.kIterationLimit: 1,
     _highs.HighsModelStatus.kInfeasible: 2,
-    _highs.HighsModelStatus.kModelError: 2,
     _highs.HighsModelStatus.kUnbounded: 3,
 }
 _RESULT_TOL = np.sqrt(1e-9) * 10  # scipy's post-solve feasibility check of an optimal x
@@ -134,6 +134,9 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), options=None)
     model status to scipy's status codes (0 optimal, 1 time or iteration
     limit, 2 infeasible, 3 unbounded, 4 other), and turns an optimum whose x
     misses its bounds or rows by more than sqrt(1e-9) * 10 into status 4.
+    Its one departure from those codes: a model HiGHS rejects (it refuses
+    any matrix entry of 1e15 or more) is status 4, not scipy's 2, because a
+    rejected model says nothing about feasibility.
 
     Returns an OptimizeResult with status and message and, at status 0, x,
     fun and the row duals eqlin.marginals and ineqlin.marginals.
@@ -165,8 +168,7 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), options=None)
                        c, lb, ub, lhs, rhs, A.indptr, A.indices, A.data,
                        np.zeros(c.size, dtype=np.int32)  # integrality: every column continuous
                        ) == _highs.HighsStatus.kError:
-        # scipy reads HiGHS's model error as status 2
-        return OptimizeResult(status=2, message="HiGHS rejected the model", x=None, fun=None)
+        return OptimizeResult(status=4, message="HiGHS rejected the model", x=None, fun=None)
     highs.run()
     model_status = highs.getModelStatus()
     message = f"HiGHS model status {highs.modelStatusToString(model_status)}"

@@ -64,3 +64,43 @@ def test_the_check_sees_scipy_linprog(tmp_path):
     f.write_text("from scipy.optimize import minimize, linprog\nimport scipy.optimize\n\n"
                  "def solve(c):\n    return scipy.optimize.linprog(c)\n")
     assert _scipy_linprog_uses(f) == [1, 5]
+
+
+def _unreferenced_definitions(defining, searched):
+    """(file, line, name) for every function, method and class defined in the
+    defining files, dunders excepted, that no Name, Attribute or import in
+    the searched files names."""
+    named = set()
+    for path in searched:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rsplit(".", 1)[-1])
+    out = []
+    for path in defining:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in named):
+                out.append((path.name, node.lineno, node.name))
+    return sorted(out)
+
+
+def test_every_definition_is_referenced():
+    # code that nothing calls is kept working by nobody
+    root = SRC.parents[1]
+    searched = [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    assert _unreferenced_definitions(sorted(SRC.glob("*.py")), searched) == []
+
+
+def test_the_check_sees_an_unreferenced_definition(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("class Space:\n    def __init__(self):\n        pass\n\n    def size(self):\n        return 1\n\n"
+                   "    def dead(self):\n        return 0\n\n"
+                   "def build():\n    return Space()\n\ndef unused():\n    pass\n\ndef imported():\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from lib import imported\n\ndef test():\n    return build().size()\n")
+    assert _unreferenced_definitions([lib], [lib, user]) == [("lib.py", 8, "dead"), ("lib.py", 14, "unused")]

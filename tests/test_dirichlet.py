@@ -16,11 +16,12 @@ from rcdlab.dirichlet import (
     locality_check,
     mod2,
     path_step_lengths,
+    product_form,
     transfer_identity_check,
     weighted_form,
 )
 from rcdlab.measures import ProbMeasure, measure_from_density, uniform_measure
-from rcdlab.mmspace import make_model_space
+from rcdlab.mmspace import FiniteMMSpace, make_model_space, product_space
 
 
 def two_point_form():
@@ -324,3 +325,46 @@ def test_energy_kernel_is_componentwise_constants():
     g = np.array([2.0, 2.1, -1.0, -1.0])
     assert energy(form, g, g) > 0
     assert list(form.components()) == [0, 0, 1, 1]
+
+
+def _random_form(rng, n, density):
+    W = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.uniform(size=(n, n)) < density), 1)
+    m = rng.uniform(0.5, 1.5, n)
+    space = FiniteMMSpace(tuple(range(n)), np.ones((n, n)) - np.eye(n), m / m.sum())
+    return DirichletForm(space, W + W.T, m / m.sum())
+
+
+def _components_by_search(form):
+    labels = -np.ones(form.n, dtype=int)
+    for s in range(form.n):
+        if labels[s] < 0:
+            labels[s] = cur = labels.max() + 1
+            stack = [s]
+            while stack:
+                for y in np.nonzero(form.weights[stack.pop()] > 0)[0]:
+                    if labels[y] < 0:
+                        labels[y] = cur
+                        stack.append(y)
+    return labels
+
+
+def test_components_are_labelled_by_lowest_vertex():
+    rng = np.random.default_rng(11)
+    for k in range(30):
+        form = _random_form(rng, int(rng.integers(1, 14)), (0.05, 0.15, 0.4)[k % 3])
+        assert form.components().tolist() == _components_by_search(form).tolist()
+
+
+def test_product_form_matches_the_elementwise_construction():
+    rng = np.random.default_rng(12)
+    for na, nb in ((1, 4), (3, 5), (6, 2), (4, 4)):
+        fa, fb = _random_form(rng, na, 0.5), _random_form(rng, nb, 0.5)
+        W = np.zeros((na * nb, na * nb))
+        for i, j in zip(*np.nonzero(fa.weights)):
+            for y in range(nb):
+                W[i * nb + y, j * nb + y] = fa.weights[i, j] * fb.vertex_measure[y]
+        for i, j in zip(*np.nonzero(fb.weights)):
+            for x in range(na):
+                W[x * nb + i, x * nb + j] = fb.weights[i, j] * fa.vertex_measure[x]
+        fp = product_form(fa, fb, product_space(fa.space, fb.space))
+        assert fp.weights.tobytes() == W.tobytes()

@@ -59,20 +59,35 @@ def test_semigroup_conservation_positivity_max_principle():
         assert float(ft @ m) == pytest.approx(float(f @ m), abs=1e-10)
         assert ft.min() >= -1e-12
         assert np.abs(ft).max() <= np.abs(f).max() + 1e-12
-    fe = semigroup_apply(form, f, 0.2, method=("implicit_euler", 0.01))
-    assert fe.min() >= 0.0
-    assert float(fe @ m) == pytest.approx(float(f @ m), abs=1e-10)
 
 
-def test_semigroup_property_and_expm_vs_euler():
+def test_semigroup_property():
     s, form = cycle_form(10)
     rng = np.random.default_rng(2)
     f = rng.normal(size=10)
     a = semigroup_apply(form, semigroup_apply(form, f, 0.07), 0.05)
     b = semigroup_apply(form, f, 0.12)
     assert np.abs(a - b).max() <= 1e-10
-    c = semigroup_apply(form, f, 0.12, method=("implicit_euler", 1e-4))
-    assert np.abs(c - b).max() <= 1e-2 * max(1, np.abs(b).max())
+
+
+def test_semigroup_integrates_against_the_heat_kernel():
+    for seed in range(4):
+        s = make_model_space("random_metric", 9 + 3 * seed, {"seed": seed})
+        form = dirichlet_form(s)
+        f = np.random.default_rng(seed).normal(size=s.n)
+        for t in (0.01, 0.3, 2.0):
+            expect = heat_kernel(form, t).matrix @ (f * form.vertex_measure)
+            assert np.abs(semigroup_apply(form, f, t) - expect).max() <= 1e-10
+
+
+def test_semigroup_has_no_size_cap():
+    # the same eigendecomposition heat_kernel runs at any n
+    n, t = 520, 0.01
+    s, form = cycle_form(n)
+    mode = np.cos(2 * np.pi * np.arange(n) / n)
+    # the unit-mass cycle's generator scales this mode by -2 n^2 (1 - cos(2 pi / n))
+    decay = np.exp(-2.0 * n * n * (1.0 - np.cos(2 * np.pi / n)) * t)
+    assert np.abs(semigroup_apply(form, 1.0 + mode, t) - (1.0 + decay * mode)).max() <= 1e-10
 
 
 def test_heat_kernel_laws_random_graphs():

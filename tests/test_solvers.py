@@ -306,6 +306,17 @@ def test_an_optimum_off_its_constraints_is_a_solver_error(monkeypatch):
     assert not isinstance(err.value, InfeasibleError)
 
 
+def test_a_model_highs_rejects_is_a_solver_error_not_infeasibility():
+    # budgets floored at 1e-14 put cost rows of 16 / 1e-14 past HiGHS's 1e15
+    # entry limit, though nu = mu is feasible at cost 0
+    C = np.arange(5.0)[:, None] - np.arange(5.0)[None, :]
+    C = C ** 2
+    mu = np.full(5, 0.2)
+    with pytest.raises(SolverError, match="rejected the model") as err:
+        solvers._budgeted_oracle(C, C, mu, mu, [1e-16, 1e-16], np.zeros(5))
+    assert not isinstance(err.value, InfeasibleError)
+
+
 def test_disagreeing_lp_shapes_are_a_value_error():
     # HiGHS would read past the arrays it is given
     C, a, b = _ot_problem(18)
