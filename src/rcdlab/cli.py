@@ -4,14 +4,18 @@ deterministic JSON/CSV artifact emission.
 Artifacts are written atomically with a fixed 17-significant-digit float
 format, so identical config + seed reproduce byte-identical files.
 
-Exit codes:
+Outside values get their types here and nowhere else: the config file, the
+space, each measure spec and a verify config are JSON objects given inline or
+in a JSON file (``_spec``), and ``_coerced`` types each field. Exit codes:
 
     0  success
-    1  an assert-mode check failed (the failure report path is printed)
-    2  config error: unreadable or invalid config, space or measure, or a
+    1  an assert-mode check failed, and nothing else (the report path is printed)
+    2  config error: an unreadable or non-JSON file, a missing or wrong-type
+       field anywhere in a config (space params, measure specs, the verify
+       config and t_grid included), an invalid space or measure, or a
        geodesic request that cannot be met (GeodesyError)
     3  solver failure: SolverError (InfeasibleError included), FormError,
-       HeatError or EviError
+       HeatError, EviError or TransportError
 """
 
 from __future__ import annotations
@@ -48,6 +52,22 @@ def schema_version() -> str:
 
 class ConfigError(ValueError):
     pass
+
+
+# error classes -> (exit status, stderr prefix); no class in one row subclasses one in the other
+_EXITS = {
+    (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError, mmspace.SpaceError,
+     measures.MeasureError, geodesy.GeodesyError): (2, "config error"),
+    (SolverError, FormError, heat.HeatError, evi.EviError, ot.TransportError): (3, "solver failure"),
+}
+_ERRORS = sum(_EXITS, ())
+
+
+def _failed(err) -> int:
+    """Report err on one stderr line; returns its exit status."""
+    status, prefix = next(v for classes, v in _EXITS.items() if isinstance(err, classes))
+    print(f"{prefix}: {type(err).__name__}: {err}", file=sys.stderr)
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -102,57 +122,70 @@ def _config_hash(config) -> str:
     return hashlib.sha256(dumps_canonical(stripped).encode()).hexdigest()[:16]
 
 
-def _wrap_artifact(payload, config, tolerances=None, method=None):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config_hash": _config_hash(config),
-        "method": method or {},
-        "tolerances": tolerances or {},
-        "result": payload,
-    }
-
-
 # ---------------------------------------------------------------------------
 # task execution
 # ---------------------------------------------------------------------------
 
-def _load_space_spec(spec, base_dir="."):
-    if isinstance(spec, str):
-        return mmspace.load_space(os.path.join(base_dir, spec))
-    if "kind" in spec:
-        params = dict(spec.get("params", {}))
-        return mmspace.make_model_space(spec["kind"], _coerced(spec, "n", int), params)
-    return mmspace.space_from_json(spec)
-
-
-def _required(spec, key):
-    """spec[key] of a task or measure spec; a missing key is a ConfigError."""
-    if key not in spec:
-        raise ConfigError(f"spec {spec!r} lacks required field {key!r}")
-    return spec[key]
+def _spec(value, base_dir):
+    """value when it is a JSON object, or the object in the JSON file at path
+    value (relative to base_dir); anything else is a ConfigError."""
+    if isinstance(value, str):
+        with open(os.path.join(base_dir, value)) as fh:
+            value = json.load(fh)
+    if not isinstance(value, dict):
+        raise ConfigError(f"expected a JSON object or the path of a JSON file holding one, got {value!r}")
+    return value
 
 
 def _coerced(spec, key, kind, *default):
-    """kind(spec[key]) of a task, measure or space spec. An absent or null
-    field gives the default when one is passed and is a ConfigError when none
-    is; a value kind cannot convert is a ConfigError."""
+    """kind(spec[key]) of a config, task, measure or space spec. An absent or null field gives the
+    default when one is passed and is a ConfigError when none is; so is a TypeError, ValueError or
+    KeyError that kind raises and that is not one of rcdlab's own errors."""
     if default and spec.get(key) is None:
         return default[0]
+    if key not in spec:
+        raise ConfigError(f"spec {spec!r} lacks required field {key!r}")
     try:
-        return kind(_required(spec, key))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"field {key!r} of spec {spec!r}: {err}") from None
+        return kind(spec[key])
+    except _ERRORS:
+        raise
+    except (TypeError, ValueError, KeyError) as err:
+        raise ConfigError(f"field {key!r} of spec {spec!r}: {type(err).__name__}: {err}") from None
 
 
-_floats = functools.partial(np.asarray, dtype=float)
+def _exactly(cls):
+    """A kind for _coerced that passes a cls through and rejects the rest."""
+    def check(value):
+        if not isinstance(value, cls):
+            raise TypeError(f"expected {cls.__name__}, got {value!r}")
+        return value
+    return check
 
 
-def _load_measure(space, spec, base_dir="."):
-    if isinstance(spec, str):
-        with open(os.path.join(base_dir, spec)) as fh:
-            spec = json.load(fh)
+def _floats(value, n=None):
+    """A nonempty JSON list of numbers, of length n when n is given, as a vector."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim != 1 or not len(a) or n is not None and len(a) != n:
+        raise ValueError(f"expected a list of {n or 'some'} numbers, got {value!r}")
+    return a
+
+
+def _paths(space, value):
+    """A JSON list of lists of point indices of space."""
+    return [[mmspace._point(space, i) for i in _exactly(list)(p)] for p in _exactly(list)(value)]
+
+
+def _space(spec, base_dir):
+    spec = _spec(spec, base_dir)
+    if "kind" in spec:
+        return mmspace.make_model_space(spec["kind"], _coerced(spec, "n", int), _coerced(spec, "params", _exactly(dict), {}))
+    return mmspace.space_from_json(spec)
+
+
+def _measure(space, spec, base_dir):
+    spec = _spec(spec, base_dir)
     if "weights" in spec:
-        return measures.ProbMeasure(space, _coerced(spec, "weights", _floats), dict(spec.get("meta", {})))
+        return measures.ProbMeasure(space, _coerced(spec, "weights", _floats), dict(_coerced(spec, "meta", _exactly(dict), {})))
     kind = spec.get("kind")
     if kind == "uniform":
         return measures.uniform_measure(space)
@@ -186,22 +219,24 @@ def _series(report):
 
 def run_task(task, space, base_dir, seed):
     """Execute one task spec; returns (payload dict, assert_failures list)."""
-    op = _required(task, "op")
+    op = _coerced(task, "op", _exactly(str))
+    measure = functools.partial(_measure, space, base_dir=base_dir)
+    rule = _coerced(task, "rule", _exactly(str), "metric_measure")
+    form = dirichlet_form(space, rule) if op in ("form", "flow", "verify") else None
     failures = []
     if op == "validate":
         rep = mmspace.validate_space(space)
         payload = {"passed": rep.passed, "violations": [list(v[:2]) + [v[2]] for v in rep.violations]}
-        if task.get("assert_pass", True) and not rep.passed:
+        if _coerced(task, "assert_pass", _exactly(bool), True) and not rep.passed:
             failures.append("validate: space invalid")
     elif op == "ot":
-        mu = _load_measure(space, _required(task, "mu"), base_dir)
-        nu = _load_measure(space, _required(task, "nu"), base_dir)
+        mu = _coerced(task, "mu", measure)
+        nu = _coerced(task, "nu", measure)
         val, plan = ot.w2(mu, nu)
-        pair = ot.kantorovich_potentials(mu, nu, gauge=task.get("gauge"))
-        sup = plan.support()
+        pair = ot.kantorovich_potentials(mu, nu, gauge=_coerced(task, "gauge", functools.partial(mmspace._point, space), None))
         payload = {
             "w2": val,
-            "plan": [[int(i), int(j), float(plan.coupling[i, j])] for i, j in sup],
+            "plan": [[int(i), int(j), float(plan.coupling[i, j])] for i, j in plan.support()],
             "phi": pair.phi.tolist(),
             "psi": [None if not np.isfinite(v) else float(v) for v in pair.psi],
             "gap": pair.gap,
@@ -210,9 +245,9 @@ def run_task(task, space, base_dir, seed):
         if abs(pair.gap) > tol * max(1.0, 0.5 * val * val):
             failures.append(f"ot: duality gap {pair.gap}")
     elif op == "geodesic":
-        mu0 = _load_measure(space, _required(task, "mu0"), base_dir)
-        mu1 = _load_measure(space, _required(task, "mu1"), base_dir)
-        eps = "auto" if task.get("epsilon", "auto") == "auto" else _coerced(task, "epsilon", float)
+        mu0 = _coerced(task, "mu0", measure)
+        mu1 = _coerced(task, "mu1", measure)
+        eps = "auto" if task.get("epsilon") in (None, "auto") else _coerced(task, "epsilon", float)
         K = _coerced(task, "K", float, 0.0)
         trace = geodesy.build_good_geodesic(
             mu0, mu1, _coerced(task, "depth", int, 3),
@@ -232,19 +267,18 @@ def run_task(task, space, base_dir, seed):
         if "cd_tol" in task and cd["worst"] > _coerced(task, "cd_tol", float):
             failures.append(f"geodesic: cd residual {cd['worst']}")
     elif op == "form":
-        form = dirichlet_form(space, task.get("rule", "metric_measure"))
         sub = task.get("sub", "energy")
-        rng = np.random.default_rng(seed)
-        f = _coerced(task, "f", _floats) if "f" in task else rng.normal(size=space.n)
+        vector = functools.partial(_floats, n=space.n)
+        f = _coerced(task, "f", vector) if "f" in task else np.random.default_rng(seed).normal(size=space.n)
         if sub == "energy":
             payload = {"cheeger": cheeger_energy(form, f)}
         elif sub == "gamma":
-            g = _coerced(task, "g", _floats, f)
+            g = _coerced(task, "g", vector, f)
             payload = {"gamma": gamma(form, f, g).values.tolist()}
         elif sub == "laplacian":
             payload = {"laplacian": laplacian(form, f).tolist()}
         elif sub == "mod2":
-            paths = [(p, path_step_lengths(space, p)) for p in _required(task, "paths")]
+            paths = [(p, path_step_lengths(space, p)) for p in _coerced(task, "paths", functools.partial(_paths, space))]
             val, dens = mod2(paths, form.vertex_measure)
             payload = {"mod2": val, "density": dens.tolist()}
         elif sub == "intrinsic":
@@ -253,12 +287,12 @@ def run_task(task, space, base_dir, seed):
         else:
             raise ConfigError(f"unknown form sub-op {sub!r}")
     elif op == "flow":
-        form = dirichlet_form(space, task.get("rule", "metric_measure"))
-        f0 = _load_measure(space, _required(task, "f0"), base_dir)
+        f0 = _coerced(task, "f0", measure)
         flavor = task.get("flavor", "semigroup")
         if flavor == "semigroup":
-            grid = task.get("t_grid") or np.linspace(
-                0, _coerced(task, "t", float, 0.1), _coerced(task, "steps", int, 20) + 1).tolist()
+            grid = _coerced(task, "t_grid", _floats, None)
+            if grid is None:
+                grid = np.linspace(0, _coerced(task, "t", float, 0.1), _coerced(task, "steps", int, 20) + 1)
             trace = heat.semigroup_flow(form, f0.density(), grid)
         elif flavor == "jko":
             trace = heat.jko_flow(f0, _coerced(task, "tau", float), _coerced(task, "steps", int),
@@ -275,11 +309,14 @@ def run_task(task, space, base_dir, seed):
             "final": trace.measures[-1].weights.tolist(),
         }
         mono = all(a >= b - 1e-9 for a, b in zip(trace.entropies, trace.entropies[1:]))
-        if task.get("assert_entropy_monotone", True) and not mono:
+        if _coerced(task, "assert_entropy_monotone", _exactly(bool), True) and not mono:
             failures.append("flow: entropy not nonincreasing")
     elif op == "verify":
-        form = dirichlet_form(space, task.get("rule", "metric_measure"))
-        rep = evi.rcd_verify(space, form, dict(task.get("config", {}), seed=seed))
+        cfg = _coerced(task, "config", functools.partial(_spec, base_dir=base_dir), {})
+        # keyword of evi.rcd_verify -> its kind; an absent or null field keeps the default
+        kinds = {"K": float, "t_grid": _floats, "evi_tol": float, "n_quadratic": int, "n_additivity": int, "n_probes": int}
+        kwargs = {k: _coerced(cfg, k, kind) for k, kind in kinds.items() if cfg.get(k) is not None}
+        rep = evi.rcd_verify(form, seed=seed, **kwargs)
         payload = {
             "verdict": rep["verdict"],
             "checks": {
@@ -288,7 +325,7 @@ def run_task(task, space, base_dir, seed):
             },
             "tolerances": rep["tolerances"],
         }
-        if task.get("assert_verdict", True) and not rep["verdict"]:
+        if _coerced(task, "assert_verdict", _exactly(bool), True) and not rep["verdict"]:
             failures.append("verify: battery failed")
     else:
         raise ConfigError(f"unknown op {op!r}")
@@ -298,127 +335,92 @@ def run_task(task, space, base_dir, seed):
 def run(config, base_dir=".") -> int:
     """Execute an experiment config; returns the process exit status."""
     try:
-        tasks = config["tasks"]
+        tasks = config.get("tasks")
+        if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
+            raise ConfigError(f"tasks must be a list of objects, got {tasks!r}")
         seed = _coerced(config, "seed", int, None)
         if seed is None and any(t.get("op") in ("verify", "form") and "f" not in t for t in tasks):
             raise ConfigError("seed is mandatory when any task uses randomness")
-        out_dir = os.path.join(base_dir, config.get("output_dir", "artifacts"))
-        space = _load_space_spec(config["space"], base_dir)
-    except (KeyError, ConfigError, mmspace.SpaceError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-
-    os.makedirs(out_dir, exist_ok=True)
-    scalars = []
-    any_failures = []
-
-    try:
+        if seed is not None and seed < 0:
+            raise ConfigError(f"seed {seed} is negative")
+        out_dir = os.path.join(base_dir, _coerced(config, "output_dir", _exactly(str), "artifacts"))
+        space = _coerced(config, "space", functools.partial(_space, base_dir=base_dir))
+        scalars = []
+        any_failures = []
         for idx, task in enumerate(tasks):
             payload, failures = run_task(task, space, base_dir, seed if seed is None else seed + idx)
-            name = task.get("name", f"task{idx:02d}_{task['op']}")
-            artifact = _wrap_artifact(payload, config, tolerances=task.get("tolerances"), method={"op": task["op"]})
+            name = _coerced(task, "name", _exactly(str), f"task{idx:02d}_{task['op']}")
+            artifact = {
+                "schema_version": SCHEMA_VERSION,
+                "config_hash": _config_hash(config),
+                "method": {"op": task["op"]},
+                "tolerances": _coerced(task, "tolerances", _exactly(dict), {}),
+                "result": payload,
+            }
             write_atomic(os.path.join(out_dir, f"{name}.json"), dumps_canonical(artifact) + "\n")
-            for key, val in _series(payload):
-                scalars.append((name, key, val))
+            scalars.extend((name, key, val) for key, val in _series(payload))
             any_failures.extend(f"{name}: {f}" for f in failures)
-    except (SolverError, FormError, heat.HeatError, evi.EviError) as err:
-        print(f"solver failure: {type(err).__name__}: {err}", file=sys.stderr)
-        return 3
-    except (ConfigError, mmspace.SpaceError, measures.MeasureError, geodesy.GeodesyError) as err:
-        print(f"config error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
 
-    csv_path = os.path.join(out_dir, "diagnostics.csv")
-    lines = ["task,name,value"]
-    for task_name, key, val in scalars:
-        lines.append(f"{task_name},{key},{_fmt_float(val)}")
-    write_atomic(csv_path, "\n".join(lines) + "\n")
-
-    if any_failures:
-        report_path = os.path.join(out_dir, "failures.json")
-        write_atomic(report_path, dumps_canonical({"failures": any_failures}) + "\n")
-        print(f"assert-mode failures; see {report_path}", file=sys.stderr)
-        return 1
-    return 0
+        lines = ["task,name,value"] + [f"{task_name},{key},{_fmt_float(val)}" for task_name, key, val in scalars]
+        write_atomic(os.path.join(out_dir, "diagnostics.csv"), "\n".join(lines) + "\n")
+        if any_failures:
+            report_path = os.path.join(out_dir, "failures.json")
+            write_atomic(report_path, dumps_canonical({"failures": any_failures}) + "\n")
+            print(f"assert-mode failures; see {report_path}", file=sys.stderr)
+            return 1
+        return 0
+    except _ERRORS as err:
+        return _failed(err)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--space", required=True, help="space JSON file or inline kind:n (e.g. cycle:64)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="artifacts")
-
-
-def _space_arg(arg):
-    if ":" in arg and not os.path.exists(arg):
-        kind, n = arg.split(":")
-        return {"kind": kind, "n": int(n)}
-    return arg
+# subcommand -> {flag: add_argument keywords}; each flag's destination is the
+# field it sets in the one task the subcommand runs
+_FLAGS = {
+    "validate": {},
+    "ot": {"--mu": {"required": True}, "--nu": {"required": True}},
+    "geodesic": {"--mu0": {"required": True}, "--mu1": {"required": True}, "--depth": {"type": int, "default": 3},
+                 "--epsilon": {"default": "auto"}},
+    "form": {"--form-op": {"dest": "sub", "default": "energy"}},
+    "flow": {"--f0": {"required": True}, "--flavor": {"default": "semigroup"}, "--t": {"type": float, "default": 0.1},
+             "--tau": {"type": float, "default": 1e-3}, "--steps": {"type": int, "default": 20}},
+    "verify": {"--config": {"default": argparse.SUPPRESS}},
+}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="rcdlab")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    for name in ("validate", "ot", "geodesic", "form", "flow", "verify"):
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        if name == "ot":
-            p.add_argument("--mu", required=True)
-            p.add_argument("--nu", required=True)
-        if name == "geodesic":
-            p.add_argument("--mu0", required=True)
-            p.add_argument("--mu1", required=True)
-            p.add_argument("--depth", type=int, default=3)
-            p.add_argument("--epsilon", default="auto")
-        if name == "form":
-            p.add_argument("--form-op", default="energy", dest="form_op")
-        if name == "flow":
-            p.add_argument("--f0", required=True)
-            p.add_argument("--flavor", default="semigroup")
-            p.add_argument("--t", type=float, default=0.1)
-            p.add_argument("--tau", type=float, default=1e-3)
-            p.add_argument("--steps", type=int, default=20)
-        if name == "verify":
-            p.add_argument("--config", default=None)
-
+        p.add_argument("--space", required=True, help="space JSON file or inline kind:n (e.g. cycle:64)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default="artifacts")
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
     prun = sub.add_parser("run")
     prun.add_argument("config")
     prun.add_argument("--out", default=None)
 
-    args = parser.parse_args(argv)
-
-    if args.cmd == "run":
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except json.JSONDecodeError as err:
-            print(f"config parse error at line {err.lineno} column {err.colno}: {err.msg}", file=sys.stderr)
-            return 2
-        except OSError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return 2
-        if args.out:
-            config["output_dir"] = args.out
-        return run(config, base_dir=os.path.dirname(os.path.abspath(args.config)))
-
-    task = {"op": args.cmd, "name": args.cmd}
-    if args.cmd == "ot":
-        task.update(mu=args.mu, nu=args.nu)
-    elif args.cmd == "geodesic":
-        task.update(mu0=args.mu0, mu1=args.mu1, depth=args.depth, epsilon=args.epsilon)
-    elif args.cmd == "form":
-        task.update(sub=args.form_op)
-    elif args.cmd == "flow":
-        task.update(f0=args.f0, flavor=args.flavor, t=args.t, tau=args.tau, steps=args.steps)
-    elif args.cmd == "verify" and args.config:
-        with open(args.config) as fh:
-            task["config"] = json.load(fh)
-    config = {"space": _space_arg(args.space), "tasks": [task], "seed": args.seed, "output_dir": args.out}
-    return run(config)
+    args = vars(parser.parse_args(argv))
+    cmd, out = args.pop("cmd"), args.pop("out")
+    try:
+        if cmd == "run":
+            config = _spec(args["config"], ".")
+            if out:
+                config["output_dir"] = out
+            return run(config, base_dir=os.path.dirname(os.path.abspath(args["config"])))
+        space, seed = args.pop("space"), args.pop("seed")
+        if ":" in space and not os.path.exists(space):
+            kind, _, n = space.partition(":")
+            space = {"kind": kind, "n": _coerced({"kind": kind, "n": n}, "n", int)}
+    except _ERRORS as err:
+        return _failed(err)
+    task = {"op": cmd, "name": cmd, **args}
+    return run({"space": space, "tasks": [task], "seed": seed, "output_dir": out})
 
 
 if __name__ == "__main__":

@@ -43,6 +43,8 @@ class DirichletForm:
         W = self.weights
         if np.abs(W - W.T).max() > 1e-12:
             raise FormError("conductances must be symmetric")
+        if W.min() < 0 or np.diagonal(W).any():
+            raise FormError("conductances must be nonnegative with a zero diagonal")
         if self.vertex_measure.min() <= 0:
             raise FormError("vertex measure must be positive")
 

@@ -163,21 +163,20 @@ def entropy_inequality_check(eta: ProbMeasure, sigma: ProbMeasure, K, form: Diri
     )
 
 
-def rcd_verify(space, form: DirichletForm, config=None) -> dict:
-    """Composite battery: quadratic-form law of the energy, additivity of the
-    measure flow, and EVI feasibility, reported per check with a verdict."""
-    config = dict(config or {})
-    K = float(config.get("K", 0.0))
-    seed = int(config.get("seed", 0))
-    t_grid = config.get("t_grid") or [0.01 * k for k in range(1, 11)]
-    evi_tol = float(config.get("evi_tol", 1e-2))
+def rcd_verify(form: DirichletForm, *, K=0.0, seed=0, t_grid=None, evi_tol=1e-2,
+               n_quadratic=10, n_additivity=5, n_probes=2) -> dict:
+    """Composite battery on form.space: quadratic-form law of the energy (n_quadratic pairs),
+    additivity of the measure flow (n_additivity mixtures), and EVI feasibility (n_probes starts
+    flowed over t_grid, default 0.01, ..., 0.1), reported per check with a verdict."""
+    if t_grid is None:
+        t_grid = [0.01 * k for k in range(1, 11)]
     rng = np.random.default_rng(seed)
     m = form.vertex_measure
     n = form.n
 
     # quadratic form: parallelogram law of the Cheeger energy
     worst_pl = 0.0
-    for _ in range(int(config.get("n_quadratic", 10))):
+    for _ in range(n_quadratic):
         f = rng.normal(size=n)
         g = rng.normal(size=n)
         lhs = cheeger_energy(form, f + g) + cheeger_energy(form, f - g)
@@ -187,7 +186,7 @@ def rcd_verify(space, form: DirichletForm, config=None) -> dict:
 
     # additivity: the measure flow is linear on mixtures
     worst_add = 0.0
-    for _ in range(int(config.get("n_additivity", 5))):
+    for _ in range(n_additivity):
         fa = np.exp(rng.normal(size=n))
         fb = np.exp(rng.normal(size=n))
         lam = rng.uniform(0.2, 0.8)
@@ -199,13 +198,12 @@ def rcd_verify(space, form: DirichletForm, config=None) -> dict:
 
     # EVI feasibility from a few starts against a few targets
     worst_evi = -np.inf
-    n_probe = int(config.get("n_probes", 2))
-    for _ in range(n_probe):
+    for _ in range(n_probes):
         f0 = np.exp(rng.normal(scale=0.5, size=n))
         f0 = f0 / (f0 * m).sum()
         flow = semigroup_flow(form, f0, t_grid)
         gs = np.exp(rng.normal(scale=0.5, size=n))
-        sigma = ProbMeasure(space, gs * m / (gs * m).sum())
+        sigma = ProbMeasure(form.space, gs * m / (gs * m).sum())
         rep = evi_check(flow, sigma, K)
         worst_evi = max(worst_evi, rep.worst)
     evi_rep = InequalityReport("evi_battery", (0.0,), (float(worst_evi),), float(worst_evi), extras={"K": K})

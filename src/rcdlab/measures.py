@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mmspace import FiniteMMSpace, _freeze
+from .mmspace import FiniteMMSpace, _freeze, _point
 
 MASS_TOL = 1e-12
 
@@ -53,7 +53,7 @@ class ProbMeasure:
         return np.nonzero(self.weights > 0)[0]
 
     def second_moment(self, x0=None):
-        i = self.space.base_point if x0 is None else int(x0)
+        i = self.space.base_point if x0 is None else _point(self.space, x0, MeasureError)
         return float(np.sum(self.weights * self.space.metric[:, i] ** 2))
 
 
@@ -90,7 +90,7 @@ def tilt_reference(space: FiniteMMSpace, c, x0=None) -> TiltedReference:
     """Tilted reference exp(-c d(.,x0)^2) m / z; c = 0 reduces to m/m(X)."""
     if c < 0:
         raise MeasureError("c >= 0 required")
-    i = space.base_point if x0 is None else int(x0)
+    i = space.base_point if x0 is None else _point(space, x0, MeasureError)
     V = space.metric[:, i]
     raw = np.exp(-c * V**2) * space.ref_measure
     z = float(raw.sum())
@@ -160,15 +160,8 @@ def uniform_measure(space: FiniteMMSpace) -> ProbMeasure:
     return ProbMeasure(space, m / m.sum())
 
 
-def _point(space: FiniteMMSpace, i) -> int:
-    """int(i) for a point index of space; anything else is a MeasureError."""
-    if not 0 <= int(i) < space.n:
-        raise MeasureError(f"point index {i} outside 0..{space.n - 1}")
-    return int(i)
-
-
 def dirac(space: FiniteMMSpace, i) -> ProbMeasure:
-    i = _point(space, i)
+    i = _point(space, i, MeasureError)
     w = np.zeros(space.n)
     w[i] = 1.0
     return ProbMeasure(space, w, meta={"bounded_support": {"center": i}})
@@ -179,17 +172,14 @@ def gaussian_measure(space: FiniteMMSpace, c2, x0=None) -> ProbMeasure:
     sup-density c1 and decay rate c2 needed by the good-geodesic builder."""
     if c2 <= 0:
         raise MeasureError("c2 > 0 required")
-    i = space.base_point if x0 is None else _point(space, x0)
-    V = space.metric[:, i]
-    w = np.exp(-c2 * V**2) * space.ref_measure
-    w = w / w.sum()
-    rho = w / space.ref_measure
-    return ProbMeasure(space, w, meta={"gaussian": {"c1": float(rho.max()), "c2": float(c2), "x0": i}})
+    tilt = tilt_reference(space, c2, x0)
+    rho = tilt.tilted_weights / space.ref_measure
+    return ProbMeasure(space, tilt.tilted_weights, meta={"gaussian": {"c1": float(rho.max()), "c2": float(c2), "x0": tilt.x0}})
 
 
 def bump_measure(space: FiniteMMSpace, center, radius) -> ProbMeasure:
     """Uniform-density measure on the metric ball around center."""
-    i = _point(space, center)
+    i = _point(space, center, MeasureError)
     sel = space.metric[:, i] <= radius + 1e-15
     w = np.where(sel, space.ref_measure, 0.0)
     if w.sum() <= 0:

@@ -267,11 +267,18 @@ def product_space(a: FiniteMMSpace, b: FiniteMMSpace) -> FiniteMMSpace:
     return FiniteMMSpace(points, d, m, edges, base, meta)
 
 
+def _point(space: FiniteMMSpace, i, error=SpaceError) -> int:
+    """int(i) for a point index of space; anything else is an error."""
+    if not 0 <= int(i) < space.n:
+        raise error(f"point index {i} outside 0..{space.n - 1}")
+    return int(i)
+
+
 def check_growth_condition(space: FiniteMMSpace, c, x0=None):
     """Mass of the tilted measure z = sum_x exp(-c d(x,x0)^2) m(x)."""
     if c <= 0:
         raise SpaceError("c > 0 required")
-    i = space.base_point if x0 is None else int(x0)
+    i = space.base_point if x0 is None else _point(space, x0)
     V = space.metric[:, i]
     return float(np.sum(np.exp(-c * V**2) * space.ref_measure))
 

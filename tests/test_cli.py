@@ -1,6 +1,9 @@
+import functools
 import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcdlab import cli
 from rcdlab.mmspace import make_model_space, save_space
@@ -230,3 +233,153 @@ def test_out_of_range_point_is_measure_error(tmp_path, capsys):
     assert cli.run(cfg) == 2
     err = capsys.readouterr().err
     assert "MeasureError" in err and "99" in err and "Traceback" not in err
+
+
+# --- the input boundary: every malformed input is a one-line config error ---
+
+def _one_line_config_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fields", [
+    {"space": "nope.json"},
+    {"space": 5},
+    {"tasks": 5},
+    {"space": {"metric": [[0.0]], "measure": [1.0]}},
+    {"space": {"kind": "cycle", "n": 8, "params": 3}},
+    {"space": {"kind": "random_metric", "n": 5, "params": {"seed": "x"}}},
+    {"space": {"kind": "random_metric", "n": 5, "params": {"edge_prob": "abc"}}},
+    {"space": {"kind": "cycle", "n": 8, "params": {"measure": {"gaussian": "abc"}}}},
+    {"tasks": [{"op": "ot", "mu": 5, "nu": {"kind": "uniform"}}]},
+    {"tasks": [{"op": "ot", "mu": "bad.json", "nu": {"kind": "uniform"}}]},
+    {"tasks": [{"op": "verify", "config": {"K": "abc"}}]},
+    {"tasks": [{"op": "verify", "config": {"t_grid": "abc"}}]},
+    {"tasks": [{"op": "flow", "f0": {"kind": "uniform"}, "t_grid": [0.1, "x"]}]},
+    {"tasks": [{"op": "form", "f": [1.0, 2.0]}]},
+    {"tasks": [{"op": "form", "sub": "mod2", "paths": [[0, 1, 99]]}]},
+], ids=["space-missing-file", "space-number", "tasks-number", "space-without-points", "params-number",
+        "params-seed", "params-edge-prob", "params-gaussian", "measure-number", "measure-not-json",
+        "verify-K", "verify-t-grid", "flow-t-grid", "form-f-length", "mod2-paths"])
+def test_malformed_run_input_is_one_line_config_error(tmp_path, capsys, fields):
+    (tmp_path / "bad.json").write_text("{not json")
+    config = dict({"space": {"kind": "cycle", "n": 8}, "seed": 0, "output_dir": str(tmp_path / "o"), "tasks": []},
+                  **fields)
+    code = cli.run(config, base_dir=str(tmp_path))
+    _one_line_config_error(code, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ot", "--space", "cycle:8", "--mu", "{tmp}/nonexistent.json", "--nu", "{tmp}/nonexistent.json"],
+    ["verify", "--space", "cycle:8", "--config", "{tmp}/nonexistent.json"],
+    ["validate", "--space", "cycle:abc"],
+    ["run", "{tmp}/list.json"],
+    ["run", "{tmp}/nonexistent.json"],
+    ["run", "{tmp}/binary.json"],
+])
+def test_malformed_command_line_input_is_one_line_config_error(tmp_path, capsys, argv):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "o")]
+    _one_line_config_error(cli.main(argv), capsys)
+
+
+def test_every_subcommand_writes_the_artifacts_of_its_run_config(tmp_path):
+    def spec(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    a, b = spec("a.json", {"kind": "dirac", "at": 0}), spec("b.json", {"kind": "bump", "center": 2, "radius": 0.2})
+    checks = spec("v.json", {"K": 0.0, "t_grid": [0.01, 0.02, 0.04], "n_quadratic": 2, "n_probes": 1})
+    commands = [
+        (["validate"], {}),
+        (["ot", "--mu", a, "--nu", b], {"mu": a, "nu": b}),
+        (["geodesic", "--mu0", a, "--mu1", b, "--depth", "1"], {"mu0": a, "mu1": b, "depth": 1, "epsilon": "auto"}),
+        (["form", "--form-op", "gamma"], {"sub": "gamma"}),
+        (["flow", "--f0", b, "--steps", "4"], {"f0": b, "flavor": "semigroup", "t": 0.1, "tau": 1e-3, "steps": 4}),
+        (["verify", "--config", checks], {"config": checks}),
+    ]
+    for argv, fields in commands:
+        cmd = argv[0]
+        by_main, by_run = tmp_path / cmd / "main", tmp_path / cmd / "run"
+        assert cli.main(argv + ["--space", "cycle:8", "--seed", "3", "--out", str(by_main)]) == 0, cmd
+        config = {"space": {"kind": "cycle", "n": 8}, "tasks": [dict({"op": cmd, "name": cmd}, **fields)],
+                  "seed": 3, "output_dir": str(by_run)}
+        assert cli.run(config) == 0, cmd
+        names = sorted(p.name for p in by_main.iterdir())
+        assert names == sorted(p.name for p in by_run.iterdir()) == sorted([f"{cmd}.json", "diagnostics.csv"])
+        for name in names:
+            assert (by_main / name).read_bytes() == (by_run / name).read_bytes(), (cmd, name)
+
+
+# --- property: the exit-code contract under one mutation of a working config ---
+
+def _every_op_config():
+    f = [0.0, 0.5, 1.0, 0.5, 0.0, -0.5, -1.0, -0.5]
+    bump = {"kind": "bump", "center": 2, "radius": 0.2}
+    return {
+        "space": {"kind": "cycle", "n": 8, "params": {"measure": "uniform"}},
+        "seed": 0,
+        "output_dir": "out",
+        "tasks": [
+            {"op": "validate", "name": "v"},
+            {"op": "ot", "name": "o", "mu": {"kind": "dirac", "at": 0}, "nu": "nu.json", "gap_tol": 1e-9},
+            {"op": "flow", "name": "s", "f0": bump, "t_grid": [0.0, 0.01, 0.02]},
+            {"op": "flow", "name": "j", "flavor": "jko", "f0": bump, "tau": 0.01, "steps": 1},
+            {"op": "form", "name": "g", "sub": "gamma", "rule": "metric_measure", "f": f, "g": f[::-1]},
+            {"op": "form", "name": "m", "sub": "mod2", "paths": [[0, 1, 2], [0, 7, 6]]},
+            {"op": "verify", "name": "r",
+             "config": {"K": 0.0, "t_grid": [0.01, 0.02, 0.04], "n_quadratic": 2, "n_additivity": 1, "n_probes": 1}},
+            {"op": "geodesic", "name": "d", "depth": 1, "mu0": {"kind": "dirac", "at": 0}, "mu1": {"kind": "dirac", "at": 2}},
+        ],
+    }
+
+
+def _locations(value, path=()):
+    """The path of every field and list entry inside a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield path + (key,)
+        yield from _locations(inner, path + (key,))
+
+
+_SPEC_FIELDS = {"space", "mu", "nu", "mu0", "mu1", "f0", "config"}
+_REPLACEMENTS = ["x", [], [1], None, -1, 0, 0.5, 2, {}, {"x": 1}]
+
+
+def _json_type(value):
+    return {bool: "bool", int: "number", float: "number", str: "string", list: "array", dict: "object"}.get(
+        type(value), "null")
+
+
+@st.composite
+def _mutations(draw):
+    path = draw(st.sampled_from(list(_locations(_every_op_config()))))
+    kinds = [("drop", None)] + [("replace", v) for v in _REPLACEMENTS]
+    if path[-1] in _SPEC_FIELDS:
+        kinds += [("replace", "missing.json"), ("replace", "bad.json")]
+    return (path,) + draw(st.sampled_from(kinds))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_mutations())
+def test_one_mutation_of_a_working_config_keeps_the_exit_code_contract(tmp_path_factory, mutation):
+    path, kind, new = mutation
+    base = tmp_path_factory.mktemp("mutation")
+    (base / "nu.json").write_text(json.dumps({"kind": "bump", "center": 4, "radius": 0.2}))
+    (base / "bad.json").write_text("{not json")
+    config = _every_op_config()
+    parent = functools.reduce(lambda obj, key: obj[key], path[:-1], config)
+    old = parent[path[-1]]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    code = cli.run(config, base_dir=str(base))
+    assert code in (0, 1, 2, 3)
+    unreadable = path[-1] in _SPEC_FIELDS and new in ("missing.json", "bad.json")
+    wrong_type = kind == "replace" and new is not None and _json_type(new) != _json_type(old)
+    if unreadable or wrong_type:
+        assert code == 2

@@ -3,6 +3,7 @@ import pytest
 
 from rcdlab.dirichlet import (
     DirichletForm,
+    FormError,
     ModulusInfeasibleError,
     calibrated_segment,
     cheeger_energy,
@@ -368,3 +369,12 @@ def test_product_form_matches_the_elementwise_construction():
                 W[x * nb + i, x * nb + j] = fb.weights[i, j] * fa.vertex_measure[x]
         fp = product_form(fa, fb, product_space(fa.space, fb.space))
         assert fp.weights.tobytes() == W.tobytes()
+
+
+@pytest.mark.parametrize("entry, value", [((0, 1), -1.0), ((1, 1), 1.0)], ids=["negative-edge", "diagonal"])
+def test_form_rejects_negative_conductance_and_nonzero_diagonal(entry, value):
+    space = make_model_space("segment", 3)
+    W = dirichlet_form(space).weights.copy()
+    W[entry] = W[entry[::-1]] = value
+    with pytest.raises(FormError):
+        DirichletForm(space, W, space.ref_measure)

@@ -201,12 +201,12 @@ def test_inequality_report_consistency_and_trend():
 
 def test_rcd_verify_two_point_and_cycle():
     tp, form_tp = two_point_setup()
-    rep = rcd_verify(tp, form_tp, {"K": 0.0, "seed": 0, "evi_tol": 1e-6})
+    rep = rcd_verify(form_tp, K=0.0, seed=0, evi_tol=1e-6)
     assert rep["verdict"]
     assert rep["checks"]["quadratic_form"].worst <= 1e-12
     assert rep["checks"]["additivity"].worst <= 1e-10
 
     s = make_model_space("cycle", 32)
     form = dirichlet_form(s)
-    rep2 = rcd_verify(s, form, {"K": 0.0, "seed": 1, "evi_tol": 5e-2})
+    rep2 = rcd_verify(form, K=0.0, seed=1, evi_tol=5e-2)
     assert rep2["verdict"]

@@ -195,3 +195,20 @@ def test_non_finite_weights_rejected(bad):
     w[3] = bad
     with pytest.raises(MeasureError, match="non-finite"):
         ProbMeasure(s, w)
+
+
+@pytest.mark.parametrize("x0", [-1, 99])
+def test_tilt_base_point_outside_the_space_is_measure_error(x0):
+    s = make_model_space("segment", 5)
+    with pytest.raises(MeasureError):
+        tilt_reference(s, 1.0, x0=x0)
+    with pytest.raises(MeasureError):
+        uniform_measure(s).second_moment(x0)
+
+
+def test_gaussian_measure_is_the_normalized_tilt():
+    s = make_model_space("segment", 9, {"measure": {"gaussian": 0.7}})
+    mu = gaussian_measure(s, 3.0, 2)
+    w = np.exp(-3.0 * s.metric[:, 2] ** 2) * s.ref_measure
+    assert np.array_equal(mu.weights, w / w.sum())
+    assert mu.meta["gaussian"] == {"c1": float((mu.weights / s.ref_measure).max()), "c2": 3.0, "x0": 2}

@@ -123,6 +123,12 @@ def test_growth_condition_values():
     assert 0 < z < 1
 
 
+@pytest.mark.parametrize("x0", [-1, 99])
+def test_growth_condition_base_point_outside_the_space_is_space_error(x0):
+    with pytest.raises(SpaceError):
+        check_growth_condition(make_model_space("segment", 5), 1.0, x0)
+
+
 def test_triangle_exhaustive_on_generated_spaces():
     for kind, n in (("segment", 30), ("cycle", 24), ("random_metric", 25)):
         s = make_model_space(kind, n, {"seed": 1})
