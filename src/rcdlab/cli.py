@@ -6,7 +6,9 @@ format, so identical config + seed reproduce byte-identical files.
 
 Outside values get their types here and nowhere else: the config file, the
 space, each measure spec and a verify config are JSON objects given inline or
-in a JSON file (``_spec``), and ``_coerced`` types each field. Exit codes:
+in a JSON file (``_spec``), all read before any task runs so that the
+config_hash of the artifacts covers what was read, and ``_coerced`` types each
+field. Exit codes:
 
     0  success
     1  an assert-mode check failed, and nothing else (the report path is printed)
@@ -126,6 +128,12 @@ def _config_hash(config) -> str:
 # task execution
 # ---------------------------------------------------------------------------
 
+def _quoted(value, limit=100):
+    """repr(value), cut to limit characters."""
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def _spec(value, base_dir):
     """value when it is a JSON object, or the object in the JSON file at path
     value (relative to base_dir); anything else is a ConfigError."""
@@ -133,7 +141,7 @@ def _spec(value, base_dir):
         with open(os.path.join(base_dir, value)) as fh:
             value = json.load(fh)
     if not isinstance(value, dict):
-        raise ConfigError(f"expected a JSON object or the path of a JSON file holding one, got {value!r}")
+        raise ConfigError(f"expected a JSON object or the path of a JSON file holding one, got {_quoted(value)}")
     return value
 
 
@@ -144,20 +152,20 @@ def _coerced(spec, key, kind, *default):
     if default and spec.get(key) is None:
         return default[0]
     if key not in spec:
-        raise ConfigError(f"spec {spec!r} lacks required field {key!r}")
+        raise ConfigError(f"spec {_quoted(spec)} lacks required field {key!r}")
     try:
         return kind(spec[key])
     except _ERRORS:
         raise
     except (TypeError, ValueError, KeyError) as err:
-        raise ConfigError(f"field {key!r} of spec {spec!r}: {type(err).__name__}: {err}") from None
+        raise ConfigError(f"field {key!r} = {_quoted(spec[key])}: {type(err).__name__}: {err}") from None
 
 
 def _exactly(cls):
     """A kind for _coerced that passes a cls through and rejects the rest."""
     def check(value):
         if not isinstance(value, cls):
-            raise TypeError(f"expected {cls.__name__}, got {value!r}")
+            raise TypeError(f"expected {cls.__name__}, got {type(value).__name__}")
         return value
     return check
 
@@ -166,7 +174,7 @@ def _floats(value, n=None):
     """A nonempty JSON list of numbers, of length n when n is given, as a vector."""
     a = np.asarray(value, dtype=float)
     if a.ndim != 1 or not len(a) or n is not None and len(a) != n:
-        raise ValueError(f"expected a list of {n or 'some'} numbers, got {value!r}")
+        raise ValueError(f"expected a list of {n or 'some'} numbers")
     return a
 
 
@@ -175,15 +183,28 @@ def _paths(space, value):
     return [[mmspace._point(space, i) for i in _exactly(list)(p)] for p in _exactly(list)(value)]
 
 
-def _space(spec, base_dir):
-    spec = _spec(spec, base_dir)
+# op -> the fields of its task that hold a spec
+_SPEC_FIELDS = {"ot": ("mu", "nu"), "geodesic": ("mu0", "mu1"), "flow": ("f0",), "verify": ("config",)}
+
+
+def _read_specs(config, base_dir):
+    """config with every spec it names read through _spec: the space and the
+    measures and verify config of each task."""
+    read = functools.partial(_spec, base_dir=base_dir)
+    tasks = [dict(task, **{key: _coerced(task, key, read)
+                           for key in _SPEC_FIELDS.get(_coerced(task, "op", _exactly(str)), ())
+                           if task.get(key) is not None})
+             for task in config["tasks"]]
+    return dict(config, space=_coerced(config, "space", read), tasks=tasks)
+
+
+def _space(spec):
     if "kind" in spec:
         return mmspace.make_model_space(spec["kind"], _coerced(spec, "n", int), _coerced(spec, "params", _exactly(dict), {}))
     return mmspace.space_from_json(spec)
 
 
-def _measure(space, spec, base_dir):
-    spec = _spec(spec, base_dir)
+def _measure(space, spec):
     if "weights" in spec:
         return measures.ProbMeasure(space, _coerced(spec, "weights", _floats), dict(_coerced(spec, "meta", _exactly(dict), {})))
     kind = spec.get("kind")
@@ -217,10 +238,10 @@ def _series(report):
     return out
 
 
-def run_task(task, space, base_dir, seed):
-    """Execute one task spec; returns (payload dict, assert_failures list)."""
+def run_task(task, space, seed):
+    """Execute one task spec, its specs read; returns (payload dict, assert_failures list)."""
     op = _coerced(task, "op", _exactly(str))
-    measure = functools.partial(_measure, space, base_dir=base_dir)
+    measure = functools.partial(_measure, space)
     rule = _coerced(task, "rule", _exactly(str), "metric_measure")
     form = dirichlet_form(space, rule) if op in ("form", "flow", "verify") else None
     failures = []
@@ -312,7 +333,7 @@ def run_task(task, space, base_dir, seed):
         if _coerced(task, "assert_entropy_monotone", _exactly(bool), True) and not mono:
             failures.append("flow: entropy not nonincreasing")
     elif op == "verify":
-        cfg = _coerced(task, "config", functools.partial(_spec, base_dir=base_dir), {})
+        cfg = _coerced(task, "config", _exactly(dict), {})
         # keyword of evi.rcd_verify -> its kind; an absent or null field keeps the default
         kinds = {"K": float, "t_grid": _floats, "evi_tol": float, "n_quadratic": int, "n_additivity": int, "n_probes": int}
         kwargs = {k: _coerced(cfg, k, kind) for k, kind in kinds.items() if cfg.get(k) is not None}
@@ -337,22 +358,25 @@ def run(config, base_dir=".") -> int:
     try:
         tasks = config.get("tasks")
         if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
-            raise ConfigError(f"tasks must be a list of objects, got {tasks!r}")
+            raise ConfigError(f"tasks must be a list of objects, got {_quoted(tasks)}")
         seed = _coerced(config, "seed", int, None)
         if seed is None and any(t.get("op") in ("verify", "form") and "f" not in t for t in tasks):
             raise ConfigError("seed is mandatory when any task uses randomness")
         if seed is not None and seed < 0:
             raise ConfigError(f"seed {seed} is negative")
         out_dir = os.path.join(base_dir, _coerced(config, "output_dir", _exactly(str), "artifacts"))
-        space = _coerced(config, "space", functools.partial(_space, base_dir=base_dir))
+        # every spec is read once, here, so the hash covers what the tasks read
+        config = _read_specs(config, base_dir)
+        config_hash = _config_hash(config)
+        space = _coerced(config, "space", _space)
         scalars = []
         any_failures = []
-        for idx, task in enumerate(tasks):
-            payload, failures = run_task(task, space, base_dir, seed if seed is None else seed + idx)
+        for idx, task in enumerate(config["tasks"]):
+            payload, failures = run_task(task, space, seed if seed is None else seed + idx)
             name = _coerced(task, "name", _exactly(str), f"task{idx:02d}_{task['op']}")
             artifact = {
                 "schema_version": SCHEMA_VERSION,
-                "config_hash": _config_hash(config),
+                "config_hash": config_hash,
                 "method": {"op": task["op"]},
                 "tolerances": _coerced(task, "tolerances", _exactly(dict), {}),
                 "result": payload,

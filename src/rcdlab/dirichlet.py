@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 from scipy.sparse.csgraph import connected_components
 
 from .measures import ProbMeasure
@@ -218,9 +219,13 @@ def mod2(paths, m) -> tuple:
     """2-modulus of a finite path family: minimize sum g^2 m subject to
     sum_{z in path} g(z) l_z >= 1 per path.
 
-    paths: list of (vertex index array, step length array). Solved exactly by
-    active-set enumeration of the KKT systems (the family is small); the
-    optimal g is automatically nonnegative for this constraint structure.
+    paths: list of (vertex index array, step length array). With h = g sqrt(m)
+    this is the least-distance program min |h|^2 subject to B^T h >= 1 for
+    B = A / sqrt(m), A the vertex-by-path step lengths. One nonnegative least
+    squares solve gives it exactly (Lawson and Hanson, Solving Least Squares
+    Problems, 1974, Alg. 23.27): u >= 0 minimizing |E u - e| for E = [B; 1^T]
+    and e the last unit vector has residual r = E u - e, and h = -r[:n] / r[n].
+    h = B u / (1 - sum u) is nonnegative because the step lengths are.
     """
     m = np.asarray(m, dtype=float)
     n = len(m)
@@ -234,28 +239,17 @@ def mod2(paths, m) -> tuple:
         if np.all(ls == 0):
             raise ModulusInfeasibleError(f"path {j} has zero length; modulus infinite")
         np.add.at(A[:, j], vs, ls)
-    G = A.T @ (A / (2.0 * m)[:, None])
-    best = None
-    for mask in range(1, 2**k):
-        S = [j for j in range(k) if mask >> j & 1]
-        GS = G[np.ix_(S, S)]
-        try:
-            eta_S = np.linalg.solve(GS, np.ones(len(S)))
-        except np.linalg.LinAlgError:
-            continue
-        if (eta_S < -1e-12).any():
-            continue
-        eta = np.zeros(k)
-        eta[S] = np.maximum(eta_S, 0.0)
-        g = (A @ eta) / (2.0 * m)
-        cons = A.T @ g
-        if (cons >= 1.0 - 1e-10).all():
-            val = float(m @ g**2)
-            if best is None or val < best[0]:
-                best = (val, g)
-    if best is None:
-        raise FormError("active-set enumeration failed")
-    return best
+    root = np.sqrt(m)
+    E = np.vstack([A / root[:, None], np.ones(k)])
+    e = np.zeros(n + 1)
+    e[n] = 1.0
+    try:
+        u, _ = nnls(E, e)
+    except RuntimeError as err:  # its iteration cap
+        raise FormError(f"mod2: nonnegative least squares failed: {err}") from None
+    r = E @ u - e
+    g = -r[:n] / r[n] / root
+    return float(m @ g**2), g
 
 
 def locality_check(form: DirichletForm, f1, f2) -> dict:
@@ -340,7 +334,6 @@ def _pair_distance(form: DirichletForm, x, y, eta0_value=0.5):
 
     def hessian(eta, sol):
         # d2(dual)/deta_u deta_v = (1/2) y_u^T Q^+ y_v with y_v = M_v sol
-        s = sol / (2.0 * m)
         Y = np.zeros((n, n))
         for v in range(n):
             yv = np.zeros(n)

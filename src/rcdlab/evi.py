@@ -105,7 +105,6 @@ def dw2_derivative_check(flow: FlowTrace, sigma: ProbMeasure, form: DirichletFor
         raise EviError("need at least 3 time samples")
     space = sigma.space
     C = space.metric ** 2
-    m = space.ref_measure
     gauge = int(sigma.support()[0])
     wsq = np.array([exact_ot(C, mu.weights, sigma.weights)[0] for mu in flow.measures])
     residuals = []

@@ -211,7 +211,6 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
         bound_const = max(rho1_sup, c1) * float(np.exp((2.0 * Kminus + c2) * D * D))
         meta = {"t0": t0, "density_bound": bound_const, "D": D, "c1": c1, "c2": c2, "K": K}
 
-    total_W = w2(mu0, mu1)[0]
     nodes = {0.0: mu0, 1.0: mu1}
     certs = {}
     construction = {}
@@ -464,7 +463,7 @@ def curve_plan_from_trace(trace: GeodesicTrace) -> DiscreteCurvePlan:
     weights = weights / weights.sum()
     m = space.ref_measure
     comp = 0.0
-    for k, t in enumerate(times):
+    for k in range(len(times)):
         marg = np.zeros(space.n)
         for w_, cur in zip(weights, curves):
             marg[cur[k]] += w_

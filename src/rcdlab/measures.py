@@ -73,17 +73,21 @@ class TiltedReference:
 
 
 def relative_entropy(mu, ref) -> float:
-    """sum rho log rho dref with rho = mu/ref and 0 log 0 = 0.
+    """Ent_ref(mu) = sum w log(w / ref) over {w / ref > 0}, so 0 log 0 = 0.
 
-    mu may be a ProbMeasure or a weight vector; ref is a positive vector.
+    mu may be a ProbMeasure or an array of weights w; ref is a positive array
+    that broadcasts against w, such as the reference measure m against a
+    coupling, whose entropy is then KL(coupling | 1 x m). This is the one
+    evaluation of the entropy in the package.
     """
     w = mu.weights if isinstance(mu, ProbMeasure) else np.asarray(mu, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if ref.min() <= 0:
         raise MeasureError("reference must be entrywise positive")
+    w, ref = np.broadcast_arrays(w, ref)
     rho = w / ref
     pos = rho > 0
-    return float(np.sum(rho[pos] * np.log(rho[pos]) * ref[pos]))
+    return float(np.sum(w[pos] * np.log(rho[pos])))
 
 
 def tilt_reference(space: FiniteMMSpace, c, x0=None) -> TiltedReference:

@@ -124,7 +124,7 @@ def kantorovich_potentials(mu: ProbMeasure, nu: ProbMeasure, gauge=None) -> Kant
     _same_space(mu, nu)
     space = mu.space
     C = space.metric ** 2
-    cost, _, u, v = exact_ot(C, mu.weights, nu.weights)
+    cost, _, _, v = exact_ot(C, mu.weights, nu.weights)
     sup = nu.support()
     psi = np.full(space.n, -np.inf)
     psi[sup] = 0.5 * v[sup]

@@ -1,16 +1,20 @@
 """Shared convex machinery: exact transport LPs and the entropy minimizers.
 
-Every HiGHS call goes through _solve_lp, the one place where a solver status
-is read: a proven-infeasible LP raises InfeasibleError, any other failure
-(time limit, numerical trouble) raises SolverError. Each LP is one HiGHS call
-without presolve, which misreports tiny marginals as infeasible and costs about
-40% of a 64x64 transport LP, at primal tolerance 1e-10 to match ot.MARGINAL_TOL.
-That call is linprog below: it drives the HiGHS core bundled with scipy
-directly, with the model and options scipy.optimize.linprog would pass, so the
-results are scipy's bits without scipy's per-call wrapper work, which cost more
-than the solve on the small transport LPs. It keeps the name linprog so that
-perfbench's solvers.linprog span (every HiGHS call) and the tests that
-substitute solvers.linprog keep their meaning.
+Every LP is one call of linprog below, and linprog is the one place where a
+solver status is read: an LP HiGHS proves infeasible raises InfeasibleError,
+any other failure (time limit, unbounded, rejected model, numerical trouble)
+raises SolverError. Each LP is one HiGHS dual simplex run without presolve,
+which misreports tiny marginals as infeasible and costs about 40% of a 64x64
+transport LP, at primal tolerance 1e-10 to match ot.MARGINAL_TOL (_LP_OPTIONS).
+linprog drives the HiGHS core bundled with scipy directly, with the model and
+options scipy.optimize.linprog would pass, so the results are scipy's bits
+without scipy's per-call wrapper work, which cost more than the solve on the
+small transport LPs.
+
+Every entropy here, Ent_m of a measure and KL(gamma | 1 x m) of a coupling,
+is measures.relative_entropy, the one evaluation of Ent_m in the package.
+The package's one other exact convex program, dirichlet.mod2, needs no LP:
+it is one nonnegative least-squares solve.
 
 exact_ot solves the transport LP and returns primal plan and dual potentials
 at machine precision; every W2 value in the package routes through it. It
@@ -48,9 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import minimize
 from scipy.optimize._highspy import _core as _highs
 
+from .measures import relative_entropy
 from .mmspace import _freeze
 
 _EXP_FLOOR = -745.0  # exp underflow threshold
@@ -62,14 +67,6 @@ _HIGHS_FIXED = {
     "highs_debug_level": _highs.HighsDebugLevel.kHighsDebugLevelNone,
     "log_to_console": False,
     "output_flag": False,
-}
-# scipy's status code for each HiGHS model status but optimal (0); every other
-# one, the model error included, is 4
-_SCIPY_STATUS = {
-    _highs.HighsModelStatus.kTimeLimit: 1,
-    _highs.HighsModelStatus.kIterationLimit: 1,
-    _highs.HighsModelStatus.kInfeasible: 2,
-    _highs.HighsModelStatus.kUnbounded: 3,
 }
 _RESULT_TOL = np.sqrt(1e-9) * 10  # scipy's post-solve feasibility check of an optimal x
 _NEWTON_CAP = 50  # LPs per epsilon_min call; two or three suffice in practice
@@ -111,35 +108,31 @@ def _rounding_allowance(n, scale):
     return 2.0 * k * u / (1.0 - k * u) * scale
 
 
-def _entropy(nu, m):
-    """Ent_m(nu) = sum nu log(nu / m), with 0 log 0 = 0."""
-    return float(np.sum(np.where(nu > 0, nu * np.log(np.maximum(nu / m, 1e-300)), 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # LPs
 # ---------------------------------------------------------------------------
 
 
-def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), options=None):
+def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
     """Minimize <c, x> subject to A_ub x <= b_ub, A_eq x = b_eq and bounds, by
-    one call to the HiGHS dual simplex bundled with scipy.
+    one call to the HiGHS dual simplex bundled with scipy, with _LP_OPTIONS.
 
     HiGHS gets the model and the options scipy.optimize.linprog(method="highs")
     gives it: rows A_ub over A_eq as CSC, left sides -inf on the A_ub rows and
     b_eq on the A_eq rows, None bounds infinite, every column continuous. So
     it returns the same bits, without that wrapper's input copies, per-call
     option re-validation and bound marginals, which cost more than a small
-    solve. Like scipy it raises ValueError on non-finite input, maps the HiGHS
-    model status to scipy's status codes (0 optimal, 1 time or iteration
-    limit, 2 infeasible, 3 unbounded, 4 other), and turns an optimum whose x
-    misses its bounds or rows by more than sqrt(1e-9) * 10 into status 4.
-    Its one departure from those codes: a model HiGHS rejects (it refuses
-    any matrix entry of 1e15 or more) is status 4, not scipy's 2, because a
-    rejected model says nothing about feasibility.
+    solve. Like scipy it raises ValueError on non-finite input.
 
-    Returns an OptimizeResult with status and message and, at status 0, x,
-    fun and the row duals eqlin.marginals and ineqlin.marginals.
+    This is the one place a solver status is read: an LP HiGHS proves
+    infeasible raises InfeasibleError; every other outcome but an optimum
+    raises SolverError, so a time limit, an unbounded LP, a model HiGHS
+    rejects (it refuses any matrix entry of 1e15 or more) or an optimum whose
+    x misses its bounds or rows by more than scipy's sqrt(1e-9) * 10 is never
+    read as infeasibility.
+
+    Returns (x, fun, y_eq, y_ub): the optimum, its value and the row duals of
+    the A_eq and the A_ub rows.
     """
     c = np.ascontiguousarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
@@ -159,21 +152,22 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), options=None)
     ub = np.nan_to_num(bnd[:, 1], nan=inf, posinf=inf, neginf=-inf)
 
     highs_options = _highs.HighsOptions()
-    for key, val in {**_HIGHS_FIXED, **(options or {})}.items():
+    for key, val in {**_HIGHS_FIXED, **_LP_OPTIONS}.items():
         setattr(highs_options, key, ("on" if val else "off") if key == "presolve" else val)
     highs = _highs._Highs()
     if highs.passOptions(highs_options) == _highs.HighsStatus.kError:
-        return OptimizeResult(status=4, message="HiGHS rejected the options", x=None, fun=None)
+        raise SolverError("HiGHS rejected the LP options")
     if highs.passModel(c.size, rhs.size, A.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize, 0.0,
                        c, lb, ub, lhs, rhs, A.indptr, A.indices, A.data,
                        np.zeros(c.size, dtype=np.int32)  # integrality: every column continuous
                        ) == _highs.HighsStatus.kError:
-        return OptimizeResult(status=4, message="HiGHS rejected the model", x=None, fun=None)
+        raise SolverError("HiGHS rejected the LP model")
     highs.run()
-    model_status = highs.getModelStatus()
-    message = f"HiGHS model status {highs.modelStatusToString(model_status)}"
-    if model_status != _highs.HighsModelStatus.kOptimal:
-        return OptimizeResult(status=_SCIPY_STATUS.get(model_status, 4), message=message, x=None, fun=None)
+    status = highs.getModelStatus()
+    if status == _highs.HighsModelStatus.kInfeasible:
+        raise InfeasibleError("LP infeasible")
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise SolverError(f"LP failed: HiGHS model status {highs.modelStatusToString(status)}")
 
     solution = highs.getSolution()
     x = np.array(solution.col_value)
@@ -183,29 +177,9 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), options=None)
     if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
             or (x < lb - tol).any() or (x > ub + tol).any()
             or (slack[:n_ub] < -tol).any() or (np.abs(slack[n_ub:]) > tol).any()):
-        return OptimizeResult(status=4, message=f"{message}, but x misses its constraints by more than {tol:.2e}",
-                              x=x, fun=fun)
+        raise SolverError(f"LP optimum misses its constraints by more than {tol:.2e}")
     dual = np.array(solution.row_dual)
-    return OptimizeResult(status=0, message=message, x=x, fun=fun,
-                          ineqlin=OptimizeResult(marginals=dual[:n_ub]), eqlin=OptimizeResult(marginals=dual[n_ub:]))
-
-
-def _solve_lp(obj, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
-    """One direct HiGHS call through linprog above, which keeps scipy's name
-    so that the traced span and the test stubs of solvers.linprog still mean
-    every HiGHS call. It runs without presolve, which misreports tiny
-    marginals as infeasible and costs about 40% of a 64x64 transport LP; the
-    primal feasibility tolerance 1e-10 matches ot.MARGINAL_TOL, so a plan
-    meets its marginals. Raises InfeasibleError when HiGHS proves the LP
-    infeasible and SolverError on any other failure, so a time limit is never
-    infeasibility.
-    """
-    res = linprog(obj, A_eq, b_eq, A_ub, b_ub, bounds, options=_LP_OPTIONS)
-    if res.status == 2:
-        raise InfeasibleError(f"LP infeasible: {res.message}")
-    if res.status != 0:
-        raise SolverError(f"LP failed with status {res.status}: {res.message}")
-    return res
+    return x, fun, dual[n_ub:], dual[:n_ub]
 
 
 _MARGINAL_CACHE = {}
@@ -250,9 +224,8 @@ def exact_ot(C, a, b):
     if key == last_key:
         return last
     n0, n1 = C.shape
-    res = _solve_lp(C.ravel(), _marginal_matrix(n0, n1), np.concatenate([a, b]))
-    marg = res.eqlin.marginals
-    out = (float(res.fun), _freeze(res.x.reshape(n0, n1)), _freeze(marg[:n0]), _freeze(marg[n0:]))
+    x, fun, y, _ = linprog(C.ravel(), _marginal_matrix(n0, n1), np.concatenate([a, b]))
+    out = (fun, _freeze(x.reshape(n0, n1)), _freeze(y[:n0]), _freeze(y[n0:]))
     _OT_LAST = (key, out)
     return out
 
@@ -292,10 +265,9 @@ def interior_point(C0, C1, mu0, mu1, budget0, budget1):
     A_ub = sparse.csr_matrix(np.hstack([rows, np.ones((2, 1))]))
     obj = np.zeros(N + 1)
     obj[N] = -1.0
-    res = _solve_lp(obj, A_eq, b_eq, A_ub, np.array([budget0, budget1]),
-                    bounds=[(0, None)] * N + [(None, None)])
-    nu = res.x[: s0 * n].reshape(s0, n).sum(axis=0)
-    return float(res.x[N]), nu, -res.ineqlin.marginals
+    x, _, _, y = linprog(obj, A_eq, b_eq, A_ub, np.array([budget0, budget1]),
+                         bounds=[(0, None)] * N + [(None, None)])
+    return float(x[N]), x[: s0 * n].reshape(s0, n).sum(axis=0), -y
 
 
 def epsilon_min(C, mu0, mu1, t, W):
@@ -331,18 +303,21 @@ def epsilon_min(C, mu0, mu1, t, W):
 def _budgeted_oracle(C0, C1, mu0, mu1, budgets, c):
     """LP oracle: minimize <c, nu> over the linked polytope with cost budgets.
 
-    Budget rows are rescaled to unit right-hand side and the objective is
-    shifted to be nonnegative; both leave the conditional-gradient bound
-    invariant while keeping the LP well scaled at small budgets. Returns
-    (nu_vertex, optimal value).
+    Budget row i is divided by max(b_i, 1e-14 max C_i), so its right-hand
+    side is exactly 1 unless b_i is below that floor and its entries stay far
+    below the 1e15 HiGHS refuses; the objective is shifted to be nonnegative.
+    Both leave the LP and the conditional-gradient bound as they are while
+    keeping the LP well scaled at small budgets. Returns (nu_vertex, optimal
+    value).
     """
     s0, n = C0.shape
-    scale = np.maximum(np.asarray(budgets, dtype=float), 1e-14)
+    budgets = np.asarray(budgets, dtype=float)
+    scale = np.maximum(budgets, 1e-14 * np.array([C0.max(), C1.max()]))
     A_eq, b_eq, rows = _linked_pair_lp(C0, C1, mu0, mu1, scale)
     shift = float(c.min())
     obj = np.concatenate([np.tile(c - shift, s0), np.zeros(C1.size)])
-    res = _solve_lp(obj, A_eq, b_eq, sparse.csr_matrix(rows), np.ones(2))
-    return res.x[: s0 * n].reshape(s0, n).sum(axis=0), float(res.fun) + shift
+    x, fun, _, _ = linprog(obj, A_eq, b_eq, sparse.csr_matrix(rows), budgets / scale)
+    return x[: s0 * n].reshape(s0, n).sum(axis=0), fun + shift
 
 
 # ---------------------------------------------------------------------------
@@ -472,17 +447,12 @@ def _hull_minimize(vertices, m, theta0=None):
     theta = np.maximum(theta, 1e-16)
     theta /= theta.sum()
 
-    def ent(th):
-        nu = th @ V
-        pos = nu > 0
-        return float(np.sum(nu[pos] * np.log(nu[pos] / m[pos])))
-
     def ent_grad(th):
         nu = th @ V
         glog = np.where(nu > 0, np.log(np.maximum(nu / m, 1e-300)) + 1.0, np.log(1e-300))
-        return ent(th), V @ glog
+        return relative_entropy(nu, m), V @ glog
 
-    cur = ent(theta)
+    cur = relative_entropy(theta @ V, m)
     res = minimize(
         ent_grad, theta, jac=True, method="SLSQP",
         bounds=[(0.0, 1.0)] * r,
@@ -494,7 +464,8 @@ def _hull_minimize(vertices, m, theta0=None):
         th = np.maximum(res.x, 0.0)
         total = th.sum()
         if total > 0 and res.fun < cur:
-            theta, cur = th / total, ent(th / total)
+            theta = th / total
+            cur = relative_entropy(theta @ V, m)
     return theta, cur
 
 
@@ -536,7 +507,7 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
         nu = theta @ V
         nu = np.maximum(nu, 0.0)
         nu = nu / nu.sum()
-        ent = _entropy(nu, m)
+        ent = relative_entropy(nu, m)
         c = grad_at(nu)
         v_new, lp_value = oracle(c)
         zero_corr = float(np.sum(m[nu <= 0] * np.exp(CLAMP - 1.0)))
@@ -703,7 +674,6 @@ def prox_entropy_step(mu, C, m, tau, taub):
     # primal at a feasible point: round the dual coupling to exact marginals
     gam = np.exp(np.maximum(loggam, _EXP_FLOOR))
     gam = _round_coupling(gam, mu[sel], nu)
-    ent_nu = _entropy(nu, m)
-    kl_term = _entropy(gam, m)
-    primal = ent_nu - float(dbf @ nu) + lam * float((gam * Cr).sum()) + taub * kl_term
+    primal = (relative_entropy(nu, m) - float(dbf @ nu) + lam * float((gam * Cr).sum())
+              + taub * relative_entropy(gam, m))  # KL(gam | 1 x m)
     return nu, float(primal - dual), sweeps

@@ -41,6 +41,45 @@ def test_the_check_sees_an_ignored_parameter(tmp_path):
     assert _unread_parameters(f) == [(1, "check", "dt")]
 
 
+def _own_nodes(function):
+    """The nodes of a function's body outside the functions nested in it."""
+    todo = list(function.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(path):
+    """(line, function, name) for every local a function assigns and neither it
+    nor a function nested in it reads; _ and global or nonlocal names excepted."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        shared = {name for n in _own_nodes(node) if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        out += [(n.lineno, node.name, n.id) for n in _own_nodes(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id not in read | shared | {"_"}]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    # a value nobody reads is work, sometimes a whole LP, that changes nothing
+    assert _unread_locals(path) == []
+
+
+def test_the_check_sees_an_unread_local(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text("def solve(a):\n    cost, _, u, v = a\n    for k, t in enumerate(v):\n        cost += k\n"
+                 "    n = 0\n\n    def inner():\n        nonlocal n\n        n = 1\n        unused = 2\n"
+                 "        return cost\n    return inner, n\n")
+    assert _unread_locals(f) == [(2, "solve", "u"), (3, "solve", "t"), (10, "inner", "unused")]
+
+
 def _scipy_linprog_uses(path):
     """Lines that import or call scipy.optimize.linprog."""
     tree = ast.parse(path.read_text(), filename=str(path))

@@ -1,5 +1,6 @@
 import functools
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -312,6 +313,27 @@ def test_every_subcommand_writes_the_artifacts_of_its_run_config(tmp_path):
         assert names == sorted(p.name for p in by_run.iterdir()) == sorted([f"{cmd}.json", "diagnostics.csv"])
         for name in names:
             assert (by_main / name).read_bytes() == (by_run / name).read_bytes(), (cmd, name)
+
+
+def test_config_hash_covers_the_content_of_a_spec_file(tmp_path):
+    # the same command line over a changed measure file is a different config
+    mu = tmp_path / "mu.json"
+    hashes = []
+    for at in (0, 3):
+        mu.write_text(json.dumps({"kind": "dirac", "at": at}))
+        out = tmp_path / f"o{at}"
+        assert cli.main(["ot", "--space", "cycle:8", "--mu", str(mu), "--nu", str(mu), "--out", str(out)]) == 0
+        hashes.append(json.loads((out / "ot.json").read_text())["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
+def test_a_config_error_quotes_the_field_not_the_config(tmp_path, capsys):
+    config = json.loads((pathlib.Path(__file__).parents[1] / "configs" / "cycle64_rcd.json").read_text())
+    config.update(space={"kind": "random_metric", "n": 64, "params": {"seed": "x"}}, output_dir=str(tmp_path / "o"))
+    assert cli.run(config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert len(err) <= 300 and "'space'" in err and "'x'" in err
 
 
 # --- property: the exit-code contract under one mutation of a working config ---

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,77 @@ def test_mod2_infeasible_zero_length_path():
     s = make_model_space("segment", 5)
     with pytest.raises(ModulusInfeasibleError):
         mod2([([2], np.array([0.0]))], s.ref_measure)
+
+
+def _path_matrix(paths, n):
+    """Vertex-by-path step lengths."""
+    A = np.zeros((n, len(paths)))
+    for j, (vs, ls) in enumerate(paths):
+        np.add.at(A[:, j], vs, ls)
+    return A
+
+
+def _mod2_by_enumeration(paths, m):
+    """The 2-modulus by enumerating every active set of the KKT system, 2^k
+    linear solves for k paths: the reference for small families."""
+    A = _path_matrix(paths, len(m))
+    k = A.shape[1]
+    G = A.T @ (A / (2.0 * m)[:, None])
+    best = None
+    for mask in range(1, 2**k):
+        S = [j for j in range(k) if mask >> j & 1]
+        try:
+            eta_S = np.linalg.solve(G[np.ix_(S, S)], np.ones(len(S)))
+        except np.linalg.LinAlgError:
+            continue
+        if (eta_S < -1e-12).any():
+            continue
+        eta = np.zeros(k)
+        eta[S] = np.maximum(eta_S, 0.0)
+        g = (A @ eta) / (2.0 * m)
+        if (A.T @ g >= 1.0 - 1e-10).all():
+            val = float(m @ g**2)
+            if best is None or val < best[0]:
+                best = (val, g)
+    return best
+
+
+def _cycle_arcs(space, k, rng):
+    """k random arcs of a cycle space, each way round, as mod2 paths."""
+    n = space.n
+    paths = []
+    for _ in range(k):
+        start, length, step = int(rng.integers(n)), int(rng.integers(2, n // 2)), int(rng.choice([-1, 1]))
+        p = [(start + step * i) % n for i in range(length)]
+        paths.append((p, path_step_lengths(space, p)))
+    return paths
+
+
+@pytest.mark.parametrize("k", [2, 4, 7, 10])
+def test_mod2_matches_the_active_set_enumeration(k):
+    s = make_model_space("cycle", 32)
+    paths = _cycle_arcs(s, k, np.random.default_rng(k))
+    val, g = mod2(paths, s.ref_measure)
+    ref_val, ref_g = _mod2_by_enumeration(paths, s.ref_measure)
+    assert val == pytest.approx(ref_val, rel=1e-12)
+    assert np.abs(g - ref_g).max() <= 1e-12 * np.abs(ref_g).max()
+
+
+def test_mod2_of_thirty_paths_is_one_fast_certified_solve():
+    # the enumeration would solve 2^30 KKT systems here
+    s = make_model_space("cycle", 32)
+    m = s.ref_measure
+    paths = _cycle_arcs(s, 30, np.random.default_rng(30))
+    start = time.perf_counter()
+    val, g = mod2(paths, m)
+    assert time.perf_counter() - start < 1.0
+    A = _path_matrix(paths, s.n)
+    assert (A.T @ g).min() >= 1.0 - 1e-12
+    # the multipliers of the active paths give a Lagrangian dual bound equal to val
+    active = A.T @ g <= 1.0 + 1e-9
+    eta = np.maximum(np.linalg.lstsq(A[:, active], 2.0 * m * g, rcond=None)[0], 0.0)
+    dual = eta.sum() - 0.25 * float(((A[:, active] @ eta) ** 2 / m).sum())
+    assert dual == pytest.approx(val, rel=1e-10)
 
 
 def test_locality_exact():

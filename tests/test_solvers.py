@@ -5,7 +5,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import OptimizeResult, brentq, linprog as scipy_linprog, minimize
+from scipy import sparse
+from scipy.optimize import brentq, linprog as scipy_linprog, minimize
 from scipy.special import logsumexp
 
 from rcdlab import cli, geodesy, solvers
@@ -15,11 +16,17 @@ from rcdlab.mmspace import make_model_space
 from rcdlab.solvers import InfeasibleError, SolverError
 
 
-def _failing_linprog(status, calls=None):
+# what solvers.linprog raises after a HiGHS run that hit its time limit or
+# proved the LP infeasible
+_FAILURES = {SolverError: "LP failed: HiGHS model status Time limit reached", InfeasibleError: "LP infeasible"}
+
+
+def _failing_linprog(error, calls=None):
+    """A solvers.linprog that raises error, as one failed HiGHS call does."""
     def linprog(*args, **kwargs):
         if calls is not None:
-            calls.append(kwargs["options"])
-        return OptimizeResult(status=status, message=f"stub status {status}", x=None, fun=None)
+            calls.append(args)
+        raise error(_FAILURES[error])
     return linprog
 
 
@@ -30,28 +37,27 @@ def _oracle_args():
 
 
 def test_time_limit_is_a_solver_error_not_infeasibility(monkeypatch):
-    monkeypatch.setattr(solvers, "linprog", _failing_linprog(1))
-    with pytest.raises(SolverError, match="status 1") as err:
+    monkeypatch.setattr(solvers, "linprog", _failing_linprog(SolverError))
+    with pytest.raises(SolverError, match="Time limit") as err:
         solvers._budgeted_oracle(*_oracle_args())
     assert not isinstance(err.value, InfeasibleError)
 
 
 def test_infeasible_status_raises_infeasible_error(monkeypatch):
-    monkeypatch.setattr(solvers, "linprog", _failing_linprog(2))
-    with pytest.raises(InfeasibleError):
+    monkeypatch.setattr(solvers, "linprog", _failing_linprog(InfeasibleError))
+    with pytest.raises(InfeasibleError, match="LP infeasible"):
         solvers._budgeted_oracle(*_oracle_args())
 
 
-@pytest.mark.parametrize("status, error", [(1, SolverError), (2, InfeasibleError)])
-def test_one_highs_call_per_lp(monkeypatch, status, error):
+@pytest.mark.parametrize("error", [SolverError, InfeasibleError], ids=lambda e: e.__name__)
+def test_one_highs_call_per_lp(monkeypatch, error):
     # neither a time limit nor an infeasibility report is solved again
     calls = []
-    monkeypatch.setattr(solvers, "linprog", _failing_linprog(status, calls))
+    monkeypatch.setattr(solvers, "linprog", _failing_linprog(error, calls))
     with pytest.raises(error) as err:
         solvers._budgeted_oracle(*_oracle_args())
     assert type(err.value) is error
-    assert calls == [{"presolve": False, "primal_feasibility_tolerance": 1e-10,
-                      "time_limit": solvers._LP_TIME_LIMIT}]
+    assert len(calls) == 1
 
 
 def test_oracle_vertex_meets_the_budgets():
@@ -65,9 +71,9 @@ def test_oracle_vertex_meets_the_budgets():
     assert nu[-1] < 1.0
 
 
-def _build_with_failing_fw(monkeypatch, status, epsilon):
+def _build_with_failing_fw(monkeypatch, error, epsilon):
     """Build a depth-1 geodesic on segment:9 in which every LP of the
-    Frank-Wolfe solver reports the given HiGHS status; returns the error
+    Frank-Wolfe solver raises the given error class; returns the error
     raised and the number of Frank-Wolfe solves attempted."""
     real_linprog = solvers.linprog
     real_fw = geodesy.entropy_budget_min
@@ -75,7 +81,7 @@ def _build_with_failing_fw(monkeypatch, status, epsilon):
 
     def failing_fw(*args, **kwargs):
         calls.append(1)
-        monkeypatch.setattr(solvers, "linprog", _failing_linprog(status))
+        monkeypatch.setattr(solvers, "linprog", _failing_linprog(error))
         try:
             return real_fw(*args, **kwargs)
         finally:
@@ -92,8 +98,8 @@ def _build_with_failing_fw(monkeypatch, status, epsilon):
 def test_auto_epsilon_build_propagates_a_solver_failure(monkeypatch):
     # every LP of the Frank-Wolfe solver hits its time limit; the builder must
     # report that, not retry the interval with a larger relaxation
-    err, calls = _build_with_failing_fw(monkeypatch, 1, "auto")
-    assert "status 1" in str(err)
+    err, calls = _build_with_failing_fw(monkeypatch, SolverError, "auto")
+    assert "Time limit" in str(err)
     assert not isinstance(err, InfeasibleError)
     assert calls == 1
 
@@ -101,7 +107,7 @@ def test_auto_epsilon_build_propagates_a_solver_failure(monkeypatch):
 def test_auto_epsilon_build_does_not_read_an_lp_report_as_too_small_epsilon(monkeypatch):
     # the interval's relaxation was verified by epsilon_min; an infeasible
     # report from the oracle LP is a solver failure, not a cue to enlarge it
-    err, calls = _build_with_failing_fw(monkeypatch, 2, "auto")
+    err, calls = _build_with_failing_fw(monkeypatch, InfeasibleError, "auto")
     assert isinstance(err, InfeasibleError)
     assert err.min_budget is None
     assert calls == 1
@@ -109,7 +115,7 @@ def test_auto_epsilon_build_does_not_read_an_lp_report_as_too_small_epsilon(monk
 
 def test_fixed_epsilon_build_reports_an_lp_failure_as_a_solver_error(monkeypatch):
     # the interval is nonempty at epsilon = 0.5: only an empty set is a GeodesyError
-    err, calls = _build_with_failing_fw(monkeypatch, 2, 0.5)
+    err, calls = _build_with_failing_fw(monkeypatch, InfeasibleError, 0.5)
     assert isinstance(err, InfeasibleError)
     assert calls == 1
 
@@ -177,8 +183,8 @@ def test_a_failed_solve_is_not_remembered(monkeypatch):
     counted = solvers.linprog
     P, Q = _ot_problem(3), _ot_problem(4)
     kept = solvers.exact_ot(*P)
-    monkeypatch.setattr(solvers, "linprog", _failing_linprog(1))
-    with pytest.raises(SolverError, match="status 1"):
+    monkeypatch.setattr(solvers, "linprog", _failing_linprog(SolverError))
+    with pytest.raises(SolverError, match="Time limit"):
         solvers.exact_ot(*Q)
     monkeypatch.setattr(solvers, "linprog", counted)
     assert solvers.exact_ot(*P) is kept
@@ -264,23 +270,23 @@ def test_linprog_is_bit_identical_to_scipy(monkeypatch, case):
     # LPs rcdlab builds must give scipy's bits for x, fun and both duals
     real_linprog, lps = solvers.linprog, []
 
-    def recording(*args, **kwargs):
-        lps.append(args)
-        return real_linprog(*args, **kwargs)
+    def recording(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
+        lps.append((c, A_eq, b_eq, A_ub, b_ub, bounds))
+        return real_linprog(c, A_eq, b_eq, A_ub, b_ub, bounds)
 
     monkeypatch.setattr(solvers, "linprog", recording)
     monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
     _LP_CASES[case]()
     assert lps
     for c, A_eq, b_eq, A_ub, b_ub, bounds in lps:
-        ours = real_linprog(c, A_eq, b_eq, A_ub, b_ub, bounds, options=solvers._LP_OPTIONS)
+        x, fun, y_eq, y_ub = real_linprog(c, A_eq, b_eq, A_ub, b_ub, bounds)
         ref = scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs",
                             options=solvers._LP_OPTIONS)
-        assert ours.status == ref.status == 0
-        assert ours.x.tobytes() == ref.x.tobytes()
-        assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
-        assert ours.eqlin.marginals.tobytes() == ref.eqlin.marginals.tobytes()
-        assert ours.ineqlin.marginals.tobytes() == ref.ineqlin.marginals.tobytes()
+        assert ref.status == 0
+        assert x.tobytes() == ref.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
+        assert y_eq.tobytes() == ref.eqlin.marginals.tobytes()
+        assert y_ub.tobytes() == ref.ineqlin.marginals.tobytes()
 
 
 def test_unequal_masses_are_infeasible():
@@ -292,7 +298,7 @@ def test_unequal_masses_are_infeasible():
 def test_a_real_time_limit_is_a_solver_error_not_infeasibility(monkeypatch):
     monkeypatch.setattr(solvers, "_LP_OPTIONS", {**solvers._LP_OPTIONS, "time_limit": 0.0})
     monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
-    with pytest.raises(SolverError, match="status 1") as err:
+    with pytest.raises(SolverError, match="Time limit") as err:
         solvers.exact_ot(*_ot_problem(15))
     assert not isinstance(err.value, InfeasibleError)
 
@@ -301,20 +307,33 @@ def test_an_optimum_off_its_constraints_is_a_solver_error(monkeypatch):
     # scipy's post-solve check: at a negative tolerance every optimal x misses
     monkeypatch.setattr(solvers, "_RESULT_TOL", -1.0)
     monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
-    with pytest.raises(SolverError, match="status 4") as err:
+    with pytest.raises(SolverError, match="misses its constraints") as err:
         solvers.exact_ot(*_ot_problem(17))
     assert not isinstance(err.value, InfeasibleError)
 
 
 def test_a_model_highs_rejects_is_a_solver_error_not_infeasibility():
-    # budgets floored at 1e-14 put cost rows of 16 / 1e-14 past HiGHS's 1e15
-    # entry limit, though nu = mu is feasible at cost 0
-    C = np.arange(5.0)[:, None] - np.arange(5.0)[None, :]
-    C = C ** 2
-    mu = np.full(5, 0.2)
-    with pytest.raises(SolverError, match="rejected the model") as err:
-        solvers._budgeted_oracle(C, C, mu, mu, [1e-16, 1e-16], np.zeros(5))
+    # HiGHS refuses a matrix entry of 1e15 or more, though x = (1, 0) is feasible
+    with pytest.raises(SolverError, match="rejected the LP model") as err:
+        solvers.linprog(np.zeros(2), sparse.csc_matrix([[1.0, 1e16]]), [1.0])
     assert not isinstance(err.value, InfeasibleError)
+
+
+def test_an_unbounded_lp_is_a_solver_error_not_infeasibility():
+    # min -x0 over x0 = x1 >= 0 has no minimum but plenty of feasible points
+    with pytest.raises(SolverError, match="Unbounded") as err:
+        solvers.linprog(np.array([-1.0, 0.0]), sparse.csc_matrix([[1.0, -1.0]]), [0.0])
+    assert not isinstance(err.value, InfeasibleError)
+
+
+def test_budgets_far_below_the_costs_give_an_exact_oracle_lp():
+    # budget rows divided by a budget of 1e-16 would hold entries up to 1.6e17,
+    # which HiGHS rejects; nu = mu at cost 0 meets any budget >= 0
+    C = (np.arange(5.0)[:, None] - np.arange(5.0)[None, :]) ** 2
+    mu = np.full(5, 0.2)
+    nu, value = solvers._budgeted_oracle(C, C, mu, mu, [1e-16, 1e-16], np.zeros(5))
+    assert value == 0.0
+    assert np.allclose(nu, mu, rtol=0, atol=1e-12)
 
 
 def test_disagreeing_lp_shapes_are_a_value_error():
