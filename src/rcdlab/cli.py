@@ -238,6 +238,14 @@ def _series(report):
     return out
 
 
+def _draws(task):
+    """Whether the task draws from its seed: a verify battery always does, and
+    a form sub-op that reads f does when no f is given."""
+    if task.get("op") == "verify":
+        return True
+    return task.get("op") == "form" and "f" not in task and task.get("sub", "energy") in ("energy", "gamma", "laplacian")
+
+
 def run_task(task, space, seed):
     """Execute one task spec, its specs read; returns (payload dict, assert_failures list)."""
     op = _coerced(task, "op", _exactly(str))
@@ -290,7 +298,7 @@ def run_task(task, space, seed):
     elif op == "form":
         sub = task.get("sub", "energy")
         vector = functools.partial(_floats, n=space.n)
-        f = _coerced(task, "f", vector) if "f" in task else np.random.default_rng(seed).normal(size=space.n)
+        f = np.random.default_rng(seed).normal(size=space.n) if _draws(task) else _coerced(task, "f", vector, None)
         if sub == "energy":
             payload = {"cheeger": cheeger_energy(form, f)}
         elif sub == "gamma":
@@ -360,7 +368,7 @@ def run(config, base_dir=".") -> int:
         if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
             raise ConfigError(f"tasks must be a list of objects, got {_quoted(tasks)}")
         seed = _coerced(config, "seed", int, None)
-        if seed is None and any(t.get("op") in ("verify", "form") and "f" not in t for t in tasks):
+        if seed is None and any(map(_draws, tasks)):
             raise ConfigError("seed is mandatory when any task uses randomness")
         if seed is not None and seed < 0:
             raise ConfigError(f"seed {seed} is negative")

@@ -50,6 +50,13 @@ def fit_trend(params, worsts):
     return float(np.polyfit(np.log(p), np.log(w), 1)[0])
 
 
+def _w2sq_to(flow: FlowTrace, sigma: ProbMeasure):
+    """W2^2(mu_t, sigma) at every time of the trace, on one transport path."""
+    C = sigma.space.metric ** 2
+    path = []
+    return np.array([exact_ot(C, mu.weights, sigma.weights, path=path)[0] for mu in flow.measures])
+
+
 def evi_check(flow: FlowTrace, sigma: ProbMeasure, K) -> InequalityReport:
     """Centered-difference residual of the evolution variational inequality
     d/dt W2^2(mu_t, sigma)/2 + K W2^2/2 + Ent(mu_t) - Ent(sigma) <= 0."""
@@ -58,9 +65,8 @@ def evi_check(flow: FlowTrace, sigma: ProbMeasure, K) -> InequalityReport:
         raise EviError("need at least 3 time samples")
     space = sigma.space
     m = space.ref_measure
-    C = space.metric ** 2
     ent_sigma = relative_entropy(sigma, m)
-    wsq = np.array([exact_ot(C, mu.weights, sigma.weights)[0] for mu in flow.measures])
+    wsq = _w2sq_to(flow, sigma)
     residuals = []
     grid = []
     for i in range(1, len(times) - 1):
@@ -103,10 +109,8 @@ def dw2_derivative_check(flow: FlowTrace, sigma: ProbMeasure, form: DirichletFor
     times = np.asarray(flow.times)
     if len(times) < 3:
         raise EviError("need at least 3 time samples")
-    space = sigma.space
-    C = space.metric ** 2
     gauge = int(sigma.support()[0])
-    wsq = np.array([exact_ot(C, mu.weights, sigma.weights)[0] for mu in flow.measures])
+    wsq = _w2sq_to(flow, sigma)
     residuals = []
     grid = []
     envelope_ok = []

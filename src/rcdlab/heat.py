@@ -106,6 +106,14 @@ def heat_kernel(form: DirichletForm, t) -> HeatKernel:
     return HeatKernel(float(t), P, clip)
 
 
+def _w2_speeds(C, measures, steps):
+    """W2(mu_k, mu_{k+1}) / step_k along a trace for squared distances C, on
+    one transport path."""
+    path = []
+    return tuple(float(np.sqrt(max(exact_ot(C, a.weights, b.weights, path=path)[0], 0.0)) / dt)
+                 for a, b, dt in zip(measures, measures[1:], steps))
+
+
 def semigroup_flow(form: DirichletForm, f0, t_grid) -> FlowTrace:
     """Trace of the L2 semigroup from a probability density f0."""
     f0 = np.asarray(f0, dtype=float)
@@ -120,12 +128,8 @@ def semigroup_flow(form: DirichletForm, f0, t_grid) -> FlowTrace:
         measures.append(mu)
         entropies.append(relative_entropy(mu, m))
         fishers.append(fisher_information(mu, form))
-    speeds = []
-    C = space.metric ** 2
-    for a, b, t0, t1 in zip(measures, measures[1:], times, times[1:]):
-        cost = exact_ot(C, a.weights, b.weights)[0]
-        speeds.append(float(np.sqrt(max(cost, 0.0)) / (t1 - t0)))
-    return FlowTrace(tuple(times), tuple(measures), tuple(entropies), tuple(fishers), tuple(speeds), "semigroup")
+    speeds = _w2_speeds(space.metric ** 2, measures, np.diff(times))
+    return FlowTrace(tuple(times), tuple(measures), tuple(entropies), tuple(fishers), speeds, "semigroup")
 
 
 def jko_flow(mu0: ProbMeasure, tau, nsteps, inner_tol=1e-8, blur=0.25, form=None) -> FlowTrace:
@@ -159,12 +163,8 @@ def jko_flow(mu0: ProbMeasure, tau, nsteps, inner_tol=1e-8, blur=0.25, form=None
         measures.append(ProbMeasure(space, w / w.sum()))
     entropies = [relative_entropy(mu, m) for mu in measures]
     fishers = [fisher_information(mu, form) if form is not None else float("nan") for mu in measures]
-    speeds = []
-    for a, b in zip(measures, measures[1:]):
-        cost = exact_ot(C, a.weights, b.weights)[0]
-        speeds.append(float(np.sqrt(max(cost, 0.0)) / tau))
     return FlowTrace(
-        tuple(times), tuple(measures), tuple(entropies), tuple(fishers), tuple(speeds),
+        tuple(times), tuple(measures), tuple(entropies), tuple(fishers), _w2_speeds(C, measures, [tau] * nsteps),
         "jko", {"tau": float(tau), "blur": float(blur), "max_inner_gap": max(gaps) if gaps else 0.0},
     )
 
@@ -294,13 +294,14 @@ def contraction_check(form: DirichletForm, mu: ProbMeasure, nu: ProbMeasure, K, 
     space = form.space
     m = form.vertex_measure
     C = space.metric ** 2
-    w0 = np.sqrt(max(exact_ot(C, mu.weights, nu.weights)[0], 0.0))
+    path = []
+    w0 = np.sqrt(max(exact_ot(C, mu.weights, nu.weights, path=path)[0], 0.0))
     worst = -np.inf
     series = []
     for t in t_grid:
         a = semigroup_apply(form, mu.density(), t) * m
         b = semigroup_apply(form, nu.density(), t) * m
-        wt = np.sqrt(max(exact_ot(C, a / a.sum(), b / b.sum())[0], 0.0))
+        wt = np.sqrt(max(exact_ot(C, a / a.sum(), b / b.sum(), path=path)[0], 0.0))
         gap = wt - np.exp(-K * t) * w0
         series.append(float(gap))
         worst = max(worst, gap)

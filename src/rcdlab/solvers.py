@@ -21,6 +21,18 @@ at machine precision; every W2 value in the package routes through it. It
 remembers its last successful solve, so a W2 value followed by the potentials
 of the same problem costs one LP; its arrays are read-only because a repeat
 call hands the same objects to the next caller.
+
+A loop of transport problems on one cost matrix, such as the speeds along a
+flow or the distances from each flow measure to one target, passes exact_ot
+a path: a list the loop owns. linprog keeps the path's HiGHS instance and
+re-runs it with new row bounds, so the dual simplex restarts from the last
+optimal basis, which a change of marginals leaves dual feasible (Huangfu and
+Hall, Parallelizing the dual revised simplex method, Math. Prog. Comp. 2018);
+on the flows of configs/cycle64_rcd.json that halves the simplex iterations.
+Hot runs are read and checked by linprog like cold ones. Only an explicit
+path carries a basis from one solve to the next, so no result depends on
+the call history outside it; path solves do not touch exact_ot's memory.
+
 interior_point measures the common slack of the linked-pair polytope: two
 couplings sharing their second marginal, each under a quadratic-cost budget.
 epsilon_min finds the least relaxation of those budgets by dual Newton cuts
@@ -113,7 +125,7 @@ def _rounding_allowance(n, scale):
 # ---------------------------------------------------------------------------
 
 
-def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
+def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
     """Minimize <c, x> subject to A_ub x <= b_ub, A_eq x = b_eq and bounds, by
     one call to the HiGHS dual simplex bundled with scipy, with _LP_OPTIONS.
 
@@ -123,6 +135,13 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
     it returns the same bits, without that wrapper's input copies, per-call
     option re-validation and bound marginals, which cost more than a small
     solve. Like scipy it raises ValueError on non-finite input.
+
+    path, a list the caller owns, chains LPs that differ only in b_ub and
+    b_eq. An empty path is solved as above and then holds the HiGHS instance;
+    each later call changes that instance's row bounds and runs it again
+    from its last basis, which stays dual feasible. A model that differs in
+    anything but the row bounds raises ValueError; a failed run empties the
+    path, so the next call on it solves from scratch.
 
     This is the one place a solver status is read: an LP HiGHS proves
     infeasible raises InfeasibleError; every other outcome but an optimum
@@ -151,17 +170,29 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
     lb = np.nan_to_num(bnd[:, 0], nan=-inf, posinf=inf, neginf=-inf)
     ub = np.nan_to_num(bnd[:, 1], nan=inf, posinf=inf, neginf=-inf)
 
-    highs_options = _highs.HighsOptions()
-    for key, val in {**_HIGHS_FIXED, **_LP_OPTIONS}.items():
-        setattr(highs_options, key, ("on" if val else "off") if key == "presolve" else val)
-    highs = _highs._Highs()
-    if highs.passOptions(highs_options) == _highs.HighsStatus.kError:
-        raise SolverError("HiGHS rejected the LP options")
-    if highs.passModel(c.size, rhs.size, A.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize, 0.0,
-                       c, lb, ub, lhs, rhs, A.indptr, A.indices, A.data,
-                       np.zeros(c.size, dtype=np.int32)  # integrality: every column continuous
-                       ) == _highs.HighsStatus.kError:
-        raise SolverError("HiGHS rejected the LP model")
+    # everything of the LP but its row bounds
+    model = None if path is None else (c.tobytes(), A.shape, A.indptr.tobytes(), A.indices.tobytes(),
+                                       A.data.tobytes(), lb.tobytes(), ub.tobytes())
+    if path:
+        highs, held_model, held_lhs, held_rhs = path[0]
+        if held_model != model:
+            raise ValueError("an LP on a path may differ from the path's model only in its right-hand sides")
+        for i in np.flatnonzero((lhs != held_lhs) | (rhs != held_rhs)).tolist():
+            highs.changeRowBounds(i, lhs[i], rhs[i])
+    else:
+        highs_options = _highs.HighsOptions()
+        for key, val in {**_HIGHS_FIXED, **_LP_OPTIONS}.items():
+            setattr(highs_options, key, ("on" if val else "off") if key == "presolve" else val)
+        highs = _highs._Highs()
+        if highs.passOptions(highs_options) == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the LP options")
+        if highs.passModel(c.size, rhs.size, A.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize, 0.0,
+                           c, lb, ub, lhs, rhs, A.indptr, A.indices, A.data,
+                           np.zeros(c.size, dtype=np.int32)  # integrality: every column continuous
+                           ) == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the LP model")
+    if path is not None:
+        path.clear()  # refilled below after a run that passes every check
     highs.run()
     status = highs.getModelStatus()
     if status == _highs.HighsModelStatus.kInfeasible:
@@ -179,6 +210,8 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
             or (slack[:n_ub] < -tol).any() or (np.abs(slack[n_ub:]) > tol).any()):
         raise SolverError(f"LP optimum misses its constraints by more than {tol:.2e}")
     dual = np.array(solution.row_dual)
+    if path is not None:
+        path.append((highs, model, lhs, rhs))
     return x, fun, dual[n_ub:], dual[:n_ub]
 
 
@@ -203,30 +236,40 @@ def _marginal_matrix(n0, n1):
 _OT_LAST = (None, None)
 
 
-def exact_ot(C, a, b):
+def exact_ot(C, a, b, path=None):
     """Exact LP optimum of <gamma, C> over couplings of (a, b).
 
     Returns (cost, plan, u, v) where (u, v) are dual potentials satisfying
     u(x) + v(y) <= C(x, y) and cost = <u, a> + <v, b> up to solver precision.
     plan, u and v are read-only.
 
-    The last successful solve is remembered: a call whose C, a and b are
-    byte-equal to it returns the same objects without an LP. HiGHS is
-    deterministic, so a new solve would return the same bits. A failed solve
-    leaves the memory as it was.
+    Without path, the last successful solve is remembered: a call whose C, a
+    and b are byte-equal to it returns the same objects without an LP. The
+    memory holds only such cold solves, and HiGHS is deterministic, so a new
+    cold solve would return the same bits. A failed solve leaves the memory as
+    it was.
+
+    With path, a list the caller owns for a run of problems on one C, the
+    solve is linprog's hot start from the path's last basis (see linprog) and
+    neither reads nor writes the memory. Its results are deterministic for a
+    given sequence of problems on the path, and its cost agrees with a cold
+    solve's to solver precision; a degenerate problem may get another optimal
+    plan. A C other than the path's raises ValueError.
     """
     global _OT_LAST
     C = np.asarray(C, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    key = (C.shape, C.tobytes(), a.tobytes(), b.tobytes())
-    last_key, last = _OT_LAST
-    if key == last_key:
-        return last
+    if path is None:
+        key = (C.shape, C.tobytes(), a.tobytes(), b.tobytes())
+        last_key, last = _OT_LAST
+        if key == last_key:
+            return last
     n0, n1 = C.shape
-    x, fun, y, _ = linprog(C.ravel(), _marginal_matrix(n0, n1), np.concatenate([a, b]))
+    x, fun, y, _ = linprog(C.ravel(), _marginal_matrix(n0, n1), np.concatenate([a, b]), path=path)
     out = (fun, _freeze(x.reshape(n0, n1)), _freeze(y[:n0]), _freeze(y[n0:]))
-    _OT_LAST = (key, out)
+    if path is None:
+        _OT_LAST = (key, out)
     return out
 
 

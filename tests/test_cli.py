@@ -77,6 +77,19 @@ def test_seed_required_for_random_tasks(tmp_path):
     assert cli.run(cfg) == 2
 
 
+@pytest.mark.parametrize("task, code", [
+    ({"op": "form", "sub": "mod2", "paths": [[0, 1, 2]]}, 0),
+    ({"op": "form", "sub": "intrinsic"}, 0),
+    ({"op": "form", "sub": "energy", "f": [1.0] * 16}, 0),
+    ({"op": "form", "sub": "energy"}, 2),
+    ({"op": "form"}, 2),
+], ids=["mod2", "intrinsic", "energy-with-f", "energy", "default-sub"])
+def test_only_a_task_that_draws_needs_a_seed(tmp_path, task, code):
+    # mod2 and intrinsic read no f, so they draw nothing from the seed
+    cfg = {"space": {"kind": "cycle", "n": 16}, "output_dir": str(tmp_path / "o"), "tasks": [dict(task, name="t")]}
+    assert cli.run(cfg) == code
+
+
 def test_assert_failure_exit_code(tmp_path):
     # a flow task asserting entropy monotone on a valid instance passes,
     # a validate task on a broken space file fails with exit 1

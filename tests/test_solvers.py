@@ -9,7 +9,8 @@ from scipy import sparse
 from scipy.optimize import brentq, linprog as scipy_linprog, minimize
 from scipy.special import logsumexp
 
-from rcdlab import cli, geodesy, solvers
+from rcdlab import cli, geodesy, heat, ot, solvers
+from rcdlab.dirichlet import dirichlet_form
 from rcdlab.geodesy import build_good_geodesic
 from rcdlab.measures import bump_measure, gaussian_measure, relative_entropy
 from rcdlab.mmspace import make_model_space
@@ -232,6 +233,104 @@ def test_threads_alternating_two_problems_get_their_own_results(monkeypatch):
     assert len(calls) < 2 + 800  # some repeats were answered from the memory
 
 
+# -- transport paths: each solve restarts HiGHS from the path's last basis ---------
+
+
+def _bits(out):
+    cost, plan, u, v = out
+    return np.float64(cost).tobytes() + plan.tobytes() + u.tobytes() + v.tobytes()
+
+
+def _flow_pairs(n=16, steps=6):
+    """Consecutive measures of a semigroup flow on cycle:n, as the speed loops see them."""
+    space = make_model_space("cycle", n)
+    trace = heat.semigroup_flow(dirichlet_form(space), bump_measure(space, 2, 0.15).density(),
+                                np.linspace(0.0, 0.05, steps + 1))
+    return space.metric ** 2, [(a.weights, b.weights) for a, b in zip(trace.measures, trace.measures[1:])]
+
+
+@st.composite
+def _path_problems(draw):
+    n = draw(st.integers(2, 16))
+    C = make_model_space("random_metric", n, {"seed": draw(st.integers(0, 2**16))}).metric ** 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)))]
+    for move in draw(st.lists(st.sampled_from(["fresh", "nudge", "sparse"]), min_size=1, max_size=5)):
+        a, b = pairs[-1]
+        if move == "fresh":
+            a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        elif move == "nudge":  # the next step of a flow: close to the last pair
+            a, b = 0.9 * a + 0.1 * rng.dirichlet(np.ones(n)), 0.9 * b + 0.1 * rng.dirichlet(np.ones(n))
+        else:  # marginals with empty sites
+            a, b = (w * (rng.uniform(size=n) < 0.6) for w in (a, b))
+            a, b = [np.eye(n)[0] if w.sum() == 0 else w / w.sum() for w in (a, b)]
+        pairs.append((a, b))
+    return C, pairs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_path_problems())
+def test_every_solve_on_a_path_is_an_exact_optimum(problem):
+    C, pairs = problem
+    path = []
+    for a, b in pairs:
+        cost, plan, u, v = solvers.exact_ot(C, a, b, path=path)
+        cold = solvers.exact_ot(C, a, b)[0]
+        assert abs(cost - cold) <= 1e-12 * abs(cold)
+        assert (u[:, None] + v[None, :] <= C + 1e-9).all()
+        assert np.abs(plan.sum(axis=1) - a).max() <= ot.MARGINAL_TOL
+        assert np.abs(plan.sum(axis=0) - b).max() <= ot.MARGINAL_TOL
+
+
+def test_a_path_repeats_its_bits_whatever_the_memory_holds(monkeypatch):
+    C, pairs = _flow_pairs()
+    calls = _counted_linprog(monkeypatch)
+
+    def run():
+        path = []
+        return [_bits(solvers.exact_ot(C, a, b, path=path)) for a, b in pairs]
+
+    first = run()
+    assert len(calls) == len(pairs) and solvers._OT_LAST == (None, None)  # never written
+    cold = solvers.exact_ot(C, *pairs[0])  # the memory now holds the path's first problem
+    assert first[0] == _bits(cold)  # the first solve on a path is the cold solve
+    assert run() == first  # and is solved again, not read from the memory
+    assert len(calls) == 2 * len(pairs) + 1
+    assert solvers._OT_LAST[1] is cold
+
+
+def test_a_path_refuses_another_cost_matrix():
+    C, a, b = _ot_problem(21)
+    path = []
+    solvers.exact_ot(C, a, b, path=path)
+    for other in (_one_ulp(C, (1, 2)), C[:5, :5]):
+        with pytest.raises(ValueError, match="right-hand sides"):
+            solvers.exact_ot(other, a[: len(other)], b[: len(other)], path=path)
+    assert len(path) == 1  # a refused call leaves the path as it was
+    assert solvers.exact_ot(C, b, a, path=path)[0] == pytest.approx(solvers.exact_ot(C, b, a)[0], rel=1e-12)
+
+
+def test_an_unequal_mass_pair_on_a_path_is_infeasible():
+    C, a, b = _ot_problem(22)
+    path = []
+    solvers.exact_ot(C, a, b, path=path)
+    with pytest.raises(InfeasibleError, match="LP infeasible"):
+        solvers.exact_ot(C, a, 1.5 * b, path=path)
+    assert path == []  # so the next solve on the path starts from scratch
+    assert _bits(solvers.exact_ot(C, b, a, path=path)) == _bits(solvers.exact_ot(C, b, a))
+
+
+def test_a_time_limit_on_a_hot_run_is_a_solver_error_not_infeasibility():
+    C, pairs = _flow_pairs()
+    path = []
+    solvers.exact_ot(C, *pairs[0], path=path)
+    path[0][0].setOptionValue("time_limit", 0.0)  # the HiGHS instance the path holds
+    with pytest.raises(SolverError, match="Time limit") as err:
+        solvers.exact_ot(C, *pairs[1], path=path)
+    assert not isinstance(err.value, InfeasibleError)
+    assert path == []
+
+
 # -- solvers.linprog: one direct HiGHS call ---------------------------------------
 
 
@@ -270,9 +369,9 @@ def test_linprog_is_bit_identical_to_scipy(monkeypatch, case):
     # LPs rcdlab builds must give scipy's bits for x, fun and both duals
     real_linprog, lps = solvers.linprog, []
 
-    def recording(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
+    def recording(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
         lps.append((c, A_eq, b_eq, A_ub, b_ub, bounds))
-        return real_linprog(c, A_eq, b_eq, A_ub, b_ub, bounds)
+        return real_linprog(c, A_eq, b_eq, A_ub, b_ub, bounds, path=path)
 
     monkeypatch.setattr(solvers, "linprog", recording)
     monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
