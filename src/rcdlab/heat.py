@@ -106,6 +106,14 @@ def heat_kernel(form: DirichletForm, t) -> HeatKernel:
     return HeatKernel(float(t), P, clip)
 
 
+def _heat_measure(form: DirichletForm, f, t) -> ProbMeasure:
+    """h_t f as a probability measure: the weights h_t f * m, clipped at 0
+    (the spectral semigroup leaves rounding-level negatives where h_t f
+    vanishes) and normalized."""
+    w = np.maximum(semigroup_apply(form, f, t) * form.vertex_measure, 0.0)
+    return ProbMeasure(form.space, w / w.sum())
+
+
 def _w2_speeds(C, measures, steps):
     """W2(mu_k, mu_{k+1}) / step_k along a trace for squared distances C, on
     one transport path."""
@@ -118,17 +126,14 @@ def semigroup_flow(form: DirichletForm, f0, t_grid) -> FlowTrace:
     """Trace of the L2 semigroup from a probability density f0."""
     f0 = np.asarray(f0, dtype=float)
     m = form.vertex_measure
-    space = form.space
     times = [float(t) for t in t_grid]
     measures, entropies, fishers = [], [], []
     for t in times:
-        ft = semigroup_apply(form, f0, t)
-        w = np.maximum(ft * m, 0.0)
-        mu = ProbMeasure(space, w / w.sum())
+        mu = _heat_measure(form, f0, t)
         measures.append(mu)
         entropies.append(relative_entropy(mu, m))
         fishers.append(fisher_information(mu, form))
-    speeds = _w2_speeds(space.metric ** 2, measures, np.diff(times))
+    speeds = _w2_speeds(form.space.metric ** 2, measures, np.diff(times))
     return FlowTrace(tuple(times), tuple(measures), tuple(entropies), tuple(fishers), speeds, "semigroup")
 
 
@@ -291,17 +296,15 @@ def log_sobolev_check(form: DirichletForm, f, K, n_family=20, seed=0) -> dict:
 
 def contraction_check(form: DirichletForm, mu: ProbMeasure, nu: ProbMeasure, K, t_grid) -> dict:
     """max over t of W2(h_t mu, h_t nu) - exp(-Kt) W2(mu, nu)."""
-    space = form.space
-    m = form.vertex_measure
-    C = space.metric ** 2
+    C = form.space.metric ** 2
     path = []
     w0 = np.sqrt(max(exact_ot(C, mu.weights, nu.weights, path=path)[0], 0.0))
     worst = -np.inf
     series = []
     for t in t_grid:
-        a = semigroup_apply(form, mu.density(), t) * m
-        b = semigroup_apply(form, nu.density(), t) * m
-        wt = np.sqrt(max(exact_ot(C, a / a.sum(), b / b.sum(), path=path)[0], 0.0))
+        a = _heat_measure(form, mu.density(), t).weights
+        b = _heat_measure(form, nu.density(), t).weights
+        wt = np.sqrt(max(exact_ot(C, a, b, path=path)[0], 0.0))
         gap = wt - np.exp(-K * t) * w0
         series.append(float(gap))
         worst = max(worst, gap)
@@ -323,10 +326,8 @@ def tensorization_check(form_a: DirichletForm, form_b: DirichletForm, f_a, f_b, 
     f_b = np.asarray(f_b, dtype=float)
     mu_a = f_a * ma / (f_a * ma).sum()
     mu_b = f_b * mb / (f_b * mb).sum()
-    nu_a = semigroup_apply(form_a, f_a, t) * ma
-    nu_a /= nu_a.sum()
-    nu_b = semigroup_apply(form_b, f_b, t) * mb
-    nu_b /= nu_b.sum()
+    nu_a = _heat_measure(form_a, f_a, t).weights
+    nu_b = _heat_measure(form_b, f_b, t).weights
     wa = exact_ot(form_a.space.metric ** 2, mu_a, nu_a)[0]
     wb = exact_ot(form_b.space.metric ** 2, mu_b, nu_b)[0]
     wp = exact_ot(space_p.metric ** 2, (mu_a[:, None] * mu_b[None, :]).ravel(), (nu_a[:, None] * nu_b[None, :]).ravel())[0]
@@ -341,8 +342,7 @@ def entropy_slope_regularization(form: DirichletForm, mu: ProbMeasure, t, K=0.0)
     """Reported diagnostic: I_K(t) Ent(h_t mu) + I_K(t)^2/2 Fisher(h_t mu)
     against W2^2(mu, uniform)/2."""
     m = form.vertex_measure
-    ft = semigroup_apply(form, mu.density(), t)
-    mu_t = ProbMeasure(form.space, ft * m / (ft * m).sum())
+    mu_t = _heat_measure(form, mu.density(), t)
     ent = relative_entropy(mu_t, m)
     fis = fisher_information(mu_t, form)
     I = i_rate(K, t)

@@ -17,10 +17,18 @@ The package's one other exact convex program, dirichlet.mod2, needs no LP:
 it is one nonnegative least-squares solve.
 
 exact_ot solves the transport LP and returns primal plan and dual potentials
-at machine precision; every W2 value in the package routes through it. It
-remembers its last successful solve, so a W2 value followed by the potentials
-of the same problem costs one LP; its arrays are read-only because a repeat
-call hands the same objects to the next caller.
+at machine precision; every W2 value in the package routes through it. The
+LP is the one on the supports of the marginals, C[a > 0][:, b > 0]: the zero
+rows of the full model leave its dual simplex badly degenerate (the first
+speed LP of the semigroup flow of configs/cycle64_rcd.json, from a bump, took
+1122 iterations on the full model and takes 136 on the supports), and the
+reduction leaves the optimum as it is (Schmitzer, A sparse multiscale
+algorithm for dense optimal transport, JMIV 2016). The plan is 0 off the
+supports, and the duals there are c-transforms of the duals on them, so
+they stay feasible on every pair. exact_ot remembers its last successful
+solve, so a W2 value followed by the potentials of the same problem costs
+one LP; its arrays are read-only because a repeat call hands the same
+objects to the next caller.
 
 A loop of transport problems on one cost matrix, such as the speeds along a
 flow or the distances from each flow measure to one target, passes exact_ot
@@ -29,7 +37,9 @@ re-runs it with new row bounds, so the dual simplex restarts from the last
 optimal basis, which a change of marginals leaves dual feasible (Huangfu and
 Hall, Parallelizing the dual revised simplex method, Math. Prog. Comp. 2018);
 on the flows of configs/cycle64_rcd.json that halves the simplex iterations.
-Hot runs are read and checked by linprog like cold ones. Only an explicit
+A change of either support is a new model: the path restarts with a cold
+solve on the new supports and runs hot again after it. Hot runs are read
+and checked by linprog like cold ones. Only an explicit
 path carries a basis from one solve to the next, so no result depends on
 the call history outside it; path solves do not touch exact_ot's memory.
 
@@ -137,7 +147,8 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
     solve. Like scipy it raises ValueError on non-finite input.
 
     path, a list the caller owns, chains LPs that differ only in b_ub and
-    b_eq. An empty path is solved as above and then holds the HiGHS instance;
+    b_eq. An empty path is solved as above and then holds one entry, a tuple
+    that begins with the HiGHS instance (exact_ot appends what it checks);
     each later call changes that instance's row bounds and runs it again
     from its last basis, which stays dual feasible. A model that differs in
     anything but the row bounds raises ValueError; a failed run empties the
@@ -174,7 +185,7 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
     model = None if path is None else (c.tobytes(), A.shape, A.indptr.tobytes(), A.indices.tobytes(),
                                        A.data.tobytes(), lb.tobytes(), ub.tobytes())
     if path:
-        highs, held_model, held_lhs, held_rhs = path[0]
+        highs, held_model, held_lhs, held_rhs = path[0][:4]
         if held_model != model:
             raise ValueError("an LP on a path may differ from the path's model only in its right-hand sides")
         for i in np.flatnonzero((lhs != held_lhs) | (rhs != held_rhs)).tolist():
@@ -241,7 +252,15 @@ def exact_ot(C, a, b, path=None):
 
     Returns (cost, plan, u, v) where (u, v) are dual potentials satisfying
     u(x) + v(y) <= C(x, y) and cost = <u, a> + <v, b> up to solver precision.
-    plan, u and v are read-only.
+    plan, u and v are read-only. A negative or nan entry of a or b, or a
+    marginal without mass, raises ValueError.
+
+    The LP is solved on the supports, C[a > 0][:, b > 0], and the plan is 0
+    off them; with full supports that is the whole problem. The duals on the
+    supports are HiGHS's. Off them they are c-transforms, first
+    u(x) = min over y in supp b of C(x, y) - v(y), then
+    v(y) = min over all x of C(x, y) - u(x), so u + v <= C holds on every
+    pair and the cost is unchanged.
 
     Without path, the last successful solve is remembered: a call whose C, a
     and b are byte-equal to it returns the same objects without an LP. The
@@ -251,23 +270,51 @@ def exact_ot(C, a, b, path=None):
 
     With path, a list the caller owns for a run of problems on one C, the
     solve is linprog's hot start from the path's last basis (see linprog) and
-    neither reads nor writes the memory. Its results are deterministic for a
-    given sequence of problems on the path, and its cost agrees with a cold
-    solve's to solver precision; a degenerate problem may get another optimal
-    plan. A C other than the path's raises ValueError.
+    neither reads nor writes the memory. A change of either support restarts
+    the path: that solve is cold on the new supports, and the solves after it
+    are hot again. Its results are deterministic for a given sequence of
+    problems on the path, and its cost agrees with a cold solve's to solver
+    precision; a degenerate problem may get another optimal plan. A C other
+    than the path's raises ValueError and leaves the path as it was.
     """
     global _OT_LAST
     C = np.asarray(C, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not ((a >= 0).all() and (b >= 0).all()):
+        raise ValueError("transport marginals must be nonnegative")
+    cost_matrix = (C.shape, C.tobytes())
     if path is None:
-        key = (C.shape, C.tobytes(), a.tobytes(), b.tobytes())
+        key = cost_matrix + (a.tobytes(), b.tobytes())
         last_key, last = _OT_LAST
         if key == last_key:
             return last
-    n0, n1 = C.shape
-    x, fun, y, _ = linprog(C.ravel(), _marginal_matrix(n0, n1), np.concatenate([a, b]), path=path)
-    out = (fun, _freeze(x.reshape(n0, n1)), _freeze(y[:n0]), _freeze(y[n0:]))
+    sa, sb = a > 0, b > 0
+    ia, ib = np.flatnonzero(sa), np.flatnonzero(sb)
+    if not (ia.size and ib.size):
+        raise ValueError("a transport marginal has no mass")
+    supports = (ia.tobytes(), ib.tobytes())
+    if path:  # linprog's entry, extended by the cost matrix and the supports of its model
+        held_matrix, held_supports = path[0][4:]
+        if held_matrix != cost_matrix:
+            raise ValueError("a transport problem on a path may differ from the path's only in its "
+                             "marginals, the right-hand sides of its LP")
+        if held_supports != supports:
+            path.clear()
+    k0 = ia.size
+    x, fun, y, _ = linprog(C[ia][:, ib].ravel(), _marginal_matrix(k0, ib.size),
+                           np.concatenate([a[ia], b[ib]]), path=path)
+    if path is not None:
+        path[0] += (cost_matrix, supports)
+    rows = np.zeros((k0, C.shape[1]))  # two plain scatters; np.ix_ costs twice as much
+    rows[:, ib] = x.reshape(k0, ib.size)
+    plan = np.zeros(C.shape)
+    plan[ia] = rows
+    u, v = np.empty(C.shape[0]), np.empty(C.shape[1])
+    u[ia], v[ib] = y[:k0], y[k0:]
+    u[~sa] = (C[~sa][:, ib] - v[ib]).min(axis=1)
+    v[~sb] = (C[:, ~sb] - u[:, None]).min(axis=0)
+    out = (fun, _freeze(plan), _freeze(u), _freeze(v))
     if path is None:
         _OT_LAST = (key, out)
     return out

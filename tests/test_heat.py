@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from rcdlab import heat
 from rcdlab.dirichlet import dirichlet_form
 from rcdlab.heat import (
     HeatError,
@@ -19,7 +20,7 @@ from rcdlab.heat import (
     spectral_gap,
     tensorization_check,
 )
-from rcdlab.measures import ProbMeasure, fisher_information, measure_from_density, relative_entropy, uniform_measure
+from rcdlab.measures import ProbMeasure, dirac, fisher_information, measure_from_density, relative_entropy, uniform_measure
 from rcdlab.mmspace import FiniteMMSpace, make_model_space
 from rcdlab.solvers import prox_entropy_step
 
@@ -344,6 +345,32 @@ def test_entropy_slope_regularization_reported():
     mu = measure_from_density(s, 1 + 0.7 * np.cos(2 * np.pi * pos))
     rep = entropy_slope_regularization(form, mu, 0.05, K=0.0)
     assert np.isfinite(rep["lhs"]) and np.isfinite(rep["rhs"])
+
+
+def test_heat_checks_hand_exact_ot_probability_measures(monkeypatch):
+    # h_t of a Dirac at an end of segment:17 at t = 1e-3 has weights down to
+    # -3.1e-16 where it vanishes; every check clips them before transport
+    seen = []
+
+    def recording(C, a, b, path=None):
+        seen.extend((np.asarray(a), np.asarray(b)))
+        return real(C, a, b, path=path)
+
+    real = heat.exact_ot
+    monkeypatch.setattr(heat, "exact_ot", recording)
+    s = make_model_space("segment", 17)
+    form = dirichlet_form(s)
+    f0 = dirac(s, 0).density()
+    semigroup_flow(form, f0, [0.0, 1e-3])
+    contraction_check(form, dirac(s, 0), dirac(s, 16), K=0.0, t_grid=[1e-3])
+    entropy_slope_regularization(form, dirac(s, 0), 1e-3)
+    b = make_model_space("segment", 3)
+    tensorization_check(form, dirichlet_form(b), f0, dirac(b, 2).density(), 1e-3)
+    # one LP in the flow, two in contraction_check, one in the slope check, three in tensorization
+    assert len(seen) == 2 * 7
+    for w in seen:
+        assert w.min() >= 0.0
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_negative_time_rejected():

@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 from rcdlab import cli, geodesy, heat, ot, solvers
 from rcdlab.dirichlet import dirichlet_form
 from rcdlab.geodesy import build_good_geodesic
-from rcdlab.measures import bump_measure, gaussian_measure, relative_entropy
+from rcdlab.measures import ProbMeasure, bump_measure, gaussian_measure, relative_entropy
 from rcdlab.mmspace import make_model_space
 from rcdlab.solvers import InfeasibleError, SolverError
 
@@ -321,14 +321,104 @@ def test_an_unequal_mass_pair_on_a_path_is_infeasible():
 
 
 def test_a_time_limit_on_a_hot_run_is_a_solver_error_not_infeasibility():
+    # pairs[0] starts from a bump; pairs[1] and pairs[2] have full supports, so the second solve is hot
     C, pairs = _flow_pairs()
     path = []
-    solvers.exact_ot(C, *pairs[0], path=path)
+    solvers.exact_ot(C, *pairs[1], path=path)
     path[0][0].setOptionValue("time_limit", 0.0)  # the HiGHS instance the path holds
     with pytest.raises(SolverError, match="Time limit") as err:
-        solvers.exact_ot(C, *pairs[1], path=path)
+        solvers.exact_ot(C, *pairs[2], path=path)
     assert not isinstance(err.value, InfeasibleError)
     assert path == []
+
+
+# -- transport LPs on the supports of their marginals ------------------------------
+
+
+def _support_pairs(n=12, seed=24):
+    """Two full-support pairs and two pairs empty on every third site of random_metric:n."""
+    C, a, b = _ot_problem(seed, n)
+    rng = np.random.default_rng(seed)
+    full = [(a, b), (0.9 * a + 0.1 * rng.dirichlet(np.ones(n)), 0.9 * b + 0.1 * rng.dirichlet(np.ones(n)))]
+    keep = np.arange(n) % 3 != 0
+    sparse = [(x * keep / (x * keep).sum(), y * keep / (y * keep).sum()) for x, y in full]
+    return C, full, sparse
+
+
+def test_a_change_of_support_restarts_the_path():
+    C, full, sparse = _support_pairs()
+    path, got, instances = [], [], []
+    for a, b in full + sparse + full:
+        got.append(_bits(solvers.exact_ot(C, a, b, path=path)))
+        instances.append(path[0][0])
+    fresh = []
+    for pairs in (full, sparse, full):
+        fresh_path = []
+        fresh += [_bits(solvers.exact_ot(C, a, b, path=fresh_path)) for a, b in pairs]
+    assert got == fresh  # from each change of support on, the path is a fresh one
+    assert got[2] == _bits(solvers.exact_ot(C, *sparse[0]))  # whose first solve is cold
+    # and whose later solves re-run the same HiGHS instance
+    assert [x is y for x, y in zip(instances, instances[1:])] == [True, False, True, False, True]
+
+
+def test_a_path_refuses_another_cost_matrix_on_the_same_supports():
+    C, _, sparse = _support_pairs()
+    path, untouched = [], []
+    solvers.exact_ot(C, *sparse[0], path=path)
+    solvers.exact_ot(C, *sparse[0], path=untouched)
+    held = path[0]
+    for cell in ((1, 2), (0, 3)):  # on the supports, and in a row off them
+        with pytest.raises(ValueError, match="right-hand sides"):
+            solvers.exact_ot(_one_ulp(C, cell), *sparse[1], path=path)
+        assert len(path) == 1 and path[0] is held  # the path is left as it was
+    assert _bits(solvers.exact_ot(C, *sparse[1], path=path)) == _bits(solvers.exact_ot(C, *sparse[1], path=untouched))
+
+
+@pytest.mark.parametrize("path", [None, []], ids=["cold", "path"])
+def test_a_negative_or_massless_marginal_is_a_value_error(path):
+    # a marginal entry of -1e-17, as an unclipped h_t of a Dirac has, is never dropped silently
+    C, a, b = _ot_problem(23)
+    negative = a.copy()
+    negative[2] = -1e-17
+    for args in ((C, negative, b), (C, b, negative)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solvers.exact_ot(*args, path=path)
+    with pytest.raises(ValueError, match="no mass"):
+        solvers.exact_ot(C, np.zeros(len(a)), b, path=path)
+
+
+@st.composite
+def _problems_with_empty_sites(draw):
+    n = draw(st.integers(2, 12))
+    space = make_model_space("random_metric", n, {"seed": draw(st.integers(0, 2**16))})
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    masks = [draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any)) for _ in "ab"]
+    sparse = [w * np.array(keep) / (w * np.array(keep)).sum() for w, keep in zip((a, b), masks)]
+    return space, (a, b), sparse
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_problems_with_empty_sites())
+def test_transport_on_the_supports_is_the_full_transport_lp(problem):
+    space, full, (a, b) = problem
+    C, n = space.metric ** 2, space.n
+    M = solvers._marginal_matrix(n, n)
+    # full supports: the one LP is the whole problem, with linprog's bits
+    x, fun, y, _ = solvers.linprog(C.ravel(), M, np.concatenate(full))
+    assert _bits(solvers.exact_ot(C, *full)) == _bits((fun, x.reshape(n, n), y[:n], y[n:]))
+    # empty sites: the same optimum, duals feasible on every pair, no mass off the supports
+    cost, plan, u, v = solvers.exact_ot(C, a, b)
+    whole = solvers.linprog(C.ravel(), M, np.concatenate([a, b]))[1]
+    assert abs(cost - whole) <= 1e-12 * abs(whole)
+    assert (u[:, None] + v[None, :] <= C + 1e-9).all()
+    assert not plan[a == 0].any() and not plan[:, b == 0].any()
+    assert np.abs(plan.sum(axis=1) - a).max() <= ot.MARGINAL_TOL
+    assert np.abs(plan.sum(axis=0) - b).max() <= ot.MARGINAL_TOL
+    mu, nu = ProbMeasure(space, a), ProbMeasure(space, b)
+    pair = ot.kantorovich_potentials(mu, nu)
+    assert abs(pair.gap) <= 1e-9
+    assert ot.check_slackness(space, pair, ot.w2(mu, nu)[1])["support_residual"] <= 1e-8
 
 
 # -- solvers.linprog: one direct HiGHS call ---------------------------------------
