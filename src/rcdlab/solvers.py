@@ -64,7 +64,24 @@ entropic relaxation, whose measure is used only as an extra gradient probe.
 
 prox_entropy_step is the single-anchor variant used by the minimizing-
 movement flow, with a debiasing linear term that cancels the smoothing drift
-at the current iterate.
+at the current iterate. Its dual is solved by alternating sweeps on the
+potentials (alpha, w) of the two marginals, in scaled arithmetic with
+log-domain absorption (Chizat, Peyre, Schmitzer and Vialard, Scaling
+algorithms for unbalanced optimal transport problems, Math. Comp. 2018;
+Schmitzer, Stabilized sparse scaling algorithms for entropy regularized
+transport problems, SIAM J. Sci. Comput. 2019). An absorbing sweep is one
+sweep in the log domain, two log-sum-exps over the matrix, and fixes the
+kernel G, the coupling of its (alpha, w). The scaled sweeps after it are the
+same sweep on scalings of G at the cost of two mat-vecs, until a scaling
+leaves [e^-30, e^30] (_SCALING_BOUND) and the next absorbing sweep folds
+them back into (alpha, w). G is never clipped at the exp floor: a clipped
+5e-324 would stand for an entry of e^-2000 and push the scaled sweeps off
+the log-domain iteration. The scaled sweeps run on the block of rows and
+columns of G with a nonzero entry; outside it, where the mass is below
+about 1e-308, alpha and w keep their absorbed values. The certificate is computed from
+(alpha, w) as in the log domain: its dual bound is weak duality at any
+(alpha, w), so it holds wherever the sweeps stop. symmetric_potential, the
+debiasing potential, is computed the same way.
 """
 
 from __future__ import annotations
@@ -99,6 +116,7 @@ _POTENTIAL_CAP = 2000  # scaling steps per symmetric_potential call
 _POTENTIAL_TOL = 1e-13  # symmetric_potential stops on a step below this times eps
 _PROX_SWEEP_CAP = 20000  # dual sweeps per prox_entropy_step call
 _PROX_SWEEP_TOL = 1e-11  # prox_entropy_step stops on a sweep below this times taub
+_SCALING_BOUND = 30.0  # |log| of a scaling beyond which it is absorbed into the log-domain potentials
 
 
 class SolverError(RuntimeError):
@@ -302,18 +320,22 @@ def exact_ot(C, a, b, path=None):
         if held_supports != supports:
             path.clear()
     k0 = ia.size
-    x, fun, y, _ = linprog(C[ia][:, ib].ravel(), _marginal_matrix(k0, ib.size),
+    full = C.shape == (k0, ib.size)
+    x, fun, y, _ = linprog((C if full else C[ia][:, ib]).ravel(), _marginal_matrix(k0, ib.size),
                            np.concatenate([a[ia], b[ib]]), path=path)
     if path is not None:
         path[0] += (cost_matrix, supports)
-    rows = np.zeros((k0, C.shape[1]))  # two plain scatters; np.ix_ costs twice as much
-    rows[:, ib] = x.reshape(k0, ib.size)
-    plan = np.zeros(C.shape)
-    plan[ia] = rows
-    u, v = np.empty(C.shape[0]), np.empty(C.shape[1])
-    u[ia], v[ib] = y[:k0], y[k0:]
-    u[~sa] = (C[~sa][:, ib] - v[ib]).min(axis=1)
-    v[~sb] = (C[:, ~sb] - u[:, None]).min(axis=0)
+    if full:
+        plan, u, v = x.reshape(C.shape), y[:k0], y[k0:]
+    else:
+        rows = np.zeros((k0, C.shape[1]))  # two plain scatters; np.ix_ costs twice as much
+        rows[:, ib] = x.reshape(k0, ib.size)
+        plan = np.zeros(C.shape)
+        plan[ia] = rows
+        u, v = np.empty(C.shape[0]), np.empty(C.shape[1])
+        u[ia], v[ib] = y[:k0], y[k0:]
+        u[~sa] = (C[~sa][:, ib] - v[ib]).min(axis=1)
+        v[~sb] = (C[:, ~sb] - u[:, None]).min(axis=0)
     out = (fun, _freeze(plan), _freeze(u), _freeze(v))
     if path is None:
         _OT_LAST = (key, out)
@@ -692,16 +714,45 @@ def dirac_pair_min(m, q_list, budgets):
 
 def symmetric_potential(mu, C, m, eps):
     """Self-transport potential of mu at temperature eps: the fixed point of
-    the symmetric scaling for the problem transporting mu onto itself."""
+    the symmetric scaling for the problem transporting mu onto itself.
+
+    Every step is p <- (p + eps log(mu/m) - eps lse((p - C)/eps + log m - 1))/2.
+    A step in this log-domain form absorbs: it fixes p0 and the kernel
+    G = exp((p0 (+) p0 - C)/eps + log m - 1). The scaled steps after it,
+    log s <- (log s + log(mu/m) - log(G s))/2 with p = p0 + eps log s, cost
+    one mat-vec each, on the rows of G with a nonzero entry; the other rows
+    keep p0. A scaled step whose log s is not finite is not taken; after one
+    whose |log s| exceeds _SCALING_BOUND, s is absorbed. Every step ends with
+    the stopping test on the step of p, and _POTENTIAL_CAP counts both kinds.
+    """
     log_m = np.log(m)
-    log_mu = np.log(np.maximum(mu, 1e-300))
+    d = np.log(np.maximum(mu, 1e-300)) - log_m
     p = np.zeros(len(mu))
-    for _ in range(_POTENTIAL_CAP):
+    steps = 0
+    while steps < _POTENTIAL_CAP:
+        steps += 1
         lse = logsumexp((p[None, :] - C) / eps + log_m[None, :] - 1.0, axis=1)
-        p_new = 0.5 * (p + eps * (log_mu - log_m) - eps * lse)
+        p_new = 0.5 * (p + eps * d - eps * lse)
         if np.abs(p_new - p).max() < _POTENTIAL_TOL * eps:
             return p_new
         p = p_new
+        G = np.exp((p[:, None] + p[None, :] - C) / eps + log_m[None, :] - 1.0)
+        rows = G.any(axis=1)
+        G, d_rows = G[rows], d[rows]
+        log_s = np.zeros(len(mu))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            while steps < _POTENTIAL_CAP:
+                log_s_new = 0.5 * (log_s[rows] + d_rows - np.log(G @ np.exp(log_s)))
+                if not np.isfinite(log_s_new).all():
+                    break  # out of range: not taken, the next log-domain step takes its place
+                steps += 1
+                step = np.abs(log_s_new - log_s[rows]).max()
+                log_s[rows] = log_s_new
+                if step < _POTENTIAL_TOL:
+                    return p + eps * log_s
+                if np.abs(log_s_new).max() > _SCALING_BOUND:
+                    break
+        p = p + eps * log_s
     return p
 
 
@@ -725,6 +776,22 @@ def prox_entropy_step(mu, C, m, tau, taub):
     (taub > 0) and p the self-transport potential of mu (the debias term; it
     makes nu=mu stationary when mu minimizes the entropy). Returns (nu,
     certified duality gap of the solved program, sweeps).
+
+    Each absorbing sweep is the log-domain sweep
+    alpha = taub (log mu - lse((w - lam C)/taub + log m) + 1),
+    w = taub (-1 + dbf - lse((alpha - lam C)/taub - 1)) / (1 + taub), with
+    lam = 1/(2 tau) and dbf = p/(2 tau). It fixes the kernel
+    G = exp((alpha (+) w - lam C)/taub + log m - 1), the current coupling,
+    and c = -1 + dbf + log m - w. The scaled sweeps after it,
+    a = mu / (G b) and log b = (c - log(a^T G)) / (1 + taub), are the same
+    sweep with alpha + taub log a and w + taub log b in place of alpha and w,
+    on the rows and columns of G with a nonzero entry. A scaled sweep whose
+    log b is not finite is not taken; after one whose |log b| exceeds
+    _SCALING_BOUND the scalings are absorbed. Every sweep ends with the
+    stopping test on the step of w, below _PROX_SWEEP_TOL times taub, and
+    sweeps counts both kinds against _PROX_SWEEP_CAP. The certificate is
+    computed from (alpha, w) in the log domain and is weak duality at any
+    (alpha, w).
     """
     m = np.asarray(m, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -739,17 +806,40 @@ def prox_entropy_step(mu, C, m, tau, taub):
     dbf = np.zeros(n)
     dbf[sel] = symmetric_potential(mu[sel], C[np.ix_(sel, sel)], m[sel], eps) / (2.0 * tau)
 
+    tol = _PROX_SWEEP_TOL * max(taub, 1e-8)
     w = np.zeros(n)
-    alpha = np.zeros(int(sel.sum()))
     sweeps = 0
-    for sweeps in range(1, _PROX_SWEEP_CAP + 1):
+    while sweeps < _PROX_SWEEP_CAP:
+        # absorbing sweep, in the log domain
+        sweeps += 1
         lse = logsumexp((w[None, :] - lam * Cr) / taub + log_m[None, :], axis=1)
         alpha = taub * (log_mu - lse + 1.0)
         logT = logsumexp((alpha[:, None] - lam * Cr) / taub - 1.0, axis=0)
         w_new = taub * (-1.0 + dbf - logT) / (1.0 + taub)
         delta = np.abs(w_new - w).max()
         w = w_new
-        if delta < _PROX_SWEEP_TOL * max(taub, 1e-8):
+        if delta < tol:
+            break
+        # scaled sweeps on the representable block of the current coupling
+        G = np.exp((alpha[:, None] + w[None, :] - lam * Cr) / taub + log_m[None, :] - 1.0)
+        rows, cols = G.any(axis=1), G.any(axis=0)
+        G = G[np.ix_(rows, cols)]
+        mu_r, c = mu[sel][rows], -1.0 + dbf[cols] + log_m[cols] - w[cols]
+        log_b, a = np.zeros(int(cols.sum())), np.ones(int(rows.sum()))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            while sweeps < _PROX_SWEEP_CAP:
+                a_new = mu_r / (G @ np.exp(log_b))
+                log_b_new = (c - np.log(a_new @ G)) / (1.0 + taub)
+                if not np.isfinite(log_b_new).all():
+                    break  # out of range: not taken, the next absorbing sweep takes its place
+                sweeps += 1
+                delta = taub * np.abs(log_b_new - log_b).max()
+                log_b, a = log_b_new, a_new
+                if delta < tol or np.abs(log_b).max() > _SCALING_BOUND:
+                    break
+        w[cols] += taub * log_b
+        alpha[rows] += taub * np.log(a)
+        if delta < tol:
             break
 
     shift = -1.0 - w + dbf

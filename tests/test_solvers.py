@@ -878,3 +878,121 @@ def test_dirac_pair_min_is_certified_and_no_worse_than_bisection(problem):
     # diverges and its bound passes the entropy of that point, which the new
     # routine's nu approaches: compare with the lower of the two
     assert bound >= min(_bisection_dirac_pair_min(m, q, budgets)[1], ent) - 1e-12
+
+
+# -- prox_entropy_step: scaled sweeps against the log-domain loop -----------------
+
+
+def _log_domain_symmetric_potential(mu, C, m, eps):
+    """symmetric_potential as a log-domain loop: every step is a
+    log-sum-exp over the whole matrix."""
+    log_m = np.log(m)
+    log_mu = np.log(np.maximum(mu, 1e-300))
+    p = np.zeros(len(mu))
+    for _ in range(solvers._POTENTIAL_CAP):
+        lse = solvers.logsumexp((p[None, :] - C) / eps + log_m[None, :] - 1.0, axis=1)
+        p_new = 0.5 * (p + eps * (log_mu - log_m) - eps * lse)
+        if np.abs(p_new - p).max() < solvers._POTENTIAL_TOL * eps:
+            return p_new
+        p = p_new
+    return p
+
+
+def _log_domain_prox_step(mu, C, m, tau, taub):
+    """prox_entropy_step with every sweep in the log domain, and the same
+    certificate. Returns (nu, gap, sweeps)."""
+    n = len(m)
+    lam = 1.0 / (2.0 * tau)
+    eps = taub / lam
+    sel = mu > 0
+    Cr = C[sel]
+    log_m = np.log(m)
+    log_mu = np.log(mu[sel])
+    dbf = np.zeros(n)
+    dbf[sel] = _log_domain_symmetric_potential(mu[sel], C[np.ix_(sel, sel)], m[sel], eps) / (2.0 * tau)
+    w = np.zeros(n)
+    for sweeps in range(1, solvers._PROX_SWEEP_CAP + 1):
+        lse = solvers.logsumexp((w[None, :] - lam * Cr) / taub + log_m[None, :], axis=1)
+        alpha = taub * (log_mu - lse + 1.0)
+        logT = solvers.logsumexp((alpha[:, None] - lam * Cr) / taub - 1.0, axis=0)
+        w_new = taub * (-1.0 + dbf - logT) / (1.0 + taub)
+        delta = np.abs(w_new - w).max()
+        w = w_new
+        if delta < solvers._PROX_SWEEP_TOL * max(taub, 1e-8):
+            break
+    floor = solvers._EXP_FLOOR
+    nu_raw = m * np.exp(np.maximum(-1.0 - w + dbf, floor))
+    nu = nu_raw / nu_raw.sum()
+    loggam = (alpha[:, None] + w[None, :]) / taub - lam * Cr / taub - 1.0 + log_m[None, :]
+    gam_mass = float(np.exp(np.maximum(loggam - loggam.max(), floor)).sum()) * np.exp(loggam.max())
+    dual = float(alpha @ mu[sel]) - taub * gam_mass - float(nu_raw.sum())
+    gam = solvers._round_coupling(np.exp(np.maximum(loggam, floor)), mu[sel], nu)
+    primal = (relative_entropy(nu, m) - float(dbf @ nu) + lam * float((gam * Cr).sum())
+              + taub * relative_entropy(gam, m))
+    return nu, float(primal - dual), sweeps
+
+
+@st.composite
+def _prox_problem(draw):
+    """A space (random_metric:2-20, cycle or segment), mu with empty sites,
+    tau in [1e-3, 0.1] and taub in {0.05, 0.25, 1}."""
+    kind = draw(st.sampled_from(["random_metric", "cycle", "segment"]))
+    n = draw(st.integers(3 if kind == "cycle" else 2, 20))
+    space = make_model_space(kind, n, {"seed": draw(st.integers(1, 1000))} if kind == "random_metric" else None)
+    weights = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n, max_size=n)))
+    if not weights.any():
+        weights[draw(st.integers(0, n - 1))] = 1.0
+    tau, taub = draw(st.floats(1e-3, 0.1)), draw(st.sampled_from([0.05, 0.25, 1.0]))
+    return space.metric ** 2, space.ref_measure, weights / weights.sum(), tau, taub
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_prox_problem())
+def test_scaled_sweeps_are_the_log_domain_iteration(problem):
+    C, m, mu, tau, taub = problem
+    nu, gap, sweeps = solvers.prox_entropy_step(mu, C, m, tau, taub)
+    nu_log, gap_log, sweeps_log = _log_domain_prox_step(mu, C, m, tau, taub)
+    assert np.abs(nu - nu_log).max() <= 1e-12
+    # beyond this range the log-domain stop can rest on the rounding of w
+    if C.max() / (2 * tau * taub) <= 1e3:
+        assert abs(sweeps - sweeps_log) <= 2
+        assert gap <= gap_log + 1e-12
+    sel, eps = mu > 0, 2 * tau * taub
+    args = (mu[sel], C[np.ix_(sel, sel)], m[sel], eps)
+    assert np.abs(solvers.symmetric_potential(*args) - _log_domain_symmetric_potential(*args)).max() <= 1e-12 * eps
+
+
+def _extreme_instance(kind, n, seed, tiny):
+    """Mass on two random points of the space and, if tiny, 1e-300 on a third."""
+    space = make_model_space(kind, n, {"seed": seed} if kind == "random_metric" else None)
+    rng = np.random.default_rng(seed)
+    mu = np.zeros(n)
+    sites = rng.choice(n, size=3, replace=False)
+    mu[sites[:2]] = rng.dirichlet(np.ones(2))
+    if tiny:
+        mu[sites[2]] = 1e-300
+    return space.metric ** 2, space.ref_measure, mu
+
+
+# lambda max C / taub from 1.2e4 to 3.8e4. With G clipped at exp(_EXP_FLOOR)
+# instead of left to underflow, the first six run to the sweep cap: on the
+# columns whose true entries underflow, each scaled sweep moves w far off and
+# the next absorbing sweep moves it back
+@pytest.mark.parametrize("kind, n, seed, tiny, tau, taub", [
+    ("random_metric", 9, 1, True, 2e-4, 0.25),
+    ("random_metric", 12, 4, True, 2e-4, 0.25),
+    ("random_metric", 17, 2, False, 2e-4, 0.25),
+    ("random_metric", 5, 1, False, 2e-4, 0.25),
+    ("segment", 17, 0, False, 1e-4, 0.25),
+    ("cycle", 16, 0, False, 4e-5, 0.25),
+    ("random_metric", 17, 3, True, 1e-3, 0.05),
+])
+def test_extreme_ranges_stay_the_log_domain_iteration(kind, n, seed, tiny, tau, taub):
+    C, m, mu = _extreme_instance(kind, n, seed, tiny)
+    assert C.max() / (2 * tau * taub) >= 1e4
+    nu, _, sweeps = solvers.prox_entropy_step(mu, C, m, tau, taub)
+    nu_log, _, sweeps_log = _log_domain_prox_step(mu, C, m, tau, taub)
+    assert np.isfinite(nu).all()
+    assert abs(sweeps - sweeps_log) <= 2
+    assert sweeps <= solvers._PROX_SWEEP_CAP // 10
+    assert np.abs(nu - nu_log).max() <= 1e-12
