@@ -45,7 +45,7 @@ from .dirichlet import (
 )
 from .solvers import SolverError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def schema_version() -> str:
@@ -337,6 +337,8 @@ def run_task(task, space, seed):
             "w2_speeds": list(trace.w2_speeds),
             "final": trace.measures[-1].weights.tolist(),
         }
+        if flavor == "jko":
+            payload["max_inner_gap"] = trace.meta["max_inner_gap"]
         mono = all(a >= b - 1e-9 for a, b in zip(trace.entropies, trace.entropies[1:]))
         if _coerced(task, "assert_entropy_monotone", _exactly(bool), True) and not mono:
             failures.append("flow: entropy not nonincreasing")

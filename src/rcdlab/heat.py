@@ -4,16 +4,24 @@ movement (proximal) flow of the entropy, plus kernel-level laws.
 The semigroup is computed spectrally (the generator is similar to a symmetric
 matrix), which makes the semigroup property, mass conservation and kernel
 symmetry hold to rounding. The proximal flow shares the entropic engine with
-the geodesic module; its step uses a debiased smoothed transport cost because
-the unsmoothed problem freezes on a lattice (moving one site costs at least
-min-edge-length^2 per unit mass, so below that threshold the exact minimizer
-is the starting measure).
+the geodesic module; its step uses a debiased smoothed transport cost, which
+is first-order consistent with the semigroup where the unsmoothed step is
+not. Moving mass one edge costs at least min-edge-length^2 / (2 tau) per unit
+mass, so the unsmoothed step all but freezes on a lattice at steps small
+against min-edge-length^2, and only there: from the bump of
+configs/cycle64_rcd.json, the smoothed step's measure scores above the bump
+on the unsmoothed objective at tau = 1e-5, but 1.0653 against the bump's
+1.4508 at tau = 0.004, so the unsmoothed step moves.
+
+Checks that read only a flow's measures and entropies (evi.rcd_verify's
+probes, identification_check) take the traces of _semigroup_trace and
+_jko_trace, which solve no speed LP and compute no Fisher information.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,37 +124,43 @@ def _heat_measure(form: DirichletForm, f, t) -> ProbMeasure:
 
 def _w2_speeds(C, measures, steps):
     """W2(mu_k, mu_{k+1}) / step_k along a trace for squared distances C, on
-    one transport path."""
+    one transport path walked from the last pair to the first. A flow's
+    support grows from its start to full, so the path solves the full model
+    cold once, on the smoothest pair, and restarts only on the small LPs of
+    the first pairs: on the flows of configs/cycle64_rcd.json a third fewer
+    simplex iterations than walking forward."""
     path = []
-    return tuple(float(np.sqrt(max(exact_ot(C, a.weights, b.weights, path=path)[0], 0.0)) / dt)
-                 for a, b, dt in zip(measures, measures[1:], steps))
+    speeds = [float(np.sqrt(max(exact_ot(C, a.weights, b.weights, path=path)[0], 0.0)) / dt)
+              for a, b, dt in reversed(list(zip(measures, measures[1:], steps)))]
+    return tuple(reversed(speeds))
+
+
+def _with_rates(trace: FlowTrace, form, C, steps) -> FlowTrace:
+    """trace with its Fisher informations (nan without a form) and its W2
+    speeds for squared distances C over the given steps."""
+    fisher = tuple(fisher_information(mu, form) if form is not None else float("nan") for mu in trace.measures)
+    return replace(trace, fisher=fisher, w2_speeds=_w2_speeds(C, trace.measures, steps))
+
+
+def _semigroup_trace(form: DirichletForm, f0, t_grid) -> FlowTrace:
+    """The measures and entropies of semigroup_flow; its Fisher and speed
+    series are empty."""
+    f0 = np.asarray(f0, dtype=float)
+    m = form.vertex_measure
+    times = tuple(float(t) for t in t_grid)
+    measures = tuple(_heat_measure(form, f0, t) for t in times)
+    return FlowTrace(times, measures, tuple(relative_entropy(mu, m) for mu in measures), (), (), "semigroup")
 
 
 def semigroup_flow(form: DirichletForm, f0, t_grid) -> FlowTrace:
     """Trace of the L2 semigroup from a probability density f0."""
-    f0 = np.asarray(f0, dtype=float)
-    m = form.vertex_measure
-    times = [float(t) for t in t_grid]
-    measures, entropies, fishers = [], [], []
-    for t in times:
-        mu = _heat_measure(form, f0, t)
-        measures.append(mu)
-        entropies.append(relative_entropy(mu, m))
-        fishers.append(fisher_information(mu, form))
-    speeds = _w2_speeds(form.space.metric ** 2, measures, np.diff(times))
-    return FlowTrace(tuple(times), tuple(measures), tuple(entropies), tuple(fishers), speeds, "semigroup")
+    trace = _semigroup_trace(form, f0, t_grid)
+    return _with_rates(trace, form, form.space.metric ** 2, np.diff(trace.times))
 
 
-def jko_flow(mu0: ProbMeasure, tau, nsteps, inner_tol=1e-8, blur=0.25, form=None) -> FlowTrace:
-    """Minimizing-movement flow of the entropy in W2.
-
-    Each step solves the coupling program min Ent(nu) + cost(gamma)/(2 tau)
-    with the quadratic cost smoothed at barrier temperature blur (transport
-    blur 2*blur*tau) and debiased by the self-transport potential of the
-    current iterate; blur > 0 is required for first-order consistency on a
-    lattice (see module docstring). Certified per-step duality gaps of the
-    solved program must stay below inner_tol.
-    """
+def _jko_trace(mu0: ProbMeasure, tau, nsteps, inner_tol, blur) -> FlowTrace:
+    """The measures, entropies and meta of jko_flow; its Fisher and speed
+    series are empty."""
     if tau <= 0:
         raise HeatError("tau > 0 required")
     if blur <= 0:
@@ -166,12 +180,24 @@ def jko_flow(mu0: ProbMeasure, tau, nsteps, inner_tol=1e-8, blur=0.25, form=None
         w = w_new
         times.append((k + 1) * tau)
         measures.append(ProbMeasure(space, w / w.sum()))
-    entropies = [relative_entropy(mu, m) for mu in measures]
-    fishers = [fisher_information(mu, form) if form is not None else float("nan") for mu in measures]
     return FlowTrace(
-        tuple(times), tuple(measures), tuple(entropies), tuple(fishers), _w2_speeds(C, measures, [tau] * nsteps),
+        tuple(times), tuple(measures), tuple(relative_entropy(mu, m) for mu in measures), (), (),
         "jko", {"tau": float(tau), "blur": float(blur), "max_inner_gap": max(gaps) if gaps else 0.0},
     )
+
+
+def jko_flow(mu0: ProbMeasure, tau, nsteps, inner_tol=1e-8, blur=0.25, form=None) -> FlowTrace:
+    """Minimizing-movement flow of the entropy in W2.
+
+    Each step solves the coupling program min Ent(nu) + cost(gamma)/(2 tau)
+    with the quadratic cost smoothed at barrier temperature blur (transport
+    blur 2*blur*tau) and debiased by the self-transport potential of the
+    current iterate; blur > 0 is required for first-order consistency with
+    the semigroup, which the unsmoothed step lacks on a lattice (see module
+    docstring). Certified per-step duality gaps of the solved program must
+    stay below inner_tol; the largest is meta["max_inner_gap"].
+    """
+    return _with_rates(_jko_trace(mu0, tau, nsteps, inner_tol, blur), form, mu0.space.metric ** 2, [tau] * nsteps)
 
 
 def identification_check(form: DirichletForm, f0, t_grid, tau_grid, blur=0.25, t_diss=0.1) -> dict:
@@ -185,7 +211,7 @@ def identification_check(form: DirichletForm, f0, t_grid, tau_grid, blur=0.25, t
     gaps = []
     for tau in tau_grid:
         nsteps = int(round(T / tau))
-        trace = jko_flow(mu0, tau, nsteps, inner_tol=1e-6, blur=blur)
+        trace = _jko_trace(mu0, tau, nsteps, 1e-6, blur)
         worst = 0.0
         for t, mu in zip(trace.times[1:], trace.measures[1:]):
             ft = semigroup_apply(form, f0, t)

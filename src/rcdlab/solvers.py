@@ -38,10 +38,12 @@ optimal basis, which a change of marginals leaves dual feasible (Huangfu and
 Hall, Parallelizing the dual revised simplex method, Math. Prog. Comp. 2018);
 on the flows of configs/cycle64_rcd.json that halves the simplex iterations.
 A change of either support is a new model: the path restarts with a cold
-solve on the new supports and runs hot again after it. Hot runs are read
-and checked by linprog like cold ones. Only an explicit
-path carries a basis from one solve to the next, so no result depends on
-the call history outside it; path solves do not touch exact_ot's memory.
+solve on the new supports and runs hot again after it, so a loop orders its
+problems to restart on small models (heat._w2_speeds walks a flow from its
+end). Hot runs are read and checked by linprog like cold ones. Only an
+explicit path carries a basis from one solve to the next, so no result
+depends on the call history outside it; path solves do not touch exact_ot's
+memory.
 
 interior_point measures the common slack of the linked-pair polytope: two
 couplings sharing their second marginal, each under a quadratic-cost budget.

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcdlab import cli
+from rcdlab import cli, heat
+from rcdlab.dirichlet import dirichlet_form
+from rcdlab.measures import bump_measure
 from rcdlab.mmspace import make_model_space, save_space
 
 
@@ -15,7 +17,7 @@ def run_cli(args):
 
 
 def test_schema_version():
-    assert cli.schema_version() == "1"
+    assert cli.schema_version() == "2"
 
 
 def test_canonical_float_formatting():
@@ -31,7 +33,7 @@ def test_validate_task_on_valid_space(tmp_path):
            "tasks": [{"op": "validate", "name": "v"}]}
     assert cli.run(cfg) == 0
     artifact = json.loads((tmp_path / "out" / "v.json").read_text())
-    assert artifact["schema_version"] == "1"
+    assert artifact["schema_version"] == "2"
     assert artifact["result"]["passed"] is True
 
 
@@ -155,6 +157,20 @@ def test_solver_failure_exit_code(tmp_path):
                       "flavor": "jko", "tau": 0.004, "steps": 2,
                       "inner_tol": 1e-30}]}
     assert cli.run(cfg) == 3
+
+
+def test_jko_artifact_carries_the_largest_inner_gap(tmp_path):
+    bump = {"kind": "bump", "center": 2, "radius": 0.2}
+    cfg = {"space": {"kind": "cycle", "n": 16}, "seed": 0,
+           "output_dir": str(tmp_path / "o"),
+           "tasks": [{"op": "flow", "name": "j", "f0": bump, "flavor": "jko", "tau": 0.004, "steps": 2},
+                     {"op": "flow", "name": "s", "f0": bump, "t": 0.01, "steps": 2}]}
+    assert cli.run(cfg) == 0
+    jko = json.loads((tmp_path / "o" / "j.json").read_text())["result"]
+    space = make_model_space("cycle", 16)
+    trace = heat.jko_flow(bump_measure(space, 2, 0.2), 0.004, 2, inner_tol=1e-6, form=dirichlet_form(space))
+    assert 0 < jko["max_inner_gap"] == trace.meta["max_inner_gap"] <= 1e-6
+    assert "max_inner_gap" not in json.loads((tmp_path / "o" / "s.json").read_text())["result"]
 
 
 def test_geodesy_error_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rcdlab import evi, heat
 from rcdlab.dirichlet import dirichlet_form, energy, weighted_form
 from rcdlab.evi import (
     EviError,
@@ -210,3 +211,24 @@ def test_rcd_verify_two_point_and_cycle():
     form = dirichlet_form(s)
     rep2 = rcd_verify(form, K=0.0, seed=1, evi_tol=5e-2)
     assert rep2["verdict"]
+
+
+def test_rcd_verify_solves_one_transport_lp_per_probe_time(monkeypatch, exact_ot_calls):
+    form = dirichlet_form(make_model_space("cycle", 16))
+    t_grid = [0.01, 0.02, 0.04, 0.06]
+
+    def battery():
+        rep = rcd_verify(form, seed=3, t_grid=t_grid, n_quadratic=2, n_additivity=2, n_probes=2)
+        return rep["verdict"], {name: (r.grid, r.residuals, r.worst, r.extras) for name, r in rep["checks"].items()}
+
+    got = battery()
+    assert len(exact_ot_calls) == 2 * len(t_grid)  # the EVI distances only
+    monkeypatch.setattr(evi, "_semigroup_trace", heat.semigroup_flow)  # the probes as full flows
+    assert battery() == got
+    assert len(exact_ot_calls) == 2 * len(t_grid) + 2 * (2 * len(t_grid) - 1)
+
+
+def test_ede_refuses_a_trace_without_speeds_or_fisher():
+    form = dirichlet_form(make_model_space("cycle", 8))
+    with pytest.raises(EviError, match="lacks speed or Fisher"):
+        ede_check(heat._semigroup_trace(form, np.ones(8), [0.0, 0.1]))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from rcdlab import heat
+from rcdlab import heat, solvers
 from rcdlab.dirichlet import dirichlet_form
 from rcdlab.heat import (
     HeatError,
@@ -20,7 +21,7 @@ from rcdlab.heat import (
     spectral_gap,
     tensorization_check,
 )
-from rcdlab.measures import ProbMeasure, dirac, fisher_information, measure_from_density, relative_entropy, uniform_measure
+from rcdlab.measures import ProbMeasure, bump_measure, dirac, fisher_information, measure_from_density, relative_entropy, uniform_measure
 from rcdlab.mmspace import FiniteMMSpace, make_model_space
 from rcdlab.solvers import prox_entropy_step
 
@@ -192,6 +193,23 @@ def test_identification_check_stationary():
     rep = identification_check(form, f0, [0.02, 0.05], [4e-3, 2e-3], t_diss=0.05)
     assert max(rep["l1_gaps"]) <= 1e-6
     assert rep["fisher_at_t"] <= 1e-10
+
+
+def test_identification_check_solves_no_transport_lp(monkeypatch, exact_ot_calls):
+    s, form = cycle_form(16)
+    f0 = bump_measure(s, 4, 0.2).density()
+    got = identification_check(form, f0, [0.02], [4e-3, 2e-3], t_diss=0.02)
+    assert exact_ot_calls == []
+    real_trace = heat._jko_trace
+
+    def full_flow(mu0, tau, nsteps, inner_tol, blur):  # jko_flow, speed LPs and all
+        with monkeypatch.context() as inner:
+            inner.setattr(heat, "_jko_trace", real_trace)
+            return jko_flow(mu0, tau, nsteps, inner_tol=inner_tol, blur=blur)
+
+    monkeypatch.setattr(heat, "_jko_trace", full_flow)
+    assert identification_check(form, f0, [0.02], [4e-3, 2e-3], t_diss=0.02) == got
+    assert len(exact_ot_calls) == 5 + 10
 
 
 def test_dissipation_identity_on_cycle():
@@ -408,3 +426,66 @@ def test_entropy_nonincreasing_along_semigroup():
     flow = semigroup_flow(form, f0, np.linspace(0, 0.2, 15).tolist())
     ents = flow.entropies
     assert all(a >= b - 1e-10 for a, b in zip(ents, ents[1:]))
+
+
+# -- flow speeds: one transport path per flow, walked from its last pair to its first
+
+
+def recorded_paths(monkeypatch):
+    """Record the HiGHS instance that the heat module's transport path holds after each solve."""
+    real, instances = heat.exact_ot, []
+
+    def recording(C, a, b, path=None):
+        out = real(C, a, b, path=path)
+        instances.append(path[0][0])
+        return out
+
+    monkeypatch.setattr(heat, "exact_ot", recording)
+    return instances
+
+
+@st.composite
+def partial_start_flows(draw):
+    """A short semigroup or minimizing-movement flow from a measure with empty sites."""
+    kind = draw(st.sampled_from(["cycle", "segment", "random_metric"]))
+    n = draw(st.integers(3, 16))
+    space = make_model_space(kind, n, {"seed": draw(st.integers(0, 2**16))} if kind == "random_metric" else None)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.uniform(size=n) < 0.5
+    keep[rng.integers(n)] = True
+    w = rng.dirichlet(np.ones(n)) * keep
+    mu0 = ProbMeasure(space, w / w.sum())
+    steps = draw(st.lists(st.floats(0.005, 0.05), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        return space, heat._semigroup_trace(dirichlet_form(space), mu0.density(), np.cumsum([0.0] + steps))
+    return space, heat._jko_trace(mu0, steps[0], len(steps), 1e-6, 0.25)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(partial_start_flows())
+def test_backward_speed_path_matches_cold_solves(flow):
+    space, trace = flow
+    C = space.metric ** 2
+    pairs = list(zip(trace.measures, trace.measures[1:]))
+    steps = np.diff(trace.times)
+    with pytest.MonkeyPatch.context() as mp:
+        instances = recorded_paths(mp)
+        speeds = heat._w2_speeds(C, trace.measures, steps)
+    for speed, (a, b), dt in zip(speeds, pairs, steps):
+        cold = np.sqrt(solvers.exact_ot(C, a.weights, b.weights)[0]) / dt
+        assert abs(speed - cold) <= 1e-12 * cold
+    # walked from the last pair, the path restarts exactly where a support changes
+    supports = [((a.weights > 0).tobytes(), (b.weights > 0).tobytes()) for a, b in reversed(pairs)]
+    assert [x is y for x, y in zip(instances, instances[1:])] == [x == y for x, y in zip(supports, supports[1:])]
+
+
+def test_a_bump_start_flow_restarts_its_speed_path_only_at_the_bump(monkeypatch):
+    s, form = cycle_form(64)
+    mu0 = bump_measure(s, 16, 0.12)
+    instances = recorded_paths(monkeypatch)
+    semigroup_flow(form, mu0.density(), np.linspace(0.0, 0.1, 11))
+    jko_flow(mu0, 0.004, 10, inner_tol=1e-6, form=form)
+    # each flow's path solves its nine full-support pairs on one HiGHS instance,
+    # cold on the last pair, and restarts on the pair from the bump, the last it solves
+    one_flow = [True] * 8 + [False]
+    assert [x is y for x, y in zip(instances, instances[1:])] == one_flow + [False] + one_flow
