@@ -15,6 +15,7 @@ import numpy as np
 from .dirichlet import DirichletForm, cheeger_energy, energy, weighted_form
 from .heat import FlowTrace, _semigroup_trace, semigroup_apply
 from .measures import ProbMeasure, relative_entropy
+from .mmspace import line_of
 from .ot import kantorovich_potentials
 from .solvers import exact_ot
 
@@ -51,10 +52,10 @@ def fit_trend(params, worsts):
 
 
 def _w2sq_to(flow: FlowTrace, sigma: ProbMeasure):
-    """W2^2(mu_t, sigma) at every time of the trace, on one transport path."""
-    C = sigma.space.metric ** 2
-    path = []
-    return np.array([exact_ot(C, mu.weights, sigma.weights, path=path)[0] for mu in flow.measures])
+    """W2^2(mu_t, sigma) at every time of the trace; without a line
+    (exact_ot), on one transport path."""
+    C, line, path = sigma.space.metric ** 2, line_of(sigma.space), []
+    return np.array([exact_ot(C, mu.weights, sigma.weights, path=path, line=line)[0] for mu in flow.measures])
 
 
 def evi_check(flow: FlowTrace, sigma: ProbMeasure, K) -> InequalityReport:
@@ -156,7 +157,7 @@ def entropy_inequality_check(eta: ProbMeasure, sigma: ProbMeasure, K, form: Diri
     f = eta.density()
     if f.min() <= 0:
         raise EviError("eta must have positive density")
-    wsq = exact_ot(space.metric ** 2, eta.weights, sigma.weights)[0]
+    wsq = exact_ot(space.metric ** 2, eta.weights, sigma.weights, line=line_of(space))[0]
     lhs = relative_entropy(sigma, m) - relative_entropy(eta, m) - 0.5 * K * wsq
     pair = kantorovich_potentials(eta, sigma, gauge=int(sigma.support()[0]))
     resid = float(lhs + energy(weighted_form(form, eta), pair.phi, np.log(f)))

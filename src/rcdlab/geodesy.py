@@ -17,7 +17,7 @@ import numpy as np
 
 from .measures import ProbMeasure, relative_entropy, support_radius
 from .mmspace import _freeze
-from .ot import KantorovichPair, TransportPlan, w2
+from .ot import KantorovichPair, TransportPlan, _same_space
 from .solvers import (
     InfeasibleError,
     SolverError,
@@ -35,6 +35,14 @@ _CURVE_CAP = 64  # paths curve_plan_from_trace strips at most
 
 class GeodesyError(ValueError):
     pass
+
+
+def _w2(mu, nu):
+    """W2(mu, nu) on the full transport LP, as ot.w2 gives it without a line:
+    the builders turn a one-ulp change of a W2 value into tolerance-level
+    changes of their measures, so they keep the full LP's bits."""
+    _same_space(mu, nu)
+    return float(np.sqrt(max(exact_ot(mu.space.metric ** 2, mu.weights, nu.weights)[0], 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +121,7 @@ def epsilon_min(mu0: ProbMeasure, mu1: ProbMeasure, t) -> float:
     """Least uniform relaxation making I_t^eps nonempty, by solvers.epsilon_min's
     dual Newton cuts: each iterate is a certified lower bound, and the value
     returned has verified slack."""
-    return _epsilon_min_lp(mu0.space.metric ** 2, mu0.weights, mu1.weights, t, w2(mu0, mu1)[0])
+    return _epsilon_min_lp(mu0.space.metric ** 2, mu0.weights, mu1.weights, t, _w2(mu0, mu1))
 
 
 def intermediate_entropy_min(mu0: ProbMeasure, mu1: ProbMeasure, t, epsilon, tol=1e-3, W=None):
@@ -128,7 +136,7 @@ def intermediate_entropy_min(mu0: ProbMeasure, mu1: ProbMeasure, t, epsilon, tol
     if epsilon < 0:
         raise GeodesyError("epsilon >= 0 required")
     if W is None:
-        W = w2(mu0, mu1)[0]
+        W = _w2(mu0, mu1)
     prob = IntermediateSpec(float(t), float(epsilon), float(W))
     if epsilon == 0.0 and t in (0.0, 1.0):
         mu = mu0 if t == 0.0 else mu1
@@ -220,7 +228,7 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
         nonlocal eps_max
         a, b = nodes[ta], nodes[tb]
         frac = (tmid - ta) / (tb - ta)
-        Wab = w2(a, b)[0]
+        Wab = _w2(a, b)
         if auto:
             # the least relaxation comes with verified slack and the set only
             # grows with epsilon, so the margin, which gives the entropy
@@ -255,7 +263,7 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
     times = sorted(nodes)
     measures = [nodes[t] for t in times]
     entropies = [relative_entropy(mu, m) for mu in measures]
-    w2s = [w2(mu0, mu)[0] for mu in measures]
+    w2s = [_w2(mu0, mu) for mu in measures]
     sup_d = [float(mu.density().max()) for mu in measures]
     cert_list = [certs.get(t) for t in times]
     return GeodesicTrace(
@@ -300,7 +308,7 @@ def cd_convexity_check(trace: GeodesicTrace, K) -> dict:
 
     def wsq(a, b):
         if (a, b) not in wsq_cache:
-            wsq_cache[(a, b)] = w2(node[a], node[b])[0] ** 2
+            wsq_cache[(a, b)] = _w2(node[a], node[b]) ** 2
         return wsq_cache[(a, b)]
 
     local = []
@@ -392,10 +400,10 @@ def combine_restricted(trace: GeodesicTrace, plan: TransportPlan, f_weights, nu_
         raise GeodesyError(f"combined mass {total} != 1")
     out = ProbMeasure(space, weights / total)
     # verify membership in the relaxed intermediate set of the endpoints
-    W = w2(trace.measures[0], trace.measures[-1])[0]
+    W = _w2(trace.measures[0], trace.measures[-1])
     t = lam_time
-    wa = w2(trace.measures[0], out)[0]
-    wb = w2(out, trace.measures[-1])[0]
+    wa = _w2(trace.measures[0], out)
+    wb = _w2(out, trace.measures[-1])
     eps_here = max(wa - t * W, wb - (1 - t) * W, 0.0)
     if eps_here > trace.epsilon_used + 1e-8:
         raise GeodesyError(f"surgery left the intermediate set: slack {eps_here:.3e}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dirichlet import DirichletForm, laplacian_matrix, product_form
 from .measures import ProbMeasure, fisher_information, relative_entropy, uniform_measure
-from .mmspace import _freeze, product_space
+from .mmspace import _freeze, line_of, product_space
 from .solvers import SolverError, exact_ot, prox_entropy_step
 
 _KERNEL_CLIP_TOL = 1e-12
@@ -122,24 +122,24 @@ def _heat_measure(form: DirichletForm, f, t) -> ProbMeasure:
     return ProbMeasure(form.space, w / w.sum())
 
 
-def _w2_speeds(C, measures, steps):
-    """W2(mu_k, mu_{k+1}) / step_k along a trace for squared distances C, on
-    one transport path walked from the last pair to the first. A flow's
-    support grows from its start to full, so the path solves the full model
-    cold once, on the smoothest pair, and restarts only on the small LPs of
-    the first pairs: on the flows of configs/cycle64_rcd.json a third fewer
-    simplex iterations than walking forward."""
-    path = []
-    speeds = [float(np.sqrt(max(exact_ot(C, a.weights, b.weights, path=path)[0], 0.0)) / dt)
+def _w2_speeds(space, measures, steps):
+    """W2(mu_k, mu_{k+1}) / step_k along a trace on space. Without a line
+    (exact_ot), on one transport path walked from the last pair to the first:
+    a flow's support grows from its start to full, so the path solves the full
+    model cold once, on the smoothest pair, and restarts only on the small LPs
+    of the first pairs, a third fewer simplex iterations than walking forward
+    on the flows of configs/cycle64_rcd.json solved without their line."""
+    C, line, path = space.metric ** 2, line_of(space), []
+    speeds = [float(np.sqrt(max(exact_ot(C, a.weights, b.weights, path=path, line=line)[0], 0.0)) / dt)
               for a, b, dt in reversed(list(zip(measures, measures[1:], steps)))]
     return tuple(reversed(speeds))
 
 
-def _with_rates(trace: FlowTrace, form, C, steps) -> FlowTrace:
+def _with_rates(trace: FlowTrace, form, space, steps) -> FlowTrace:
     """trace with its Fisher informations (nan without a form) and its W2
-    speeds for squared distances C over the given steps."""
+    speeds on space over the given steps."""
     fisher = tuple(fisher_information(mu, form) if form is not None else float("nan") for mu in trace.measures)
-    return replace(trace, fisher=fisher, w2_speeds=_w2_speeds(C, trace.measures, steps))
+    return replace(trace, fisher=fisher, w2_speeds=_w2_speeds(space, trace.measures, steps))
 
 
 def _semigroup_trace(form: DirichletForm, f0, t_grid) -> FlowTrace:
@@ -155,7 +155,7 @@ def _semigroup_trace(form: DirichletForm, f0, t_grid) -> FlowTrace:
 def semigroup_flow(form: DirichletForm, f0, t_grid) -> FlowTrace:
     """Trace of the L2 semigroup from a probability density f0."""
     trace = _semigroup_trace(form, f0, t_grid)
-    return _with_rates(trace, form, form.space.metric ** 2, np.diff(trace.times))
+    return _with_rates(trace, form, form.space, np.diff(trace.times))
 
 
 def _jko_trace(mu0: ProbMeasure, tau, nsteps, inner_tol, blur) -> FlowTrace:
@@ -197,7 +197,7 @@ def jko_flow(mu0: ProbMeasure, tau, nsteps, inner_tol=1e-8, blur=0.25, form=None
     docstring). Certified per-step duality gaps of the solved program must
     stay below inner_tol; the largest is meta["max_inner_gap"].
     """
-    return _with_rates(_jko_trace(mu0, tau, nsteps, inner_tol, blur), form, mu0.space.metric ** 2, [tau] * nsteps)
+    return _with_rates(_jko_trace(mu0, tau, nsteps, inner_tol, blur), form, mu0.space, [tau] * nsteps)
 
 
 def identification_check(form: DirichletForm, f0, t_grid, tau_grid, blur=0.25, t_diss=0.1) -> dict:
@@ -322,15 +322,14 @@ def log_sobolev_check(form: DirichletForm, f, K, n_family=20, seed=0) -> dict:
 
 def contraction_check(form: DirichletForm, mu: ProbMeasure, nu: ProbMeasure, K, t_grid) -> dict:
     """max over t of W2(h_t mu, h_t nu) - exp(-Kt) W2(mu, nu)."""
-    C = form.space.metric ** 2
-    path = []
-    w0 = np.sqrt(max(exact_ot(C, mu.weights, nu.weights, path=path)[0], 0.0))
+    C, line, path = form.space.metric ** 2, line_of(form.space), []
+    w0 = np.sqrt(max(exact_ot(C, mu.weights, nu.weights, path=path, line=line)[0], 0.0))
     worst = -np.inf
     series = []
     for t in t_grid:
         a = _heat_measure(form, mu.density(), t).weights
         b = _heat_measure(form, nu.density(), t).weights
-        wt = np.sqrt(max(exact_ot(C, a, b, path=path)[0], 0.0))
+        wt = np.sqrt(max(exact_ot(C, a, b, path=path, line=line)[0], 0.0))
         gap = wt - np.exp(-K * t) * w0
         series.append(float(gap))
         worst = max(worst, gap)
@@ -354,8 +353,8 @@ def tensorization_check(form_a: DirichletForm, form_b: DirichletForm, f_a, f_b, 
     mu_b = f_b * mb / (f_b * mb).sum()
     nu_a = _heat_measure(form_a, f_a, t).weights
     nu_b = _heat_measure(form_b, f_b, t).weights
-    wa = exact_ot(form_a.space.metric ** 2, mu_a, nu_a)[0]
-    wb = exact_ot(form_b.space.metric ** 2, mu_b, nu_b)[0]
+    wa = exact_ot(form_a.space.metric ** 2, mu_a, nu_a, line=line_of(form_a.space))[0]
+    wb = exact_ot(form_b.space.metric ** 2, mu_b, nu_b, line=line_of(form_b.space))[0]
     wp = exact_ot(space_p.metric ** 2, (mu_a[:, None] * mu_b[None, :]).ravel(), (nu_a[:, None] * nu_b[None, :]).ravel())[0]
     return {
         "kernel_factorization_gap": fact,
@@ -373,5 +372,6 @@ def entropy_slope_regularization(form: DirichletForm, mu: ProbMeasure, t, K=0.0)
     fis = fisher_information(mu_t, form)
     I = i_rate(K, t)
     lhs = I * ent + 0.5 * I * I * fis
-    rhs = 0.5 * exact_ot(form.space.metric ** 2, mu.weights, uniform_measure(form.space).weights)[0]
+    rhs = 0.5 * exact_ot(form.space.metric ** 2, mu.weights, uniform_measure(form.space).weights,
+                         line=line_of(form.space))[0]
     return {"lhs": float(lhs), "rhs": float(rhs), "margin": float(rhs - lhs)}

@@ -240,6 +240,16 @@ def make_model_space(kind, n, params=None) -> FiniteMMSpace:
     return FiniteMMSpace(tuple(range(n)), d, m, tuple(edges), x0, meta)
 
 
+def line_of(space: FiniteMMSpace):
+    """(positions, period) of a segment (period None) or a cycle (period 1.0)
+    model space, its points' coordinates in index order; None for every other
+    space, and for a space loaded from JSON, which keeps no positions."""
+    kind = space.meta.get("kind")
+    if kind not in ("segment", "cycle") or "positions" not in space.meta:
+        return None
+    return _freeze(space.meta["positions"]), (1.0 if kind == "cycle" else None)
+
+
 def product_space(a: FiniteMMSpace, b: FiniteMMSpace) -> FiniteMMSpace:
     """Product with the l2 metric, product measure and Cartesian product graph."""
     for s in (a, b):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import ProbMeasure, measure_from_density
-from .mmspace import FiniteMMSpace, _freeze
+from .mmspace import FiniteMMSpace, _freeze, line_of
 from .solvers import exact_ot
 
 MARGINAL_TOL = 1e-10
@@ -93,7 +93,7 @@ def w2(mu: ProbMeasure, nu: ProbMeasure):
     """W2 distance and an optimal plan (exact LP)."""
     _same_space(mu, nu)
     C = mu.space.metric ** 2
-    cost, plan, _, _ = exact_ot(C, mu.weights, nu.weights)
+    cost, plan, _, _ = exact_ot(C, mu.weights, nu.weights, line=line_of(mu.space))
     cost = max(cost, 0.0)
     return float(np.sqrt(cost)), TransportPlan(plan, cost)
 
@@ -124,7 +124,7 @@ def kantorovich_potentials(mu: ProbMeasure, nu: ProbMeasure, gauge=None) -> Kant
     _same_space(mu, nu)
     space = mu.space
     C = space.metric ** 2
-    cost, _, _, v = exact_ot(C, mu.weights, nu.weights)
+    cost, _, _, v = exact_ot(C, mu.weights, nu.weights, line=line_of(space))
     sup = nu.support()
     psi = np.full(space.n, -np.inf)
     psi[sup] = 0.5 * v[sup]

@@ -30,20 +30,32 @@ solve, so a W2 value followed by the potentials of the same problem costs
 one LP; its arrays are read-only because a repeat call hands the same
 objects to the next caller.
 
-A loop of transport problems on one cost matrix, such as the speeds along a
-flow or the distances from each flow measure to one target, passes exact_ot
-a path: a list the loop owns. linprog keeps the path's HiGHS instance and
-re-runs it with new row bounds, so the dual simplex restarts from the last
-optimal basis, which a change of marginals leaves dual feasible (Huangfu and
-Hall, Parallelizing the dual revised simplex method, Math. Prog. Comp. 2018);
-on the flows of configs/cycle64_rcd.json that halves the simplex iterations.
-A change of either support is a new model: the path restarts with a cold
-solve on the new supports and runs hot again after it, so a loop orders its
-problems to restart on small models (heat._w2_speeds walks a flow from its
-end). Hot runs are read and checked by linprog like cold ones. Only an
-explicit path carries a basis from one solve to the next, so no result
+On a segment or a cycle (mmspace.line_of) the optimal plan is known in
+advance up to one parameter: the monotone coupling, on a cycle at the best
+shift (Delon, Salomon and Sobolevski, SIAM J. Appl. Math. 2010), with at most
+k0 + k1 - 1 cells. exact_ot then solves the LP on those cells only, prices
+every other pair of the supports by its reduced cost against the LP's duals,
+and adds the violators and solves again until there are none (the shortlist
+method; Gottschlich and Schuhmacher, PLoS ONE 2014). The check, not the
+structure, makes the result optimal on the full LP. On the flows of
+configs/cycle64_rcd.json every shortlist holds at its first LP, of at most
+127 columns where the full model has 4096.
+
+A loop of transport problems on one cost matrix without a line, such as the
+speeds along a flow or the distances from each flow measure to one target on
+a random metric, passes exact_ot a path: a list the loop owns. linprog keeps
+the path's HiGHS instance and re-runs it with new row bounds, so the dual
+simplex restarts from the last optimal basis, which a change of marginals
+leaves dual feasible (Huangfu and Hall, Parallelizing the dual revised
+simplex method, Math. Prog. Comp. 2018); on the flows of
+configs/cycle64_rcd.json, solved without their line, that halved the simplex
+iterations. A change of either support is a new model: the path restarts
+with a cold solve on the new supports and runs hot again after it, so a loop
+orders its problems to restart on small models (heat._w2_speeds walks a flow
+from its end). Hot runs are read and checked by linprog like cold ones. Only
+an explicit path carries a basis from one solve to the next, so no result
 depends on the call history outside it; path solves do not touch exact_ot's
-memory.
+memory. With a line the path is not used: a shortlist LP is small, and cold.
 
 interior_point measures the common slack of the linked-pair polytope: two
 couplings sharing their second marginal, each under a quadratic-cost budget.
@@ -61,8 +73,12 @@ low-dimensional dual. Both dual bounds are returned less an allowance for
 their rounding error, so a certified gap is never negative.
 
 entropy_capacity_min is an uncertified warm probe for entropy_budget_min: a
-short barrier schedule of cyclic block-coordinate ascent on the dual of an
+barrier schedule of cyclic block-coordinate ascent on the dual of an
 entropic relaxation, whose measure is used only as an extra gradient probe.
+Each temperature stage stops at 80 sweeps or on a step of w below
+1e-10 tau. In practice only the cap stops it: in one pass of the benchmark's
+geodesic workload (seed 1), all 104 stages of its 35 calls ran 80 sweeps,
+and their last steps of w were 2e-6 to 0.3 (median 2.3e-3).
 
 prox_entropy_step is the single-anchor variant used by the minimizing-
 movement flow, with a debiasing linear term that cancels the smoothing drift
@@ -262,12 +278,92 @@ def _marginal_matrix(n0, n1):
     return _MARGINAL_CACHE[key]
 
 
+def _staircase(p, q):
+    """Rows and columns of the north-west corner rule on masses p and q in
+    index order: the k0 + k1 - 1 cells of a path through every row and column."""
+    A, B = np.cumsum(p), np.cumsum(q)
+    down = np.argsort(np.concatenate([A[:-1] / A[-1], B[:-1] / B[-1]]), kind="stable") < p.size - 1
+    return np.concatenate([[0], np.cumsum(down)]), np.concatenate([[0], np.cumsum(~down)])
+
+
+def _best_shift(x, y, p, q):
+    """(r, s) such that the optimal coupling of sum p_i delta_{x_i} and
+    sum q_j delta_{y_j} on the circle of length 1 (positions in [0, 1),
+    increasing) cuts after the r-th mass of p where it cuts after the s-th of q.
+
+    The monotone couplings of the two measures pair the lifted quantile
+    functions X(t) and Y(t - theta). Their lifted cost
+    L(theta) = int_0^1 (X(t) - Y(t - theta))^2 dt is convex and piecewise linear
+    in theta, and its minimum is the transport cost (Delon, Salomon and
+    Sobolevski, Fast transport optimization for Monge costs on the circle,
+    SIAM J. Appl. Math. 2010). Where X jumps from x_r to x_r' at A_r, the slope
+    of L gains (x_r' - x_r)(x_r + x_r' - 2 Y(A_r - theta)); it grows by
+    2 (x_r' - x_r)(y_s' - y_s) at each breakpoint theta = A_r - B_s mod 1, where
+    a cut of p meets one of q. L(theta + 1) - L(theta) =
+    2 (mean x - mean y + theta) + 1, so a minimizer lies in the unit window
+    from mean y - mean x - 1/2, and it is the breakpoint of that window at
+    which the slope, summed along the sorted breakpoints, turns nonnegative.
+    """
+    A, B = np.cumsum(p), np.cumsum(q)
+    A, B = A / A[-1], B / B[-1]
+    dx = np.diff(x, append=x[0] + 1.0)
+    dy = np.diff(y, append=y[0] + 1.0)
+    lo = (y @ q / q.sum() - x @ p / p.sum()) - 0.5
+    t = A - lo
+    lift = np.floor(t)
+    slope = dx @ (2.0 * x + dx - 2.0 * (y[np.searchsorted(B, t - lift)] + lift))
+    theta = t[:, None] - B[None, :]
+    order = np.argsort((theta - np.floor(theta)).ravel())  # the breakpoints, less lo, mod 1; % costs 10 times more
+    k = np.searchsorted(slope + np.cumsum(2.0 * np.outer(dx, dy).ravel()[order]), 0.0)
+    return divmod(int(order[k % order.size]), q.size)
+
+
+def _line_cells(x, y, p, q, period):
+    """Flat cells i * q.size + j of the optimal coupling of sum p_i delta_{x_i}
+    and sum q_j delta_{y_j}, for positions nondecreasing in index: on a line
+    (period None) the north-west corner rule in index order, and on a circle of
+    length period the same rule from the cut of _best_shift."""
+    r = s = -1
+    if period is not None:
+        r, s = _best_shift(x / period, y / period, p, q)
+    i, j = _staircase(np.roll(p, -1 - r), np.roll(q, -1 - s))
+    return np.sort((i + 1 + r) % p.size * q.size + (j + 1 + s) % q.size)
+
+
+def _cells_matrix(k0, k1, cells):
+    """The columns of _marginal_matrix(k0, k1) at the flat cells, built
+    directly: indexing the cached matrix costs three times as much."""
+    rows = np.empty((cells.size, 2), dtype=np.int32)
+    rows[:, 0], rows[:, 1] = cells // k1, k0 + cells % k1
+    return sparse.csc_matrix((np.ones(rows.size), rows.ravel(), np.arange(0, rows.size + 1, 2, dtype=np.int32)),
+                             shape=(k0 + k1, cells.size))
+
+
+def _priced_shortlist(C, mass, cells):
+    """(plan, cost, duals) of the transport LP with costs C and marginals mass,
+    solved on the flat cells; every cell of C whose reduced cost against the
+    LP's duals is below -1e-12 max C joins them and the LP is solved again,
+    until none does."""
+    k0, k1 = C.shape
+    while True:
+        x, fun, y, _ = linprog(C.ravel()[cells], _cells_matrix(k0, k1, cells), mass)
+        reduced = C - y[:k0, None] - y[None, k0:]
+        reduced.flat[cells] = 0.0  # the LP's own columns, priced by HiGHS
+        violators = np.flatnonzero(reduced < -1e-12 * C.max())
+        if not violators.size:
+            break
+        cells = np.union1d(cells, violators)
+    plan = np.zeros(C.shape)
+    plan.flat[cells] = x
+    return plan, fun, y
+
+
 # (key, result) of the last successful exact_ot solve; replaced whole by one
 # assignment, so a reader on another thread sees an old or a new pair, never a mix
 _OT_LAST = (None, None)
 
 
-def exact_ot(C, a, b, path=None):
+def exact_ot(C, a, b, path=None, line=None):
     """Exact LP optimum of <gamma, C> over couplings of (a, b).
 
     Returns (cost, plan, u, v) where (u, v) are dual potentials satisfying
@@ -282,20 +378,33 @@ def exact_ot(C, a, b, path=None):
     v(y) = min over all x of C(x, y) - u(x), so u + v <= C holds on every
     pair and the cost is unchanged.
 
-    Without path, the last successful solve is remembered: a call whose C, a
-    and b are byte-equal to it returns the same objects without an LP. The
-    memory holds only such cold solves, and HiGHS is deterministic, so a new
-    cold solve would return the same bits. A failed solve leaves the memory as
-    it was.
+    line, mmspace.line_of of the space C lives on, is (positions, period) for
+    C the squared distances of points on a segment (period None) or a circle.
+    With it the LP runs on a shortlist of cells of the supports, first the
+    k0 + k1 - 1 cells of the optimal line coupling (_line_cells), and every
+    pair of the supports is priced against its duals: each cell whose reduced
+    cost C - u - v is below -1e-12 max C joins the shortlist and the LP runs
+    again, until none does (the shortlist method of Gottschlich and
+    Schuhmacher, PLoS ONE 2014). So the result is optimal on the full LP by
+    that check, whatever the line; a wrong line costs rounds, not accuracy.
+    Without a line the shortlist is every cell, so the first LP is the last.
 
-    With path, a list the caller owns for a run of problems on one C, the
-    solve is linprog's hot start from the path's last basis (see linprog) and
-    neither reads nor writes the memory. A change of either support restarts
-    the path: that solve is cold on the new supports, and the solves after it
-    are hot again. Its results are deterministic for a given sequence of
-    problems on the path, and its cost agrees with a cold solve's to solver
-    precision; a degenerate problem may get another optimal plan. A C other
-    than the path's raises ValueError and leaves the path as it was.
+    Without path, the last successful solve is remembered: a call whose C, a,
+    b and line are byte-equal to it returns the same objects without an LP.
+    The memory holds only such cold solves, and HiGHS is deterministic, so a
+    new cold solve would return the same bits. A failed solve leaves the
+    memory as it was.
+
+    With path, a list the caller owns for a run of problems on one C, and
+    without a line, the solve is linprog's hot start from the path's last
+    basis (see linprog) and neither reads nor writes the memory. A change of
+    either support restarts the path: that solve is cold on the new supports,
+    and the solves after it are hot again. Its results are deterministic for a
+    given sequence of problems on the path, and its cost agrees with a cold
+    solve's to solver precision; a degenerate problem may get another optimal
+    plan. A C other than the path's raises ValueError and leaves the path as
+    it was. With a line, the path is not used: every shortlist LP is a small
+    cold solve.
     """
     global _OT_LAST
     C = np.asarray(C, dtype=float)
@@ -303,9 +412,11 @@ def exact_ot(C, a, b, path=None):
     b = np.asarray(b, dtype=float)
     if not ((a >= 0).all() and (b >= 0).all()):
         raise ValueError("transport marginals must be nonnegative")
+    if line is not None:
+        path = None
     cost_matrix = (C.shape, C.tobytes())
     if path is None:
-        key = cost_matrix + (a.tobytes(), b.tobytes())
+        key = cost_matrix + (a.tobytes(), b.tobytes(), None if line is None else (line[0].tobytes(), line[1]))
         last_key, last = _OT_LAST
         if key == last_key:
             return last
@@ -321,17 +432,22 @@ def exact_ot(C, a, b, path=None):
                              "marginals, the right-hand sides of its LP")
         if held_supports != supports:
             path.clear()
-    k0 = ia.size
-    full = C.shape == (k0, ib.size)
-    x, fun, y, _ = linprog((C if full else C[ia][:, ib]).ravel(), _marginal_matrix(k0, ib.size),
-                           np.concatenate([a[ia], b[ib]]), path=path)
+    k0, k1 = ia.size, ib.size
+    full = C.shape == (k0, k1)
+    Cs = C if full else C[ia][:, ib]
+    mass = np.concatenate([a[ia], b[ib]])
+    if line is None:  # the shortlist is every cell: one LP, hot on the path if there is one
+        x, fun, y, _ = linprog(Cs.ravel(), _marginal_matrix(k0, k1), mass, path=path)
+        block = x.reshape(k0, k1)
+    else:
+        block, fun, y = _priced_shortlist(Cs, mass, _line_cells(line[0][ia], line[0][ib], a[ia], b[ib], line[1]))
     if path is not None:
         path[0] += (cost_matrix, supports)
     if full:
-        plan, u, v = x.reshape(C.shape), y[:k0], y[k0:]
+        plan, u, v = block, y[:k0], y[k0:]
     else:
         rows = np.zeros((k0, C.shape[1]))  # two plain scatters; np.ix_ costs twice as much
-        rows[:, ib] = x.reshape(k0, ib.size)
+        rows[:, ib] = block
         plan = np.zeros(C.shape)
         plan[ia] = rows
         u, v = np.empty(C.shape[0]), np.empty(C.shape[1])

@@ -17,3 +17,16 @@ def exact_ot_calls(monkeypatch):
     for module in [mod for name, mod in sys.modules.items() if name.startswith("rcdlab") and hasattr(mod, "exact_ot")]:
         monkeypatch.setattr(module, "exact_ot", spy)
     return calls
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """A list that gains one entry per solvers.linprog call: the number of the LP's columns."""
+    real, calls = solvers.linprog, []
+
+    def spy(c, *args, **kwargs):
+        calls.append(len(c))
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "linprog", spy)
+    return calls

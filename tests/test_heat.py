@@ -22,7 +22,7 @@ from rcdlab.heat import (
     tensorization_check,
 )
 from rcdlab.measures import ProbMeasure, bump_measure, dirac, fisher_information, measure_from_density, relative_entropy, uniform_measure
-from rcdlab.mmspace import FiniteMMSpace, make_model_space
+from rcdlab.mmspace import FiniteMMSpace, line_of, make_model_space
 from rcdlab.solvers import prox_entropy_step
 
 
@@ -370,9 +370,9 @@ def test_heat_checks_hand_exact_ot_probability_measures(monkeypatch):
     # -3.1e-16 where it vanishes; every check clips them before transport
     seen = []
 
-    def recording(C, a, b, path=None):
+    def recording(C, a, b, path=None, line=None):
         seen.extend((np.asarray(a), np.asarray(b)))
-        return real(C, a, b, path=path)
+        return real(C, a, b, path=path, line=line)
 
     real = heat.exact_ot
     monkeypatch.setattr(heat, "exact_ot", recording)
@@ -432,12 +432,13 @@ def test_entropy_nonincreasing_along_semigroup():
 
 
 def recorded_paths(monkeypatch):
-    """Record the HiGHS instance that the heat module's transport path holds after each solve."""
+    """Record the HiGHS instance that the heat module's transport path holds
+    after each solve, None while it holds none."""
     real, instances = heat.exact_ot, []
 
-    def recording(C, a, b, path=None):
-        out = real(C, a, b, path=path)
-        instances.append(path[0][0])
+    def recording(C, a, b, path=None, line=None):
+        out = real(C, a, b, path=path, line=line)
+        instances.append(path[0][0] if path else None)
         return out
 
     monkeypatch.setattr(heat, "exact_ot", recording)
@@ -470,17 +471,21 @@ def test_backward_speed_path_matches_cold_solves(flow):
     steps = np.diff(trace.times)
     with pytest.MonkeyPatch.context() as mp:
         instances = recorded_paths(mp)
-        speeds = heat._w2_speeds(C, trace.measures, steps)
+        speeds = heat._w2_speeds(space, trace.measures, steps)
     for speed, (a, b), dt in zip(speeds, pairs, steps):
         cold = np.sqrt(solvers.exact_ot(C, a.weights, b.weights)[0]) / dt
         assert abs(speed - cold) <= 1e-12 * cold
-    # walked from the last pair, the path restarts exactly where a support changes
-    supports = [((a.weights > 0).tobytes(), (b.weights > 0).tobytes()) for a, b in reversed(pairs)]
-    assert [x is y for x, y in zip(instances, instances[1:])] == [x == y for x, y in zip(supports, supports[1:])]
+    if line_of(space) is None:
+        # walked from the last pair, the path restarts exactly where a support changes
+        supports = [((a.weights > 0).tobytes(), (b.weights > 0).tobytes()) for a, b in reversed(pairs)]
+        assert [x is y for x, y in zip(instances, instances[1:])] == [x == y for x, y in zip(supports, supports[1:])]
+    else:
+        assert instances == [None] * len(pairs)  # segments and cycles solve their shortlists without a path
 
 
 def test_a_bump_start_flow_restarts_its_speed_path_only_at_the_bump(monkeypatch):
-    s, form = cycle_form(64)
+    s = make_model_space("random_metric", 64, {"seed": 1})
+    form = dirichlet_form(s)
     mu0 = bump_measure(s, 16, 0.12)
     instances = recorded_paths(monkeypatch)
     semigroup_flow(form, mu0.density(), np.linspace(0.0, 0.1, 11))

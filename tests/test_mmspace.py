@@ -6,6 +6,7 @@ from rcdlab.mmspace import (
     SpaceError,
     check_growth_condition,
     graph_shortest_paths,
+    line_of,
     make_model_space,
     product_space,
     space_from_json,
@@ -149,3 +150,18 @@ def test_json_roundtrip_and_validation():
     obj["measure"][0] = -1.0
     with pytest.raises(SpaceError):
         space_from_json(obj)
+
+
+def test_line_of_names_the_segments_and_cycles_only():
+    for kind, n, period in (("segment", 5, None), ("cycle", 6, 1.0)):
+        s = make_model_space(kind, n)
+        positions, got = line_of(s)
+        assert got == period
+        # the metric is the distance of the positions, the short way round on the cycle
+        arc = np.abs(positions[:, None] - positions[None, :])
+        assert np.allclose(s.metric, arc if period is None else np.minimum(arc, period - arc), atol=1e-15)
+        assert line_of(space_from_json(space_to_json(s))) is None  # JSON keeps no positions
+    cyc = make_model_space("cycle", 3)
+    for s in (make_model_space("grid", 3), make_model_space("two_point", 2), make_model_space("random_metric", 5),
+              product_space(cyc, cyc)):
+        assert line_of(s) is None

@@ -13,7 +13,7 @@ from rcdlab import cli, geodesy, heat, ot, solvers
 from rcdlab.dirichlet import dirichlet_form
 from rcdlab.geodesy import build_good_geodesic
 from rcdlab.measures import ProbMeasure, bump_measure, gaussian_measure, relative_entropy
-from rcdlab.mmspace import make_model_space
+from rcdlab.mmspace import line_of, make_model_space
 from rcdlab.solvers import InfeasibleError, SolverError
 
 
@@ -419,6 +419,92 @@ def test_transport_on_the_supports_is_the_full_transport_lp(problem):
     pair = ot.kantorovich_potentials(mu, nu)
     assert abs(pair.gap) <= 1e-9
     assert ot.check_slackness(space, pair, ot.w2(mu, nu)[1])["support_residual"] <= 1e-8
+
+
+# -- transport on segments and cycles: the shortlist of the line coupling, priced ---
+
+
+def _line_marginal(rng, n):
+    """A Dirac, or Dirichlet weights with empty sites and some masses down to 1e-20."""
+    if rng.uniform() < 0.15:
+        return np.eye(n)[rng.integers(n)]
+    keep = rng.uniform(size=n) < rng.uniform(0.3, 1.0)
+    keep[rng.integers(n)] = True
+    w = rng.dirichlet(np.full(n, rng.choice([0.2, 1.0]))) * keep
+    tiny = rng.uniform(size=n) < 0.2
+    w[tiny] = 10.0 ** -rng.uniform(8, 20, size=tiny.sum())
+    return w / w.sum()
+
+
+@st.composite
+def _line_problems(draw):
+    kind = draw(st.sampled_from(["segment", "cycle"]))
+    space = make_model_space(kind, draw(st.integers(2 if kind == "segment" else 3, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return space, _line_marginal(rng, space.n), _line_marginal(rng, space.n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_line_problems())
+def test_a_line_solve_certifies_itself_and_matches_the_full_lp(problem):
+    space, a, b = problem
+    C = space.metric ** 2
+    scale = C.max()
+    cost, plan, u, v = solvers.exact_ot(C, a, b, line=line_of(space))
+    assert (u[:, None] + v[None, :] <= C + 1e-12 * scale).all()
+    assert abs((plan * C).sum() - u @ a - v @ b) <= 1e-12 * scale
+    assert np.abs(plan.sum(axis=1) - a).max() <= ot.MARGINAL_TOL
+    assert np.abs(plan.sum(axis=0) - b).max() <= ot.MARGINAL_TOL
+    full = solvers.exact_ot(C, a, b)[0]
+    if min(a[a > 0].min(), b[b > 0].min()) >= 1e-8:
+        assert abs(cost - full) <= 1e-12 * full
+    else:  # the full LP itself is exact only to its primal tolerance, 1e-10 per marginal row
+        assert abs(cost - full) <= ((a > 0).sum() + (b > 0).sum()) * 2e-10 * scale
+
+
+def _theta_zero_cells(x, y, p, q, period):
+    """The north-west corner cells in index order: on a cycle, the coupling cut at theta = 0."""
+    i, j = solvers._staircase(p, q)
+    return i * q.size + j
+
+
+def _antitone_cells(x, y, p, q, period):
+    """The north-west corner cells with the columns in reverse order: on a segment, the worst coupling."""
+    i, j = solvers._staircase(p, q[::-1])
+    return np.sort(i * q.size + q.size - 1 - j)
+
+
+@pytest.mark.parametrize("kind, n, cells", [("cycle", 16, _theta_zero_cells), ("cycle", 40, _theta_zero_cells),
+                                            ("segment", 12, _antitone_cells)])
+def test_a_wrong_shortlist_costs_rounds_not_accuracy(monkeypatch, linprog_calls, kind, n, cells):
+    space = make_model_space(kind, n)
+    C = space.metric ** 2
+    if kind == "cycle":  # the short way from n - 1 to 0 crosses the cut at theta = 0
+        a, b = np.zeros(n), np.zeros(n)
+        a[[2, n - 1]], b[[0, 3]] = 0.5, 0.5
+    else:
+        a, b = np.full(n, 1.0 / n), np.linspace(1.0, 2.0, n) / np.linspace(1.0, 2.0, n).sum()
+    monkeypatch.setattr(solvers, "_line_cells", cells)
+    cost = solvers.exact_ot(C, a, b, line=line_of(space))[0]
+    rounds = len(linprog_calls)
+    assert abs(cost - solvers.exact_ot(C, a, b)[0]) <= 1e-12 * cost
+    assert rounds > 1
+
+
+def test_every_golden_speed_lp_is_one_lp_on_the_line_coupling(monkeypatch, linprog_calls):
+    # the flows of configs/cycle64_rcd.json; each flow solves its speeds from its last pair
+    monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
+    s = make_model_space("cycle", 64)
+    form = dirichlet_form(s)
+    mu0 = bump_measure(s, 16, 0.12)
+    for flow in (lambda: heat.semigroup_flow(form, mu0.density(), np.linspace(0.0, 0.1, 11)),
+                 lambda: heat.jko_flow(mu0, 0.004, 10, inner_tol=1e-6, form=form)):
+        linprog_calls.clear()
+        trace = flow()
+        pairs = list(zip(trace.measures, trace.measures[1:]))[::-1]
+        assert len(linprog_calls) == len(pairs)
+        for columns, (a, b) in zip(linprog_calls, pairs):
+            assert columns <= (a.weights > 0).sum() + (b.weights > 0).sum() - 1
 
 
 # -- solvers.linprog: one direct HiGHS call ---------------------------------------
