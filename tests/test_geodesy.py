@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rcdlab import geodesy, solvers
 from rcdlab.geodesy import (
     GeodesyError,
     build_good_geodesic,
@@ -19,7 +20,7 @@ from rcdlab.geodesy import (
 from rcdlab.measures import ProbMeasure, bump_measure, dirac, gaussian_measure, relative_entropy
 from rcdlab.mmspace import make_model_space
 from rcdlab.ot import kantorovich_potentials, w2
-from rcdlab.solvers import InfeasibleError
+from rcdlab.solvers import InfeasibleError, SolverError
 
 
 def test_endpoints_returned_exactly():
@@ -215,6 +216,30 @@ def test_good_geodesic_gaussian_bump_segment():
     W = w2(mu0, mu1)[0]
     for t, wv in zip(tr.times, tr.w2_from_start):
         assert t * W - 2 * tr.epsilon_used - 1e-9 <= wv <= t * W + 2 * tr.epsilon_used + 1e-9
+
+
+def test_the_warm_probe_saves_oracle_lps(monkeypatch):
+    # criterion 3's segment:17 build, once as it is and once with the probe failing
+    s = make_model_space("segment", 17)
+    mu0 = gaussian_measure(s, 8.0)
+    mu1 = bump_measure(s, 12, 0.13)
+    real, calls = solvers._budgeted_oracle, []
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    def no_probe(*args):
+        raise SolverError("no probe")
+
+    monkeypatch.setattr(solvers, "_budgeted_oracle", spy)
+    counts = []
+    for probe in (geodesy.entropy_capacity_min, no_probe):
+        monkeypatch.setattr(geodesy, "entropy_capacity_min", probe)
+        calls.clear()
+        build_good_geodesic(mu0, mu1, 4, epsilon="auto", K=0.0, tol=5e-3)
+        counts.append(len(calls))
+    assert counts[0] < counts[1]
 
 
 def test_band_split_single_band_and_dirac():

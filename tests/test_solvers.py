@@ -669,6 +669,51 @@ def test_lambda_update_reaches_the_root_from_either_side(problem):
             assert abs(_log_moment(base, C, tau, lam) - logb) <= 1e-10 * max(1.0, abs(logb))
 
 
+# -- entropy_capacity_min --------------------------------------------------------
+
+
+@st.composite
+def _probe_problem(draw):
+    """Two to seven points in the plane, squared distances scaled by 1e-6 to 1e3,
+    one to three anchors on random supports, budgets from 1e-20 to 10."""
+    n, k = draw(st.integers(2, 7)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(size=(n, 2))
+    C = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) * 10.0 ** draw(st.floats(-6.0, 3.0))
+    m = rng.uniform(0.1, 1.0, size=n)
+    anchors = []
+    for _ in range(k):
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+        mu = rng.dirichlet(np.ones(sum(keep)))
+        anchors.append((mu, C[np.array(keep)]))
+    budgets = 10.0 ** np.array([draw(st.floats(-20.0, 1.0)) for _ in range(k)])
+    return m / m.sum(), anchors, budgets
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(problem=_probe_problem())
+def test_the_warm_probe_is_a_probability_vector_after_one_sweep_per_temperature(problem):
+    m, anchors, budgets = problem
+    tau, schedule = 0.5 * max(max(C.max() for _, C in anchors), 1e-9), []
+    while tau > 5e-2:
+        schedule.append(tau)
+        tau /= 5.0
+    schedule.append(5e-2)
+    real, taus = solvers._lambda_update, []
+
+    def spy(base, C, tau, budget, lam0):
+        taus.append(tau)
+        return real(base, C, tau, budget, lam0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_lambda_update", spy)
+        nu = solvers.entropy_capacity_min(m, anchors, budgets)
+    # an entry underflows to 0 where its exponent meets the floor; entropy_budget_min clamps its gradient
+    assert np.isfinite(nu).all() and (nu >= 0).all()
+    assert abs(nu.sum() - 1.0) <= 1e-12
+    assert taus == [tau for tau in schedule for _ in anchors]
+
+
 # -- epsilon_min ----------------------------------------------------------------
 
 _UNIT = st.floats(0.0, 1.0)
