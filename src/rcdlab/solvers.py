@@ -41,21 +41,30 @@ structure, makes the result optimal on the full LP. On the flows of
 configs/cycle64_rcd.json every shortlist holds at its first LP, of at most
 127 columns where the full model has 4096.
 
-A loop of transport problems on one cost matrix without a line, such as the
-speeds along a flow or the distances from each flow measure to one target on
-a random metric, passes exact_ot a path: a list the loop owns. linprog keeps
-the path's HiGHS instance and re-runs it with new row bounds, so the dual
-simplex restarts from the last optimal basis, which a change of marginals
-leaves dual feasible (Huangfu and Hall, Parallelizing the dual revised
-simplex method, Math. Prog. Comp. 2018); on the flows of
-configs/cycle64_rcd.json, solved without their line, that halved the simplex
-iterations. A change of either support is a new model: the path restarts
-with a cold solve on the new supports and runs hot again after it, so a loop
-orders its problems to restart on small models (heat._w2_speeds walks a flow
-from its end). Hot runs are read and checked by linprog like cold ones. Only
-an explicit path carries a basis from one solve to the next, so no result
-depends on the call history outside it; path solves do not touch exact_ot's
-memory. With a line the path is not used: a shortlist LP is small, and cold.
+A sequence of LPs that differ only in their costs and right-hand sides runs
+on a path: a list its loop owns, holding one HiGHS instance. linprog changes
+that instance's costs and row bounds and runs it again, so the dual simplex
+restarts from the last optimal basis (Huangfu and Hall, Parallelizing the
+dual revised simplex method, Math. Prog. Comp. 2018). A change of right-hand
+sides leaves the basis dual feasible, a change of costs leaves it primal
+feasible. Three loops use one:
+- a loop of transport problems on one cost matrix without a line, such as
+  the speeds along a flow or the distances from each flow measure to one
+  target on a random metric, passes exact_ot a path; on the flows of
+  configs/cycle64_rcd.json, solved without their line, that halved the
+  simplex iterations. A change of either support is a new model: the path
+  restarts with a cold solve on the new supports and runs hot again after
+  it, so a loop orders its problems to restart on small models
+  (heat._w2_speeds walks a flow from its end). Path solves do not touch
+  exact_ot's memory. With a line the path is not used: a shortlist LP is
+  small, and cold;
+- entropy_budget_min's oracle LPs, which differ only in their objective; on
+  the geodesic benchmark a hot oracle LP takes 23 simplex iterations where
+  a cold one took 73;
+- epsilon_min's Newton cuts, which differ only in their budgets.
+Hot runs are read and checked by linprog like cold ones. Only an explicit
+path carries a basis from one solve to the next, and each path belongs to one
+loop, so no result depends on the call history outside it.
 
 interior_point measures the common slack of the linked-pair polytope: two
 couplings sharing their second marginal, each under a quadratic-cost budget.
@@ -171,6 +180,20 @@ def _rounding_allowance(n, scale):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _highs_options(options):
+    """HighsOptions with _HIGHS_FIXED and the (key, value) pairs options, built
+    once per set of pairs instead of once per cold LP, where it took about
+    65 us of a fixed cost of about 0.4 ms."""
+    highs_options = _highs.HighsOptions()
+    for key, val in {**_HIGHS_FIXED, **dict(options)}.items():
+        setattr(highs_options, key, ("on" if val else "off") if key == "presolve" else val)
+    return highs_options
+
+
+_highs_options(tuple(_LP_OPTIONS.items()))  # built at import
+
+
 def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
     """Minimize <c, x> subject to A_ub x <= b_ub, A_eq x = b_eq and bounds, by
     one call to the HiGHS dual simplex bundled with scipy, with _LP_OPTIONS.
@@ -180,15 +203,22 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
     b_eq on the A_eq rows, None bounds infinite, every column continuous. So
     it returns the same bits, without that wrapper's input copies, per-call
     option re-validation and bound marginals, which cost more than a small
-    solve. Like scipy it raises ValueError on non-finite input.
+    solve. The HighsOptions are built once per _LP_OPTIONS (_highs_options).
+    Like scipy it raises ValueError on non-finite input.
 
-    path, a list the caller owns, chains LPs that differ only in b_ub and
+    path, a list the caller owns, chains LPs that differ only in c, b_ub and
     b_eq. An empty path is solved as above and then holds one entry, a tuple
     that begins with the HiGHS instance (exact_ot appends what it checks);
-    each later call changes that instance's row bounds and runs it again
-    from its last basis, which stays dual feasible. A model that differs in
-    anything but the row bounds raises ValueError; a failed run empties the
-    path, so the next call on it solves from scratch.
+    each later call changes that instance's costs (changeColsCost) and row
+    bounds (changeRowBounds) where they differ from the last call's and runs
+    it again from its last optimal basis. A cost change leaves that basis
+    primal feasible and a bound change leaves it dual feasible, so the run
+    is the simplex's repair of one or the other, not a solve from the slack
+    basis. A model that differs in A or in the column bounds raises
+    ValueError and leaves the path as it was; a failed run empties the path,
+    so the next call on it solves from scratch. A hot run is read and
+    checked below exactly like a cold one; on a degenerate LP it may end at
+    another optimal vertex than a cold solve.
 
     This is the one place a solver status is read: an LP HiGHS proves
     infeasible raises InfeasibleError; every other outcome but an optimum
@@ -217,21 +247,22 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
     lb = np.nan_to_num(bnd[:, 0], nan=-inf, posinf=inf, neginf=-inf)
     ub = np.nan_to_num(bnd[:, 1], nan=inf, posinf=inf, neginf=-inf)
 
-    # everything of the LP but its row bounds
-    model = None if path is None else (c.tobytes(), A.shape, A.indptr.tobytes(), A.indices.tobytes(),
-                                       A.data.tobytes(), lb.tobytes(), ub.tobytes())
+    # everything of the LP but its costs and row bounds
+    model = None if path is None else (A.shape, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes(),
+                                       lb.tobytes(), ub.tobytes())
     if path:
-        highs, held_model, held_lhs, held_rhs = path[0][:4]
+        highs, held_model, held_c, held_lhs, held_rhs = path[0][:5]
         if held_model != model:
-            raise ValueError("an LP on a path may differ from the path's model only in its right-hand sides")
+            raise ValueError("an LP on a path may differ from the path's model only in its costs and "
+                             "right-hand sides")
+        cols = np.flatnonzero(c != held_c)
+        if cols.size:
+            highs.changeColsCost(cols.size, cols.astype(np.int32), c[cols])
         for i in np.flatnonzero((lhs != held_lhs) | (rhs != held_rhs)).tolist():
             highs.changeRowBounds(i, lhs[i], rhs[i])
     else:
-        highs_options = _highs.HighsOptions()
-        for key, val in {**_HIGHS_FIXED, **_LP_OPTIONS}.items():
-            setattr(highs_options, key, ("on" if val else "off") if key == "presolve" else val)
         highs = _highs._Highs()
-        if highs.passOptions(highs_options) == _highs.HighsStatus.kError:
+        if highs.passOptions(_highs_options(tuple(_LP_OPTIONS.items()))) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP options")
         if highs.passModel(c.size, rhs.size, A.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize, 0.0,
                            c, lb, ub, lhs, rhs, A.indptr, A.indices, A.data,
@@ -258,7 +289,7 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
         raise SolverError(f"LP optimum misses its constraints by more than {tol:.2e}")
     dual = np.array(solution.row_dual)
     if path is not None:
-        path.append((highs, model, lhs, rhs))
+        path.append((highs, model, c.copy(), lhs, rhs))  # c may be a view of the caller's array
     return x, fun, dual[n_ub:], dual[:n_ub]
 
 
@@ -426,7 +457,7 @@ def exact_ot(C, a, b, path=None, line=None):
         raise ValueError("a transport marginal has no mass")
     supports = (ia.tobytes(), ib.tobytes())
     if path:  # linprog's entry, extended by the cost matrix and the supports of its model
-        held_matrix, held_supports = path[0][4:]
+        held_matrix, held_supports = path[0][5:]
         if held_matrix != cost_matrix:
             raise ValueError("a transport problem on a path may differ from the path's only in its "
                              "marginals, the right-hand sides of its LP")
@@ -480,12 +511,13 @@ def _linked_pair_lp(C0, C1, mu0, mu1, scale=(1.0, 1.0)):
     return _linked_pair_matrix(s0, C1.shape[0], n), np.concatenate([mu0, mu1, np.zeros(n)]), rows
 
 
-def interior_point(C0, C1, mu0, mu1, budget0, budget1):
+def interior_point(C0, C1, mu0, mu1, budget0, budget1, path=None):
     """Maximize the common slack s over couplings with costs <= budgets - s.
 
     s < 0 measures the uniform squared-budget inflation needed to reach
     feasibility. Returns (s, nu, y), with y >= 0, sum(y) = 1, the duals of the
-    two budget rows.
+    two budget rows. path, if given, is linprog's: the LPs of one problem
+    differ only in the budgets, the right-hand sides of the budget rows.
     """
     s0, n = C0.shape
     A_eq, b_eq, rows = _linked_pair_lp(C0, C1, mu0, mu1)
@@ -496,7 +528,7 @@ def interior_point(C0, C1, mu0, mu1, budget0, budget1):
     obj = np.zeros(N + 1)
     obj[N] = -1.0
     x, _, _, y = linprog(obj, A_eq, b_eq, A_ub, np.array([budget0, budget1]),
-                         bounds=[(0, None)] * N + [(None, None)])
+                         bounds=[(0, None)] * N + [(None, None)], path=path)
     return float(x[N]), x[: s0 * n].reshape(s0, n).sum(axis=0), -y
 
 
@@ -511,6 +543,12 @@ def epsilon_min(C, mu0, mu1, t, W):
     every iterate is a certified lower bound on the least relaxation and the
     iterates increase. Returns the first iterate whose LP slack is >= -1e-12,
     i.e. a value with verified slack; raises SolverError after _NEWTON_CAP LPs.
+
+    A cut changes only the budgets, so the LPs share one linprog path: each
+    after the first re-runs the dual simplex from the last optimal basis,
+    which the new budgets leave dual feasible. Each LP is still read and
+    checked by linprog, and the path is local to the call, so the result
+    depends only on the arguments.
     """
     sel0 = mu0 > 0
     sel1 = mu1 > 0
@@ -518,9 +556,10 @@ def epsilon_min(C, mu0, mu1, t, W):
     m0, m1 = mu0[sel0], mu1[sel1]
     a, b = t * W, (1 - t) * W
     eps = 0.0
+    path = []
     for _ in range(_NEWTON_CAP):
         B = np.array([(a + eps) ** 2, (b + eps) ** 2])
-        s, _, y = interior_point(C0, C1, m0, m1, B[0], B[1])
+        s, _, y = interior_point(C0, C1, m0, m1, B[0], B[1], path)
         if s >= -1e-12:
             return eps
         # root of y0 (a + eps)^2 + y1 (b + eps)^2 = H, H = y.B - s <= y.(costs of any feasible pair)
@@ -530,7 +569,7 @@ def epsilon_min(C, mu0, mu1, t, W):
     raise SolverError(f"epsilon_min: slack still negative after {_NEWTON_CAP} LPs")
 
 
-def _budgeted_oracle(C0, C1, mu0, mu1, budgets, c):
+def _budgeted_oracle(C0, C1, mu0, mu1, budgets, c, path=None):
     """LP oracle: minimize <c, nu> over the linked polytope with cost budgets.
 
     Budget row i is divided by max(b_i, 1e-14 max C_i), so its right-hand
@@ -538,7 +577,8 @@ def _budgeted_oracle(C0, C1, mu0, mu1, budgets, c):
     below the 1e15 HiGHS refuses; the objective is shifted to be nonnegative.
     Both leave the LP and the conditional-gradient bound as they are while
     keeping the LP well scaled at small budgets. Returns (nu_vertex, optimal
-    value).
+    value). path, if given, is linprog's: the oracle LPs of one problem differ
+    only in c, the costs of the LP.
     """
     s0, n = C0.shape
     budgets = np.asarray(budgets, dtype=float)
@@ -546,7 +586,7 @@ def _budgeted_oracle(C0, C1, mu0, mu1, budgets, c):
     A_eq, b_eq, rows = _linked_pair_lp(C0, C1, mu0, mu1, scale)
     shift = float(c.min())
     obj = np.concatenate([np.tile(c - shift, s0), np.zeros(C1.size)])
-    x, fun, _, _ = linprog(obj, A_eq, b_eq, sparse.csr_matrix(rows), budgets / scale)
+    x, fun, _, _ = linprog(obj, A_eq, b_eq, sparse.csr_matrix(rows), budgets / scale, path=path)
     return x[: s0 * n].reshape(s0, n).sum(axis=0), fun + shift
 
 
@@ -711,6 +751,13 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
     terms and of the entropy, and never above Ent(nu) less that allowance.
     warm_points supply extra gradient probes; they need not be feasible, only
     their gradients are used.
+
+    The oracle LPs differ only in their objective, so they share one linprog
+    path: each after the first re-runs the dual simplex from the last optimal
+    basis, which a cost change leaves primal feasible. The bound uses the
+    value of each LP's checked optimum, whichever optimal vertex a hot run
+    ends at, and the path is local to the call, so the result depends only
+    on the arguments.
     """
     m = np.asarray(m, dtype=float)
     sup_mus = [np.asarray(a[0], dtype=float) for a in anchors]
@@ -721,8 +768,10 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
     def grad_at(nu):
         return np.where(nu > 0, np.log(np.maximum(nu / m, 1e-300)) + 1.0, CLAMP)
 
+    path = []
+
     def oracle(c):
-        return _budgeted_oracle(Cs[0], Cs[1], sup_mus[0], sup_mus[1], budgets, c)
+        return _budgeted_oracle(Cs[0], Cs[1], sup_mus[0], sup_mus[1], budgets, c, path)
 
     probes = [np.zeros(len(m))] + [grad_at(p) for p in warm_points]
     V = np.array([oracle(c)[0] for c in probes])

@@ -332,6 +332,69 @@ def test_a_time_limit_on_a_hot_run_is_a_solver_error_not_infeasibility():
     assert path == []
 
 
+# -- LP paths: the costs and the right-hand sides change, the model does not -------
+
+
+def _oracle_lp(seed):
+    """An oracle LP on random_metric:9 as (c, A_eq, b_eq, A_ub, b_ub): random
+    costs on the first coupling, the linked-pair rows, the two budget rows."""
+    C0, C1, mu0, mu1, budgets = _linked_pair_args(seed)
+    A_eq, b_eq, rows = solvers._linked_pair_lp(C0, C1, mu0, mu1)
+    c = np.concatenate([np.tile(np.random.default_rng(seed).normal(size=9), 9), np.zeros(C1.size)])
+    return c, A_eq, b_eq, sparse.csr_matrix(rows), budgets
+
+
+@pytest.mark.parametrize("change", ["costs", "bounds", "both"])
+def test_an_lp_path_takes_new_costs_and_bounds_to_a_cold_optimum(change):
+    c, A_eq, b_eq, A_ub, budgets = _oracle_lp(31)
+    rng, b_ub = np.random.default_rng(32), budgets
+    path, instances = [], []
+    for k in range(6):
+        if k and change != "bounds":
+            c[:81] = np.tile(rng.normal(size=9), 9)  # in place: the path must hold its own copy
+        if k and change != "costs":
+            b_ub = budgets * rng.uniform(1.0, 3.0, 2)  # nu = mu1 still meets them
+        fun = solvers.linprog(c, A_eq, b_eq, A_ub, b_ub, path=path)[1]
+        cold = solvers.linprog(c, A_eq, b_eq, A_ub, b_ub)[1]
+        assert abs(fun - cold) <= 1e-9 * (1 + abs(cold))
+        instances.append(path[0][0])
+    assert all(h is instances[0] for h in instances)  # each later LP re-ran the first one's HiGHS instance
+
+
+def test_an_lp_path_refuses_another_matrix_or_column_bounds():
+    c, A_eq, b_eq, A_ub, b_ub = _oracle_lp(33)
+    path = []
+    solvers.linprog(c, A_eq, b_eq, A_ub, b_ub, path=path)
+    held = path[0]
+    rows = A_ub.toarray()
+    rows[0, 5] = np.nextafter(rows[0, 5], np.inf)
+    for A, bounds in ((sparse.csr_matrix(rows), (0, None)), (A_ub, (0, 1.0))):
+        with pytest.raises(ValueError, match="only in its costs and right-hand sides"):
+            solvers.linprog(c[::-1], A_eq, b_eq, A, 2 * b_ub, bounds=bounds, path=path)
+        assert len(path) == 1 and path[0] is held  # the path is left as it was
+    fun = solvers.linprog(c[::-1], A_eq, b_eq, A_ub, 2 * b_ub, path=path)[1]
+    cold = solvers.linprog(c[::-1], A_eq, b_eq, A_ub, 2 * b_ub)[1]
+    assert abs(fun - cold) <= 1e-9 * (1 + abs(cold))
+
+
+@pytest.mark.parametrize("failure", [InfeasibleError, SolverError], ids=["infeasible", "time-limit"])
+def test_a_failed_run_empties_an_lp_path(failure):
+    c, A_eq, b_eq, A_ub, b_ub = _oracle_lp(34)
+    path = []
+    solvers.linprog(c, A_eq, b_eq, A_ub, b_ub, path=path)
+    if failure is InfeasibleError:
+        bad_b_ub = -b_ub  # every budget row is a nonnegative cost
+    else:
+        bad_b_ub = b_ub
+        path[0][0].setOptionValue("time_limit", 0.0)  # the HiGHS instance the path holds
+    with pytest.raises(failure, match=_FAILURES[failure]):
+        solvers.linprog(c[::-1], A_eq, b_eq, A_ub, bad_b_ub, path=path)
+    assert path == []
+    # so the next LP on the path is a cold solve
+    on_path, cold = (solvers.linprog(c[::-1], A_eq, b_eq, A_ub, b_ub, path=p) for p in (path, None))
+    assert all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(on_path, cold))
+
+
 # -- transport LPs on the supports of their marginals ------------------------------
 
 
@@ -760,7 +823,7 @@ def test_epsilon_min_is_verified_and_least(pair, t):
     assert (eps == 0.0) == (_slack(C, mu0, mu1, t, W, 0.0) >= -1e-12)
 
 
-def _never_feasible(C0, C1, mu0, mu1, budget0, budget1):
+def _never_feasible(C0, C1, mu0, mu1, budget0, budget1, path=None):
     return -1.0, np.full(C0.shape[1], 1.0 / C0.shape[1]), np.array([0.5, 0.5])
 
 
@@ -778,6 +841,62 @@ def test_epsilon_min_raises_a_solver_error_at_its_cap(monkeypatch, tmp_path, cap
                       "mu0": {"kind": "dirac", "at": 0}, "mu1": {"kind": "dirac", "at": 3}}]}
     assert cli.run(cfg) == 3
     assert "SolverError" in capsys.readouterr().err
+
+
+# -- hot oracle and epsilon sequences: one path per call --------------------------
+
+
+@st.composite
+def _oracle_problem(draw):
+    """Three to seven points in the plane, two anchors on random supports,
+    budgets that a random measure meets, six to ten random objectives."""
+    n = draw(st.integers(3, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(size=(n, 2))
+    C = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    mus = []
+    for _ in range(2):
+        keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any)))
+        mu = rng.dirichlet(np.ones(n)) * keep
+        mus.append(mu / mu.sum())
+    nu = rng.dirichlet(np.ones(n))
+    budgets = np.array([solvers.exact_ot(C, mu, nu)[0] for mu in mus]) * rng.uniform(1.0, 1.5, 2) + 1e-9 * C.max()
+    k = draw(st.integers(6, 10))
+    objectives = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-2.0, 2.0, (k, 1))
+    return C, mus, budgets, objectives
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(problem=_oracle_problem(), t=st.floats(0.05, 0.95))
+def test_hot_oracle_and_epsilon_sequences_match_cold_solves(problem, t):
+    C, (mu0, mu1), budgets, objectives = problem
+    sel0, sel1 = mu0 > 0, mu1 > 0
+    args = (C[sel0], C[sel1], mu0[sel0], mu1[sel1], budgets)
+    real_linprog, lps = solvers.linprog, []
+
+    def recording(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
+        out = real_linprog(c, A_eq, b_eq, A_ub, b_ub, bounds, path=path)
+        lps.append((A_eq, b_eq, A_ub, b_ub, out[0]))
+        return out
+
+    path = []
+    with mock.patch.object(solvers, "linprog", recording):
+        hot = [solvers._budgeted_oracle(*args, c, path)[1] for c in objectives]
+    for c, value in zip(objectives, hot):
+        cold = solvers._budgeted_oracle(*args, c)[1]
+        assert abs(value - cold) <= 1e-9 * (1 + abs(cold))
+    tol = solvers._RESULT_TOL
+    for A_eq, b_eq, A_ub, b_ub, x in lps:  # every vertex meets its marginal and budget rows
+        assert x.min() >= -tol
+        assert np.abs(A_eq @ x - b_eq).max() <= tol
+        assert (A_ub @ x - b_ub).max() <= tol
+
+    W = float(np.sqrt(max(solvers.exact_ot(C, mu0, mu1)[0], 0.0)))
+    eps = solvers.epsilon_min(C, mu0, mu1, t, W)
+    real_interior_point = solvers.interior_point
+    with mock.patch.object(solvers, "interior_point", lambda *args: real_interior_point(*args[:6])):
+        cold = solvers.epsilon_min(C, mu0, mu1, t, W)  # every cut solved cold
+    assert abs(eps - cold) <= 1e-12 * (1 + cold)
 
 
 # -- _hull_minimize: one SLSQP solve on the weight simplex ------------------------
