@@ -42,12 +42,12 @@ configs/cycle64_rcd.json every shortlist holds at its first LP, of at most
 127 columns where the full model has 4096.
 
 A sequence of LPs that differ only in their costs and right-hand sides runs
-on a path: a list its loop owns, holding one HiGHS instance. linprog changes
-that instance's costs and row bounds and runs it again, so the dual simplex
-restarts from the last optimal basis (Huangfu and Hall, Parallelizing the
-dual revised simplex method, Math. Prog. Comp. 2018). A change of right-hand
-sides leaves the basis dual feasible, a change of costs leaves it primal
-feasible. Three loops use one:
+on one LPModel, the matrix and column bounds its loop builds once. After a
+run linprog holds the model's HiGHS instance and changes only its costs and
+row bounds for the next, so the dual simplex restarts from the last optimal
+basis (Huangfu and Hall, Parallelizing the dual revised simplex method, Math.
+Prog. Comp. 2018), which a change of right-hand sides leaves dual feasible
+and a change of costs primal feasible. Three loops use one:
 - a loop of transport problems on one cost matrix without a line, such as
   the speeds along a flow or the distances from each flow measure to one
   target on a random metric, passes exact_ot a path; on the flows of
@@ -62,9 +62,8 @@ feasible. Three loops use one:
   the geodesic benchmark a hot oracle LP takes 23 simplex iterations where
   a cold one took 73;
 - epsilon_min's Newton cuts, which differ only in their budgets.
-Hot runs are read and checked by linprog like cold ones. Only an explicit
-path carries a basis from one solve to the next, and each path belongs to one
-loop, so no result depends on the call history outside it.
+Hot runs are checked like cold ones, and each model belongs to one loop, so
+no result depends on the call history outside it.
 
 interior_point measures the common slack of the linked-pair polytope: two
 couplings sharing their second marginal, each under a quadratic-cost budget.
@@ -194,31 +193,46 @@ def _highs_options(options):
 _highs_options(tuple(_LP_OPTIONS.items()))  # built at import
 
 
-def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
-    """Minimize <c, x> subject to A_ub x <= b_ub, A_eq x = b_eq and bounds, by
-    one call to the HiGHS dual simplex bundled with scipy, with _LP_OPTIONS.
+class LPModel:
+    """The constraint matrix, rows A_ub over A_eq as CSC, and the column bounds
+    (None infinite) of a loop of LPs that differ only in their costs and
+    right-hand sides, built once per loop. hot is (HiGHS instance, c, lhs,
+    rhs) of the last run on it that passed linprog's checks, None before the
+    first run and after a failed one."""
+
+    def __init__(self, A_eq, A_ub=None, bounds=(0, None)):
+        self.A = (A_eq if A_ub is None else sparse.vstack([A_ub, A_eq])).tocsc()
+        self.n_ub = 0 if A_ub is None else A_ub.shape[0]
+        if not np.isfinite(self.A.data).all():
+            raise ValueError("LP input contains inf or nan")
+        bnd = np.broadcast_to(np.asarray(bounds, dtype=float), (self.A.shape[1], 2))  # None -> nan -> infinite
+        inf = _highs.kHighsInf
+        self.lb = np.nan_to_num(bnd[:, 0], nan=-inf, posinf=inf, neginf=-inf)
+        self.ub = np.nan_to_num(bnd[:, 1], nan=inf, posinf=inf, neginf=-inf)
+        self.hot = None
+
+
+def linprog(model, c, b_eq, b_ub=None):
+    """Minimize <c, x> subject to A_ub x <= b_ub, A_eq x = b_eq and the column
+    bounds of model, an LPModel, by one call to the HiGHS dual simplex bundled
+    with scipy, with _LP_OPTIONS.
 
     HiGHS gets the model and the options scipy.optimize.linprog(method="highs")
-    gives it: rows A_ub over A_eq as CSC, left sides -inf on the A_ub rows and
-    b_eq on the A_eq rows, None bounds infinite, every column continuous. So
-    it returns the same bits, without that wrapper's input copies, per-call
-    option re-validation and bound marginals, which cost more than a small
-    solve. The HighsOptions are built once per _LP_OPTIONS (_highs_options).
-    Like scipy it raises ValueError on non-finite input.
+    gives it: left sides -inf on the A_ub rows and b_eq on the A_eq rows,
+    every column continuous. So a cold run returns the same bits, without
+    that wrapper's input copies, per-call option re-validation and bound
+    marginals, which cost more than a small solve. The HighsOptions are built
+    once per _LP_OPTIONS (_highs_options). Like scipy it raises ValueError on
+    non-finite input.
 
-    path, a list the caller owns, chains LPs that differ only in c, b_ub and
-    b_eq. An empty path is solved as above and then holds one entry, a tuple
-    that begins with the HiGHS instance (exact_ot appends what it checks);
-    each later call changes that instance's costs (changeColsCost) and row
-    bounds (changeRowBounds) where they differ from the last call's and runs
-    it again from its last optimal basis. A cost change leaves that basis
-    primal feasible and a bound change leaves it dual feasible, so the run
-    is the simplex's repair of one or the other, not a solve from the slack
-    basis. A model that differs in A or in the column bounds raises
-    ValueError and leaves the path as it was; a failed run empties the path,
-    so the next call on it solves from scratch. A hot run is read and
-    checked below exactly like a cold one; on a degenerate LP it may end at
-    another optimal vertex than a cold solve.
+    A run on a model without a hot instance is cold. Otherwise linprog
+    changes that instance's costs (changeColsCost) and row bounds
+    (changeRowBounds) where they differ from the last run's and runs it again
+    from its last optimal basis. A cost change leaves that basis primal
+    feasible and a bound change leaves it dual feasible, so the run is the
+    simplex's repair of one or the other, not a solve from the slack basis. A
+    hot run is read and checked below exactly like a cold one; on a
+    degenerate LP it may end at another optimal vertex than a cold solve.
 
     This is the one place a solver status is read: an LP HiGHS proves
     infeasible raises InfeasibleError; every other outcome but an optimum
@@ -233,28 +247,17 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
     c = np.ascontiguousarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    A = (A_eq if A_ub is None else sparse.vstack([A_ub, A_eq])).tocsc()
-    n_ub = b_ub.size
+    A, n_ub = model.A, model.n_ub
     lhs = np.concatenate([np.full(n_ub, -_highs.kHighsInf), b_eq])
     rhs = np.concatenate([b_ub, b_eq])
     # HiGHS reads these arrays through raw pointers, sized by c and rhs
-    if c.ndim != 1 or A.shape != (rhs.size, c.size) or b_eq.ndim != 1 or b_ub.ndim != 1:
+    if c.ndim != 1 or b_eq.ndim != 1 or b_ub.shape != (n_ub,) or A.shape != (rhs.size, c.size):
         raise ValueError(f"LP shapes disagree: c {c.shape}, A {A.shape}, b_ub {b_ub.shape}, b_eq {b_eq.shape}")
-    if not all(np.isfinite(v).all() for v in (c, A.data, b_ub, b_eq)):
+    if not all(np.isfinite(v).all() for v in (c, b_ub, b_eq)):
         raise ValueError("LP input contains inf or nan")
-    bnd = np.broadcast_to(np.asarray(bounds, dtype=float), (c.size, 2))  # None -> nan -> infinite
-    inf = _highs.kHighsInf
-    lb = np.nan_to_num(bnd[:, 0], nan=-inf, posinf=inf, neginf=-inf)
-    ub = np.nan_to_num(bnd[:, 1], nan=inf, posinf=inf, neginf=-inf)
 
-    # everything of the LP but its costs and row bounds
-    model = None if path is None else (A.shape, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes(),
-                                       lb.tobytes(), ub.tobytes())
-    if path:
-        highs, held_model, held_c, held_lhs, held_rhs = path[0][:5]
-        if held_model != model:
-            raise ValueError("an LP on a path may differ from the path's model only in its costs and "
-                             "right-hand sides")
+    if model.hot:
+        highs, held_c, held_lhs, held_rhs = model.hot
         cols = np.flatnonzero(c != held_c)
         if cols.size:
             highs.changeColsCost(cols.size, cols.astype(np.int32), c[cols])
@@ -265,12 +268,11 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
         if highs.passOptions(_highs_options(tuple(_LP_OPTIONS.items()))) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP options")
         if highs.passModel(c.size, rhs.size, A.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize, 0.0,
-                           c, lb, ub, lhs, rhs, A.indptr, A.indices, A.data,
+                           c, model.lb, model.ub, lhs, rhs, A.indptr, A.indices, A.data,
                            np.zeros(c.size, dtype=np.int32)  # integrality: every column continuous
                            ) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP model")
-    if path is not None:
-        path.clear()  # refilled below after a run that passes every check
+    model.hot = None  # set again below after a run that passes every check
     highs.run()
     status = highs.getModelStatus()
     if status == _highs.HighsModelStatus.kInfeasible:
@@ -284,29 +286,12 @@ def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
     slack = rhs - solution.row_value
     tol = _RESULT_TOL
     if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
-            or (x < lb - tol).any() or (x > ub + tol).any()
+            or (x < model.lb - tol).any() or (x > model.ub + tol).any()
             or (slack[:n_ub] < -tol).any() or (np.abs(slack[n_ub:]) > tol).any()):
         raise SolverError(f"LP optimum misses its constraints by more than {tol:.2e}")
     dual = np.array(solution.row_dual)
-    if path is not None:
-        path.append((highs, model, c.copy(), lhs, rhs))  # c may be a view of the caller's array
+    model.hot = (highs, c.copy(), lhs, rhs)  # c may be a view of the caller's array
     return x, fun, dual[n_ub:], dual[:n_ub]
-
-
-_MARGINAL_CACHE = {}
-
-
-def _marginal_matrix(n0, n1):
-    key = (n0, n1)
-    if key not in _MARGINAL_CACHE:
-        row_idx = np.repeat(np.arange(n0), n1)
-        col_idx = np.tile(np.arange(n1), n0) + n0
-        cells = np.arange(n0 * n1)
-        rows = np.concatenate([row_idx, col_idx])
-        cols = np.concatenate([cells, cells])
-        vals = np.ones(2 * n0 * n1)
-        _MARGINAL_CACHE[key] = sparse.csc_matrix((vals, (rows, cols)), shape=(n0 + n1, n0 * n1))
-    return _MARGINAL_CACHE[key]
 
 
 def _staircase(p, q):
@@ -362,12 +347,18 @@ def _line_cells(x, y, p, q, period):
 
 
 def _cells_matrix(k0, k1, cells):
-    """The columns of _marginal_matrix(k0, k1) at the flat cells, built
-    directly: indexing the cached matrix costs three times as much."""
+    """Marginal constraints of the transport LP on the flat cells i * k1 + j of
+    a k0 x k1 coupling: cell (i, j) has a 1 in rows i and k0 + j. Built
+    directly; indexing the full matrix costs three times as much."""
     rows = np.empty((cells.size, 2), dtype=np.int32)
     rows[:, 0], rows[:, 1] = cells // k1, k0 + cells % k1
     return sparse.csc_matrix((np.ones(rows.size), rows.ravel(), np.arange(0, rows.size + 1, 2, dtype=np.int32)),
                              shape=(k0 + k1, cells.size))
+
+
+@functools.lru_cache(maxsize=None)
+def _marginal_matrix(n0, n1):
+    return _cells_matrix(n0, n1, np.arange(n0 * n1))
 
 
 def _priced_shortlist(C, mass, cells):
@@ -377,7 +368,7 @@ def _priced_shortlist(C, mass, cells):
     until none does."""
     k0, k1 = C.shape
     while True:
-        x, fun, y, _ = linprog(C.ravel()[cells], _cells_matrix(k0, k1, cells), mass)
+        x, fun, y, _ = linprog(LPModel(_cells_matrix(k0, k1, cells)), C.ravel()[cells], mass)
         reduced = C - y[:k0, None] - y[None, k0:]
         reduced.flat[cells] = 0.0  # the LP's own columns, priced by HiGHS
         violators = np.flatnonzero(reduced < -1e-12 * C.max())
@@ -427,15 +418,15 @@ def exact_ot(C, a, b, path=None, line=None):
     memory as it was.
 
     With path, a list the caller owns for a run of problems on one C, and
-    without a line, the solve is linprog's hot start from the path's last
-    basis (see linprog) and neither reads nor writes the memory. A change of
-    either support restarts the path: that solve is cold on the new supports,
-    and the solves after it are hot again. Its results are deterministic for a
-    given sequence of problems on the path, and its cost agrees with a cold
-    solve's to solver precision; a degenerate problem may get another optimal
-    plan. A C other than the path's raises ValueError and leaves the path as
-    it was. With a line, the path is not used: every shortlist LP is a small
-    cold solve.
+    without a line, the LP runs hot (see linprog) on the LPModel the path
+    holds with its C and supports, and neither reads nor writes the memory.
+    A change of either support restarts the path on a new model: that solve
+    is cold, and the solves after it are hot again. Its results are
+    deterministic for a given sequence of problems on the path, and its cost
+    agrees with a cold solve's to solver precision; a degenerate problem may
+    get another optimal plan. A C other than the path's raises ValueError and
+    leaves the path as it was. With a line, the path is not used: every
+    shortlist LP is a small cold solve.
     """
     global _OT_LAST
     C = np.asarray(C, dtype=float)
@@ -456,24 +447,24 @@ def exact_ot(C, a, b, path=None, line=None):
     if not (ia.size and ib.size):
         raise ValueError("a transport marginal has no mass")
     supports = (ia.tobytes(), ib.tobytes())
-    if path:  # linprog's entry, extended by the cost matrix and the supports of its model
-        held_matrix, held_supports = path[0][5:]
-        if held_matrix != cost_matrix:
+    if path:  # (cost matrix, supports, LPModel) of the path's LP
+        if path[0][0] != cost_matrix:
             raise ValueError("a transport problem on a path may differ from the path's only in its "
                              "marginals, the right-hand sides of its LP")
-        if held_supports != supports:
+        if path[0][1] != supports:
             path.clear()
     k0, k1 = ia.size, ib.size
     full = C.shape == (k0, k1)
     Cs = C if full else C[ia][:, ib]
     mass = np.concatenate([a[ia], b[ib]])
-    if line is None:  # the shortlist is every cell: one LP, hot on the path if there is one
-        x, fun, y, _ = linprog(Cs.ravel(), _marginal_matrix(k0, k1), mass, path=path)
+    if line is None:  # the shortlist is every cell: one LP, hot on the path's model if it has run
+        model = path[0][2] if path else LPModel(_marginal_matrix(k0, k1))
+        if path == []:  # a new path, or one restarted on new supports
+            path.append((cost_matrix, supports, model))
+        x, fun, y, _ = linprog(model, Cs.ravel(), mass)
         block = x.reshape(k0, k1)
     else:
         block, fun, y = _priced_shortlist(Cs, mass, _line_cells(line[0][ia], line[0][ib], a[ia], b[ib], line[1]))
-    if path is not None:
-        path[0] += (cost_matrix, supports)
     if full:
         plan, u, v = block, y[:k0], y[k0:]
     else:
@@ -497,38 +488,40 @@ def _linked_pair_matrix(s0, s1, n):
     return sparse.bmat([[M0[:s0], None], [None, M1[:s1]], [M0[s0:], -M1[s1:]]], format="csr")
 
 
-def _linked_pair_lp(C0, C1, mu0, mu1, scale=(1.0, 1.0)):
-    """Constraints on two couplings, of (mu0, nu) and of (mu1, nu), that share
-    their second marginal nu; the variables are the raveled couplings.
-
-    Returns (A_eq, b_eq, budget_rows): the marginal equalities and the dense
-    rows <gamma_i, C_i> / scale_i.
+def _linked_pair_lp(C0, C1, scale=None):
+    """LPModel of two couplings, of (mu0, nu) and of (mu1, nu), that share
+    their second marginal nu; the columns are the raveled couplings. Its rows
+    are the budget rows <gamma_i, C_i> / scale_i, then the marginal
+    equalities, whose right-hand side is (mu0, mu1, 0). Without scale, one
+    more column, interior_point's free common slack s, joins both budget rows.
     """
     s0, n = C0.shape
-    rows = np.zeros((2, C0.size + C1.size))
+    N = C0.size + C1.size
+    slack = scale is None
+    scale = (1.0, 1.0) if slack else scale
+    rows = np.zeros((2, N + slack))
     rows[0, : C0.size] = C0.ravel() / scale[0]
-    rows[1, C0.size :] = C1.ravel() / scale[1]
-    return _linked_pair_matrix(s0, C1.shape[0], n), np.concatenate([mu0, mu1, np.zeros(n)]), rows
+    rows[1, C0.size : N] = C1.ravel() / scale[1]
+    rows[:, N:] = 1.0  # the slack s, absent from the equalities
+    A_eq = _linked_pair_matrix(s0, C1.shape[0], n)
+    A_eq = sparse.csr_matrix((A_eq.data, A_eq.indices, A_eq.indptr), shape=(A_eq.shape[0], N + slack))
+    return LPModel(A_eq, sparse.csr_matrix(rows), [(0, None)] * N + [(None, None)] if slack else (0, None))
 
 
-def interior_point(C0, C1, mu0, mu1, budget0, budget1, path=None):
+def interior_point(C0, C1, mu0, mu1, budget0, budget1, model=None):
     """Maximize the common slack s over couplings with costs <= budgets - s.
 
     s < 0 measures the uniform squared-budget inflation needed to reach
     feasibility. Returns (s, nu, y), with y >= 0, sum(y) = 1, the duals of the
-    two budget rows. path, if given, is linprog's: the LPs of one problem
-    differ only in the budgets, the right-hand sides of the budget rows.
+    two budget rows. model is _linked_pair_lp(C0, C1), built here if not
+    given; a loop whose LPs differ only in the budgets builds it once.
     """
     s0, n = C0.shape
-    A_eq, b_eq, rows = _linked_pair_lp(C0, C1, mu0, mu1)
-    N = rows.shape[1]
-    # one more variable, the free slack s: absent from the equalities, in both budget rows
-    A_eq = sparse.csr_matrix((A_eq.data, A_eq.indices, A_eq.indptr), shape=(A_eq.shape[0], N + 1))
-    A_ub = sparse.csr_matrix(np.hstack([rows, np.ones((2, 1))]))
+    model = model or _linked_pair_lp(C0, C1)
+    N = C0.size + C1.size
     obj = np.zeros(N + 1)
     obj[N] = -1.0
-    x, _, _, y = linprog(obj, A_eq, b_eq, A_ub, np.array([budget0, budget1]),
-                         bounds=[(0, None)] * N + [(None, None)], path=path)
+    x, _, _, y = linprog(model, obj, np.concatenate([mu0, mu1, np.zeros(n)]), np.array([budget0, budget1]))
     return float(x[N]), x[: s0 * n].reshape(s0, n).sum(axis=0), -y
 
 
@@ -544,11 +537,11 @@ def epsilon_min(C, mu0, mu1, t, W):
     iterates increase. Returns the first iterate whose LP slack is >= -1e-12,
     i.e. a value with verified slack; raises SolverError after _NEWTON_CAP LPs.
 
-    A cut changes only the budgets, so the LPs share one linprog path: each
-    after the first re-runs the dual simplex from the last optimal basis,
-    which the new budgets leave dual feasible. Each LP is still read and
-    checked by linprog, and the path is local to the call, so the result
-    depends only on the arguments.
+    A cut changes only the budgets, so the LPs share one LPModel, built once
+    per call: each LP after the first re-runs the dual simplex from the last
+    optimal basis, which the new budgets leave dual feasible. Each LP is
+    still read and checked by linprog, and the model is local to the call, so
+    the result depends only on the arguments.
     """
     sel0 = mu0 > 0
     sel1 = mu1 > 0
@@ -556,10 +549,10 @@ def epsilon_min(C, mu0, mu1, t, W):
     m0, m1 = mu0[sel0], mu1[sel1]
     a, b = t * W, (1 - t) * W
     eps = 0.0
-    path = []
+    model = _linked_pair_lp(C0, C1)
     for _ in range(_NEWTON_CAP):
         B = np.array([(a + eps) ** 2, (b + eps) ** 2])
-        s, _, y = interior_point(C0, C1, m0, m1, B[0], B[1], path)
+        s, _, y = interior_point(C0, C1, m0, m1, B[0], B[1], model)
         if s >= -1e-12:
             return eps
         # root of y0 (a + eps)^2 + y1 (b + eps)^2 = H, H = y.B - s <= y.(costs of any feasible pair)
@@ -569,24 +562,29 @@ def epsilon_min(C, mu0, mu1, t, W):
     raise SolverError(f"epsilon_min: slack still negative after {_NEWTON_CAP} LPs")
 
 
-def _budgeted_oracle(C0, C1, mu0, mu1, budgets, c, path=None):
+def _oracle_lp(C0, C1, budgets):
+    """(LPModel, b_ub) of the oracle LPs under the budgets. Budget row i is
+    divided by max(b_i, 1e-14 max C_i), so its right-hand side is exactly 1
+    unless b_i is below that floor and its entries stay far below the 1e15
+    HiGHS refuses."""
+    scale = np.maximum(budgets, 1e-14 * np.array([C0.max(), C1.max()]))
+    return _linked_pair_lp(C0, C1, scale), budgets / scale
+
+
+def _budgeted_oracle(C0, C1, mu0, mu1, budgets, c, lp=None):
     """LP oracle: minimize <c, nu> over the linked polytope with cost budgets.
 
-    Budget row i is divided by max(b_i, 1e-14 max C_i), so its right-hand
-    side is exactly 1 unless b_i is below that floor and its entries stay far
-    below the 1e15 HiGHS refuses; the objective is shifted to be nonnegative.
-    Both leave the LP and the conditional-gradient bound as they are while
-    keeping the LP well scaled at small budgets. Returns (nu_vertex, optimal
-    value). path, if given, is linprog's: the oracle LPs of one problem differ
-    only in c, the costs of the LP.
+    The LP is _oracle_lp(C0, C1, budgets), built here unless lp gives it: a
+    loop whose LPs differ only in c builds it once. The objective is shifted
+    to be nonnegative. The scaling and the shift leave the LP and the
+    conditional-gradient bound as they are while keeping the LP well scaled
+    at small budgets. Returns (nu_vertex, optimal value).
     """
     s0, n = C0.shape
-    budgets = np.asarray(budgets, dtype=float)
-    scale = np.maximum(budgets, 1e-14 * np.array([C0.max(), C1.max()]))
-    A_eq, b_eq, rows = _linked_pair_lp(C0, C1, mu0, mu1, scale)
+    model, b_ub = lp or _oracle_lp(C0, C1, np.asarray(budgets, dtype=float))
     shift = float(c.min())
     obj = np.concatenate([np.tile(c - shift, s0), np.zeros(C1.size)])
-    x, fun, _, _ = linprog(obj, A_eq, b_eq, sparse.csr_matrix(rows), budgets / scale, path=path)
+    x, fun, _, _ = linprog(model, obj, np.concatenate([mu0, mu1, np.zeros(n)]), b_ub)
     return x[: s0 * n].reshape(s0, n).sum(axis=0), fun + shift
 
 
@@ -752,12 +750,12 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
     warm_points supply extra gradient probes; they need not be feasible, only
     their gradients are used.
 
-    The oracle LPs differ only in their objective, so they share one linprog
-    path: each after the first re-runs the dual simplex from the last optimal
-    basis, which a cost change leaves primal feasible. The bound uses the
-    value of each LP's checked optimum, whichever optimal vertex a hot run
-    ends at, and the path is local to the call, so the result depends only
-    on the arguments.
+    The oracle LPs differ only in their objective, so they share one LPModel,
+    built once per call: each LP after the first re-runs the dual simplex
+    from the last optimal basis, which a cost change leaves primal feasible.
+    The bound uses the value of each LP's checked optimum, whichever optimal
+    vertex a hot run ends at, and the model is local to the call, so the
+    result depends only on the arguments.
     """
     m = np.asarray(m, dtype=float)
     sup_mus = [np.asarray(a[0], dtype=float) for a in anchors]
@@ -768,10 +766,10 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
     def grad_at(nu):
         return np.where(nu > 0, np.log(np.maximum(nu / m, 1e-300)) + 1.0, CLAMP)
 
-    path = []
+    lp = _oracle_lp(Cs[0], Cs[1], budgets)
 
     def oracle(c):
-        return _budgeted_oracle(Cs[0], Cs[1], sup_mus[0], sup_mus[1], budgets, c, path)
+        return _budgeted_oracle(Cs[0], Cs[1], sup_mus[0], sup_mus[1], budgets, c, lp)
 
     probes = [np.zeros(len(m))] + [grad_at(p) for p in warm_points]
     V = np.array([oracle(c)[0] for c in probes])

@@ -24,9 +24,9 @@ def linprog_calls(monkeypatch):
     """A list that gains one entry per solvers.linprog call: the number of the LP's columns."""
     real, calls = solvers.linprog, []
 
-    def spy(c, *args, **kwargs):
+    def spy(model, c, *args, **kwargs):
         calls.append(len(c))
-        return real(c, *args, **kwargs)
+        return real(model, c, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "linprog", spy)
     return calls

@@ -432,13 +432,13 @@ def test_entropy_nonincreasing_along_semigroup():
 
 
 def recorded_paths(monkeypatch):
-    """Record the HiGHS instance that the heat module's transport path holds
-    after each solve, None while it holds none."""
+    """Record the HiGHS instance that the model of the heat module's transport
+    path holds after each solve, None while the path holds none."""
     real, instances = heat.exact_ot, []
 
     def recording(C, a, b, path=None, line=None):
         out = real(C, a, b, path=path, line=line)
-        instances.append(path[0][0] if path else None)
+        instances.append(path[0][2].hot[0] if path else None)
         return out
 
     monkeypatch.setattr(heat, "exact_ot", recording)

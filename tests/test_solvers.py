@@ -316,7 +316,7 @@ def test_an_unequal_mass_pair_on_a_path_is_infeasible():
     solvers.exact_ot(C, a, b, path=path)
     with pytest.raises(InfeasibleError, match="LP infeasible"):
         solvers.exact_ot(C, a, 1.5 * b, path=path)
-    assert path == []  # so the next solve on the path starts from scratch
+    assert path[0][2].hot is None  # so the next solve on the path starts from scratch
     assert _bits(solvers.exact_ot(C, b, a, path=path)) == _bits(solvers.exact_ot(C, b, a))
 
 
@@ -325,74 +325,58 @@ def test_a_time_limit_on_a_hot_run_is_a_solver_error_not_infeasibility():
     C, pairs = _flow_pairs()
     path = []
     solvers.exact_ot(C, *pairs[1], path=path)
-    path[0][0].setOptionValue("time_limit", 0.0)  # the HiGHS instance the path holds
+    path[0][2].hot[0].setOptionValue("time_limit", 0.0)  # the HiGHS instance of the path's model
     with pytest.raises(SolverError, match="Time limit") as err:
         solvers.exact_ot(C, *pairs[2], path=path)
     assert not isinstance(err.value, InfeasibleError)
-    assert path == []
+    assert path[0][2].hot is None
 
 
-# -- LP paths: the costs and the right-hand sides change, the model does not -------
+# -- LP models: the costs and the right-hand sides change, the model does not ------
 
 
 def _oracle_lp(seed):
-    """An oracle LP on random_metric:9 as (c, A_eq, b_eq, A_ub, b_ub): random
-    costs on the first coupling, the linked-pair rows, the two budget rows."""
+    """An oracle LP on random_metric:9 as (new_model, c, b_eq, b_ub): a maker
+    of fresh linked-pair models with unscaled budget rows, random costs on the
+    first coupling, the marginals, the two budgets."""
     C0, C1, mu0, mu1, budgets = _linked_pair_args(seed)
-    A_eq, b_eq, rows = solvers._linked_pair_lp(C0, C1, mu0, mu1)
     c = np.concatenate([np.tile(np.random.default_rng(seed).normal(size=9), 9), np.zeros(C1.size)])
-    return c, A_eq, b_eq, sparse.csr_matrix(rows), budgets
+    return lambda: solvers._linked_pair_lp(C0, C1, (1.0, 1.0)), c, np.concatenate([mu0, mu1, np.zeros(9)]), budgets
 
 
 @pytest.mark.parametrize("change", ["costs", "bounds", "both"])
 def test_an_lp_path_takes_new_costs_and_bounds_to_a_cold_optimum(change):
-    c, A_eq, b_eq, A_ub, budgets = _oracle_lp(31)
+    new_model, c, b_eq, budgets = _oracle_lp(31)
     rng, b_ub = np.random.default_rng(32), budgets
-    path, instances = [], []
+    model, instances = new_model(), []
     for k in range(6):
         if k and change != "bounds":
-            c[:81] = np.tile(rng.normal(size=9), 9)  # in place: the path must hold its own copy
+            c[:81] = np.tile(rng.normal(size=9), 9)  # in place: the model must hold its own copy
         if k and change != "costs":
             b_ub = budgets * rng.uniform(1.0, 3.0, 2)  # nu = mu1 still meets them
-        fun = solvers.linprog(c, A_eq, b_eq, A_ub, b_ub, path=path)[1]
-        cold = solvers.linprog(c, A_eq, b_eq, A_ub, b_ub)[1]
+        fun = solvers.linprog(model, c, b_eq, b_ub)[1]
+        cold = solvers.linprog(new_model(), c, b_eq, b_ub)[1]
         assert abs(fun - cold) <= 1e-9 * (1 + abs(cold))
-        instances.append(path[0][0])
+        instances.append(model.hot[0])
     assert all(h is instances[0] for h in instances)  # each later LP re-ran the first one's HiGHS instance
-
-
-def test_an_lp_path_refuses_another_matrix_or_column_bounds():
-    c, A_eq, b_eq, A_ub, b_ub = _oracle_lp(33)
-    path = []
-    solvers.linprog(c, A_eq, b_eq, A_ub, b_ub, path=path)
-    held = path[0]
-    rows = A_ub.toarray()
-    rows[0, 5] = np.nextafter(rows[0, 5], np.inf)
-    for A, bounds in ((sparse.csr_matrix(rows), (0, None)), (A_ub, (0, 1.0))):
-        with pytest.raises(ValueError, match="only in its costs and right-hand sides"):
-            solvers.linprog(c[::-1], A_eq, b_eq, A, 2 * b_ub, bounds=bounds, path=path)
-        assert len(path) == 1 and path[0] is held  # the path is left as it was
-    fun = solvers.linprog(c[::-1], A_eq, b_eq, A_ub, 2 * b_ub, path=path)[1]
-    cold = solvers.linprog(c[::-1], A_eq, b_eq, A_ub, 2 * b_ub)[1]
-    assert abs(fun - cold) <= 1e-9 * (1 + abs(cold))
 
 
 @pytest.mark.parametrize("failure", [InfeasibleError, SolverError], ids=["infeasible", "time-limit"])
 def test_a_failed_run_empties_an_lp_path(failure):
-    c, A_eq, b_eq, A_ub, b_ub = _oracle_lp(34)
-    path = []
-    solvers.linprog(c, A_eq, b_eq, A_ub, b_ub, path=path)
+    new_model, c, b_eq, b_ub = _oracle_lp(34)
+    model = new_model()
+    solvers.linprog(model, c, b_eq, b_ub)
     if failure is InfeasibleError:
         bad_b_ub = -b_ub  # every budget row is a nonnegative cost
     else:
         bad_b_ub = b_ub
-        path[0][0].setOptionValue("time_limit", 0.0)  # the HiGHS instance the path holds
+        model.hot[0].setOptionValue("time_limit", 0.0)  # the HiGHS instance the model holds
     with pytest.raises(failure, match=_FAILURES[failure]):
-        solvers.linprog(c[::-1], A_eq, b_eq, A_ub, bad_b_ub, path=path)
-    assert path == []
-    # so the next LP on the path is a cold solve
-    on_path, cold = (solvers.linprog(c[::-1], A_eq, b_eq, A_ub, b_ub, path=p) for p in (path, None))
-    assert all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(on_path, cold))
+        solvers.linprog(model, c[::-1], b_eq, bad_b_ub)
+    assert model.hot is None
+    # so the next LP on the model is a cold solve
+    on_model, cold = (solvers.linprog(m, c[::-1], b_eq, b_ub) for m in (model, new_model()))
+    assert all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(on_model, cold))
 
 
 # -- transport LPs on the supports of their marginals ------------------------------
@@ -413,7 +397,7 @@ def test_a_change_of_support_restarts_the_path():
     path, got, instances = [], [], []
     for a, b in full + sparse + full:
         got.append(_bits(solvers.exact_ot(C, a, b, path=path)))
-        instances.append(path[0][0])
+        instances.append(path[0][2].hot[0])
     fresh = []
     for pairs in (full, sparse, full):
         fresh_path = []
@@ -468,11 +452,11 @@ def test_transport_on_the_supports_is_the_full_transport_lp(problem):
     C, n = space.metric ** 2, space.n
     M = solvers._marginal_matrix(n, n)
     # full supports: the one LP is the whole problem, with linprog's bits
-    x, fun, y, _ = solvers.linprog(C.ravel(), M, np.concatenate(full))
+    x, fun, y, _ = solvers.linprog(solvers.LPModel(M), C.ravel(), np.concatenate(full))
     assert _bits(solvers.exact_ot(C, *full)) == _bits((fun, x.reshape(n, n), y[:n], y[n:]))
     # empty sites: the same optimum, duals feasible on every pair, no mass off the supports
     cost, plan, u, v = solvers.exact_ot(C, a, b)
-    whole = solvers.linprog(C.ravel(), M, np.concatenate([a, b]))[1]
+    whole = solvers.linprog(solvers.LPModel(M), C.ravel(), np.concatenate([a, b]))[1]
     assert abs(cost - whole) <= 1e-12 * abs(whole)
     assert (u[:, None] + v[None, :] <= C + 1e-9).all()
     assert not plan[a == 0].any() and not plan[:, b == 0].any()
@@ -608,16 +592,17 @@ def test_linprog_is_bit_identical_to_scipy(monkeypatch, case):
     # LPs rcdlab builds must give scipy's bits for x, fun and both duals
     real_linprog, lps = solvers.linprog, []
 
-    def recording(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
-        lps.append((c, A_eq, b_eq, A_ub, b_ub, bounds))
-        return real_linprog(c, A_eq, b_eq, A_ub, b_ub, bounds, path=path)
+    def recording(model, c, b_eq, b_ub=None):
+        A, n = model.A, model.n_ub
+        lps.append((c, A[n:], b_eq, A[:n] if n else None, b_ub, np.column_stack([model.lb, model.ub])))
+        return real_linprog(model, c, b_eq, b_ub)
 
     monkeypatch.setattr(solvers, "linprog", recording)
     monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
     _LP_CASES[case]()
     assert lps
     for c, A_eq, b_eq, A_ub, b_ub, bounds in lps:
-        x, fun, y_eq, y_ub = real_linprog(c, A_eq, b_eq, A_ub, b_ub, bounds)
+        x, fun, y_eq, y_ub = real_linprog(solvers.LPModel(A_eq, A_ub, bounds), c, b_eq, b_ub)
         ref = scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs",
                             options=solvers._LP_OPTIONS)
         assert ref.status == 0
@@ -653,14 +638,14 @@ def test_an_optimum_off_its_constraints_is_a_solver_error(monkeypatch):
 def test_a_model_highs_rejects_is_a_solver_error_not_infeasibility():
     # HiGHS refuses a matrix entry of 1e15 or more, though x = (1, 0) is feasible
     with pytest.raises(SolverError, match="rejected the LP model") as err:
-        solvers.linprog(np.zeros(2), sparse.csc_matrix([[1.0, 1e16]]), [1.0])
+        solvers.linprog(solvers.LPModel(sparse.csc_matrix([[1.0, 1e16]])), np.zeros(2), [1.0])
     assert not isinstance(err.value, InfeasibleError)
 
 
 def test_an_unbounded_lp_is_a_solver_error_not_infeasibility():
     # min -x0 over x0 = x1 >= 0 has no minimum but plenty of feasible points
     with pytest.raises(SolverError, match="Unbounded") as err:
-        solvers.linprog(np.array([-1.0, 0.0]), sparse.csc_matrix([[1.0, -1.0]]), [0.0])
+        solvers.linprog(solvers.LPModel(sparse.csc_matrix([[1.0, -1.0]])), np.array([-1.0, 0.0]), [0.0])
     assert not isinstance(err.value, InfeasibleError)
 
 
@@ -677,11 +662,11 @@ def test_budgets_far_below_the_costs_give_an_exact_oracle_lp():
 def test_disagreeing_lp_shapes_are_a_value_error():
     # HiGHS would read past the arrays it is given
     C, a, b = _ot_problem(18)
-    M = solvers._marginal_matrix(7, 7)
+    M = solvers.LPModel(solvers._marginal_matrix(7, 7))
     with pytest.raises(ValueError, match="shapes"):
-        solvers.linprog(C.ravel()[:-1], M, np.concatenate([a, b]))
+        solvers.linprog(M, C.ravel()[:-1], np.concatenate([a, b]))
     with pytest.raises(ValueError, match="shapes"):
-        solvers.linprog(C.ravel(), M, a)
+        solvers.linprog(M, C.ravel(), a)
 
 
 def test_a_nan_cost_is_a_value_error():
@@ -823,7 +808,7 @@ def test_epsilon_min_is_verified_and_least(pair, t):
     assert (eps == 0.0) == (_slack(C, mu0, mu1, t, W, 0.0) >= -1e-12)
 
 
-def _never_feasible(C0, C1, mu0, mu1, budget0, budget1, path=None):
+def _never_feasible(C0, C1, mu0, mu1, budget0, budget1, model=None):
     return -1.0, np.full(C0.shape[1], 1.0 / C0.shape[1]), np.array([0.5, 0.5])
 
 
@@ -843,7 +828,7 @@ def test_epsilon_min_raises_a_solver_error_at_its_cap(monkeypatch, tmp_path, cap
     assert "SolverError" in capsys.readouterr().err
 
 
-# -- hot oracle and epsilon sequences: one path per call --------------------------
+# -- hot oracle and epsilon sequences: one LP model per call ----------------------
 
 
 @st.composite
@@ -874,14 +859,14 @@ def test_hot_oracle_and_epsilon_sequences_match_cold_solves(problem, t):
     args = (C[sel0], C[sel1], mu0[sel0], mu1[sel1], budgets)
     real_linprog, lps = solvers.linprog, []
 
-    def recording(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), path=None):
-        out = real_linprog(c, A_eq, b_eq, A_ub, b_ub, bounds, path=path)
-        lps.append((A_eq, b_eq, A_ub, b_ub, out[0]))
+    def recording(model, c, b_eq, b_ub=None):
+        out = real_linprog(model, c, b_eq, b_ub)
+        lps.append((model.A[model.n_ub:], b_eq, model.A[:model.n_ub], b_ub, out[0]))
         return out
 
-    path = []
+    lp = solvers._oracle_lp(*args[:2], budgets)
     with mock.patch.object(solvers, "linprog", recording):
-        hot = [solvers._budgeted_oracle(*args, c, path)[1] for c in objectives]
+        hot = [solvers._budgeted_oracle(*args, c, lp)[1] for c in objectives]
     for c, value in zip(objectives, hot):
         cold = solvers._budgeted_oracle(*args, c)[1]
         assert abs(value - cold) <= 1e-9 * (1 + abs(cold))
@@ -897,6 +882,34 @@ def test_hot_oracle_and_epsilon_sequences_match_cold_solves(problem, t):
     with mock.patch.object(solvers, "interior_point", lambda *args: real_interior_point(*args[:6])):
         cold = solvers.epsilon_min(C, mu0, mu1, t, W)  # every cut solved cold
     assert abs(eps - cold) <= 1e-12 * (1 + cold)
+
+
+def test_each_loop_builds_its_lp_model_once(monkeypatch):
+    # one linked-pair model per epsilon_min call and per entropy_budget_min
+    # call, while interior_point and _budgeted_oracle still run once per LP
+    calls = {}
+
+    def count(name):
+        real = getattr(solvers, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(solvers, name, counted)
+
+    s = make_model_space("segment", 9)
+    C = s.metric ** 2
+    mu0, mu1 = gaussian_measure(s, 8.0).weights, bump_measure(s, 6, 0.2).weights
+    W = float(np.sqrt(solvers.exact_ot(C, mu0, mu1)[0]))
+    for name in ("_linked_pair_lp", "interior_point", "_budgeted_oracle", "linprog"):
+        count(name)
+    eps = solvers.epsilon_min(C, mu0, mu1, 0.5, W) + 0.05 * W
+    assert calls["_linked_pair_lp"] == 1 and calls["interior_point"] == calls["linprog"] >= 2
+    calls.clear()
+    sel0, sel1 = mu0 > 0, mu1 > 0
+    solvers.entropy_budget_min(s.ref_measure, [(mu0[sel0], C[sel0]), (mu1[sel1], C[sel1])],
+                               [(0.5 * W + eps) ** 2] * 2, tol=1e-3)
+    assert calls["_linked_pair_lp"] == 1 and calls["_budgeted_oracle"] == calls["linprog"] >= 3
 
 
 # -- _hull_minimize: one SLSQP solve on the weight simplex ------------------------
