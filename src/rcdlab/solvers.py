@@ -74,8 +74,12 @@ returned has its slack verified by one more LP.
 entropy_budget_min minimizes relative entropy over that polytope with a
 fully-corrective conditional-gradient method whose LP oracle returns exact
 extreme points; _hull_minimize re-optimizes the hull weights by one SLSQP
-solve on the simplex. Weak duality of the oracle LP gives the certified
-optimality gap, and it is the only certificate for those midpoints.
+solve on the simplex. It drives the SLSQP C core bundled with scipy
+directly, with the state, workspace and call loop of scipy's
+minimize(method="SLSQP"), so its results are that call's bits without its
+per-iteration wrapper work, which cost more than SLSQP itself. Weak duality
+of the oracle LP gives the certified optimality gap, and it is the only
+certificate for those midpoints.
 dirac_pair_min solves the case of Dirac anchors by projected Newton on its
 low-dimensional dual. Both dual bounds are returned less an allowance for
 their rounding error, so a certified gap is never negative.
@@ -117,7 +121,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import minimize
+from scipy.optimize._slsqplib import slsqp as _slsqp
 from scipy.optimize._highspy import _core as _highs
 
 from .measures import relative_entropy
@@ -138,6 +142,7 @@ _NEWTON_CAP = 50  # LPs per epsilon_min call; two or three suffice in practice
 _DUAL_NEWTON_CAP = 200  # Newton steps per dirac_pair_min call; about 35 at a pinned vertex
 _BACKTRACK_CAP = 60  # step halvings per Newton step
 _ORACLE_CAP = 80  # oracle LPs per entropy_budget_min call
+_HULL_ITER_CAP = 300  # SLSQP iterations per _hull_minimize call
 _POTENTIAL_CAP = 2000  # scaling steps per symmetric_potential call
 _POTENTIAL_TOL = 1e-13  # symmetric_potential stops on a step below this times eps
 _PROX_SWEEP_CAP = 20000  # dual sweeps per prox_entropy_step call
@@ -704,7 +709,14 @@ def _hull_minimize(vertices, m, theta0=None):
     """Minimize Ent_m over the convex hull of the vertex rows by one SLSQP
     solve on the weight simplex, from theta0 or the uniform weights. The SLSQP
     result is kept only if it lowers the entropy of the start.
-    Returns (theta, entropy)."""
+
+    This drives the SLSQP C routine bundled with scipy (Kraft, DFVLR-FB
+    88-28, 1988) with the state, workspace and call loop of scipy's
+    _minimize_slsqp, so the result is minimize(method="SLSQP")'s bits with
+    bounds [0, 1], the equality constraint sum = 1, maxiter _HULL_ITER_CAP and
+    ftol 1e-16, without its per-iteration wrapper work. Each new x costs one
+    evaluation of the entropy and its gradient, reused when SLSQP asks for
+    the gradient at that x. Returns (theta, entropy)."""
     V = np.asarray(vertices, dtype=float)
     r = V.shape[0]
     theta = np.full(r, 1.0 / r) if theta0 is None else np.asarray(theta0, dtype=float)
@@ -717,17 +729,37 @@ def _hull_minimize(vertices, m, theta0=None):
         return relative_entropy(nu, m), V @ glog
 
     cur = relative_entropy(theta @ V, m)
-    res = minimize(
-        ent_grad, theta, jac=True, method="SLSQP",
-        bounds=[(0.0, 1.0)] * r,
-        constraints=[{"type": "eq", "fun": lambda th: th.sum() - 1.0, "jac": lambda th: np.ones(r)}],
-        # at ftol 1e-14 SLSQP stops with simplex KKT residuals up to 1e-6
-        options=dict(maxiter=300, ftol=1e-16),
-    )
-    if res.x is not None and np.isfinite(res.fun):
-        th = np.maximum(res.x, 0.0)
+    x = np.clip(theta, 0.0, 1.0)  # SLSQP overwrites x in place
+    seen = x.copy()
+    fx, g = f_seen, g_seen = ent_grad(seen)
+    # at ftol 1e-14 SLSQP stops with simplex KKT residuals up to 1e-6
+    acc = 1e-16
+    state = {"acc": acc, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0, "h4": 0.0,
+             "t": 0.0, "t0": 0.0, "tol": 10.0 * acc, "exact": 0, "inconsistent": 0, "reset": 0, "iter": 0,
+             "itermax": _HULL_ITER_CAP, "line": 0, "m": 1, "meq": 1, "mode": 0, "n": r}
+    # scipy's workspace sizes for one equality constraint and no inequality
+    buffer = np.zeros(r * (r + 1) // 2 + 10 * r * r + 35 * r + 30)
+    indices = np.zeros(2 * r + 3, dtype=np.int32)
+    mult = np.zeros(2 * r + 3)
+    C = np.ones((1, r), order="F")
+    d = np.array([x.sum() - 1.0])
+    xl, xu = np.zeros(r), np.ones(r)
+    while True:
+        _slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
+        if abs(state["mode"]) != 1:
+            break
+        if (x != seen).any():
+            seen = x.copy()
+            f_seen, g_seen = ent_grad(seen)
+        if state["mode"] == 1:
+            fx = f_seen
+            d[0] = x.sum() - 1.0
+        else:
+            g = g_seen
+    if np.isfinite(fx):
+        th = np.maximum(x, 0.0)
         total = th.sum()
-        if total > 0 and res.fun < cur:
+        if total > 0 and fx < cur:
             theta = th / total
             cur = relative_entropy(theta @ V, m)
     return theta, cur

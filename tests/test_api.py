@@ -80,14 +80,14 @@ def test_the_check_sees_an_unread_local(tmp_path):
     assert _unread_locals(f) == [(2, "solve", "u"), (3, "solve", "t"), (10, "inner", "unused")]
 
 
-def _scipy_linprog_uses(path):
-    """Lines that import or call scipy.optimize.linprog."""
+def _scipy_optimize_uses(path, name):
+    """Lines that import or call scipy.optimize's function of that name."""
     tree = ast.parse(path.read_text(), filename=str(path))
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.optimize"):
-            out += [node.lineno for alias in node.names if alias.name == "linprog"]
-        elif isinstance(node, ast.Attribute) and node.attr == "linprog":
+            out += [node.lineno for alias in node.names if alias.name == name]
+        elif isinstance(node, ast.Attribute) and node.attr == name:
             out.append(node.lineno)
     return out
 
@@ -95,14 +95,26 @@ def _scipy_linprog_uses(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_uses_scipy_linprog(path):
     # every LP is one direct HiGHS call through solvers.linprog
-    assert _scipy_linprog_uses(path) == []
+    assert _scipy_optimize_uses(path, "linprog") == []
 
 
 def test_the_check_sees_scipy_linprog(tmp_path):
     f = tmp_path / "m.py"
     f.write_text("from scipy.optimize import minimize, linprog\nimport scipy.optimize\n\n"
                  "def solve(c):\n    return scipy.optimize.linprog(c)\n")
-    assert _scipy_linprog_uses(f) == [1, 5]
+    assert _scipy_optimize_uses(f, "linprog") == [1, 5]
+
+
+def test_solvers_does_not_use_scipy_minimize():
+    # _hull_minimize drives SLSQP's C core directly
+    assert _scipy_optimize_uses(SRC / "solvers.py", "minimize") == []
+
+
+def test_the_check_sees_scipy_minimize(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text("from scipy.optimize import minimize, linprog\nimport scipy.optimize\n\n"
+                 "def solve(f, x0):\n    return scipy.optimize.minimize(f, x0)\n")
+    assert _scipy_optimize_uses(f, "minimize") == [1, 5]
 
 
 def _unreferenced_definitions(defining, searched):

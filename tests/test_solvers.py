@@ -1021,6 +1021,109 @@ def test_hull_minimize_meets_the_simplex_kkt_conditions(seed):
         assert ent <= _two_stage_hull_minimize(V, m, theta0)[1] + 1e-9
 
 
+def _scipy_hull_minimize(vertices, m, theta0=None):
+    """_hull_minimize as it was written on scipy.optimize.minimize, the
+    reference for its bits: the same start, SLSQP call and acceptance rule.
+    Returns (theta, entropy, SLSQP exit mode)."""
+    V = np.asarray(vertices, dtype=float)
+    r = V.shape[0]
+    theta = np.full(r, 1.0 / r) if theta0 is None else np.asarray(theta0, dtype=float)
+    theta = np.maximum(theta, 1e-16)
+    theta /= theta.sum()
+
+    def ent_grad(th):
+        nu = th @ V
+        glog = np.where(nu > 0, np.log(np.maximum(nu / m, 1e-300)) + 1.0, np.log(1e-300))
+        return relative_entropy(nu, m), V @ glog
+
+    cur = relative_entropy(theta @ V, m)
+    res = minimize(
+        ent_grad, theta, jac=True, method="SLSQP",
+        bounds=[(0.0, 1.0)] * r,
+        constraints=[{"type": "eq", "fun": lambda th: th.sum() - 1.0, "jac": lambda th: np.ones(r)}],
+        options=dict(maxiter=solvers._HULL_ITER_CAP, ftol=1e-16),
+    )
+    if res.x is not None and np.isfinite(res.fun):
+        th = np.maximum(res.x, 0.0)
+        total = th.sum()
+        if total > 0 and res.fun < cur:
+            theta = th / total
+            cur = relative_entropy(theta @ V, m)
+    return theta, cur, res.status
+
+
+def _random_hull_problems():
+    out = []
+    for seed in range(30):
+        V, m = _random_hull(seed)
+        warm, _ = solvers._hull_minimize(V[:-1], m)
+        out += [(V, m, None), (V, m, np.append(warm * (1 - 1e-3), 1e-3))]
+    return out
+
+
+def _recorded_hull_problems(run):
+    """The (vertices, m, theta0) of every _hull_minimize call that run makes."""
+    real, problems = solvers._hull_minimize, []
+
+    def recording(vertices, m, theta0=None):
+        problems.append((np.array(vertices), m, None if theta0 is None else np.array(theta0)))
+        return real(vertices, m, theta0)
+
+    with mock.patch.object(solvers, "_hull_minimize", recording):
+        run()
+    return problems
+
+
+def _three_point_runs():
+    # criterion 4's battery, whose Frank-Wolfe runs hold two or three vertices
+    from rcdlab.mmspace import FiniteMMSpace
+    from test_acceptance import _three_point_battery
+
+    for metric, m, w0, w1, t in _three_point_battery():
+        space = FiniteMMSpace((0, 1, 2), metric, m)
+        mu0, mu1 = ProbMeasure(space, w0), ProbMeasure(space, w1)
+        eps = max(geodesy.epsilon_min(mu0, mu1, t), 0.0) + 0.05 * ot.w2_distance(mu0, mu1)
+        geodesy.intermediate_entropy_min(mu0, mu1, t, eps, tol=2e-4)
+
+
+def _segment_interval():
+    # the midpoint of criterion 3's segment:17 pair
+    s = make_model_space("segment", 17)
+    mu0, mu1 = gaussian_measure(s, 8.0), bump_measure(s, 12, 0.13)
+    eps = geodesy.epsilon_min(mu0, mu1, 0.5) + 0.05 * ot.w2_distance(mu0, mu1)
+    geodesy.intermediate_entropy_min(mu0, mu1, 0.5, eps, tol=5e-3)
+
+
+def _capped_hull_problems(monkeypatch):
+    monkeypatch.setattr(solvers, "_HULL_ITER_CAP", 2)
+    return _random_hull_problems()
+
+
+_HULL_CASES = {
+    "random": lambda monkeypatch: _random_hull_problems(),
+    "one-and-two-vertex": lambda monkeypatch: [(V[:k], m, None) for V, m in map(_random_hull, (3, 4)) for k in (1, 2)],
+    "three-point-runs": lambda monkeypatch: _recorded_hull_problems(_three_point_runs),
+    "segment-17-interval": lambda monkeypatch: _recorded_hull_problems(_segment_interval),
+    "iteration-cap": _capped_hull_problems,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HULL_CASES))
+def test_hull_minimize_is_bit_identical_to_scipy(monkeypatch, case):
+    # guards the private scipy.optimize._slsqplib API that _hull_minimize
+    # drives: the hull problems rcdlab builds must give minimize's bits
+    problems = _HULL_CASES[case](monkeypatch)
+    assert problems
+    modes = set()
+    for V, m, theta0 in problems:
+        theta, ent = solvers._hull_minimize(V, m, theta0)
+        ref_theta, ref_ent, mode = _scipy_hull_minimize(V, m, theta0)
+        modes.add(mode)
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert np.float64(ent).tobytes() == np.float64(ref_ent).tobytes()
+    assert (9 in modes) == (case == "iteration-cap")  # SLSQP's iteration-limit exit
+
+
 # -- dirac_pair_min: projected Newton on the dual --------------------------------
 
 
