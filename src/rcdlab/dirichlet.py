@@ -59,11 +59,16 @@ class DirichletForm:
         return connected_components(self.weights > 0, directed=False)[1]
 
     def gamma_vector(self, f, g):
-        f = np.asarray(f, dtype=float)
-        g = np.asarray(g, dtype=float)
-        df = f[None, :] - f[:, None]
-        dg = g[None, :] - g[:, None]
-        return (self.weights * df * dg).sum(axis=1) / (2.0 * self.vertex_measure)
+        return _gamma(self.weights, self.vertex_measure, f, g)
+
+
+def _gamma(W, m, f, g):
+    """Gamma(f, g) of the conductances W and vertex measure m."""
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    df = f[None, :] - f[:, None]
+    dg = g[None, :] - g[:, None]
+    return (W * df * dg).sum(axis=1) / (2.0 * m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,117 +302,93 @@ def essential_bound_check(form: DirichletForm, g, g_prime, phi) -> dict:
 # intrinsic metric
 # ---------------------------------------------------------------------------
 
-def _pair_distance(form: DirichletForm, x, y, eta0_value=0.5):
-    """sup g(x) - g(y) over Gamma(g, g) <= 1, via the Lagrangian dual.
+def _pair_distance(W, m, x, y, eta0_value=0.5):
+    """sup g(x) - g(y) over Gamma(g, g) <= 1 on one connected component with
+    conductances W and vertex measure m, via the Lagrangian dual.
 
     The dual in the vertex multipliers eta >= 0 is sum(eta) + c^T Q(eta)^+ c / 4
     with Q(eta) the weighted sum of the per-vertex quadratic forms; it is
-    minimized with L-BFGS-B and the primal is recovered from the KKT system,
-    rescaled to hard feasibility. Returns a certified (value, upper bound).
+    minimized with L-BFGS-B and a projected Newton polish, and the primal is
+    recovered from the KKT system, rescaled to hard feasibility. Q(eta) is
+    built and solved once per eta visited. Returns a certified (value, upper
+    bound).
     """
     from scipy.optimize import minimize
 
-    n = form.n
-    m = form.vertex_measure
-    W = form.weights
+    n = len(m)
     c = np.zeros(n)
     c[x] = 1.0
     c[y] = -1.0
     ones = np.ones((n, n)) / n
 
-    def q_matrix(eta):
+    def dual(eta):
+        """(value, gradient, Q(eta)^-1 c, Q(eta)); a singular Q gives value
+        1e12 and a zero primal, which fails the caller's gap test."""
         s = eta / m
         wsum = W * (s[:, None] + s[None, :])
-        Q = np.diag(wsum.sum(axis=1)) - wsum
-        return 0.5 * Q + ones
-
-    def dual(eta):
-        Q = q_matrix(eta)
+        Q = 0.5 * (np.diag(wsum.sum(axis=1)) - wsum) + ones
         try:
             sol = np.linalg.solve(Q, c)
         except np.linalg.LinAlgError:
-            return 1e12, np.zeros(n)
-        val = eta.sum() + 0.25 * float(c @ sol)
+            return 1e12, np.zeros(n), np.zeros(n), Q
         # d(dual)/d(eta_v) = 1 - (1/4) Gamma(sol, sol)(v)
-        grad = 1.0 - 0.25 * form.gamma_vector(sol, sol)
-        return val, grad
-
-    def hessian(eta, sol):
-        # d2(dual)/deta_u deta_v = (1/2) y_u^T Q^+ y_v with y_v = M_v sol
-        Y = np.zeros((n, n))
-        for v in range(n):
-            yv = np.zeros(n)
-            wrow = W[v]
-            diff = sol[v] - sol
-            yv[v] = (wrow * diff).sum() / m[v]
-            yv -= wrow * diff / m[v]
-            Y[:, v] = 0.5 * yv
-        Z = np.linalg.solve(q_matrix(eta), Y)
-        return 0.5 * Y.T @ Z
+        return eta.sum() + 0.25 * float(c @ sol), 1.0 - 0.25 * _gamma(W, m, sol, sol), sol, Q
 
     eta0 = np.full(n, eta0_value)
-    res = minimize(lambda e: dual(e), eta0, jac=True, method="L-BFGS-B",
+    res = minimize(lambda e: dual(e)[:2], eta0, jac=True, method="L-BFGS-B",
                    bounds=[(1e-14, None)] * n,
                    options=dict(maxiter=2000, ftol=1e-18, gtol=1e-14))
     eta = np.maximum(res.x, 1e-14)
+    val, grad, sol, Q = dual(eta)
     # projected Newton polish on the smooth strictly convex dual
     for _ in range(40):
-        val, grad = dual(eta)
-        sol = np.linalg.solve(q_matrix(eta), c)
         act = (eta > 1e-13) | (grad < 0)
         if not act.any() or np.abs(grad[act]).max() < 1e-15:
             break
-        H = hessian(eta, sol)[np.ix_(act, act)]
+        # d2(dual)/deta_u deta_v = (1/2) y_u^T Q^+ y_v with y_v = M_v sol
+        wdiff = W * (sol[:, None] - sol[None, :])
+        Y = 0.5 * (np.diag(wdiff.sum(axis=1) / m) - wdiff.T / m)
+        H = (0.5 * Y.T @ np.linalg.solve(Q, Y))[np.ix_(act, act)]
         H += 1e-14 * np.trace(H) / max(int(act.sum()), 1) * np.eye(int(act.sum()))
         try:
             step = np.linalg.solve(H, -grad[act])
         except np.linalg.LinAlgError:
             break
-        t_bt, improved = 1.0, False
+        t_bt = 1.0
         while t_bt > 1e-10:
             cand = eta.copy()
             cand[act] = np.maximum(eta[act] + t_bt * step, 1e-14)
-            if dual(cand)[0] < val - 1e-18:
-                eta, improved = cand, True
+            trial = dual(cand)
+            if trial[0] < val - 1e-18:
                 break
             t_bt /= 2
-        if not improved:
+        else:  # no step decreased the dual
             break
-    upper = float(dual(eta)[0])
-    g = 0.5 * np.linalg.solve(q_matrix(eta), c)
-    gam = form.gamma_vector(g, g)
-    g = g / math.sqrt(max(float(gam.max()), 1e-300))
-    value = float(c @ g)
-    return value, upper
+        eta, (val, grad, sol, Q) = cand, trial
+    g = 0.5 * sol
+    g = g / math.sqrt(max(float(_gamma(W, m, g, g).max()), 1e-300))
+    return float(c @ g), float(val)
 
 
 def intrinsic_metric(form: DirichletForm, rel_tol=1e-6, eta0_value=0.5):
     """All-pairs intrinsic distance sup{g(x)-g(y) : Gamma(g,g) <= 1}.
 
-    Each pair is certified by weak duality to the requested relative
-    tolerance; disconnected pairs are +inf.
+    Each pair is solved on the conductances and vertex measure of its
+    connected component and certified by weak duality to the requested
+    relative tolerance; disconnected pairs are +inf.
     """
     n = form.n
     labels = form.components()
-    subforms = {}
+    blocks = [(form.weights[np.ix_(on, on)], form.vertex_measure[on])
+              for on in (labels == k for k in range(labels.max() + 1))]
+    rank = [int(np.count_nonzero(labels[:x] == labels[x])) for x in range(n)]  # x's index in its block
     out = np.zeros((n, n))
     for x in range(n):
         for y in range(x + 1, n):
             if labels[x] != labels[y]:
                 out[x, y] = out[y, x] = np.inf
                 continue
-            lab = labels[x]
-            if lab not in subforms:
-                idx = np.nonzero(labels == lab)[0]
-                sub_space = FiniteMMSpace(
-                    tuple(form.space.points[i] for i in idx),
-                    form.space.metric[np.ix_(idx, idx)],
-                    form.vertex_measure[idx], None, None, {},
-                )
-                subforms[lab] = (DirichletForm(sub_space, form.weights[np.ix_(idx, idx)], form.vertex_measure[idx]),
-                                 {int(g): k for k, g in enumerate(idx)})
-            sf, remap = subforms[lab]
-            val, ub = _pair_distance(sf, remap[x], remap[y], eta0_value)
+            val, ub = _pair_distance(*blocks[labels[x]], rank[x], rank[y], eta0_value)
             if ub - val > rel_tol * (1.0 + abs(val)):
                 raise FormError(f"intrinsic metric pair ({x},{y}) gap {ub - val:.2e} above tolerance")
             d = 0.5 * (val + ub)

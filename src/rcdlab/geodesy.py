@@ -297,38 +297,25 @@ def cd_convexity_check(trace: GeodesicTrace, K) -> dict:
 
     The asserted set follows the composition argument: each interior measure
     against the interval it was selected in, plus every global (0, t, 1)
-    triple. Residuals over consecutive triples of the final grid are also
-    reported (grid_residuals); on a lattice those carry an irreducible
-    quantization zigzag and are diagnostics, not assertions.
+    triple. The check solves nothing: W2(s, r) of an interval is the W of its
+    measure's certificate and W2(mu0, mu1) the last w2_from_start, the
+    builder's own geodesy._w2 values.
     """
     times = trace.times
     ent = {t: e for t, e in zip(times, trace.entropies)}
-    node = {t: mu for t, mu in zip(times, trace.measures)}
-    wsq_cache = {}
-
-    def wsq(a, b):
-        if (a, b) not in wsq_cache:
-            wsq_cache[(a, b)] = _w2(node[a], node[b]) ** 2
-        return wsq_cache[(a, b)]
-
+    cert = {t: c for t, c in zip(times, trace.certificates)}
     local = []
     for t, (s, r) in sorted(trace.construction.items()):
-        local.append(float(cd_residual(s, t, r, ent[s], ent[t], ent[r], wsq(s, r), K)))
+        local.append(float(cd_residual(s, t, r, ent[s], ent[t], ent[r], cert[t].spec.W ** 2, K)))
     glob = []
-    W2sq = wsq(times[0], times[-1])
+    W2sq = trace.w2_from_start[-1] ** 2
     for t in times[1:-1]:
         glob.append(float(cd_residual(times[0], t, times[-1], ent[times[0]], ent[t], ent[times[-1]], W2sq, K)))
-    grid = []
-    for i in range(1, len(times) - 1):
-        grid.append(float(cd_residual(times[i - 1], times[i], times[i + 1],
-                                      ent[times[i - 1]], ent[times[i]], ent[times[i + 1]],
-                                      wsq(times[i - 1], times[i + 1]), K)))
     asserted = local + glob
     worst = max(asserted) if asserted else 0.0
     return {
         "local_residuals": local,
         "global_residuals": glob,
-        "grid_residuals": grid,
         "worst": float(worst),
     }
 
@@ -400,7 +387,7 @@ def combine_restricted(trace: GeodesicTrace, plan: TransportPlan, f_weights, nu_
         raise GeodesyError(f"combined mass {total} != 1")
     out = ProbMeasure(space, weights / total)
     # verify membership in the relaxed intermediate set of the endpoints
-    W = _w2(trace.measures[0], trace.measures[-1])
+    W = trace.w2_from_start[-1]
     t = lam_time
     wa = _w2(trace.measures[0], out)
     wb = _w2(out, trace.measures[-1])

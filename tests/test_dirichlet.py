@@ -372,6 +372,29 @@ def test_intrinsic_metric_disconnected_infinite():
     assert np.isinf(dm[0, 2]) and np.isfinite(dm[0, 1])
 
 
+def test_intrinsic_metric_is_the_metric_of_each_component():
+    # three interleaved components: a 2-point path, a 3-cycle and a 4-point path
+    parts = [[0, 4], [1, 5, 7], [2, 3, 6, 8]]
+    edges = [(0, 4, 1.5), (1, 5, 1.0), (5, 7, 2.0), (7, 1, 0.5), (2, 3, 1.0), (3, 6, 3.0), (6, 8, 1.0)]
+    n = 9
+    W = np.zeros((n, n))
+    for i, j, w in edges:
+        W[i, j] = W[j, i] = w
+    m = np.linspace(1.0, 2.0, n)
+    m /= m.sum()
+    pos = np.arange(n, dtype=float)
+    form = DirichletForm(FiniteMMSpace(tuple(range(n)), np.abs(pos[:, None] - pos[None, :]), m), W, m)
+    dm = intrinsic_metric(form)
+    label = np.empty(n, dtype=int)
+    for k, idx in enumerate(parts):
+        label[idx] = k
+        own = FiniteMMSpace(tuple(idx), form.space.metric[np.ix_(idx, idx)], m[idx])
+        ref = intrinsic_metric(DirichletForm(own, W[np.ix_(idx, idx)], m[idx]))
+        assert np.isfinite(ref).all()
+        assert dm[np.ix_(idx, idx)].tobytes() == ref.tobytes()
+    assert np.isinf(dm[label[:, None] != label[None, :]]).all()
+
+
 def test_calibrated_segment_certified_and_triangle():
     space, form = calibrated_segment(8, rel_tol=1e-7)
     d = intrinsic_metric(form, rel_tol=1e-6)

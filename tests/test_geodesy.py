@@ -218,6 +218,35 @@ def test_good_geodesic_gaussian_bump_segment():
         assert t * W - 2 * tr.epsilon_used - 1e-9 <= wv <= t * W + 2 * tr.epsilon_used + 1e-9
 
 
+@pytest.mark.parametrize("endpoints", ["gaussian_bump_17", "dirac_9"])
+def test_the_convexity_check_reads_its_w2_values_from_the_trace(monkeypatch, endpoints):
+    if endpoints == "gaussian_bump_17":
+        s = make_model_space("segment", 17)
+        tr = build_good_geodesic(gaussian_measure(s, 8.0), bump_measure(s, 12, 0.13), 3,
+                                 epsilon="auto", K=0.0, tol=5e-3)
+    else:
+        s = make_model_space("segment", 9)
+        tr = build_good_geodesic(dirac(s, 0), dirac(s, 8), 3, epsilon=0.0)
+    real_linprog, real_w2, calls = solvers.linprog, geodesy._w2, []
+    monkeypatch.setattr(solvers, "linprog", lambda *a: calls.append("linprog") or real_linprog(*a))
+    monkeypatch.setattr(geodesy, "_w2", lambda *a: calls.append("_w2") or real_w2(*a))
+    reports = {K: cd_convexity_check(tr, K) for K in (0.0, -1.0, 2.0)}
+    assert calls == []
+    monkeypatch.undo()
+    # the reference: every W2 re-solved on the full LP
+    node = dict(zip(tr.times, tr.measures))
+    ent = dict(zip(tr.times, tr.entropies))
+    t0, t1 = tr.times[0], tr.times[-1]
+    for K, rep in reports.items():
+        local = [float(cd_residual(s_, t, r, ent[s_], ent[t], ent[r], real_w2(node[s_], node[r]) ** 2, K))
+                 for t, (s_, r) in sorted(tr.construction.items())]
+        glob = [float(cd_residual(t0, t, t1, ent[t0], ent[t], ent[t1], real_w2(node[t0], node[t1]) ** 2, K))
+                for t in tr.times[1:-1]]
+        assert rep["local_residuals"] == local
+        assert rep["global_residuals"] == glob
+        assert rep["worst"] == max(local + glob)
+
+
 def test_the_warm_probe_saves_oracle_lps(monkeypatch):
     # criterion 3's segment:17 build, once as it is and once with the probe failing
     s = make_model_space("segment", 17)
