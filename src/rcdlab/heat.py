@@ -28,7 +28,7 @@ import numpy as np
 from .dirichlet import DirichletForm, laplacian_matrix, product_form
 from .measures import ProbMeasure, fisher_information, relative_entropy, uniform_measure
 from .mmspace import _freeze, line_of, product_space
-from .solvers import SolverError, exact_ot, prox_entropy_step
+from .solvers import SolverError, exact_ot, exact_ot_costs, prox_entropy_step
 
 _KERNEL_CLIP_TOL = 1e-12
 _DT_DISS = 1e-4  # half-width of identification_check's centered entropy difference
@@ -123,16 +123,16 @@ def _heat_measure(form: DirichletForm, f, t) -> ProbMeasure:
 
 
 def _w2_speeds(space, measures, steps):
-    """W2(mu_k, mu_{k+1}) / step_k along a trace on space. Without a line
-    (exact_ot), on one transport path walked from the last pair to the first:
-    a flow's support grows from its start to full, so the path solves the full
-    model cold once, on the smoothest pair, and restarts only on the small LPs
-    of the first pairs, a third fewer simplex iterations than walking forward
-    on the flows of configs/cycle64_rcd.json solved without their line."""
-    C, line, path = space.metric ** 2, line_of(space), []
-    speeds = [float(np.sqrt(max(exact_ot(C, a.weights, b.weights, path=path, line=line)[0], 0.0)) / dt)
-              for a, b, dt in reversed(list(zip(measures, measures[1:], steps)))]
-    return tuple(reversed(speeds))
+    """W2(mu_k, mu_{k+1}) / step_k along a trace on space, one series
+    (exact_ot_costs) walked from the last pair to the first: a flow's support
+    grows from its start to full, so without a line the series solves the
+    full model cold once, on the smoothest pair, and restarts only on the
+    small LPs of the first pairs, a third fewer simplex iterations than
+    walking forward on the flows of configs/cycle64_rcd.json solved without
+    their line."""
+    pairs = [(a.weights, b.weights) for a, b in zip(measures, measures[1:])]
+    costs = exact_ot_costs(space.metric ** 2, pairs[::-1], line_of(space))[::-1]
+    return tuple(float(np.sqrt(max(c, 0.0)) / dt) for c, dt in zip(costs, steps))
 
 
 def _with_rates(trace: FlowTrace, form, space, steps) -> FlowTrace:
@@ -321,19 +321,14 @@ def log_sobolev_check(form: DirichletForm, f, K, n_family=20, seed=0) -> dict:
 
 
 def contraction_check(form: DirichletForm, mu: ProbMeasure, nu: ProbMeasure, K, t_grid) -> dict:
-    """max over t of W2(h_t mu, h_t nu) - exp(-Kt) W2(mu, nu)."""
-    C, line, path = form.space.metric ** 2, line_of(form.space), []
-    w0 = np.sqrt(max(exact_ot(C, mu.weights, nu.weights, path=path, line=line)[0], 0.0))
-    worst = -np.inf
-    series = []
-    for t in t_grid:
-        a = _heat_measure(form, mu.density(), t).weights
-        b = _heat_measure(form, nu.density(), t).weights
-        wt = np.sqrt(max(exact_ot(C, a, b, path=path, line=line)[0], 0.0))
-        gap = wt - np.exp(-K * t) * w0
-        series.append(float(gap))
-        worst = max(worst, gap)
-    return {"worst": float(worst), "series": series, "w2_initial": float(w0)}
+    """max over t of W2(h_t mu, h_t nu) - exp(-Kt) W2(mu, nu), from one
+    series of transport problems (exact_ot_costs): (mu, nu), then
+    (h_t mu, h_t nu) along t_grid."""
+    pairs = [(mu.weights, nu.weights)] + [(_heat_measure(form, mu.density(), t).weights,
+                                           _heat_measure(form, nu.density(), t).weights) for t in t_grid]
+    w0, *wt = (np.sqrt(max(c, 0.0)) for c in exact_ot_costs(form.space.metric ** 2, pairs, line_of(form.space)))
+    series = [float(w - np.exp(-K * t) * w0) for w, t in zip(wt, t_grid)]
+    return {"worst": max(series, default=-np.inf), "series": series, "w2_initial": float(w0)}
 
 
 def tensorization_check(form_a: DirichletForm, form_b: DirichletForm, f_a, f_b, t) -> dict:

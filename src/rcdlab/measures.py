@@ -40,7 +40,7 @@ class ProbMeasure:
             raise MeasureError(f"weights length {w.shape} != {self.space.n}")
         if not np.isfinite(w).all():
             raise MeasureError("non-finite weight")
-        if w.min() < -MASS_TOL:
+        if w.min() < 0:
             raise MeasureError(f"negative weight {w.min()}")
         if abs(w.sum() - 1.0) > MASS_TOL:
             raise MeasureError(f"total mass {w.sum()} != 1")

@@ -82,16 +82,23 @@ def graph_shortest_paths(n, edges):
     return shortest_path(g, method="D", directed=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite data is reported, not warned about
 def validate_space(space: FiniteMMSpace) -> ValidationReport:
     """Check every space invariant, returning a witnessed violation list.
 
     Witnesses are index tuples; magnitudes quantify the worst violation of the
-    named check so reports stay actionable on large spaces.
+    named check so reports stay actionable on large spaces. A non-finite
+    entry of the metric, of its square (the transport costs) or of the
+    measure is witnessed by its first index, with that value as magnitude.
     """
     d = space.metric
     n = space.n
     violations = []
 
+    for name, values in (("finite_metric", d * d), ("finite_measure", space.ref_measure)):
+        if not np.isfinite(values).all():
+            at = np.argwhere(~np.isfinite(values))[0]
+            violations.append((name, tuple(int(i) for i in at), float(values[tuple(at)])))
     asym = np.abs(d - d.T)
     if asym.max() > METRIC_TOL:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)

@@ -48,22 +48,20 @@ row bounds for the next, so the dual simplex restarts from the last optimal
 basis (Huangfu and Hall, Parallelizing the dual revised simplex method, Math.
 Prog. Comp. 2018), which a change of right-hand sides leaves dual feasible
 and a change of costs primal feasible. Three loops use one:
-- a loop of transport problems on one cost matrix without a line, such as
-  the speeds along a flow or the distances from each flow measure to one
-  target on a random metric, passes exact_ot a path; on the flows of
+- exact_ot_costs, a series of transport problems on one cost matrix without
+  a line, such as the speeds along a flow or the distances from each flow
+  measure to one target on a random metric; on the flows of
   configs/cycle64_rcd.json, solved without their line, that halved the
-  simplex iterations. A change of either support is a new model: the path
-  restarts with a cold solve on the new supports and runs hot again after
-  it, so a loop orders its problems to restart on small models
-  (heat._w2_speeds walks a flow from its end). Path solves do not touch
-  exact_ot's memory. With a line the path is not used: a shortlist LP is
-  small, and cold;
+  simplex iterations. A change of either support is a new model, whose first
+  LP is cold, so a series orders its problems to restart on small models
+  (heat._w2_speeds walks a flow from its end). With a line each problem is
+  exact_ot's: a shortlist LP is small, and cold;
 - entropy_budget_min's oracle LPs, which differ only in their objective; on
   the geodesic benchmark a hot oracle LP takes 23 simplex iterations where
   a cold one took 73;
 - epsilon_min's Newton cuts, which differ only in their budgets.
-Hot runs are checked like cold ones, and each model belongs to one loop, so
-no result depends on the call history outside it.
+Hot runs are checked like cold ones, and each model is built and dropped
+within one call, so no result depends on the call history outside it.
 
 interior_point measures the common slack of the linked-pair polytope: two
 couplings sharing their second marginal, each under a quadratic-cost budget.
@@ -390,7 +388,21 @@ def _priced_shortlist(C, mass, cells):
 _OT_LAST = (None, None)
 
 
-def exact_ot(C, a, b, path=None, line=None):
+def _on_supports(C, a, b):
+    """(ia, ib, C[ia][:, ib], a[ia] followed by b[ib]) for the supports ia of
+    a and ib of b: the costs and right-hand sides of the transport LP on them,
+    with C itself on full supports. A negative or nan entry of a or b, or a
+    marginal without mass, raises ValueError."""
+    if not ((a >= 0).all() and (b >= 0).all()):
+        raise ValueError("transport marginals must be nonnegative")
+    ia, ib = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
+    if not (ia.size and ib.size):
+        raise ValueError("a transport marginal has no mass")
+    Cs = C if C.shape == (ia.size, ib.size) else C[ia][:, ib]
+    return ia, ib, Cs, np.concatenate([a[ia], b[ib]])
+
+
+def exact_ot(C, a, b, line=None):
     """Exact LP optimum of <gamma, C> over couplings of (a, b).
 
     Returns (cost, plan, u, v) where (u, v) are dual potentials satisfying
@@ -416,61 +428,27 @@ def exact_ot(C, a, b, path=None, line=None):
     that check, whatever the line; a wrong line costs rounds, not accuracy.
     Without a line the shortlist is every cell, so the first LP is the last.
 
-    Without path, the last successful solve is remembered: a call whose C, a,
-    b and line are byte-equal to it returns the same objects without an LP.
-    The memory holds only such cold solves, and HiGHS is deterministic, so a
-    new cold solve would return the same bits. A failed solve leaves the
-    memory as it was.
-
-    With path, a list the caller owns for a run of problems on one C, and
-    without a line, the LP runs hot (see linprog) on the LPModel the path
-    holds with its C and supports, and neither reads nor writes the memory.
-    A change of either support restarts the path on a new model: that solve
-    is cold, and the solves after it are hot again. Its results are
-    deterministic for a given sequence of problems on the path, and its cost
-    agrees with a cold solve's to solver precision; a degenerate problem may
-    get another optimal plan. A C other than the path's raises ValueError and
-    leaves the path as it was. With a line, the path is not used: every
-    shortlist LP is a small cold solve.
+    The last successful solve is remembered: a call whose C, a, b and line
+    are byte-equal to it returns the same objects without an LP. Every solve
+    here is cold, and HiGHS is deterministic, so a new solve would return the
+    same bits. A failed solve leaves the memory as it was.
     """
     global _OT_LAST
     C = np.asarray(C, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not ((a >= 0).all() and (b >= 0).all()):
-        raise ValueError("transport marginals must be nonnegative")
-    if line is not None:
-        path = None
-    cost_matrix = (C.shape, C.tobytes())
-    if path is None:
-        key = cost_matrix + (a.tobytes(), b.tobytes(), None if line is None else (line[0].tobytes(), line[1]))
-        last_key, last = _OT_LAST
-        if key == last_key:
-            return last
-    sa, sb = a > 0, b > 0
-    ia, ib = np.flatnonzero(sa), np.flatnonzero(sb)
-    if not (ia.size and ib.size):
-        raise ValueError("a transport marginal has no mass")
-    supports = (ia.tobytes(), ib.tobytes())
-    if path:  # (cost matrix, supports, LPModel) of the path's LP
-        if path[0][0] != cost_matrix:
-            raise ValueError("a transport problem on a path may differ from the path's only in its "
-                             "marginals, the right-hand sides of its LP")
-        if path[0][1] != supports:
-            path.clear()
+    key = (C.shape, C.tobytes(), a.tobytes(), b.tobytes(), None if line is None else (line[0].tobytes(), line[1]))
+    last_key, last = _OT_LAST
+    if key == last_key:
+        return last
+    ia, ib, Cs, mass = _on_supports(C, a, b)
     k0, k1 = ia.size, ib.size
-    full = C.shape == (k0, k1)
-    Cs = C if full else C[ia][:, ib]
-    mass = np.concatenate([a[ia], b[ib]])
-    if line is None:  # the shortlist is every cell: one LP, hot on the path's model if it has run
-        model = path[0][2] if path else LPModel(_marginal_matrix(k0, k1))
-        if path == []:  # a new path, or one restarted on new supports
-            path.append((cost_matrix, supports, model))
-        x, fun, y, _ = linprog(model, Cs.ravel(), mass)
+    if line is None:  # the shortlist is every cell: one LP
+        x, fun, y, _ = linprog(LPModel(_marginal_matrix(k0, k1)), Cs.ravel(), mass)
         block = x.reshape(k0, k1)
     else:
         block, fun, y = _priced_shortlist(Cs, mass, _line_cells(line[0][ia], line[0][ib], a[ia], b[ib], line[1]))
-    if full:
+    if Cs is C:
         plan, u, v = block, y[:k0], y[k0:]
     else:
         rows = np.zeros((k0, C.shape[1]))  # two plain scatters; np.ix_ costs twice as much
@@ -479,12 +457,35 @@ def exact_ot(C, a, b, path=None, line=None):
         plan[ia] = rows
         u, v = np.empty(C.shape[0]), np.empty(C.shape[1])
         u[ia], v[ib] = y[:k0], y[k0:]
-        u[~sa] = (C[~sa][:, ib] - v[ib]).min(axis=1)
-        v[~sb] = (C[:, ~sb] - u[:, None]).min(axis=0)
+        u[a == 0] = (C[a == 0][:, ib] - v[ib]).min(axis=1)
+        v[b == 0] = (C[:, b == 0] - u[:, None]).min(axis=0)
     out = (fun, _freeze(plan), _freeze(u), _freeze(v))
-    if path is None:
-        _OT_LAST = (key, out)
+    _OT_LAST = (key, out)
     return out
+
+
+def exact_ot_costs(C, pairs, line=None):
+    """[exact_ot(C, a, b, line=line)[0] for a, b in pairs], the costs of a
+    series of transport problems on one cost matrix, in order.
+
+    With a line each problem is exact_ot's, which reads and writes its memory.
+    Without one, each run of consecutive pairs with the same supports shares
+    one LPModel built here: the first LP of a run is cold, with exact_ot's
+    bits, and the rest run hot from the last optimal basis (see linprog). A
+    hot cost agrees with a cold one to solver precision. exact_ot's memory is
+    neither read nor written, and the model lives as long as the call, so the
+    costs depend only on the arguments.
+    """
+    if line is not None:
+        return [exact_ot(C, a, b, line=line)[0] for a, b in pairs]
+    C = np.asarray(C, dtype=float)
+    costs, held, model = [], None, None
+    for a, b in pairs:
+        ia, ib, Cs, mass = _on_supports(C, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        if (ia.tobytes(), ib.tobytes()) != held:
+            held, model = (ia.tobytes(), ib.tobytes()), LPModel(_marginal_matrix(ia.size, ib.size))
+        costs.append(linprog(model, Cs.ravel(), mass)[1])
+    return costs
 
 
 @functools.lru_cache(maxsize=256)

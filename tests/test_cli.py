@@ -271,6 +271,7 @@ def _one_line_config_error(code, capsys):
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("fields", [
@@ -298,6 +299,20 @@ def test_malformed_run_input_is_one_line_config_error(tmp_path, capsys, fields):
                   **fields)
     code = cli.run(config, base_dir=str(tmp_path))
     _one_line_config_error(code, capsys)
+
+
+_TWO_POINTS = {"points": [0, 1], "metric": [[0.0, 1.0], [1.0, 0.0]], "measure": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("space, mu, violation", [
+    ({"kind": "cycle", "n": 4}, {"weights": [0.5000000000001, 0.5, 0, -1e-13]}, "negative weight -1e-13"),
+    (dict(_TWO_POINTS, measure=[1.0, float("nan")]), {"kind": "dirac", "at": 0}, "finite_measure"),
+    (dict(_TWO_POINTS, metric=[[0.0, 1e200], [1e200, 0.0]]), {"kind": "dirac", "at": 0}, "finite_metric"),
+], ids=["weight-below-zero", "measure-nan", "metric-square-inf"])
+def test_data_a_transport_lp_cannot_take_is_one_line_config_error(tmp_path, capsys, space, mu, violation):
+    config = {"space": space, "seed": 0, "output_dir": str(tmp_path / "o"),
+              "tasks": [{"op": "ot", "name": "o", "mu": mu, "nu": {"kind": "dirac", "at": 1}}]}
+    assert violation in _one_line_config_error(cli.run(config), capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -376,7 +391,8 @@ def _every_op_config():
         "output_dir": "out",
         "tasks": [
             {"op": "validate", "name": "v"},
-            {"op": "ot", "name": "o", "mu": {"kind": "dirac", "at": 0}, "nu": "nu.json", "gap_tol": 1e-9},
+            {"op": "ot", "name": "o", "mu": {"weights": [0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}, "nu": "nu.json",
+             "gap_tol": 1e-9},
             {"op": "flow", "name": "s", "f0": bump, "t_grid": [0.0, 0.01, 0.02]},
             {"op": "flow", "name": "j", "flavor": "jko", "f0": bump, "tau": 0.01, "steps": 1},
             {"op": "form", "name": "g", "sub": "gamma", "rule": "metric_measure", "f": f, "g": f[::-1]},
@@ -397,7 +413,7 @@ def _locations(value, path=()):
 
 
 _SPEC_FIELDS = {"space", "mu", "nu", "mu0", "mu1", "f0", "config"}
-_REPLACEMENTS = ["x", [], [1], None, -1, 0, 0.5, 2, {}, {"x": 1}]
+_REPLACEMENTS = ["x", [], [1], None, -1, 0, 0.5, 2, {}, {"x": 1}, -1e-13, float("nan")]
 
 
 def _json_type(value):
@@ -409,6 +425,8 @@ def _json_type(value):
 def _mutations(draw):
     path = draw(st.sampled_from(list(_locations(_every_op_config()))))
     kinds = [("drop", None)] + [("replace", v) for v in _REPLACEMENTS]
+    if isinstance(functools.reduce(lambda obj, key: obj[key], path, _every_op_config()), float):
+        kinds.append(("replace", 1e200))  # not in a count, which would then run 1e200 times
     if path[-1] in _SPEC_FIELDS:
         kinds += [("replace", "missing.json"), ("replace", "bad.json")]
     return (path,) + draw(st.sampled_from(kinds))

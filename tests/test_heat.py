@@ -370,12 +370,18 @@ def test_heat_checks_hand_exact_ot_probability_measures(monkeypatch):
     # -3.1e-16 where it vanishes; every check clips them before transport
     seen = []
 
-    def recording(C, a, b, path=None, line=None):
+    def recording(C, a, b, line=None):
         seen.extend((np.asarray(a), np.asarray(b)))
-        return real(C, a, b, path=path, line=line)
+        return real(C, a, b, line=line)
 
-    real = heat.exact_ot
+    def recording_series(C, pairs, line=None):
+        for a, b in pairs:
+            seen.extend((np.asarray(a), np.asarray(b)))
+        return real_series(C, pairs, line)
+
+    real, real_series = heat.exact_ot, heat.exact_ot_costs
     monkeypatch.setattr(heat, "exact_ot", recording)
+    monkeypatch.setattr(heat, "exact_ot_costs", recording_series)
     s = make_model_space("segment", 17)
     form = dirichlet_form(s)
     f0 = dirac(s, 0).density()
@@ -428,21 +434,19 @@ def test_entropy_nonincreasing_along_semigroup():
     assert all(a >= b - 1e-10 for a, b in zip(ents, ents[1:]))
 
 
-# -- flow speeds: one transport path per flow, walked from its last pair to its first
+# -- flow speeds: one transport series per flow, walked from its last pair to its first
 
 
-def recorded_paths(monkeypatch):
-    """Record the HiGHS instance that the model of the heat module's transport
-    path holds after each solve, None while the path holds none."""
-    real, instances = heat.exact_ot, []
+def recorded_models(monkeypatch):
+    """Record the LPModel of each HiGHS call from here on."""
+    real, models = solvers.linprog, []
 
-    def recording(C, a, b, path=None, line=None):
-        out = real(C, a, b, path=path, line=line)
-        instances.append(path[0][2].hot[0] if path else None)
-        return out
+    def recording(model, *args, **kwargs):
+        models.append(model)
+        return real(model, *args, **kwargs)
 
-    monkeypatch.setattr(heat, "exact_ot", recording)
-    return instances
+    monkeypatch.setattr(solvers, "linprog", recording)
+    return models
 
 
 @st.composite
@@ -470,27 +474,27 @@ def test_backward_speed_path_matches_cold_solves(flow):
     pairs = list(zip(trace.measures, trace.measures[1:]))
     steps = np.diff(trace.times)
     with pytest.MonkeyPatch.context() as mp:
-        instances = recorded_paths(mp)
+        models = recorded_models(mp)
         speeds = heat._w2_speeds(space, trace.measures, steps)
     for speed, (a, b), dt in zip(speeds, pairs, steps):
         cold = np.sqrt(solvers.exact_ot(C, a.weights, b.weights)[0]) / dt
         assert abs(speed - cold) <= 1e-12 * cold
     if line_of(space) is None:
-        # walked from the last pair, the path restarts exactly where a support changes
+        # walked from the last pair, the series restarts exactly where a support changes
         supports = [((a.weights > 0).tobytes(), (b.weights > 0).tobytes()) for a, b in reversed(pairs)]
-        assert [x is y for x, y in zip(instances, instances[1:])] == [x == y for x, y in zip(supports, supports[1:])]
+        assert [x is y for x, y in zip(models, models[1:])] == [x == y for x, y in zip(supports, supports[1:])]
     else:
-        assert instances == [None] * len(pairs)  # segments and cycles solve their shortlists without a path
+        assert len(set(map(id, models))) == len(models)  # segments and cycles solve each shortlist LP cold
 
 
 def test_a_bump_start_flow_restarts_its_speed_path_only_at_the_bump(monkeypatch):
     s = make_model_space("random_metric", 64, {"seed": 1})
     form = dirichlet_form(s)
     mu0 = bump_measure(s, 16, 0.12)
-    instances = recorded_paths(monkeypatch)
+    models = recorded_models(monkeypatch)
     semigroup_flow(form, mu0.density(), np.linspace(0.0, 0.1, 11))
     jko_flow(mu0, 0.004, 10, inner_tol=1e-6, form=form)
-    # each flow's path solves its nine full-support pairs on one HiGHS instance,
-    # cold on the last pair, and restarts on the pair from the bump, the last it solves
+    # each flow's series solves its nine full-support pairs on one model, cold
+    # on the last pair, and restarts on the pair from the bump, the last it solves
     one_flow = [True] * 8 + [False]
-    assert [x is y for x, y in zip(instances, instances[1:])] == one_flow + [False] + one_flow
+    assert [x is y for x, y in zip(models, models[1:])] == one_flow + [False] + one_flow

@@ -125,12 +125,12 @@ def test_fixed_epsilon_build_reports_an_lp_failure_as_a_solver_error(monkeypatch
 
 
 def _counted_linprog(monkeypatch):
-    """Empty exact_ot's memory and count the HiGHS calls from here on."""
+    """Empty exact_ot's memory and record the LPModel of each HiGHS call from here on."""
     real_linprog, calls = solvers.linprog, []
 
-    def linprog(*args, **kwargs):
-        calls.append(1)
-        return real_linprog(*args, **kwargs)
+    def linprog(model, *args, **kwargs):
+        calls.append(model)
+        return real_linprog(model, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "linprog", linprog)
     monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
@@ -233,7 +233,7 @@ def test_threads_alternating_two_problems_get_their_own_results(monkeypatch):
     assert len(calls) < 2 + 800  # some repeats were answered from the memory
 
 
-# -- transport paths: each solve restarts HiGHS from the path's last basis ---------
+# -- transport series: each run of pairs on one pair of supports restarts HiGHS from its last basis
 
 
 def _bits(out):
@@ -250,7 +250,7 @@ def _flow_pairs(n=16, steps=6):
 
 
 @st.composite
-def _path_problems(draw):
+def _series_problems(draw):
     n = draw(st.integers(2, 16))
     C = make_model_space("random_metric", n, {"seed": draw(st.integers(0, 2**16))}).metric ** 2
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -269,67 +269,60 @@ def _path_problems(draw):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(_path_problems())
-def test_every_solve_on_a_path_is_an_exact_optimum(problem):
+@given(_series_problems())
+def test_every_cost_of_a_series_is_an_exact_optimum(problem):
     C, pairs = problem
-    path = []
-    for a, b in pairs:
-        cost, plan, u, v = solvers.exact_ot(C, a, b, path=path)
+    for cost, (a, b) in zip(solvers.exact_ot_costs(C, pairs), pairs):
         cold = solvers.exact_ot(C, a, b)[0]
         assert abs(cost - cold) <= 1e-12 * abs(cold)
-        assert (u[:, None] + v[None, :] <= C + 1e-9).all()
-        assert np.abs(plan.sum(axis=1) - a).max() <= ot.MARGINAL_TOL
-        assert np.abs(plan.sum(axis=0) - b).max() <= ot.MARGINAL_TOL
 
 
-def test_a_path_repeats_its_bits_whatever_the_memory_holds(monkeypatch):
+def test_a_series_repeats_its_bits_whatever_the_memory_holds(monkeypatch):
     C, pairs = _flow_pairs()
-    calls = _counted_linprog(monkeypatch)
-
-    def run():
-        path = []
-        return [_bits(solvers.exact_ot(C, a, b, path=path)) for a, b in pairs]
-
-    first = run()
-    assert len(calls) == len(pairs) and solvers._OT_LAST == (None, None)  # never written
-    cold = solvers.exact_ot(C, *pairs[0])  # the memory now holds the path's first problem
-    assert first[0] == _bits(cold)  # the first solve on a path is the cold solve
-    assert run() == first  # and is solved again, not read from the memory
-    assert len(calls) == 2 * len(pairs) + 1
+    models = _counted_linprog(monkeypatch)
+    first = solvers.exact_ot_costs(C, pairs)
+    assert len(models) == len(pairs) and solvers._OT_LAST == (None, None)  # never written
+    cold = solvers.exact_ot(C, *pairs[0])  # the memory now holds the series' first problem
+    assert first[0] == cold[0]  # the first LP of a series is the cold solve
+    assert solvers.exact_ot_costs(C, pairs) == first  # and is solved again, not read from the memory
+    assert len(models) == 2 * len(pairs) + 1
     assert solvers._OT_LAST[1] is cold
 
 
-def test_a_path_refuses_another_cost_matrix():
-    C, a, b = _ot_problem(21)
-    path = []
-    solvers.exact_ot(C, a, b, path=path)
-    for other in (_one_ulp(C, (1, 2)), C[:5, :5]):
-        with pytest.raises(ValueError, match="right-hand sides"):
-            solvers.exact_ot(other, a[: len(other)], b[: len(other)], path=path)
-    assert len(path) == 1  # a refused call leaves the path as it was
-    assert solvers.exact_ot(C, b, a, path=path)[0] == pytest.approx(solvers.exact_ot(C, b, a)[0], rel=1e-12)
+def test_a_series_does_not_depend_on_the_calls_before_it():
+    C, pairs = _flow_pairs()
+    first = [c.hex() for c in solvers.exact_ot_costs(C, pairs)]
+    D, a, b = _ot_problem(25, 16)
+    solvers.exact_ot_costs(D, [(a, b), (b, a)])  # an unrelated series
+    solvers.exact_ot_costs(C, pairs[::-1])  # the same problems in another order
+    solvers.exact_ot(C, *pairs[-1])  # the memory holds one of the series' problems
+    solvers.exact_ot(D, a, b)
+    assert [c.hex() for c in solvers.exact_ot_costs(C, pairs)] == first
 
 
-def test_an_unequal_mass_pair_on_a_path_is_infeasible():
+def test_an_unequal_mass_pair_in_a_series_is_infeasible():
     C, a, b = _ot_problem(22)
-    path = []
-    solvers.exact_ot(C, a, b, path=path)
     with pytest.raises(InfeasibleError, match="LP infeasible"):
-        solvers.exact_ot(C, a, 1.5 * b, path=path)
-    assert path[0][2].hot is None  # so the next solve on the path starts from scratch
-    assert _bits(solvers.exact_ot(C, b, a, path=path)) == _bits(solvers.exact_ot(C, b, a))
+        solvers.exact_ot_costs(C, [(a, b), (a, 1.5 * b)])
+    assert solvers.exact_ot_costs(C, [(b, a)]) == [solvers.exact_ot(C, b, a)[0]]  # nothing is left behind
 
 
-def test_a_time_limit_on_a_hot_run_is_a_solver_error_not_infeasibility():
+def test_a_time_limit_on_a_hot_run_is_a_solver_error_not_infeasibility(monkeypatch):
     # pairs[0] starts from a bump; pairs[1] and pairs[2] have full supports, so the second solve is hot
     C, pairs = _flow_pairs()
-    path = []
-    solvers.exact_ot(C, *pairs[1], path=path)
-    path[0][2].hot[0].setOptionValue("time_limit", 0.0)  # the HiGHS instance of the path's model
+    real_linprog, models = solvers.linprog, []
+
+    def linprog(model, *args):
+        if model.hot:
+            model.hot[0].setOptionValue("time_limit", 0.0)  # the HiGHS instance the series' model holds
+        models.append(model)
+        return real_linprog(model, *args)
+
+    monkeypatch.setattr(solvers, "linprog", linprog)
     with pytest.raises(SolverError, match="Time limit") as err:
-        solvers.exact_ot(C, *pairs[2], path=path)
+        solvers.exact_ot_costs(C, pairs[1:3])
     assert not isinstance(err.value, InfeasibleError)
-    assert path[0][2].hot is None
+    assert len(models) == 2 and models[0] is models[1] and models[1].hot is None
 
 
 # -- LP models: the costs and the right-hand sides change, the model does not ------
@@ -392,46 +385,28 @@ def _support_pairs(n=12, seed=24):
     return C, full, sparse
 
 
-def test_a_change_of_support_restarts_the_path():
+def test_a_change_of_support_restarts_the_series(monkeypatch):
     C, full, sparse = _support_pairs()
-    path, got, instances = [], [], []
-    for a, b in full + sparse + full:
-        got.append(_bits(solvers.exact_ot(C, a, b, path=path)))
-        instances.append(path[0][2].hot[0])
-    fresh = []
-    for pairs in (full, sparse, full):
-        fresh_path = []
-        fresh += [_bits(solvers.exact_ot(C, a, b, path=fresh_path)) for a, b in pairs]
-    assert got == fresh  # from each change of support on, the path is a fresh one
-    assert got[2] == _bits(solvers.exact_ot(C, *sparse[0]))  # whose first solve is cold
-    # and whose later solves re-run the same HiGHS instance
-    assert [x is y for x, y in zip(instances, instances[1:])] == [True, False, True, False, True]
+    models = _counted_linprog(monkeypatch)
+    got = solvers.exact_ot_costs(C, full + sparse + full)
+    # from each change of support on, the series is a fresh one, on a model of its own
+    assert [x is y for x, y in zip(models, models[1:])] == [True, False, True, False, True]
+    assert got == [c for pairs in (full, sparse, full) for c in solvers.exact_ot_costs(C, pairs)]
+    assert got[2] == solvers.exact_ot(C, *sparse[0])[0]  # whose first solve is cold
 
 
-def test_a_path_refuses_another_cost_matrix_on_the_same_supports():
-    C, _, sparse = _support_pairs()
-    path, untouched = [], []
-    solvers.exact_ot(C, *sparse[0], path=path)
-    solvers.exact_ot(C, *sparse[0], path=untouched)
-    held = path[0]
-    for cell in ((1, 2), (0, 3)):  # on the supports, and in a row off them
-        with pytest.raises(ValueError, match="right-hand sides"):
-            solvers.exact_ot(_one_ulp(C, cell), *sparse[1], path=path)
-        assert len(path) == 1 and path[0] is held  # the path is left as it was
-    assert _bits(solvers.exact_ot(C, *sparse[1], path=path)) == _bits(solvers.exact_ot(C, *sparse[1], path=untouched))
-
-
-@pytest.mark.parametrize("path", [None, []], ids=["cold", "path"])
-def test_a_negative_or_massless_marginal_is_a_value_error(path):
+@pytest.mark.parametrize("solve", [solvers.exact_ot, lambda C, a, b: solvers.exact_ot_costs(C, [(a, b)])],
+                         ids=["cold", "series"])
+def test_a_negative_or_massless_marginal_is_a_value_error(solve):
     # a marginal entry of -1e-17, as an unclipped h_t of a Dirac has, is never dropped silently
     C, a, b = _ot_problem(23)
     negative = a.copy()
     negative[2] = -1e-17
     for args in ((C, negative, b), (C, b, negative)):
         with pytest.raises(ValueError, match="nonnegative"):
-            solvers.exact_ot(*args, path=path)
+            solve(*args)
     with pytest.raises(ValueError, match="no mass"):
-        solvers.exact_ot(C, np.zeros(len(a)), b, path=path)
+        solve(C, np.zeros(len(a)), b)
 
 
 @st.composite
