@@ -14,10 +14,12 @@ field. Exit codes:
     1  an assert-mode check failed, and nothing else (the report path is printed)
     2  config error: an unreadable or non-JSON file, a missing or wrong-type
        field anywhere in a config (space params, measure specs, the verify
-       config and t_grid included), an invalid space or measure, or a
-       geodesic request that cannot be met (GeodesyError)
+       config and t_grid included), a K or tolerance that is not finite, an
+       invalid space or measure, or a geodesic request that cannot be met
+       (GeodesyError)
     3  solver failure: SolverError (InfeasibleError included), FormError,
-       HeatError, EviError or TransportError
+       HeatError (a time that is not finite, or a t_grid that does not
+       increase strictly, included), EviError or TransportError
 """
 
 from __future__ import annotations
@@ -170,6 +172,15 @@ def _exactly(cls):
     return check
 
 
+def _finite(value):
+    """A finite JSON number, as a float: K and the tolerances, which a NaN
+    would pass every comparison of."""
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
+
+
 def _floats(value, n=None):
     """A nonempty JSON list of numbers, of length n when n is given, as a vector."""
     a = np.asarray(value, dtype=float)
@@ -270,17 +281,17 @@ def run_task(task, space, seed):
             "psi": [None if not np.isfinite(v) else float(v) for v in pair.psi],
             "gap": pair.gap,
         }
-        tol = _coerced(task, "gap_tol", float, 1e-9)
+        tol = _coerced(task, "gap_tol", _finite, 1e-9)
         if abs(pair.gap) > tol * max(1.0, 0.5 * val * val):
             failures.append(f"ot: duality gap {pair.gap}")
     elif op == "geodesic":
         mu0 = _coerced(task, "mu0", measure)
         mu1 = _coerced(task, "mu1", measure)
         eps = "auto" if task.get("epsilon") in (None, "auto") else _coerced(task, "epsilon", float)
-        K = _coerced(task, "K", float, 0.0)
+        K = _coerced(task, "K", _finite, 0.0)
         trace = geodesy.build_good_geodesic(
             mu0, mu1, _coerced(task, "depth", int, 3),
-            epsilon=eps, K=K, tol=_coerced(task, "tol", float, 2e-3),
+            epsilon=eps, K=K, tol=_coerced(task, "tol", _finite, 2e-3),
         )
         cd = geodesy.cd_convexity_check(trace, K)
         payload = {
@@ -293,7 +304,7 @@ def run_task(task, space, seed):
             "certificate_gaps": [c.gap if c else None for c in trace.certificates],
             "cd_worst": cd["worst"],
         }
-        if "cd_tol" in task and cd["worst"] > _coerced(task, "cd_tol", float):
+        if "cd_tol" in task and cd["worst"] > _coerced(task, "cd_tol", _finite):
             failures.append(f"geodesic: cd residual {cd['worst']}")
     elif op == "form":
         sub = task.get("sub", "energy")
@@ -311,7 +322,7 @@ def run_task(task, space, seed):
             val, dens = mod2(paths, form.vertex_measure)
             payload = {"mod2": val, "density": dens.tolist()}
         elif sub == "intrinsic":
-            d = intrinsic_metric(form, rel_tol=_coerced(task, "rel_tol", float, 1e-6))
+            d = intrinsic_metric(form, rel_tol=_coerced(task, "rel_tol", _finite, 1e-6))
             payload = {"intrinsic_metric": d.tolist()}
         else:
             raise ConfigError(f"unknown form sub-op {sub!r}")
@@ -325,7 +336,7 @@ def run_task(task, space, seed):
             trace = heat.semigroup_flow(form, f0.density(), grid)
         elif flavor == "jko":
             trace = heat.jko_flow(f0, _coerced(task, "tau", float), _coerced(task, "steps", int),
-                                  inner_tol=_coerced(task, "inner_tol", float, 1e-6),
+                                  inner_tol=_coerced(task, "inner_tol", _finite, 1e-6),
                                   blur=_coerced(task, "blur", float, 0.25), form=form)
         else:
             raise ConfigError(f"unknown flavor {flavor!r}")
@@ -345,7 +356,7 @@ def run_task(task, space, seed):
     elif op == "verify":
         cfg = _coerced(task, "config", _exactly(dict), {})
         # keyword of evi.rcd_verify -> its kind; an absent or null field keeps the default
-        kinds = {"K": float, "t_grid": _floats, "evi_tol": float, "n_quadratic": int, "n_additivity": int, "n_probes": int}
+        kinds = {"K": _finite, "t_grid": _floats, "evi_tol": _finite, "n_quadratic": int, "n_additivity": int, "n_probes": int}
         kwargs = {k: _coerced(cfg, k, kind) for k, kind in kinds.items() if cfg.get(k) is not None}
         rep = evi.rcd_verify(form, seed=seed, **kwargs)
         payload = {

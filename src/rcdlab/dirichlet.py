@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
+from scipy.optimize._lbfgsb import setulb as _setulb
 from scipy.sparse.csgraph import connected_components
 
 from .measures import ProbMeasure
@@ -302,46 +303,111 @@ def essential_bound_check(form: DirichletForm, g, g_prime, phi) -> dict:
 # intrinsic metric
 # ---------------------------------------------------------------------------
 
-def _pair_distance(W, m, x, y, eta0_value=0.5):
+_ETA_FLOOR = 1e-14  # lower bound of every vertex multiplier
+_LBFGSB_ITER_CAP = 2000  # L-BFGS-B iterations per pair
+_LBFGSB_EVAL_CAP = 15000  # dual evaluations per pair before L-BFGS-B stops (scipy's maxfun)
+
+
+def _pair_dual(W, m, c, eta):
+    """Lagrangian dual of sup c^T g over Gamma(g, g) <= 1 at the vertex
+    multipliers eta: sum(eta) + c^T Q(eta)^+ c / 4, with Q(eta) the weighted
+    sum of the per-vertex quadratic forms. Returns (value, gradient,
+    Q(eta)^-1 c, Q(eta)); a singular Q gives value 1e12 and a zero primal,
+    which fails the certificate."""
+    n = len(m)
+    s = eta / m
+    wsum = W * (s[:, None] + s[None, :])
+    Q = 0.5 * (np.diag(wsum.sum(axis=1)) - wsum) + 1.0 / n
+    try:
+        sol = np.linalg.solve(Q, c)
+    except np.linalg.LinAlgError:
+        return 1e12, np.zeros(n), np.zeros(n), Q
+    # d(dual)/d(eta_v) = 1 - (1/4) Gamma(sol, sol)(v)
+    return eta.sum() + 0.25 * float(c @ sol), 1.0 - 0.25 * _gamma(W, m, sol, sol), sol, Q
+
+
+def _dual_minimize(W, m, c, eta0):
+    """Minimize the pair dual over eta >= _ETA_FLOOR from eta0 by L-BFGS-B.
+
+    This drives the L-BFGS-B C routine bundled with scipy (Byrd, Lu, Nocedal
+    and Zhu, SIAM J. Sci. Comput. 1995; Zhu et al., ACM TOMS 1997) with the
+    workspace, task loop and stopping rules of scipy 1.17's _minimize_lbfgsb,
+    so eta is minimize(method="L-BFGS-B")'s bits with maxcor 10, ftol 1e-18,
+    gtol 1e-14, maxls 20, maxiter _LBFGSB_ITER_CAP and maxfun
+    _LBFGSB_EVAL_CAP, without the wrapper work it adds to each evaluation.
+    The dual is evaluated once per new point. Returns (eta, the last point
+    evaluated, the _pair_dual there)."""
+    n = len(m)
+    x = np.maximum(eta0, _ETA_FLOOR)
+    seen = x.copy()
+    at_seen = _pair_dual(W, m, c, seen)
+    evaluations, iterations = 1, 0
+    lower, upper = np.full(n, _ETA_FLOOR), np.zeros(n)
+    kinds = np.ones(n, dtype=np.int32)  # bounded below only
+    f, g = np.array(0.0), np.zeros(n)
+    k = 10  # correction pairs kept
+    wa = np.zeros(2 * k * n + 5 * n + 11 * k * k + 8 * k)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task, lsave = (np.zeros(size, dtype=np.int32) for size in (2, 2, 4))
+    isave, dsave = np.zeros(44, dtype=np.int32), np.zeros(29)
+    factr = 1e-18 / np.finfo(float).eps
+    while True:
+        g = g.astype(np.float64)
+        _setulb(k, x, lower, upper, kinds, f, g, factr, 1e-14, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # f and g wanted at x
+            if not np.array_equal(x, seen):
+                seen = x.copy()
+                at_seen = _pair_dual(W, m, c, seen)
+                evaluations += 1
+            f, g = at_seen[0], at_seen[1]
+        elif task[0] == 1:  # a new iterate
+            iterations += 1
+            if iterations >= _LBFGSB_ITER_CAP:
+                task[:] = 5, 504
+            elif evaluations > _LBFGSB_EVAL_CAP:
+                task[:] = 5, 502
+        else:
+            break
+    return x, seen, at_seen
+
+
+def _primal_value(W, m, c, sol):
+    """c^T g for the primal g = sol / 2 of the KKT system, rescaled to hard
+    feasibility max Gamma(g, g) = 1."""
+    g = 0.5 * sol
+    g = g / math.sqrt(max(float(_gamma(W, m, g, g).max()), 1e-300))
+    return float(c @ g)
+
+
+def _certified(val, ub, rel_tol):
+    """Weak duality pins the pair distance in [val, ub] to rel_tol."""
+    return ub - val <= rel_tol * (1.0 + abs(val))
+
+
+def _pair_distance(W, m, x, y, rel_tol, eta0_value=0.5):
     """sup g(x) - g(y) over Gamma(g, g) <= 1 on one connected component with
     conductances W and vertex measure m, via the Lagrangian dual.
 
-    The dual in the vertex multipliers eta >= 0 is sum(eta) + c^T Q(eta)^+ c / 4
-    with Q(eta) the weighted sum of the per-vertex quadratic forms; it is
-    minimized with L-BFGS-B and a projected Newton polish, and the primal is
-    recovered from the KKT system, rescaled to hard feasibility. Q(eta) is
-    built and solved once per eta visited. Returns a certified (value, upper
-    bound).
+    The dual in the vertex multipliers eta >= 0 is minimized with L-BFGS-B
+    (_dual_minimize). While the pair is not certified to rel_tol, a projected
+    Newton polish of at most 40 steps follows; the certificate is
+    tested before each step, so a pair certified at the L-BFGS-B exit costs
+    no polish. The primal is recovered from the KKT system, rescaled to hard
+    feasibility. Q(eta) is built and solved once per eta visited. Returns a
+    (value, upper bound) pair, certified unless the polish stalled.
     """
-    from scipy.optimize import minimize
-
     n = len(m)
     c = np.zeros(n)
     c[x] = 1.0
     c[y] = -1.0
-    ones = np.ones((n, n)) / n
-
-    def dual(eta):
-        """(value, gradient, Q(eta)^-1 c, Q(eta)); a singular Q gives value
-        1e12 and a zero primal, which fails the caller's gap test."""
-        s = eta / m
-        wsum = W * (s[:, None] + s[None, :])
-        Q = 0.5 * (np.diag(wsum.sum(axis=1)) - wsum) + ones
-        try:
-            sol = np.linalg.solve(Q, c)
-        except np.linalg.LinAlgError:
-            return 1e12, np.zeros(n), np.zeros(n), Q
-        # d(dual)/d(eta_v) = 1 - (1/4) Gamma(sol, sol)(v)
-        return eta.sum() + 0.25 * float(c @ sol), 1.0 - 0.25 * _gamma(W, m, sol, sol), sol, Q
-
-    eta0 = np.full(n, eta0_value)
-    res = minimize(lambda e: dual(e)[:2], eta0, jac=True, method="L-BFGS-B",
-                   bounds=[(1e-14, None)] * n,
-                   options=dict(maxiter=2000, ftol=1e-18, gtol=1e-14))
-    eta = np.maximum(res.x, 1e-14)
-    val, grad, sol, Q = dual(eta)
+    eta, seen, at_seen = _dual_minimize(W, m, c, np.full(n, eta0_value))
+    eta = np.maximum(eta, _ETA_FLOOR)
+    val, grad, sol, Q = at_seen if np.array_equal(eta, seen) else _pair_dual(W, m, c, eta)
     # projected Newton polish on the smooth strictly convex dual
     for _ in range(40):
+        primal = _primal_value(W, m, c, sol)
+        if _certified(primal, val, rel_tol):
+            return primal, float(val)
         act = (eta > 1e-13) | (grad < 0)
         if not act.any() or np.abs(grad[act]).max() < 1e-15:
             break
@@ -357,17 +423,15 @@ def _pair_distance(W, m, x, y, eta0_value=0.5):
         t_bt = 1.0
         while t_bt > 1e-10:
             cand = eta.copy()
-            cand[act] = np.maximum(eta[act] + t_bt * step, 1e-14)
-            trial = dual(cand)
+            cand[act] = np.maximum(eta[act] + t_bt * step, _ETA_FLOOR)
+            trial = _pair_dual(W, m, c, cand)
             if trial[0] < val - 1e-18:
                 break
             t_bt /= 2
         else:  # no step decreased the dual
             break
         eta, (val, grad, sol, Q) = cand, trial
-    g = 0.5 * sol
-    g = g / math.sqrt(max(float(_gamma(W, m, g, g).max()), 1e-300))
-    return float(c @ g), float(val)
+    return _primal_value(W, m, c, sol), float(val)
 
 
 def intrinsic_metric(form: DirichletForm, rel_tol=1e-6, eta0_value=0.5):
@@ -375,7 +439,8 @@ def intrinsic_metric(form: DirichletForm, rel_tol=1e-6, eta0_value=0.5):
 
     Each pair is solved on the conductances and vertex measure of its
     connected component and certified by weak duality to the requested
-    relative tolerance; disconnected pairs are +inf.
+    relative tolerance, which also ends the pair's Newton polish as soon as
+    it holds; disconnected pairs are +inf.
     """
     n = form.n
     labels = form.components()
@@ -388,8 +453,8 @@ def intrinsic_metric(form: DirichletForm, rel_tol=1e-6, eta0_value=0.5):
             if labels[x] != labels[y]:
                 out[x, y] = out[y, x] = np.inf
                 continue
-            val, ub = _pair_distance(*blocks[labels[x]], rank[x], rank[y], eta0_value)
-            if ub - val > rel_tol * (1.0 + abs(val)):
+            val, ub = _pair_distance(*blocks[labels[x]], rank[x], rank[y], rel_tol, eta0_value)
+            if not _certified(val, ub, rel_tol):
                 raise FormError(f"intrinsic metric pair ({x},{y}) gap {ub - val:.2e} above tolerance")
             d = 0.5 * (val + ub)
             out[x, y] = out[y, x] = d

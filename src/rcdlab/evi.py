@@ -41,6 +41,14 @@ class InequalityReport:
             raise EviError("worst must equal the max residual")
 
 
+def _require_finite(**values):
+    """An EviError naming every keyword whose value is not a finite number:
+    a NaN K or tolerance would otherwise pass each comparison it meets."""
+    bad = [f"{name} = {value!r}" for name, value in values.items() if not np.isfinite(value)]
+    if bad:
+        raise EviError(f"not finite: {', '.join(bad)}")
+
+
 def fit_trend(params, worsts):
     """Log-log slope of worst residuals against a refinement parameter; None
     for fewer than three runs."""
@@ -54,6 +62,7 @@ def fit_trend(params, worsts):
 def evi_check(flow: FlowTrace, sigma: ProbMeasure, K) -> InequalityReport:
     """Centered-difference residual of the evolution variational inequality
     d/dt W2^2(mu_t, sigma)/2 + K W2^2/2 + Ent(mu_t) - Ent(sigma) <= 0."""
+    _require_finite(K=K)
     times = np.asarray(flow.times)
     if len(times) < 3:
         raise EviError("need at least 3 time samples")
@@ -148,6 +157,7 @@ def entropy_inequality_check(eta: ProbMeasure, sigma: ProbMeasure, K, form: Diri
     added to phi, and the energy sees only differences of phi. So one
     potential decides: status is "ok" or "violation_candidate".
     """
+    _require_finite(K=K)
     space = eta.space
     m = space.ref_measure
     f = eta.density()
@@ -168,6 +178,7 @@ def rcd_verify(form: DirichletForm, *, K=0.0, seed=0, t_grid=None, evi_tol=1e-2,
     """Composite battery on form.space: quadratic-form law of the energy (n_quadratic pairs),
     additivity of the measure flow (n_additivity mixtures), and EVI feasibility (n_probes starts
     flowed over t_grid, default 0.01, ..., 0.1), reported per check with a verdict."""
+    _require_finite(K=K, evi_tol=evi_tol)
     if t_grid is None:
         t_grid = [0.01 * k for k in range(1, 11)]
     rng = np.random.default_rng(seed)

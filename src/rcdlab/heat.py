@@ -86,27 +86,38 @@ def spectral_gap(form: DirichletForm) -> float:
     return float(nz.min()) if nz.size else 0.0
 
 
+def _finite_at(t, values):
+    """values, computed at time t; a HeatError naming t when one is not
+    finite (exp(t L) overflows on the rounding-level positive eigenvalues of
+    the generator at t near 1e200, and t = inf gives inf * 0)."""
+    if not np.isfinite(values).all():
+        raise HeatError(f"the heat semigroup at t = {t!r} is not finite")
+    return values
+
+
 def semigroup_apply(form: DirichletForm, f, t):
     """Apply the heat semigroup h_t = exp(t Lap) to a function, by the
     eigendecomposition of the symmetrized generator that heat_kernel uses."""
     f = np.asarray(f, dtype=float)
-    if t < 0:
-        raise HeatError("t >= 0 required")
+    if not t >= 0:
+        raise HeatError(f"t >= 0 required, got {t!r}")
     if t == 0:
         return f.copy()
     evals, U, sm = _spectral(form)
     g = U.T @ (sm * f)
-    return (U @ (np.exp(t * evals) * g)) / sm
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_at(t, (U @ (np.exp(t * evals) * g)) / sm)
 
 
 def heat_kernel(form: DirichletForm, t) -> HeatKernel:
     """Transition density matrix p_t(x, y) against m; symmetric by
     construction, rows integrate to one, tiny negative rounding is clipped."""
-    if t <= 0:
-        raise HeatError("t > 0 required")
+    if not t > 0:
+        raise HeatError(f"t > 0 required, got {t!r}")
     evals, U, sm = _spectral(form)
-    A = U * np.exp(t * evals)[None, :]
-    P = (A @ U.T) / (sm[:, None] * sm[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = U * np.exp(t * evals)[None, :]
+        P = _finite_at(t, (A @ U.T) / (sm[:, None] * sm[None, :]))
     clip = max(0.0, float(-P.min()))
     if clip > _KERNEL_CLIP_TOL:
         raise HeatError(f"kernel clipping {clip:.2e} above tolerance")
@@ -148,6 +159,8 @@ def _semigroup_trace(form: DirichletForm, f0, t_grid) -> FlowTrace:
     f0 = np.asarray(f0, dtype=float)
     m = form.vertex_measure
     times = tuple(float(t) for t in t_grid)
+    if not (np.diff(times) > 0).all():
+        raise HeatError(f"t_grid must increase strictly, got {times}")
     measures = tuple(_heat_measure(form, f0, t) for t in times)
     return FlowTrace(times, measures, tuple(relative_entropy(mu, m) for mu in measures), (), (), "semigroup")
 
@@ -161,10 +174,10 @@ def semigroup_flow(form: DirichletForm, f0, t_grid) -> FlowTrace:
 def _jko_trace(mu0: ProbMeasure, tau, nsteps, inner_tol, blur) -> FlowTrace:
     """The measures, entropies and meta of jko_flow; its Fisher and speed
     series are empty."""
-    if tau <= 0:
-        raise HeatError("tau > 0 required")
-    if blur <= 0:
-        raise HeatError("blur > 0 required")
+    if not 0 < tau < np.inf:
+        raise HeatError(f"a finite tau > 0 required, got {tau!r}")
+    if not blur > 0:
+        raise HeatError(f"blur > 0 required, got {blur!r}")
     space = mu0.space
     m = space.ref_measure
     C = space.metric ** 2
@@ -276,8 +289,8 @@ def lipschitz_regularization_check(form: DirichletForm, f, t, K) -> dict:
     """Residual of 2 I_{2K}(t) Gamma(h_t f) <= h_t(f^2) pointwise, and the
     sup-norm slope bound sqrt(2 I_{2K}(t)) * max sqrt(Gamma(h_t f)) <= ||f||_inf."""
     f = np.asarray(f, dtype=float)
-    if t <= 0:
-        raise HeatError("t > 0 required")
+    if not t > 0:
+        raise HeatError(f"t > 0 required, got {t!r}")
     ht_f = semigroup_apply(form, f, t)
     ht_f2 = semigroup_apply(form, f * f, t)
     I = i_rate(2.0 * K, t)
@@ -300,8 +313,8 @@ def log_sobolev_check(form: DirichletForm, f, K, n_family=20, seed=0) -> dict:
     otherwise exactly when K <= Fisher / (2 (Ent - 1e-12)); best_K is the
     least of these caps over the family, +inf when none binds.
     """
-    if K <= 0:
-        raise HeatError("K > 0 required")
+    if not K > 0:
+        raise HeatError(f"K > 0 required, got {K!r}")
     m = form.vertex_measure
     space = form.space
 

@@ -105,9 +105,10 @@ def test_the_check_sees_scipy_linprog(tmp_path):
     assert _scipy_optimize_uses(f, "linprog") == [1, 5]
 
 
-def test_solvers_does_not_use_scipy_minimize():
-    # _hull_minimize drives SLSQP's C core directly
-    assert _scipy_optimize_uses(SRC / "solvers.py", "minimize") == []
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_uses_scipy_minimize(path):
+    # _hull_minimize drives SLSQP's C core and _dual_minimize L-BFGS-B's directly
+    assert _scipy_optimize_uses(path, "minimize") == []
 
 
 def test_the_check_sees_scipy_minimize(tmp_path):

@@ -231,6 +231,33 @@ def test_zero_blur_flow_is_solver_failure(tmp_path, capsys):
     assert "HeatError" in err and "blur > 0" in err
 
 
+@pytest.mark.parametrize("task, field", [
+    ({"op": "verify", "config": {"K": float("nan")}}, "K"),
+    ({"op": "verify", "config": {"evi_tol": float("nan")}}, "evi_tol"),
+    ({"op": "ot", "mu": {"kind": "uniform"}, "nu": {"kind": "dirac", "at": 0}, "gap_tol": float("nan")}, "gap_tol"),
+    ({"op": "form", "sub": "intrinsic", "rel_tol": float("inf")}, "rel_tol"),
+])
+def test_a_k_or_tolerance_that_is_not_finite_is_config_error(tmp_path, capsys, task, field):
+    # a NaN tolerance passes every check it guards
+    cfg = {"space": {"kind": "cycle", "n": 8}, "seed": 0, "output_dir": str(tmp_path / "o"),
+           "tasks": [dict(task, name="t")]}
+    err = _one_line_config_error(cli.run(cfg), capsys)
+    assert repr(field) in err and "not finite" in err
+
+
+@pytest.mark.parametrize("task", [
+    {"op": "flow", "f0": {"kind": "uniform"}, "t": float("nan")},
+    {"op": "flow", "f0": {"kind": "uniform"}, "t_grid": [0.0, 0.0, 0.02]},
+    {"op": "flow", "f0": {"kind": "uniform"}, "flavor": "jko", "tau": float("nan"), "steps": 1},
+])
+def test_a_bad_heat_time_is_solver_failure(tmp_path, capsys, task):
+    cfg = {"space": {"kind": "cycle", "n": 8}, "seed": 0, "output_dir": str(tmp_path / "o"),
+           "tasks": [dict(task, name="f")]}
+    assert cli.run(cfg) == 3
+    err = capsys.readouterr().err
+    assert "HeatError" in err and "Traceback" not in err
+
+
 def test_tasks_run_in_list_order(tmp_path):
     # task k draws its random f from seed + k, and the CSV lists tasks in order
     energy = {"op": "form", "sub": "energy"}

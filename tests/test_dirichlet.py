@@ -2,7 +2,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
+from rcdlab import dirichlet
 from rcdlab.dirichlet import (
     DirichletForm,
     FormError,
@@ -406,6 +409,124 @@ def test_calibrated_segment_certified_and_triangle():
         for i in range(n) for j in range(n) for k in range(n)
     )
     assert worst <= 2e-7 * (1 + space.metric.max())
+
+
+def _scipy_dual_minimize(W, m, c, eta0, maxiter=2000, maxfun=15000):
+    """The pair dual minimized by scipy's L-BFGS-B wrapper, as _pair_distance
+    called it before it drove the C routine itself."""
+    return minimize(lambda e: dirichlet._pair_dual(W, m, c, e)[:2], eta0, jac=True, method="L-BFGS-B",
+                    bounds=[(1e-14, None)] * len(m),
+                    options=dict(maxiter=maxiter, maxfun=maxfun, ftol=1e-18, gtol=1e-14))
+
+
+_PAIR_FORMS = {
+    "calibrated_segment:8": lambda: calibrated_segment(8)[1],
+    "cycle:8": lambda: dirichlet_form(make_model_space("cycle", 8)),
+    "grid:4": lambda: dirichlet_form(make_model_space("grid", 4)),
+    "random_metric:12": lambda: dirichlet_form(make_model_space("random_metric", 12, {"seed": 1})),
+}
+
+
+def _objective(n, x, y):
+    c = np.zeros(n)
+    c[x], c[y] = 1.0, -1.0
+    return c
+
+
+@pytest.mark.parametrize("name", list(_PAIR_FORMS))
+def test_dual_minimize_is_bit_identical_to_scipy(name):
+    form = _PAIR_FORMS[name]()
+    W, m = form.weights, form.vertex_measure
+    n = len(m)
+    for x in range(n):
+        for y in range(x + 1, n):
+            c = _objective(n, x, y)
+            eta0 = np.full(n, 0.5)
+            assert dirichlet._dual_minimize(W, m, c, eta0)[0].tobytes() == _scipy_dual_minimize(W, m, c, eta0).x.tobytes()
+
+
+@pytest.mark.parametrize("cap, option", [("_LBFGSB_ITER_CAP", "maxiter"), ("_LBFGSB_EVAL_CAP", "maxfun")])
+def test_dual_minimize_stops_at_its_caps_as_scipy_does(monkeypatch, cap, option):
+    form = dirichlet_form(make_model_space("cycle", 8))
+    W, m = form.weights, form.vertex_measure
+    monkeypatch.setattr(dirichlet, cap, 2)
+    for y in range(1, 8):
+        c = _objective(8, 0, y)
+        eta0 = np.full(8, 2.0)
+        ref = _scipy_dual_minimize(W, m, c, eta0, **{option: 2})
+        assert ref.status == 1  # scipy's "iteration or evaluation limit" exit
+        assert dirichlet._dual_minimize(W, m, c, eta0)[0].tobytes() == ref.x.tobytes()
+
+
+def _evaluated_points(monkeypatch, run):
+    """The eta of every pair-dual evaluation that run() makes."""
+    points = []
+    inner = dirichlet._pair_dual
+
+    def recording(W, m, c, eta):
+        points.append(eta.copy())
+        return inner(W, m, c, eta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dirichlet, "_pair_dual", recording)
+        run()
+    return points
+
+
+@pytest.mark.parametrize("x, y, certified", [(0, 1, True), (0, 3, False)])
+def test_a_pair_certified_at_the_lbfgsb_exit_is_not_polished(monkeypatch, x, y, certified):
+    # on cycle:8 pair (0, 1) is certified at the L-BFGS-B exit; (0, 3) never is
+    form = dirichlet_form(make_model_space("cycle", 8))
+    W, m = form.weights, form.vertex_measure
+    c, eta0 = _objective(8, x, y), np.full(8, 0.5)
+    out = []
+    pair = _evaluated_points(monkeypatch, lambda: out.append(dirichlet._pair_distance(W, m, x, y, 1e-6)))
+    lbfgsb = _evaluated_points(monkeypatch, lambda: out.append(dirichlet._dual_minimize(W, m, c, eta0)))
+    assert [p.tobytes() for p in pair[:len(lbfgsb)]] == [p.tobytes() for p in lbfgsb]
+    (val, ub), (eta, _, _) = out
+    assert dirichlet._certified(val, ub, 1e-6) == certified
+    after = pair[len(lbfgsb):]  # at most the exit point, when L-BFGS-B did not end on its last evaluation
+    exit_point = np.maximum(eta, 1e-14).tobytes()
+    if certified:
+        assert len(after) <= 1 and all(p.tobytes() == exit_point for p in after)
+    else:
+        assert len(after) > 1
+
+
+@st.composite
+def _connected_forms(draw):
+    """A form on 2 to 6 vertices whose conductances hold a spanning path."""
+    n = draw(st.integers(2, 6))
+    weight = st.floats(0.1, 10.0)
+    W = np.zeros((n, n))
+    for i in range(n - 1):
+        W[i, i + 1] = draw(weight)
+    for i in range(n):
+        for j in range(i + 2, n):
+            W[i, j] = draw(st.just(0.0) | weight)
+    W = W + W.T
+    m = np.array([draw(st.floats(0.05, 1.0)) for _ in range(n)])
+    m /= m.sum()
+    pos = np.arange(n, dtype=float)
+    return DirichletForm(FiniteMMSpace(tuple(range(n)), np.abs(pos[:, None] - pos[None, :]), m), W, m)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_connected_forms())
+def test_intrinsic_metric_returns_only_certified_distances(form):
+    W, m, n = form.weights, form.vertex_measure, form.n
+    bounds = {(x, y): dirichlet._pair_distance(W, m, x, y, 1e-6) for x in range(n) for y in range(x + 1, n)}
+    # weak duality, up to the rounding of the two evaluations: val exceeds ub
+    # by one ulp on the two-point form with conductance 0.9375
+    assert all(val - ub <= 4 * np.spacing(abs(ub)) for val, ub in bounds.values())
+    if not all(dirichlet._certified(val, ub, 1e-6) for val, ub in bounds.values()):
+        with pytest.raises(FormError):
+            intrinsic_metric(form)
+        return
+    d = intrinsic_metric(form)
+    assert d.tobytes() == d.T.tobytes() and not np.diagonal(d).any()
+    for (x, y), (val, ub) in bounds.items():
+        assert min(val, ub) <= d[x, y] <= max(val, ub)
 
 
 def test_energy_kernel_is_componentwise_constants():

@@ -190,6 +190,24 @@ def test_entropy_inequality_energy_ignores_the_gauge():
     assert max(energies) - min(energies) <= 1e-12
 
 
+@pytest.mark.parametrize("kwargs", [{"K": float("nan")}, {"evi_tol": float("nan")}, {"K": float("inf")}])
+def test_rcd_verify_rejects_a_k_or_tolerance_that_is_not_finite(kwargs):
+    # max(-inf, nan) keeps -inf, so a NaN K gave the verdict True
+    form = dirichlet_form(make_model_space("cycle", 8))
+    with pytest.raises(EviError, match="not finite"):
+        evi.rcd_verify(form, n_probes=1, **kwargs)
+
+
+def test_evi_checks_reject_a_k_that_is_not_finite():
+    s = make_model_space("cycle", 8)
+    form = dirichlet_form(s)
+    flow = semigroup_flow(form, np.ones(8), [0.0, 0.01, 0.02])
+    with pytest.raises(EviError, match="K = nan"):
+        evi_check(flow, uniform_measure(s), float("nan"))
+    with pytest.raises(EviError, match="K = nan"):
+        entropy_inequality_check(uniform_measure(s), bump_measure(s, 2, 0.2), float("nan"), form)
+
+
 def test_inequality_report_consistency_and_trend():
     with pytest.raises(EviError):
         from rcdlab.evi import InequalityReport

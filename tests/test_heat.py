@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -403,6 +405,35 @@ def test_negative_time_rejected():
         semigroup_apply(form, np.ones(8), -0.1)
     with pytest.raises(HeatError):
         heat_kernel(form, 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), 1e200])
+def test_a_time_that_is_not_finite_or_overflows_is_a_heat_error(t):
+    # a NaN time passes every comparison it meets, and exp(t L) overflows at
+    # t = 1e200 on the rounding-level positive eigenvalues of the generator
+    s, form = cycle_form(8)
+    f = np.arange(8.0)
+    with pytest.raises(HeatError, match=re.escape(repr(t))):
+        heat_kernel(form, t)
+    with pytest.raises(HeatError, match=re.escape(repr(t))):
+        semigroup_apply(form, f, t)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_a_jko_step_that_is_not_finite_is_a_heat_error(tau):
+    # a NaN tau surfaced as a MeasureError on a non-finite weight
+    s, form = cycle_form(8)
+    with pytest.raises(HeatError, match="tau"):
+        jko_flow(uniform_measure(s), tau, 1, form=form)
+
+
+@pytest.mark.parametrize("t_grid", [[0.0, 0.0, 0.02], [0.0, 0.02, 0.01], [0.0, float("nan"), 0.02]])
+def test_a_t_grid_must_increase_strictly(t_grid):
+    # a repeated time made a NaN speed W2 / 0 with a RuntimeWarning
+    s, form = cycle_form(8)
+    with pytest.raises(HeatError, match="increase strictly"):
+        semigroup_flow(form, np.ones(8), t_grid)
 
 
 def test_jko_flow_requires_positive_blur():
