@@ -64,12 +64,13 @@ class DirichletForm:
 
 
 def _gamma(W, m, f, g):
-    """Gamma(f, g) of the conductances W and vertex measure m."""
+    """Gamma(f, g) of the conductances W and vertex measure m, row by row for
+    stacks of f and g of shape (..., n)."""
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    df = f[None, :] - f[:, None]
-    dg = g[None, :] - g[:, None]
-    return (W * df * dg).sum(axis=1) / (2.0 * m)
+    df = f[..., None, :] - f[..., :, None]
+    dg = g[..., None, :] - g[..., :, None]
+    return (W * df * dg).sum(axis=-1) / (2.0 * m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,6 +307,7 @@ def essential_bound_check(form: DirichletForm, g, g_prime, phi) -> dict:
 _ETA_FLOOR = 1e-14  # lower bound of every vertex multiplier
 _LBFGSB_ITER_CAP = 2000  # L-BFGS-B iterations per pair
 _LBFGSB_EVAL_CAP = 15000  # dual evaluations per pair before L-BFGS-B stops (scipy's maxfun)
+_STACK_ENTRIES = 2**18  # a stack holds max(1, _STACK_ENTRIES // n**2) pairs: all 120 at n = 16, 64 at n = 64
 
 
 def _pair_dual(W, m, c, eta):
@@ -313,21 +315,37 @@ def _pair_dual(W, m, c, eta):
     multipliers eta: sum(eta) + c^T Q(eta)^+ c / 4, with Q(eta) the weighted
     sum of the per-vertex quadratic forms. Returns (value, gradient,
     Q(eta)^-1 c, Q(eta)); a singular Q gives value 1e12 and a zero primal,
-    which fails the certificate."""
+    which fails the certificate.
+
+    c and eta may be stacks of shape (..., n), one pair dual per row, built
+    and solved in one broadcast; each row keeps the bits of its own 1-D call.
+    When the stacked solve meets a singular Q the rows are solved one at a
+    time, so only the singular rows get (1e12, zeros)."""
     n = len(m)
     s = eta / m
-    wsum = W * (s[:, None] + s[None, :])
-    Q = 0.5 * (np.diag(wsum.sum(axis=1)) - wsum) + 1.0 / n
+    wsum = W * (s[..., :, None] + s[..., None, :])
+    Q = -0.5 * wsum
+    diagonal = np.arange(n)
+    Q[..., diagonal, diagonal] = 0.5 * wsum.sum(axis=-1)  # W has a zero diagonal
+    Q += 1.0 / n
     try:
-        sol = np.linalg.solve(Q, c)
+        sol = np.linalg.solve(Q, c[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return 1e12, np.zeros(n), np.zeros(n), Q
+        if eta.ndim == 1:
+            return 1e12, np.zeros(n), np.zeros(n), Q
+        return tuple(np.array(part) for part in zip(*(_pair_dual(W, m, cr, er) for cr, er in zip(c, eta))))
+    # c holds exactly one +1 and one -1, so this sum is sol_x - sol_y rounded
+    # once: bit for bit c @ sol
+    value = eta.sum(axis=-1) + 0.25 * (c * sol).sum(axis=-1)
     # d(dual)/d(eta_v) = 1 - (1/4) Gamma(sol, sol)(v)
-    return eta.sum() + 0.25 * float(c @ sol), 1.0 - 0.25 * _gamma(W, m, sol, sol), sol, Q
+    return value, 1.0 - 0.25 * _gamma(W, m, sol, sol), sol, Q
 
 
-def _dual_minimize(W, m, c, eta0):
-    """Minimize the pair dual over eta >= _ETA_FLOOR from eta0 by L-BFGS-B.
+def _lbfgsb(x):
+    """L-BFGS-B on the pair dual over eta >= _ETA_FLOOR from x, as a
+    generator: it yields each new point at which it needs the dual, is sent
+    the _pair_dual there, and returns (eta, the last point evaluated, the
+    _pair_dual there).
 
     This drives the L-BFGS-B C routine bundled with scipy (Byrd, Lu, Nocedal
     and Zhu, SIAM J. Sci. Comput. 1995; Zhu et al., ACM TOMS 1997) with the
@@ -335,12 +353,10 @@ def _dual_minimize(W, m, c, eta0):
     so eta is minimize(method="L-BFGS-B")'s bits with maxcor 10, ftol 1e-18,
     gtol 1e-14, maxls 20, maxiter _LBFGSB_ITER_CAP and maxfun
     _LBFGSB_EVAL_CAP, without the wrapper work it adds to each evaluation.
-    The dual is evaluated once per new point. Returns (eta, the last point
-    evaluated, the _pair_dual there)."""
-    n = len(m)
-    x = np.maximum(eta0, _ETA_FLOOR)
+    The dual is asked for once per new point."""
+    n = len(x)
     seen = x.copy()
-    at_seen = _pair_dual(W, m, c, seen)
+    at_seen = yield seen
     evaluations, iterations = 1, 0
     lower, upper = np.full(n, _ETA_FLOOR), np.zeros(n)
     kinds = np.ones(n, dtype=np.int32)  # bounded below only
@@ -357,7 +373,7 @@ def _dual_minimize(W, m, c, eta0):
         if task[0] == 3:  # f and g wanted at x
             if not np.array_equal(x, seen):
                 seen = x.copy()
-                at_seen = _pair_dual(W, m, c, seen)
+                at_seen = yield seen
                 evaluations += 1
             f, g = at_seen[0], at_seen[1]
         elif task[0] == 1:  # a new iterate
@@ -369,6 +385,33 @@ def _dual_minimize(W, m, c, eta0):
         else:
             break
     return x, seen, at_seen
+
+
+def _dual_minimize(W, m, cs, eta0s):
+    """Minimize the pair dual of each row c of cs from the matching row of
+    eta0s by L-BFGS-B (_lbfgsb), the rows in lockstep: in each round every
+    running row steps its own L-BFGS-B until it stops or asks for the dual at
+    a new point, and all those points are evaluated in one stacked
+    _pair_dual. A row that stops leaves the stack. The rows run in stacks of
+    at most max(1, _STACK_ENTRIES // n**2), and each keeps only its own copy
+    of its last evaluation, so no stacked array outlives its round. Each
+    row's result is that of its own L-BFGS-B run: (eta, the last point
+    evaluated, the _pair_dual there)."""
+    per_stack = max(1, _STACK_ENTRIES // len(m) ** 2)
+    out = [None] * len(cs)
+    for lo in range(0, len(cs), per_stack):
+        runs = {j: _lbfgsb(np.maximum(eta0s[j], _ETA_FLOOR)) for j in range(lo, min(lo + per_stack, len(cs)))}
+        points = {j: next(run) for j, run in runs.items()}
+        while points:
+            rows = list(points)
+            stacked = _pair_dual(W, m, cs[rows], np.array([points[j] for j in rows]))
+            points = {}
+            for r, j in enumerate(rows):
+                try:
+                    points[j] = runs[j].send(tuple(part[r].copy() for part in stacked))
+                except StopIteration as done:
+                    out[j] = done.value
+    return out
 
 
 def _primal_value(W, m, c, sol):
@@ -384,23 +427,30 @@ def _certified(val, ub, rel_tol):
     return ub - val <= rel_tol * (1.0 + abs(val))
 
 
-def _pair_distance(W, m, x, y, rel_tol, eta0_value=0.5):
-    """sup g(x) - g(y) over Gamma(g, g) <= 1 on one connected component with
-    conductances W and vertex measure m, via the Lagrangian dual.
+def _pair_distances(W, m, pairs, rel_tol, eta0_value=0.5):
+    """sup g(x) - g(y) over Gamma(g, g) <= 1 for each pair (x, y) of one
+    connected component with conductances W and vertex measure m, via the
+    Lagrangian dual.
 
-    The dual in the vertex multipliers eta >= 0 is minimized with L-BFGS-B
-    (_dual_minimize). While the pair is not certified to rel_tol, a projected
-    Newton polish of at most 40 steps follows; the certificate is
-    tested before each step, so a pair certified at the L-BFGS-B exit costs
-    no polish. The primal is recovered from the KKT system, rescaled to hard
-    feasibility. Q(eta) is built and solved once per eta visited. Returns a
-    (value, upper bound) pair, certified unless the polish stalled.
+    The duals in the vertex multipliers eta >= 0 of all pairs are minimized
+    by L-BFGS-B in lockstep (_dual_minimize). Then, pair by pair, while the
+    pair is not certified to rel_tol, a projected Newton polish of at most 40
+    steps follows; the certificate is tested before each step, so a pair
+    certified at the L-BFGS-B exit costs no polish. The primal is recovered
+    from the KKT system, rescaled to hard feasibility. Q(eta) is built and
+    solved once per eta visited. Returns a (value, upper bound) pair per
+    pair, certified unless the polish stalled.
     """
-    n = len(m)
-    c = np.zeros(n)
-    c[x] = 1.0
-    c[y] = -1.0
-    eta, seen, at_seen = _dual_minimize(W, m, c, np.full(n, eta0_value))
+    cs = np.zeros((len(pairs), len(m)))
+    for c, (x, y) in zip(cs, pairs):
+        c[x], c[y] = 1.0, -1.0
+    runs = _dual_minimize(W, m, cs, np.full(cs.shape, eta0_value))
+    return [_polish(W, m, c, *run, rel_tol) for c, run in zip(cs, runs)]
+
+
+def _polish(W, m, c, eta, seen, at_seen, rel_tol):
+    """(value, upper bound) of the pair dual c from the L-BFGS-B exit eta,
+    after the projected Newton polish that runs while it is uncertified."""
     eta = np.maximum(eta, _ETA_FLOOR)
     val, grad, sol, Q = at_seen if np.array_equal(eta, seen) else _pair_dual(W, m, c, eta)
     # projected Newton polish on the smooth strictly convex dual
@@ -437,27 +487,32 @@ def _pair_distance(W, m, x, y, rel_tol, eta0_value=0.5):
 def intrinsic_metric(form: DirichletForm, rel_tol=1e-6, eta0_value=0.5):
     """All-pairs intrinsic distance sup{g(x)-g(y) : Gamma(g,g) <= 1}.
 
-    Each pair is solved on the conductances and vertex measure of its
-    connected component and certified by weak duality to the requested
-    relative tolerance, which also ends the pair's Newton polish as soon as
-    it holds; disconnected pairs are +inf.
+    The pairs of each connected component are solved together on its
+    conductances and vertex measure (_pair_distances: one lockstep L-BFGS-B
+    stack, then a Newton polish of each pair that is not yet certified) and
+    checked in (x, y) order: each distance is certified by weak duality to
+    the requested relative tolerance, and the first pair that is not raises
+    FormError. Disconnected pairs are +inf.
     """
     n = form.n
     labels = form.components()
-    blocks = [(form.weights[np.ix_(on, on)], form.vertex_measure[on])
-              for on in (labels == k for k in range(labels.max() + 1))]
-    rank = [int(np.count_nonzero(labels[:x] == labels[x])) for x in range(n)]  # x's index in its block
+    bounds = {}
+    for k in range(labels.max() + 1):
+        on = np.flatnonzero(labels == k).tolist()
+        pairs = [(a, b) for a in range(len(on)) for b in range(a + 1, len(on))]
+        block = form.weights[np.ix_(on, on)], form.vertex_measure[on]
+        for (a, b), vu in zip(pairs, _pair_distances(*block, pairs, rel_tol, eta0_value)):
+            bounds[on[a], on[b]] = vu
     out = np.zeros((n, n))
     for x in range(n):
         for y in range(x + 1, n):
             if labels[x] != labels[y]:
                 out[x, y] = out[y, x] = np.inf
                 continue
-            val, ub = _pair_distance(*blocks[labels[x]], rank[x], rank[y], rel_tol, eta0_value)
+            val, ub = bounds[x, y]
             if not _certified(val, ub, rel_tol):
                 raise FormError(f"intrinsic metric pair ({x},{y}) gap {ub - val:.2e} above tolerance")
-            d = 0.5 * (val + ub)
-            out[x, y] = out[y, x] = d
+            out[x, y] = out[y, x] = 0.5 * (val + ub)
     return out
 
 

@@ -299,8 +299,11 @@ def cd_convexity_check(trace: GeodesicTrace, K) -> dict:
     against the interval it was selected in, plus every global (0, t, 1)
     triple. The check solves nothing: W2(s, r) of an interval is the W of its
     measure's certificate and W2(mu0, mu1) the last w2_from_start, the
-    builder's own geodesy._w2 values.
+    builder's own geodesy._w2 values. A K that is not finite raises
+    GeodesyError: a NaN worst would pass every comparison it meets.
     """
+    if not np.isfinite(K):
+        raise GeodesyError(f"not finite: K = {K!r}")
     times = trace.times
     ent = {t: e for t, e in zip(times, trace.entropies)}
     cert = {t: c for t, c in zip(times, trace.certificates)}

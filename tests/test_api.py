@@ -107,7 +107,7 @@ def test_the_check_sees_scipy_linprog(tmp_path):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_uses_scipy_minimize(path):
-    # _hull_minimize drives SLSQP's C core and _dual_minimize L-BFGS-B's directly
+    # _hull_minimize drives SLSQP's C core and dirichlet._lbfgsb L-BFGS-B's directly
     assert _scipy_optimize_uses(path, "minimize") == []
 
 

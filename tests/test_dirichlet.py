@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -412,8 +415,8 @@ def test_calibrated_segment_certified_and_triangle():
 
 
 def _scipy_dual_minimize(W, m, c, eta0, maxiter=2000, maxfun=15000):
-    """The pair dual minimized by scipy's L-BFGS-B wrapper, as _pair_distance
-    called it before it drove the C routine itself."""
+    """The pair dual minimized by scipy's L-BFGS-B wrapper, as the intrinsic
+    metric called it before it drove the C routine itself."""
     return minimize(lambda e: dirichlet._pair_dual(W, m, c, e)[:2], eta0, jac=True, method="L-BFGS-B",
                     bounds=[(1e-14, None)] * len(m),
                     options=dict(maxiter=maxiter, maxfun=maxfun, ftol=1e-18, gtol=1e-14))
@@ -433,38 +436,109 @@ def _objective(n, x, y):
     return c
 
 
+def _all_pairs(n):
+    return [(x, y) for x in range(n) for y in range(x + 1, n)]
+
+
 @pytest.mark.parametrize("name", list(_PAIR_FORMS))
 def test_dual_minimize_is_bit_identical_to_scipy(name):
+    # every pair of the form in one lockstep stack
     form = _PAIR_FORMS[name]()
     W, m = form.weights, form.vertex_measure
     n = len(m)
-    for x in range(n):
-        for y in range(x + 1, n):
-            c = _objective(n, x, y)
-            eta0 = np.full(n, 0.5)
-            assert dirichlet._dual_minimize(W, m, c, eta0)[0].tobytes() == _scipy_dual_minimize(W, m, c, eta0).x.tobytes()
+    cs = np.array([_objective(n, x, y) for x, y in _all_pairs(n)])
+    eta0s = np.full(cs.shape, 0.5)
+    runs = dirichlet._dual_minimize(W, m, cs, eta0s)
+    assert len(runs) == len(cs)
+    for c, eta0, (eta, _, _) in zip(cs, eta0s, runs):
+        assert eta.tobytes() == _scipy_dual_minimize(W, m, c, eta0).x.tobytes()
 
 
 @pytest.mark.parametrize("cap, option", [("_LBFGSB_ITER_CAP", "maxiter"), ("_LBFGSB_EVAL_CAP", "maxfun")])
 def test_dual_minimize_stops_at_its_caps_as_scipy_does(monkeypatch, cap, option):
+    # one stack in which pairs (0, 3) and (0, 5) reach the cap and the others converge first
     form = dirichlet_form(make_model_space("cycle", 8))
     W, m = form.weights, form.vertex_measure
-    monkeypatch.setattr(dirichlet, cap, 2)
-    for y in range(1, 8):
-        c = _objective(8, 0, y)
-        eta0 = np.full(8, 2.0)
-        ref = _scipy_dual_minimize(W, m, c, eta0, **{option: 2})
-        assert ref.status == 1  # scipy's "iteration or evaluation limit" exit
-        assert dirichlet._dual_minimize(W, m, c, eta0)[0].tobytes() == ref.x.tobytes()
+    value = {"maxiter": 12, "maxfun": 20}[option]
+    monkeypatch.setattr(dirichlet, cap, value)
+    cs = np.array([_objective(8, 0, y) for y in range(1, 8)])
+    eta0s = np.full(cs.shape, 2.0)
+    refs = [_scipy_dual_minimize(W, m, c, eta0, **{option: value}) for c, eta0 in zip(cs, eta0s)]
+    assert [ref.status for ref in refs] == [0, 0, 1, 0, 1, 0, 0]  # 1: scipy's "iteration or evaluation limit" exit
+    for ref, (eta, _, _) in zip(refs, dirichlet._dual_minimize(W, m, cs, eta0s)):
+        assert eta.tobytes() == ref.x.tobytes()
+
+
+def _dual_bytes(out):
+    return [np.asarray(part).tobytes() for part in out]
+
+
+def test_a_stacked_pair_dual_keeps_the_bits_of_each_row():
+    form = _PAIR_FORMS["random_metric:12"]()
+    W, m = form.weights, form.vertex_measure
+    rng = np.random.default_rng(5)
+    cs = np.array([_objective(12, x, y) for x, y in _all_pairs(12)])
+    etas = np.exp(rng.uniform(-8.0, 3.0, cs.shape))
+    stacked = dirichlet._pair_dual(W, m, cs, etas)
+    for r, (c, eta) in enumerate(zip(cs, etas)):
+        assert _dual_bytes(part[r] for part in stacked) == _dual_bytes(dirichlet._pair_dual(W, m, c, eta))
+    # a stack of stacks is evaluated row by row as well
+    deep = dirichlet._pair_dual(W, m, cs.reshape(6, 11, 12), etas.reshape(6, 11, 12))
+    assert _dual_bytes(part.reshape(len(cs), *part.shape[2:]) for part in deep) == _dual_bytes(stacked)
+
+
+def test_a_singular_row_fails_alone():
+    # at eta = 0, Q(eta) is the rank-one 1/n matrix
+    form = dirichlet_form(make_model_space("cycle", 8))
+    W, m = form.weights, form.vertex_measure
+    cs = np.array([_objective(8, 0, 3), _objective(8, 2, 5)])
+    etas = np.array([np.zeros(8), np.full(8, 0.7)])
+    val, grad, sol, _ = dirichlet._pair_dual(W, m, cs[0], etas[0])
+    assert val == 1e12 and not grad.any() and not sol.any()
+    stacked = dirichlet._pair_dual(W, m, cs, etas)
+    assert stacked[0][0] == 1e12 and not stacked[1][0].any() and not stacked[2][0].any()
+    assert _dual_bytes(part[1] for part in stacked) == _dual_bytes(dirichlet._pair_dual(W, m, cs[1], etas[1]))
+
+
+def _metric_or_error(form):
+    try:
+        return intrinsic_metric(form).tobytes()
+    except FormError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("name", ["calibrated_segment:8", "random_metric:12"])
+def test_stacks_of_one_pair_give_the_same_metric(monkeypatch, name):
+    form = _PAIR_FORMS[name]()
+    stacked = _metric_or_error(form)
+    monkeypatch.setattr(dirichlet, "_STACK_ENTRIES", 1)
+    sizes = []
+    inner = dirichlet._pair_dual
+    monkeypatch.setattr(dirichlet, "_pair_dual", lambda W, m, c, eta: sizes.append(eta.shape) or inner(W, m, c, eta))
+    assert _metric_or_error(form) == stacked
+    assert {shape[0] for shape in sizes if len(shape) == 2} == {1}
+
+
+def test_the_intrinsic_metric_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS fixes its thread count when it loads, so each count needs its own process
+    script = ("import sys; from rcdlab.dirichlet import calibrated_segment, intrinsic_metric; "
+              "sys.stdout.write(intrinsic_metric(calibrated_segment(8)[1]).tobytes().hex())")
+    src = os.path.dirname(os.path.dirname(dirichlet.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=300).stdout)
+    assert runs[0] and runs[0] == runs[1]
 
 
 def _evaluated_points(monkeypatch, run):
-    """The eta of every pair-dual evaluation that run() makes."""
+    """The eta of every pair-dual evaluation that run() makes, one per row of a stack."""
     points = []
     inner = dirichlet._pair_dual
 
     def recording(W, m, c, eta):
-        points.append(eta.copy())
+        points.extend(np.array(eta, ndmin=2))
         return inner(W, m, c, eta)
 
     with monkeypatch.context() as patch:
@@ -480,8 +554,8 @@ def test_a_pair_certified_at_the_lbfgsb_exit_is_not_polished(monkeypatch, x, y, 
     W, m = form.weights, form.vertex_measure
     c, eta0 = _objective(8, x, y), np.full(8, 0.5)
     out = []
-    pair = _evaluated_points(monkeypatch, lambda: out.append(dirichlet._pair_distance(W, m, x, y, 1e-6)))
-    lbfgsb = _evaluated_points(monkeypatch, lambda: out.append(dirichlet._dual_minimize(W, m, c, eta0)))
+    pair = _evaluated_points(monkeypatch, lambda: out.append(dirichlet._pair_distances(W, m, [(x, y)], 1e-6)[0]))
+    lbfgsb = _evaluated_points(monkeypatch, lambda: out.append(dirichlet._dual_minimize(W, m, c[None], eta0[None])[0]))
     assert [p.tobytes() for p in pair[:len(lbfgsb)]] == [p.tobytes() for p in lbfgsb]
     (val, ub), (eta, _, _) = out
     assert dirichlet._certified(val, ub, 1e-6) == certified
@@ -515,7 +589,7 @@ def _connected_forms(draw):
 @given(_connected_forms())
 def test_intrinsic_metric_returns_only_certified_distances(form):
     W, m, n = form.weights, form.vertex_measure, form.n
-    bounds = {(x, y): dirichlet._pair_distance(W, m, x, y, 1e-6) for x in range(n) for y in range(x + 1, n)}
+    bounds = {(x, y): dirichlet._pair_distances(W, m, [(x, y)], 1e-6)[0] for x in range(n) for y in range(x + 1, n)}
     # weak duality, up to the rounding of the two evaluations: val exceeds ub
     # by one ulp on the two-point form with conductance 0.9375
     assert all(val - ub <= 4 * np.spacing(abs(ub)) for val, ub in bounds.values())

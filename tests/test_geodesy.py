@@ -232,6 +232,9 @@ def test_the_convexity_check_reads_its_w2_values_from_the_trace(monkeypatch, end
     monkeypatch.setattr(geodesy, "_w2", lambda *a: calls.append("_w2") or real_w2(*a))
     reports = {K: cd_convexity_check(tr, K) for K in (0.0, -1.0, 2.0)}
     assert calls == []
+    for K in (float("nan"), float("inf"), float("-inf")):  # a NaN worst would pass every cd_tol
+        with pytest.raises(GeodesyError, match="not finite: K"):
+            cd_convexity_check(tr, K)
     monkeypatch.undo()
     # the reference: every W2 re-solved on the full LP
     node = dict(zip(tr.times, tr.measures))
