@@ -4,7 +4,6 @@ finite metric measure spaces, with certified solvers and inequality checks."""
 from .mmspace import (
     FiniteMMSpace,
     ValidationReport,
-    check_growth_condition,
     load_space,
     make_model_space,
     product_space,
@@ -16,8 +15,6 @@ from .measures import (
     TiltedReference,
     bump_measure,
     dirac,
-    excess_mass,
-    entropy_monotone_limit_check,
     fisher_information,
     gaussian_measure,
     measure_from_density,
@@ -27,29 +24,21 @@ from .measures import (
 )
 from .ot import (
     KantorovichPair,
-    SlopeDiagnostics,
     TransportPlan,
     c_transform,
     check_slackness,
     kantorovich_potentials,
-    potential_stability_probe,
-    slope_diagnostics,
     w2,
     w2_distance,
 )
 from .geodesy import (
-    DiscreteCurvePlan,
     GeodesicTrace,
     IntermediateSpec,
     build_good_geodesic,
     cd_convexity_check,
     cd_residual,
-    combine_restricted,
-    curve_plan_from_trace,
     epsilon_min,
     intermediate_entropy_min,
-    length_band_split,
-    metric_brenier_probe,
 )
 from .dirichlet import (
     CarreDuChamp,

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import ProbMeasure, relative_entropy, support_radius
-from .mmspace import _freeze
-from .ot import KantorovichPair, TransportPlan, _same_space
+from .ot import _same_space
 from .solvers import (
     InfeasibleError,
     SolverError,
@@ -30,7 +29,6 @@ from .solvers import (
 )
 
 _SNAP_REL = 1e-12  # _snap drops weights below this fraction of the largest
-_CURVE_CAP = 64  # paths curve_plan_from_trace strips at most
 
 
 class GeodesyError(ValueError):
@@ -89,25 +87,6 @@ class GeodesicTrace:
     certificates: tuple = ()
     construction: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    def measure_at(self, t):
-        for s, mu in zip(self.times, self.measures):
-            if abs(s - t) < 1e-12:
-                return mu
-        raise KeyError(f"time {t} not recorded")
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteCurvePlan:
-    """Weighted time-indexed point paths sampled from a trace."""
-
-    curves: tuple              # tuple of point-index tuples, one per time
-    weights: np.ndarray
-    compressibility: float
-    action: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _freeze(self.weights))
 
 
 def _snap(w):
@@ -321,154 +300,3 @@ def cd_convexity_check(trace: GeodesicTrace, K) -> dict:
         "global_residuals": glob,
         "worst": float(worst),
     }
-
-
-def length_band_split(plan: TransportPlan, trace: GeodesicTrace, bands, t=None) -> list:
-    """Split a plan's mass by transport length and reconstruct each band's
-    intermediate marginal through the trace.
-
-    bands must partition [0, max length]. The time-t marginal of each band is
-    obtained by gluing exact couplings endpoint -> trace(t) -> endpoint
-    through the trace measure. Returns a list of
-    (band, sub-plan mass-matrix, mass, intermediate marginal) tuples.
-    """
-    space = trace.measures[0].space
-    d = space.metric
-    g = plan.coupling
-    lengths = d[g > 0]
-    top = float(lengths.max()) if lengths.size else 0.0
-    bands = [(float(a), float(b)) for a, b in bands]
-    bands_sorted = sorted(bands)
-    if bands_sorted[0][0] > 1e-12 or any(abs(a2 - b1) > 1e-12 for (_, b1), (a2, _) in zip(bands_sorted, bands_sorted[1:])) or bands_sorted[-1][1] < top - 1e-12:
-        raise GeodesyError("bands must partition [0, max length]")
-    if t is None:
-        t = trace.times[len(trace.times) // 2]
-    nu_t = trace.measure_at(t)
-    mu0 = trace.measures[0]
-    _, g0, _, _ = exact_ot(d**2, mu0.weights, nu_t.weights)
-    out = []
-    for a, b in bands:
-        sel = (d >= a) & (d < b if b < top else d <= b + 1e-12)
-        sub = np.where(sel, g, 0.0)
-        mass = float(sub.sum())
-        # glue through the trace measure: P(x, y, z) = g0(x,y) g1(y,z) / nu(y)
-        row = sub.sum(axis=1)  # mass leaving x in this band
-        share_x = row / np.maximum(mu0.weights, 1e-300)
-        marg = ((g0 * share_x[:, None]).sum(axis=0))
-        out.append(((a, b), sub, mass, marg))
-    return out
-
-
-def combine_restricted(trace: GeodesicTrace, plan: TransportPlan, f_weights, nu_inner: ProbMeasure, lam_time) -> ProbMeasure:
-    """Surgery step: replace the selected plan fraction's intermediate marginal
-    by nu_inner and keep the rest of the interpolation.
-
-    f_weights is a per-atom selection fraction in [0, 1] over the plan matrix;
-    the result is checked to lie in the relaxed intermediate set of the
-    endpoints, within 1e-8 of the trace's recorded slack.
-    """
-    f = np.asarray(f_weights, dtype=float)
-    g = plan.coupling
-    if f.shape != g.shape:
-        raise GeodesyError("f_weights must match the plan shape")
-    if (f < -1e-12).any() or (f > 1 + 1e-12).any():
-        raise GeodesyError("f_weights must lie in [0,1]")
-    c = float((f * g).sum())
-    if not (0.0 < c <= 1.0 + 1e-12):
-        raise GeodesyError("selected mass must lie in (0, 1]")
-    space = trace.measures[0].space
-    d = space.metric
-    nu_t = trace.measure_at(lam_time)
-    mu0 = trace.measures[0]
-    _, g0, _, _ = exact_ot(d**2, mu0.weights, nu_t.weights)
-    kept_row = ((1.0 - f) * g).sum(axis=1)
-    share_x = kept_row / np.maximum(mu0.weights, 1e-300)
-    kept_marginal = (g0 * share_x[:, None]).sum(axis=0)
-    weights = kept_marginal + c * nu_inner.weights
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise GeodesyError(f"combined mass {total} != 1")
-    out = ProbMeasure(space, weights / total)
-    # verify membership in the relaxed intermediate set of the endpoints
-    W = trace.w2_from_start[-1]
-    t = lam_time
-    wa = _w2(trace.measures[0], out)
-    wb = _w2(out, trace.measures[-1])
-    eps_here = max(wa - t * W, wb - (1 - t) * W, 0.0)
-    if eps_here > trace.epsilon_used + 1e-8:
-        raise GeodesyError(f"surgery left the intermediate set: slack {eps_here:.3e}")
-    return out
-
-
-def metric_brenier_probe(trace: GeodesicTrace, pair: KantorovichPair, t_values=None) -> dict:
-    """Plan-weighted L2 gap between the potential difference quotient along
-    reconstructed transport pairs and the extrapolated curve speed."""
-    space = trace.measures[0].space
-    d = space.metric
-    mu0 = trace.measures[0]
-    if t_values is None:
-        t_values = [t for t in trace.times if 0.0 < t <= 0.5]
-    gaps = []
-    for t in t_values:
-        nu_t = trace.measure_at(t)
-        _, g0, _, _ = exact_ot(d**2, mu0.weights, nu_t.weights)
-        num = 0.0
-        mass = 0.0
-        idx = np.argwhere(g0 > g0.max() * 1e-12)
-        for x, y in idx:
-            if x == y:
-                continue
-            quot = (pair.phi[x] - pair.phi[y]) / d[x, y]
-            speed = d[x, y] / t
-            num += g0[x, y] * (quot - speed) ** 2
-            mass += g0[x, y]
-        gaps.append(float(np.sqrt(num / mass)) if mass > 0 else 0.0)
-    return {"t_values": list(map(float, t_values)), "l2_gaps": gaps}
-
-
-def curve_plan_from_trace(trace: GeodesicTrace) -> DiscreteCurvePlan:
-    """Greedy path decomposition of the chain of consecutive couplings.
-
-    Deterministic: strips the largest-mass path first. Gives a discrete curve
-    plan with its compressibility constant and quadratic action.
-    """
-    space = trace.measures[0].space
-    d = space.metric
-    times = trace.times
-    couplings = []
-    for a, b in zip(trace.measures, trace.measures[1:]):
-        couplings.append(exact_ot(d**2, a.weights, b.weights)[1].copy())
-    curves = []
-    weights = []
-    for _ in range(_CURVE_CAP):
-        # follow argmax transitions from the heaviest available start
-        start = int(np.argmax(couplings[0].sum(axis=1)))
-        path = [start]
-        mass = couplings[0].sum(axis=1)[start]
-        for g in couplings:
-            nxt = int(np.argmax(g[path[-1]]))
-            mass = min(mass, g[path[-1], nxt])
-            path.append(nxt)
-        if mass <= 1e-12:
-            break
-        for g, (x, y) in zip(couplings, zip(path, path[1:])):
-            g[x, y] -= mass
-        curves.append(tuple(path))
-        weights.append(mass)
-    weights = np.asarray(weights, dtype=float)
-    if weights.sum() <= 0:
-        raise GeodesyError("trace produced no curve mass")
-    weights = weights / weights.sum()
-    m = space.ref_measure
-    comp = 0.0
-    for k in range(len(times)):
-        marg = np.zeros(space.n)
-        for w_, cur in zip(weights, curves):
-            marg[cur[k]] += w_
-        comp = max(comp, float((marg / m).max()))
-    action = 0.0
-    for w_, cur in zip(weights, curves):
-        for k in range(len(times) - 1):
-            dt = times[k + 1] - times[k]
-            action += w_ * d[cur[k], cur[k + 1]] ** 2 / dt
-    return DiscreteCurvePlan(tuple(curves), weights, float(comp), float(action))

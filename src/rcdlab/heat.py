@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dirichlet import DirichletForm, laplacian_matrix, product_form
-from .measures import ProbMeasure, fisher_information, relative_entropy, uniform_measure
+from .measures import ProbMeasure, fisher_information, relative_entropy
 from .mmspace import _freeze, line_of, product_space
 from .solvers import SolverError, exact_ot, exact_ot_costs, prox_entropy_step
 
@@ -261,7 +261,11 @@ def bakry_emery_check(form: DirichletForm, f, t_grid, K, tol=1e-10) -> dict:
     therefore caps K at log(R_t / (L_t - tol)) / (2t), and admits no K when
     R_t <= 0; the largest K is the least cap (-inf when some site admits no
     K, +inf when no site binds). At t = 0, L = R exactly and nothing binds.
+    A K that is not finite raises HeatError: max(-inf, nan) keeps -inf, so a
+    NaN K would read as a pass.
     """
+    if not np.isfinite(K):
+        raise HeatError(f"not finite: K = {K!r}")
     f = np.asarray(f, dtype=float)
     gf = form.gamma_vector(f, f)
     worst, largest = -np.inf, np.inf
@@ -287,7 +291,10 @@ def i_rate(K, t):
 
 def lipschitz_regularization_check(form: DirichletForm, f, t, K) -> dict:
     """Residual of 2 I_{2K}(t) Gamma(h_t f) <= h_t(f^2) pointwise, and the
-    sup-norm slope bound sqrt(2 I_{2K}(t)) * max sqrt(Gamma(h_t f)) <= ||f||_inf."""
+    sup-norm slope bound sqrt(2 I_{2K}(t)) * max sqrt(Gamma(h_t f)) <= ||f||_inf.
+    A K that is not finite raises HeatError."""
+    if not np.isfinite(K):
+        raise HeatError(f"not finite: K = {K!r}")
     f = np.asarray(f, dtype=float)
     if not t > 0:
         raise HeatError(f"t > 0 required, got {t!r}")
@@ -336,7 +343,9 @@ def log_sobolev_check(form: DirichletForm, f, K, n_family=20, seed=0) -> dict:
 def contraction_check(form: DirichletForm, mu: ProbMeasure, nu: ProbMeasure, K, t_grid) -> dict:
     """max over t of W2(h_t mu, h_t nu) - exp(-Kt) W2(mu, nu), from one
     series of transport problems (exact_ot_costs): (mu, nu), then
-    (h_t mu, h_t nu) along t_grid."""
+    (h_t mu, h_t nu) along t_grid. A K that is not finite raises HeatError."""
+    if not np.isfinite(K):
+        raise HeatError(f"not finite: K = {K!r}")
     pairs = [(mu.weights, nu.weights)] + [(_heat_measure(form, mu.density(), t).weights,
                                            _heat_measure(form, nu.density(), t).weights) for t in t_grid]
     w0, *wt = (np.sqrt(max(c, 0.0)) for c in exact_ot_costs(form.space.metric ** 2, pairs, line_of(form.space)))
@@ -369,17 +378,3 @@ def tensorization_check(form_a: DirichletForm, form_b: DirichletForm, f_a, f_b, 
         "w2sq_additivity_gap": float(abs(wp - wa - wb)),
         "w2sq_product": float(wp),
     }
-
-
-def entropy_slope_regularization(form: DirichletForm, mu: ProbMeasure, t, K=0.0) -> dict:
-    """Reported diagnostic: I_K(t) Ent(h_t mu) + I_K(t)^2/2 Fisher(h_t mu)
-    against W2^2(mu, uniform)/2."""
-    m = form.vertex_measure
-    mu_t = _heat_measure(form, mu.density(), t)
-    ent = relative_entropy(mu_t, m)
-    fis = fisher_information(mu_t, form)
-    I = i_rate(K, t)
-    lhs = I * ent + 0.5 * I * I * fis
-    rhs = 0.5 * exact_ot(form.space.metric ** 2, mu.weights, uniform_measure(form.space).weights,
-                         line=line_of(form.space))[0]
-    return {"lhs": float(lhs), "rhs": float(rhs), "margin": float(rhs - lhs)}

@@ -91,9 +91,13 @@ def relative_entropy(mu, ref) -> float:
 
 
 def tilt_reference(space: FiniteMMSpace, c, x0=None) -> TiltedReference:
-    """Tilted reference exp(-c d(.,x0)^2) m / z; c = 0 reduces to m/m(X)."""
-    if c < 0:
-        raise MeasureError("c >= 0 required")
+    """Tilted reference exp(-c d(.,x0)^2) m / z; c = 0 reduces to m/m(X).
+
+    z = sum_x exp(-c d(x,x0)^2) m(x) is the growth-condition mass. A c that
+    is NaN or +inf raises MeasureError: NaN weights would pass the mass check,
+    and c = inf makes -inf * 0 at x0."""
+    if not 0 <= c < np.inf:
+        raise MeasureError(f"a finite c >= 0 required, got {c!r}")
     i = space.base_point if x0 is None else _point(space, x0, MeasureError)
     V = space.metric[:, i]
     raw = np.exp(-c * V**2) * space.ref_measure
@@ -112,15 +116,6 @@ def tilt_identity_gap(mu: ProbMeasure, tilt: TiltedReference) -> float:
     return abs(lhs - rhs)
 
 
-def excess_mass(mu: ProbMeasure, threshold) -> float:
-    """Mass of density above the threshold; the singular part is zero here
-    because the reference measure has full support."""
-    if threshold < 0:
-        raise MeasureError("threshold >= 0 required")
-    rho = mu.density()
-    return float(np.sum(np.clip(rho - threshold, 0.0, None) * mu.space.ref_measure))
-
-
 def fisher_information(mu: ProbMeasure, form) -> float:
     """sum over {rho > 0} of Gamma(rho, rho)/rho dm for the form's carre du champ."""
     if form.space is not mu.space and form.space.n != mu.space.n:
@@ -130,31 +125,6 @@ def fisher_information(mu: ProbMeasure, form) -> float:
     m = mu.space.ref_measure
     pos = rho > 0
     return float(np.sum(g[pos] / rho[pos] * m[pos]))
-
-
-def entropy_monotone_limit_check(f_seq, f, ref) -> dict:
-    """Entropy gaps |Ent(f_k) - Ent(f)| for a monotone sequence of densities.
-
-    Works on raw density vectors against ref (finite positive measures, not
-    necessarily probabilities). Non-monotone input is flagged, not rejected.
-    """
-    ref = np.asarray(ref, dtype=float)
-    f = np.asarray(f, dtype=float)
-    seq = [np.asarray(g, dtype=float) for g in f_seq]
-    monotone = True
-    for a, b in zip(seq, seq[1:]):
-        if not (np.all(a <= b + 1e-15) or np.all(a >= b - 1e-15)):
-            monotone = False
-    target = relative_entropy(f * ref, ref)
-    gaps = [abs(relative_entropy(g * ref, ref) - target) for g in seq]
-    peak = max(gaps) if gaps else 0.0
-    converged = len(gaps) == 0 or gaps[-1] <= max(1e-10, abs(target) * 1e-10, 0.2 * peak)
-    return {
-        "gaps": gaps,
-        "monotone": monotone,
-        "converged": bool(converged),
-        "limit_entropy": target,
-    }
 
 
 # measure builders ----------------------------------------------------------

@@ -291,15 +291,6 @@ def _point(space: FiniteMMSpace, i, error=SpaceError) -> int:
     return int(i)
 
 
-def check_growth_condition(space: FiniteMMSpace, c, x0=None):
-    """Mass of the tilted measure z = sum_x exp(-c d(x,x0)^2) m(x)."""
-    if c <= 0:
-        raise SpaceError("c > 0 required")
-    i = space.base_point if x0 is None else _point(space, x0)
-    V = space.metric[:, i]
-    return float(np.sum(np.exp(-c * V**2) * space.ref_measure))
-
-
 def space_to_json(space: FiniteMMSpace) -> dict:
     out = {
         "points": list(space.points),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import ProbMeasure, measure_from_density
+from .measures import ProbMeasure
 from .mmspace import FiniteMMSpace, _freeze, line_of
 from .solvers import exact_ot
 
@@ -66,22 +66,6 @@ class KantorovichPair:
     def shifted(self, a):
         """Gauge shift (phi + a, psi - a); dual value is unchanged."""
         return KantorovichPair(self.phi + a, self.psi - a, self.dual_value, self.gap)
-
-
-@dataclass(frozen=True, eq=False)
-class SlopeDiagnostics:
-    """Graph-neighbor one-sided slopes of a function."""
-
-    ascending: np.ndarray
-    descending: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "ascending", _freeze(self.ascending))
-        object.__setattr__(self, "descending", _freeze(self.descending))
-
-    @property
-    def two_sided(self):
-        return np.maximum(self.ascending, self.descending)
 
 
 def _same_space(mu, nu):
@@ -144,9 +128,10 @@ def kantorovich_potentials(mu: ProbMeasure, nu: ProbMeasure, gauge=None) -> Kant
     return KantorovichPair(phi, psi, dual, float(gap))
 
 
-def slope_diagnostics(space: FiniteMMSpace, f) -> SlopeDiagnostics:
-    """One-sided difference-quotient slopes over graph neighbors (all other
-    points when the space has no graph carrier)."""
+def _ascending_slopes(space: FiniteMMSpace, f):
+    """Ascending difference-quotient slopes max(0, max_y (f(y) - f(x)) / d(x, y))
+    over graph neighbors y of x (all other points when the space has no graph
+    carrier)."""
     f = np.asarray(f, dtype=float)
     n = space.n
     if space.graph is not None:
@@ -154,13 +139,10 @@ def slope_diagnostics(space: FiniteMMSpace, f) -> SlopeDiagnostics:
         xs, ys = np.concatenate([i, j]), np.concatenate([j, i])
     else:
         xs, ys = np.nonzero(~np.eye(n, dtype=bool))
-    q = (f[ys] - f[xs]) / space.metric[xs, ys]
     asc = np.zeros(n)
-    desc = np.zeros(n)
     # fmax skips a NaN quotient; + 0.0 turns a -0.0 won in a tie with 0 into 0.0
-    np.fmax.at(asc, xs, q)
-    np.fmax.at(desc, xs, -q)
-    return SlopeDiagnostics(asc + 0.0, desc + 0.0)
+    np.fmax.at(asc, xs, (f[ys] - f[xs]) / space.metric[xs, ys])
+    return asc + 0.0
 
 
 def check_slackness(space: FiniteMMSpace, pair: KantorovichPair, plan: TransportPlan) -> dict:
@@ -170,8 +152,7 @@ def check_slackness(space: FiniteMMSpace, pair: KantorovichPair, plan: Transport
     xs, ys = plan.support().T
     s = pair.phi[xs] + pair.psi[ys]
     resid = np.max(np.where(np.isfinite(s), np.abs(C2[xs, ys] - s), np.inf), initial=0.0)
-    slopes = slope_diagnostics(space, pair.phi)
-    slope_viol = np.max(slopes.ascending[xs] - space.metric[xs, ys], initial=0.0)
+    slope_viol = np.max(_ascending_slopes(space, pair.phi)[xs] - space.metric[xs, ys], initial=0.0)
     feas = -np.inf
     fin = np.isfinite(pair.psi)
     if fin.any():
@@ -180,29 +161,4 @@ def check_slackness(space: FiniteMMSpace, pair: KantorovichPair, plan: Transport
         "support_residual": float(resid),
         "slope_violation": float(slope_viol),
         "feasibility_violation": feas,
-    }
-
-
-def potential_stability_probe(space: FiniteMMSpace, density_seq, density_lim, sigma: ProbMeasure, gauge=None) -> dict:
-    """Re-solve the transport problem along a converging density sequence and
-    report value gaps and pointwise gaps of gauge-normalized potentials."""
-    if gauge is None:
-        gauge = int(sigma.support()[0])
-    lim = measure_from_density(space, density_lim)
-    w_lim, _ = w2(lim, sigma)
-    pair_lim = kantorovich_potentials(lim, sigma, gauge=gauge)
-    value_gaps = []
-    potential_gaps = []
-    for f in density_seq:
-        mu = measure_from_density(space, f)
-        w_n, _ = w2(mu, sigma)
-        pair_n = kantorovich_potentials(mu, sigma, gauge=gauge)
-        value_gaps.append(abs(w_n**2 - w_lim**2))
-        potential_gaps.append(float(np.abs(pair_n.phi - pair_lim.phi).max()))
-    peak = max(value_gaps) if value_gaps else 0.0
-    converged = len(value_gaps) == 0 or value_gaps[-1] <= max(1e-9, 0.25 * peak)
-    return {
-        "value_gaps": value_gaps,
-        "potential_gaps": potential_gaps,
-        "value_converged": bool(converged),
     }

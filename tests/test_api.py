@@ -2,10 +2,12 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "rcdlab"
+README = SRC.parents[1] / "README.md"
 
 
 def _unread_parameters(path):
@@ -156,3 +158,27 @@ def test_the_check_sees_an_unreferenced_definition(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("from lib import imported\n\ndef test():\n    return build().size()\n")
     assert _unreferenced_definitions([lib], [lib, user]) == [("lib.py", 8, "dead"), ("lib.py", 14, "unused")]
+
+
+def _unledgered_exports(init, readme):
+    """The names init imports that no first-column cell of the table under
+    readme's '## API ledger' heading names in backquotes."""
+    exports = {a.asname or a.name for node in ast.parse(init.read_text()).body
+               if isinstance(node, ast.ImportFrom) for a in node.names}
+    section = readme.read_text().split("\n## API ledger\n", 1)[1].split("\n## ", 1)[0]
+    cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("|")]
+    return sorted(exports - {name for cell in cells for name in re.findall(r"`(\w+)`", cell)})
+
+
+def test_every_export_has_a_ledger_row():
+    # a public name states what it checks, what it returns and who calls it
+    assert _unledgered_exports(SRC / "__init__.py", README) == []
+
+
+def test_the_check_sees_a_missing_ledger_row(tmp_path):
+    init = tmp_path / "__init__.py"
+    init.write_text("from .a import (\n    kept,\n    probe,\n)\nfrom .b import Report\n\n__version__ = '0'\n")
+    readme = tmp_path / "README.md"
+    readme.write_text("# lib\n\n## API ledger\n\n| name | statement |\n|---|---|\n"
+                      "| `kept`, `Report` | like `probe` |\n\n## Notes\n\n| `probe` | |\n")
+    assert _unledgered_exports(init, readme) == ["probe"]

@@ -9,17 +9,13 @@ from rcdlab.geodesy import (
     build_good_geodesic,
     cd_convexity_check,
     cd_residual,
-    combine_restricted,
-    curve_plan_from_trace,
     epsilon_min,
     intermediate_entropy_min,
-    length_band_split,
-    metric_brenier_probe,
     synthetic_entropy_profile,
 )
 from rcdlab.measures import ProbMeasure, bump_measure, dirac, gaussian_measure, relative_entropy
 from rcdlab.mmspace import make_model_space
-from rcdlab.ot import kantorovich_potentials, w2
+from rcdlab.ot import w2
 from rcdlab.solvers import InfeasibleError, SolverError
 
 
@@ -272,129 +268,3 @@ def test_the_warm_probe_saves_oracle_lps(monkeypatch):
         build_good_geodesic(mu0, mu1, 4, epsilon="auto", K=0.0, tol=5e-3)
         counts.append(len(calls))
     assert counts[0] < counts[1]
-
-
-def test_band_split_single_band_and_dirac():
-    s = make_model_space("segment", 9)
-    mu0, mu1 = dirac(s, 0), dirac(s, 8)
-    tr = build_good_geodesic(mu0, mu1, 2, epsilon=0.0)
-    _, plan = w2(mu0, mu1)
-    top = float(s.metric[plan.coupling > 0].max())
-    out = length_band_split(plan, tr, [(0.0, top)])
-    assert len(out) == 1
-    assert out[0][2] == pytest.approx(1.0)
-    # diracs: a fine partition leaves all mass in the band holding d(0, 8)
-    out2 = length_band_split(plan, tr, [(0.0, 0.5), (0.5, 1.0)])
-    masses = [o[2] for o in out2]
-    assert masses == [pytest.approx(0.0, abs=1e-12), pytest.approx(1.0)]
-
-
-def test_band_split_two_clusters_disjoint_midpoints():
-    s = make_model_space("segment", 17)
-    w0 = np.zeros(17)
-    w0[0] = w0[8] = 0.5
-    w1 = np.zeros(17)
-    w1[2] = w1[16] = 0.5   # 0 -> 2 (short), 8 -> 16 (long)
-    mu0, mu1 = ProbMeasure(s, w0), ProbMeasure(s, w1)
-    tr = build_good_geodesic(mu0, mu1, 1, epsilon=0.0)
-    _, plan = w2(mu0, mu1)
-    top = float(s.metric[plan.coupling > 1e-12].max())
-    bands = [(0.0, 0.25), (0.25, top)]
-    out = length_band_split(plan, tr, bands, t=0.5)
-    (b1, _, m1, marg1), (b2, _, m2, marg2) = out
-    assert m1 == pytest.approx(0.5, abs=1e-9)
-    assert m2 == pytest.approx(0.5, abs=1e-9)
-    overlap = np.minimum(marg1, marg2).sum()
-    assert overlap <= 1e-8
-
-
-def test_band_split_requires_partition():
-    s = make_model_space("segment", 9)
-    mu0, mu1 = dirac(s, 0), dirac(s, 8)
-    tr = build_good_geodesic(mu0, mu1, 1, epsilon=0.0)
-    _, plan = w2(mu0, mu1)
-    with pytest.raises(GeodesyError):
-        length_band_split(plan, tr, [(0.0, 0.3), (0.5, 2.0)])
-
-
-def test_combine_restricted_identity_surgeries():
-    s = make_model_space("segment", 17)
-    mu0 = gaussian_measure(s, 8.0)
-    mu1 = bump_measure(s, 12, 0.15)
-    tr = build_good_geodesic(mu0, mu1, 1, epsilon="auto", tol=2e-3)
-    _, plan = w2(mu0, mu1)
-    nu_mid = tr.measure_at(0.5)
-    # f == 1 with the trace measure itself returns the trace measure
-    out = combine_restricted(tr, plan, np.ones_like(plan.coupling), nu_mid, 0.5)
-    assert np.abs(out.weights - nu_mid.weights).max() <= 1e-9
-
-
-def test_combine_restricted_entropy_surgery_decreases():
-    s = make_model_space("segment", 17)
-    mu0 = gaussian_measure(s, 8.0)
-    mu1 = bump_measure(s, 12, 0.15)
-    tr = build_good_geodesic(mu0, mu1, 1, epsilon="auto", tol=2e-3)
-    _, plan = w2(mu0, mu1)
-    nu_mid = tr.measure_at(0.5)
-    # replace the whole midpoint by a flatter member of the relaxed set
-    eps_room = tr.epsilon_used
-    from rcdlab.solvers import interior_point
-
-    sel0, sel1 = mu0.weights > 0, mu1.weights > 0
-    C = s.metric ** 2
-    W = w2(mu0, mu1)[0]
-    _, nu_flat, _ = interior_point(C[sel0], C[sel1], mu0.weights[sel0], mu1.weights[sel1],
-                                   (0.5 * W + eps_room) ** 2, (0.5 * W + eps_room) ** 2)
-    nu_flat = ProbMeasure(s, nu_flat / nu_flat.sum())
-    f = np.ones_like(plan.coupling)
-    out = combine_restricted(tr, plan, f, nu_flat, 0.5)
-    assert np.abs(out.weights - nu_flat.weights).max() <= 1e-9
-
-
-def test_combine_restricted_rejects_empty_selection():
-    s = make_model_space("segment", 9)
-    mu0, mu1 = dirac(s, 0), dirac(s, 8)
-    tr = build_good_geodesic(mu0, mu1, 1, epsilon=0.0)
-    _, plan = w2(mu0, mu1)
-    with pytest.raises(GeodesyError):
-        combine_restricted(tr, plan, np.zeros_like(plan.coupling), tr.measure_at(0.5), 0.5)
-
-
-def test_metric_brenier_dirac_exact():
-    # unique curve: the finite-t quotient is W (1 - t/2); the gap W t / 2
-    # vanishes linearly as t -> 0
-    s = make_model_space("segment", 9)
-    mu0, sigma = dirac(s, 0), dirac(s, 8)
-    tr = build_good_geodesic(mu0, sigma, 2, epsilon=0.0)
-    pair = kantorovich_potentials(mu0, sigma, gauge=8)
-    rep = metric_brenier_probe(tr, pair, t_values=[0.25, 0.5])
-    W = w2(mu0, sigma)[0]
-    assert rep["l2_gaps"][0] == pytest.approx(W * 0.25 / 2, abs=1e-10)
-    assert rep["l2_gaps"][1] == pytest.approx(W * 0.5 / 2, abs=1e-10)
-    assert rep["l2_gaps"][0] < rep["l2_gaps"][1]
-
-
-def test_metric_brenier_refinement_trend():
-    gaps = []
-    for n in (17, 33):
-        s = make_model_space("segment", n)
-        mu0 = gaussian_measure(s, 8.0)
-        sigma = bump_measure(s, int(0.75 * (n - 1)), 0.1)
-        tr = build_good_geodesic(mu0, sigma, 2, epsilon="auto", tol=5e-3)
-        pair = kantorovich_potentials(mu0, sigma, gauge=int(sigma.support()[0]))
-        rep = metric_brenier_probe(tr, pair, t_values=[0.25])
-        gaps.append(rep["l2_gaps"][0])
-    assert gaps[1] < gaps[0]
-
-
-def test_curve_plan_from_trace():
-    s = make_model_space("segment", 9)
-    mu0, mu1 = dirac(s, 0), dirac(s, 8)
-    tr = build_good_geodesic(mu0, mu1, 2, epsilon=0.0)
-    plan = curve_plan_from_trace(tr)
-    assert plan.weights.sum() == pytest.approx(1.0)
-    assert np.isfinite(plan.compressibility)
-    # single dirac curve: action = sum of squared step lengths over dt
-    W = w2(mu0, mu1)[0]
-    assert plan.action == pytest.approx(W**2 / 1.0, rel=1e-6)
-    assert plan.curves[0] == (0, 2, 4, 6, 8)

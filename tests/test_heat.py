@@ -11,7 +11,6 @@ from rcdlab.heat import (
     HeatError,
     bakry_emery_check,
     contraction_check,
-    entropy_slope_regularization,
     heat_kernel,
     i_rate,
     identification_check,
@@ -359,14 +358,6 @@ def test_tensorization_cycles():
     assert rep["w2sq_additivity_gap"] <= 1e-8
 
 
-def test_entropy_slope_regularization_reported():
-    s, form = cycle_form(24)
-    pos = np.array(s.meta["positions"])
-    mu = measure_from_density(s, 1 + 0.7 * np.cos(2 * np.pi * pos))
-    rep = entropy_slope_regularization(form, mu, 0.05, K=0.0)
-    assert np.isfinite(rep["lhs"]) and np.isfinite(rep["rhs"])
-
-
 def test_heat_checks_hand_exact_ot_probability_measures(monkeypatch):
     # h_t of a Dirac at an end of segment:17 at t = 1e-3 has weights down to
     # -3.1e-16 where it vanishes; every check clips them before transport
@@ -389,14 +380,26 @@ def test_heat_checks_hand_exact_ot_probability_measures(monkeypatch):
     f0 = dirac(s, 0).density()
     semigroup_flow(form, f0, [0.0, 1e-3])
     contraction_check(form, dirac(s, 0), dirac(s, 16), K=0.0, t_grid=[1e-3])
-    entropy_slope_regularization(form, dirac(s, 0), 1e-3)
     b = make_model_space("segment", 3)
     tensorization_check(form, dirichlet_form(b), f0, dirac(b, 2).density(), 1e-3)
-    # one LP in the flow, two in contraction_check, one in the slope check, three in tensorization
-    assert len(seen) == 2 * 7
+    # one LP in the flow, two in contraction_check, three in tensorization
+    assert len(seen) == 2 * 6
     for w in seen:
         assert w.min() >= 0.0
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("K", [float("nan"), float("inf"), float("-inf")])
+def test_a_curvature_that_is_not_finite_is_a_heat_error(K):
+    # max(-inf, nan) keeps -inf, so a NaN K read as a pass of bakry_emery_check
+    s, form = cycle_form(16)
+    f = 1 + 0.5 * np.cos(2 * np.pi * np.array(s.meta["positions"]))
+    with pytest.raises(HeatError, match=re.escape(repr(K))):
+        bakry_emery_check(form, f, [0.0, 0.1, 0.2], K)
+    with pytest.raises(HeatError, match=re.escape(repr(K))):
+        contraction_check(form, dirac(s, 0), dirac(s, 8), K, [0.1])
+    with pytest.raises(HeatError, match=re.escape(repr(K))):
+        lipschitz_regularization_check(form, f, 0.1, K)
 
 
 def test_negative_time_rejected():

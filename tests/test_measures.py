@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,6 @@ from rcdlab.measures import (
     ProbMeasure,
     bump_measure,
     dirac,
-    entropy_monotone_limit_check,
-    excess_mass,
     fisher_information,
     gaussian_measure,
     measure_from_density,
@@ -84,24 +84,25 @@ def test_tilt_gaussian_profile_agreement():
     assert tilt_identity_gap(mu, tilt) < 1e-10
 
 
-def test_excess_mass_cases():
-    s = FiniteMMSpace((0, 1, 2), np.array([[0.0, 1, 2], [1, 0.0, 1], [2, 1, 0.0]]), np.array([1 / 3, 1 / 3, 1 / 3]))
-    mu = ProbMeasure(s, np.array([1.0, 0.0, 0.0]))
-    assert excess_mass(mu, 2.0) == pytest.approx(1.0 / 3.0)
-    assert excess_mass(mu, 0.0) == pytest.approx(1.0)
-    below = ProbMeasure(s, np.full(3, 1 / 3))
-    assert excess_mass(below, 1.0) == pytest.approx(0.0, abs=1e-15)
+def test_growth_condition_values():
+    # z = sum_x exp(-c d(x,x0)^2) m(x), the mass the tilt normalizes by
+    one = FiniteMMSpace((0,), np.zeros((1, 1)), np.array([2.5]), base_point=0)
+    assert tilt_reference(one, 3.0).z == pytest.approx(2.5)
+    tp = make_model_space("two_point", 2)
+    assert tilt_reference(tp, np.log(2.0), 0).z == pytest.approx(0.75)
+    seg = make_model_space("segment", 64)
+    z = tilt_reference(seg, 1.0, 0).z
+    V = seg.metric[:, 0]
+    assert z == pytest.approx(float(np.sum(np.exp(-(V**2)) * seg.ref_measure)))
+    assert 0 < z < 1
 
 
-def test_excess_mass_convex_nonincreasing_in_threshold():
-    rng = np.random.default_rng(1)
-    s = make_model_space("segment", 10)
-    mu = ProbMeasure(s, rng.dirichlet(np.ones(10)))
-    cs = np.linspace(0, 3, 31)
-    vals = [excess_mass(mu, c) for c in cs]
-    assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-    for i in range(1, len(cs) - 1):
-        assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-12
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0])
+def test_a_tilt_rate_that_is_negative_or_not_finite_is_a_measure_error(c):
+    # a NaN c gave all-NaN weights that passed the mass check; c = inf made -inf * 0 at x0
+    s = make_model_space("segment", 5)
+    with pytest.raises(MeasureError, match=re.escape(repr(c))):
+        tilt_reference(s, c)
 
 
 def test_fisher_stationary_zero_and_two_point_hand_value():
@@ -141,39 +142,6 @@ def test_fisher_zero_iff_componentwise_constant():
     rng = np.random.default_rng(2)
     mu2 = ProbMeasure(s, rng.dirichlet(np.ones(8)))
     assert fisher_information(mu2, form) > 1e-6
-
-
-def test_monotone_limit_constant_sequence():
-    s = make_model_space("segment", 6)
-    f = np.ones(6)
-    rep = entropy_monotone_limit_check([f, f, f], f, s.ref_measure)
-    assert rep["monotone"] and rep["converged"]
-    assert max(rep["gaps"]) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_monotone_limit_decreasing_and_increasing():
-    s = make_model_space("segment", 12)
-    rng = np.random.default_rng(3)
-    f = rng.dirichlet(np.ones(12)) / s.ref_measure
-    # decreasing toward f from above
-    seq_down = [(1 - 1 / k) * f + (1 / k) * (f + 1.0) for k in range(1, 30)]
-    rep = entropy_monotone_limit_check(seq_down, f, s.ref_measure)
-    assert rep["monotone"] and rep["converged"]
-    assert rep["gaps"][-1] < rep["gaps"][0]
-    # increasing truncations
-    seq_up = [np.minimum(f, k * f.mean() / 4) for k in range(1, 20)]
-    rep2 = entropy_monotone_limit_check(seq_up, f, s.ref_measure)
-    assert rep2["monotone"] and rep2["converged"]
-
-
-def test_non_monotone_flagged():
-    s = make_model_space("segment", 5)
-    f = np.ones(5)
-    g = f.copy()
-    g[0] += 1
-    g[1] -= 0.5
-    rep = entropy_monotone_limit_check([f, g, f], f, s.ref_measure)
-    assert not rep["monotone"]
 
 
 def test_bump_and_support_metadata():

@@ -4,7 +4,6 @@ import pytest
 from rcdlab.mmspace import (
     FiniteMMSpace,
     SpaceError,
-    check_growth_condition,
     graph_shortest_paths,
     line_of,
     make_model_space,
@@ -110,24 +109,6 @@ def test_product_metric_pythagoras():
         for b, (xb, yb) in enumerate(prod.points):
             assert d2[a, b] == pytest.approx(s.metric[xa, xb] ** 2 + s.metric[ya, yb] ** 2, abs=1e-12)
     assert validate_space(prod).passed
-
-
-def test_growth_condition_values():
-    one = FiniteMMSpace((0,), np.zeros((1, 1)), np.array([2.5]), base_point=0)
-    assert check_growth_condition(one, 3.0) == pytest.approx(2.5)
-    tp = make_model_space("two_point", 2)
-    assert check_growth_condition(tp, np.log(2.0), 0) == pytest.approx(0.75)
-    seg = make_model_space("segment", 64)
-    z = check_growth_condition(seg, 1.0, 0)
-    V = seg.metric[:, 0]
-    assert z == pytest.approx(float(np.sum(np.exp(-(V**2)) * seg.ref_measure)))
-    assert 0 < z < 1
-
-
-@pytest.mark.parametrize("x0", [-1, 99])
-def test_growth_condition_base_point_outside_the_space_is_space_error(x0):
-    with pytest.raises(SpaceError):
-        check_growth_condition(make_model_space("segment", 5), 1.0, x0)
 
 
 def test_triangle_exhaustive_on_generated_spaces():
