@@ -71,13 +71,13 @@ returned has its slack verified by one more LP.
 
 entropy_budget_min minimizes relative entropy over that polytope with a
 fully-corrective conditional-gradient method whose LP oracle returns exact
-extreme points; _hull_minimize re-optimizes the hull weights by one SLSQP
-solve on the simplex. It drives the SLSQP C core bundled with scipy
-directly, with the state, workspace and call loop of scipy's
-minimize(method="SLSQP"), so its results are that call's bits without its
-per-iteration wrapper work, which cost more than SLSQP itself. Weak duality
-of the oracle LP gives the certified optimality gap, and it is the only
-certificate for those midpoints.
+extreme points; _hull_minimize re-optimizes the hull weights by a
+primal-dual interior-point method on the simplex, Mehrotra's
+predictor-corrector, which stops when the Frank-Wolfe gap of the weights is
+within its rounding; on criterion 3's builds that takes at most 18 steps of
+one small KKT inverse each, and criterion 3's geodesics come out with the
+same bits at 1 and at 2 BLAS threads. Weak duality of the oracle LP gives the
+certified optimality gap, and it is the only certificate for those midpoints.
 dirac_pair_min solves the case of Dirac anchors by projected Newton on its
 low-dimensional dual. Both dual bounds are returned less an allowance for
 their rounding error, so a certified gap is never negative.
@@ -119,7 +119,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize._slsqplib import slsqp as _slsqp
 from scipy.optimize._highspy import _core as _highs
 
 from .measures import relative_entropy
@@ -140,7 +139,7 @@ _NEWTON_CAP = 50  # LPs per epsilon_min call; two or three suffice in practice
 _DUAL_NEWTON_CAP = 200  # Newton steps per dirac_pair_min call; about 35 at a pinned vertex
 _BACKTRACK_CAP = 60  # step halvings per Newton step
 _ORACLE_CAP = 80  # oracle LPs per entropy_budget_min call
-_HULL_ITER_CAP = 300  # SLSQP iterations per _hull_minimize call
+_HULL_ITER_CAP = 100  # interior-point steps per _hull_minimize call; at most 18 on criterion 3's builds
 _POTENTIAL_CAP = 2000  # scaling steps per symmetric_potential call
 _POTENTIAL_TOL = 1e-13  # symmetric_potential stops on a step below this times eps
 _PROX_SWEEP_CAP = 20000  # dual sweeps per prox_entropy_step call
@@ -182,18 +181,12 @@ def _rounding_allowance(n, scale):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4)
-def _highs_options(options):
-    """HighsOptions with _HIGHS_FIXED and the (key, value) pairs options, built
-    once per set of pairs instead of once per cold LP, where it took about
-    65 us of a fixed cost of about 0.4 ms."""
-    highs_options = _highs.HighsOptions()
-    for key, val in {**_HIGHS_FIXED, **dict(options)}.items():
-        setattr(highs_options, key, ("on" if val else "off") if key == "presolve" else val)
-    return highs_options
-
-
-_highs_options(tuple(_LP_OPTIONS.items()))  # built at import
+# the HiGHS options of every LP, built once instead of once per cold LP, where
+# building them took about 65 us of a fixed cost of about 0.4 ms
+_HIGHS_OPTIONS = _highs.HighsOptions()
+for _key, _val in {**_HIGHS_FIXED, **_LP_OPTIONS}.items():
+    setattr(_HIGHS_OPTIONS, _key, ("on" if _val else "off") if _key == "presolve" else _val)
+del _key, _val
 
 
 class LPModel:
@@ -225,7 +218,7 @@ def linprog(model, c, b_eq, b_ub=None):
     every column continuous. So a cold run returns the same bits, without
     that wrapper's input copies, per-call option re-validation and bound
     marginals, which cost more than a small solve. The HighsOptions are built
-    once per _LP_OPTIONS (_highs_options). Like scipy it raises ValueError on
+    once, at import (_HIGHS_OPTIONS). Like scipy it raises ValueError on
     non-finite input.
 
     A run on a model without a hot instance is cold. Otherwise linprog
@@ -268,7 +261,7 @@ def linprog(model, c, b_eq, b_ub=None):
             highs.changeRowBounds(i, lhs[i], rhs[i])
     else:
         highs = _highs._Highs()
-        if highs.passOptions(_highs_options(tuple(_LP_OPTIONS.items()))) == _highs.HighsStatus.kError:
+        if highs.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP options")
         if highs.passModel(c.size, rhs.size, A.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize, 0.0,
                            c, model.lb, model.ub, lhs, rhs, A.indptr, A.indices, A.data,
@@ -707,63 +700,68 @@ class EntropyMinResult:
 
 
 def _hull_minimize(vertices, m, theta0=None):
-    """Minimize Ent_m over the convex hull of the vertex rows by one SLSQP
-    solve on the weight simplex, from theta0 or the uniform weights. The SLSQP
-    result is kept only if it lowers the entropy of the start.
-
-    This drives the SLSQP C routine bundled with scipy (Kraft, DFVLR-FB
-    88-28, 1988) with the state, workspace and call loop of scipy's
-    _minimize_slsqp, so the result is minimize(method="SLSQP")'s bits with
-    bounds [0, 1], the equality constraint sum = 1, maxiter _HULL_ITER_CAP and
-    ftol 1e-16, without its per-iteration wrapper work. Each new x costs one
-    evaluation of the entropy and its gradient, reused when SLSQP asks for
-    the gradient at that x. Returns (theta, entropy)."""
+    """Minimize Ent_m over the convex hull of the vertex rows by a primal-dual
+    interior-point method on the weight simplex, Mehrotra's predictor-corrector
+    (Nocedal and Wright, Numerical Optimization, 2006, Alg. 14.3), started at
+    theta0 or the uniform weights moved a tenth of the way to uniform, with
+    z = g + 1 - min g for the gradient g in the weights. Each step inverts one
+    KKT matrix, the Hessian plus diag(z / x) bordered by ones, for both the
+    predictor and the corrector, and goes 0.99 of the way to the boundary. It
+    stops when the Frank-Wolfe gap x.g - min g, which bounds the excess entropy
+    of x, is within the rounding of its evaluation, after _HULL_ITER_CAP steps,
+    or before a step that would leave the positive orthant. g is taken on the
+    coordinates some vertex charges, with the oracle's slightly negative
+    entries clipped at 0. The result replaces the start only if it lowers the
+    entropy. Returns (theta, entropy)."""
     V = np.asarray(vertices, dtype=float)
     r = V.shape[0]
     theta = np.full(r, 1.0 / r) if theta0 is None else np.asarray(theta0, dtype=float)
     theta = np.maximum(theta, 1e-16)
     theta /= theta.sum()
-
-    def ent_grad(th):
-        nu = th @ V
-        glog = np.where(nu > 0, np.log(np.maximum(nu / m, 1e-300)) + 1.0, np.log(1e-300))
-        return relative_entropy(nu, m), V @ glog
-
     cur = relative_entropy(theta @ V, m)
-    x = np.clip(theta, 0.0, 1.0)  # SLSQP overwrites x in place
-    seen = x.copy()
-    fx, g = f_seen, g_seen = ent_grad(seen)
-    # at ftol 1e-14 SLSQP stops with simplex KKT residuals up to 1e-6
-    acc = 1e-16
-    state = {"acc": acc, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0, "h4": 0.0,
-             "t": 0.0, "t0": 0.0, "tol": 10.0 * acc, "exact": 0, "inconsistent": 0, "reset": 0, "iter": 0,
-             "itermax": _HULL_ITER_CAP, "line": 0, "m": 1, "meq": 1, "mode": 0, "n": r}
-    # scipy's workspace sizes for one equality constraint and no inequality
-    buffer = np.zeros(r * (r + 1) // 2 + 10 * r * r + 35 * r + 30)
-    indices = np.zeros(2 * r + 3, dtype=np.int32)
-    mult = np.zeros(2 * r + 3)
-    C = np.ones((1, r), order="F")
-    d = np.array([x.sum() - 1.0])
-    xl, xu = np.zeros(r), np.ones(r)
-    while True:
-        _slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
-        if abs(state["mode"]) != 1:
+    charged = V.max(axis=0) > 0
+    W, m_w = np.maximum(V[:, charged], 0.0), m[charged]
+
+    def boundary(v, dv):  # the longest step along dv that keeps v >= 0
+        down = dv < 0
+        return float((-v[down] / dv[down]).min(initial=np.inf))
+
+    def evaluate(x):  # (nu, log(nu / m) + 1, g) on the charged coordinates
+        nu = x @ W
+        glog = np.log(nu / m_w) + 1.0
+        return nu, glog, W @ glog
+
+    x = 0.9 * theta + 0.1 / r
+    nu, glog, g = evaluate(x)
+    lam = g.min() - 1.0
+    z = g - lam
+    K = np.ones((r + 1, r + 1))
+    K[r, r] = 0.0
+    for _ in range(_HULL_ITER_CAP):
+        # x.g and min g each sum terms of absolute sum at most max_j W_j.(|glog| + 1)
+        if x @ g - g.min() <= _rounding_allowance(sum(W.shape), 2.0 * float((W @ (np.abs(glog) + 1.0)).max())):
             break
-        if (x != seen).any():
-            seen = x.copy()
-            f_seen, g_seen = ent_grad(seen)
-        if state["mode"] == 1:
-            fx = f_seen
-            d[0] = x.sum() - 1.0
-        else:
-            g = g_seen
-    if np.isfinite(fx):
-        th = np.maximum(x, 0.0)
-        total = th.sum()
-        if total > 0 and fx < cur:
-            theta = th / total
-            cur = relative_entropy(theta @ V, m)
-    return theta, cur
+        K[:r, :r] = (W / nu) @ W.T + np.diag(z / x)
+        K_inv = np.linalg.inv(K)
+        residual = np.append(z + lam - g, 1.0 - x.sum())
+
+        def newton(rc):  # (dx, dlam, dz) for the complementarity target rc of x dz + z dx
+            sol = K_inv @ (residual + np.append(rc / x, 0.0))
+            return sol[:r], -sol[r], (rc - z * sol[:r]) / x
+
+        dx, _, dz = newton(-x * z)
+        step = min(1.0, boundary(x, dx), boundary(z, dz))
+        mu = x @ z / r
+        sigma = ((x + step * dx) @ (z + step * dz) / (r * mu)) ** 3
+        dx, dlam, dz = newton(sigma * mu - x * z - dx * dz)
+        step = min(1.0, 0.99 * min(boundary(x, dx), boundary(z, dz)))
+        if not ((x + step * dx > 0).all() and (z + step * dz > 0).all()):
+            break
+        x, lam, z = x + step * dx, lam + step * dlam, z + step * dz
+        nu, glog, g = evaluate(x)
+    x /= x.sum()
+    ent = relative_entropy(x @ V, m)
+    return (x, ent) if ent < cur else (theta, cur)
 
 
 def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):

@@ -109,7 +109,8 @@ def test_the_check_sees_scipy_linprog(tmp_path):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_uses_scipy_minimize(path):
-    # _hull_minimize drives SLSQP's C core and dirichlet._lbfgsb L-BFGS-B's directly
+    # dirichlet._lbfgsb drives L-BFGS-B's C core directly, and _hull_minimize
+    # is the package's own interior-point method
     assert _scipy_optimize_uses(path, "minimize") == []
 
 
@@ -118,6 +119,39 @@ def test_the_check_sees_scipy_minimize(tmp_path):
     f.write_text("from scipy.optimize import minimize, linprog\nimport scipy.optimize\n\n"
                  "def solve(f, x0):\n    return scipy.optimize.minimize(f, x0)\n")
     assert _scipy_optimize_uses(f, "minimize") == [1, 5]
+
+
+def _private_scipy_modules(paths):
+    """The private scipy modules the files import, each named up to its first
+    component that starts with an underscore."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            for parts in (name.split(".") for name in names if name.startswith("scipy.")):
+                private = [i for i, part in enumerate(parts) if part.startswith("_")]
+                if private:
+                    out.add(".".join(parts[: private[0] + 1]))
+    return sorted(out)
+
+
+def test_the_package_imports_only_two_private_scipy_modules():
+    # linprog drives HiGHS and dirichlet._lbfgsb L-BFGS-B through these; a
+    # scipy release may change either without notice
+    assert _private_scipy_modules(sorted(SRC.glob("*.py"))) == ["scipy.optimize._highspy", "scipy.optimize._lbfgsb"]
+
+
+def test_the_check_sees_a_private_scipy_import(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text("from scipy.optimize._slsqplib import slsqp\nimport scipy.sparse\nfrom numpy._core import umath\n"
+                 "from scipy.optimize import _lbfgsb, minimize\nimport scipy.optimize._highspy._core as core\n")
+    assert _private_scipy_modules([f]) == ["scipy.optimize._highspy", "scipy.optimize._lbfgsb",
+                                           "scipy.optimize._slsqplib"]
 
 
 def _unreferenced_definitions(defining, searched):

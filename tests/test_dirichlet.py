@@ -414,6 +414,13 @@ def test_calibrated_segment_certified_and_triangle():
     assert worst <= 2e-7 * (1 + space.metric.max())
 
 
+@pytest.mark.xfail(raises=FormError, strict=True,
+                   reason="pair (0,13) ends with relative gap 3.08e-08, above the default rel_tol 1e-8")
+def test_calibrated_segment_certifies_at_its_default_tolerance():
+    # n = 8, 12, 14, 17 and 20 pass; 15, 16, 18 and 24 raise FormError
+    calibrated_segment(16)
+
+
 def _scipy_dual_minimize(W, m, c, eta0, maxiter=2000, maxfun=15000):
     """The pair dual minimized by scipy's L-BFGS-B wrapper, as the intrinsic
     metric called it before it drove the C routine itself."""

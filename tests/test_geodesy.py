@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -268,3 +271,18 @@ def test_the_warm_probe_saves_oracle_lps(monkeypatch):
         build_good_geodesic(mu0, mu1, 4, epsilon="auto", K=0.0, tol=5e-3)
         counts.append(len(calls))
     assert counts[0] < counts[1]
+
+
+def test_a_good_geodesic_does_not_depend_on_the_blas_thread_count():
+    # criterion 3's segment:17 pair at depth 1; OpenBLAS fixes its thread
+    # count when it loads, so each count needs its own process
+    script = ("import sys; import rcdlab as R; s = R.make_model_space('segment', 17); "
+              "tr = R.build_good_geodesic(R.gaussian_measure(s, 8.0), R.bump_measure(s, 12, 0.13), 1, tol=5e-3); "
+              "sys.stdout.write(''.join(mu.weights.tobytes().hex() for mu in tr.measures))")
+    src = os.path.dirname(os.path.dirname(geodesy.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=300).stdout)
+    assert runs[0] and runs[0] == runs[1]
