@@ -37,9 +37,14 @@ k0 + k1 - 1 cells. exact_ot then solves the LP on those cells only, prices
 every other pair of the supports by its reduced cost against the LP's duals,
 and adds the violators and solves again until there are none (the shortlist
 method; Gottschlich and Schuhmacher, PLoS ONE 2014). The check, not the
-structure, makes the result optimal on the full LP. On the flows of
-configs/cycle64_rcd.json every shortlist holds at its first LP, of at most
-127 columns where the full model has 4096.
+structure, makes the result optimal on the full LP. The cells are a spanning
+tree whose one coupling is the north-west corner masses, so the first LP
+starts HiGHS at the tree's basis, which is optimal on the cells wherever the
+masses are nonnegative; the later LPs start from the slack basis. On the
+flows of configs/cycle64_rcd.json every shortlist holds at its first LP, of
+at most 127 columns where the full model has 4096, and 30 of the 34 LPs of
+one run of it end without a simplex iteration, where each took about 130
+from the slack basis.
 
 A sequence of LPs that differ only in their costs and right-hand sides runs
 on one LPModel, the matrix and column bounds its loop builds once. After a
@@ -55,7 +60,7 @@ and a change of costs primal feasible. Three loops use one:
   simplex iterations. A change of either support is a new model, whose first
   LP is cold, so a series orders its problems to restart on small models
   (heat._w2_speeds walks a flow from its end). With a line each problem is
-  exact_ot's: a shortlist LP is small, and cold;
+  exact_ot's, whose first shortlist LP starts at the line coupling's basis;
 - entropy_budget_min's oracle LPs, which differ only in their objective; on
   the geodesic benchmark a hot oracle LP takes 23 simplex iterations where
   a cold one took 73;
@@ -135,6 +140,7 @@ _HIGHS_FIXED = {
     "output_flag": False,
 }
 _RESULT_TOL = np.sqrt(1e-9) * 10  # scipy's post-solve feasibility check of an optimal x
+_TREE_MASS_FLOOR = 1e-8  # least tree mass at which a line LP starts at its tree; 100 times the primal tolerance
 _NEWTON_CAP = 50  # LPs per epsilon_min call; two or three suffice in practice
 _DUAL_NEWTON_CAP = 200  # Newton steps per dirac_pair_min call; about 35 at a pinned vertex
 _BACKTRACK_CAP = 60  # step halvings per Newton step
@@ -187,16 +193,19 @@ _HIGHS_OPTIONS = _highs.HighsOptions()
 for _key, _val in {**_HIGHS_FIXED, **_LP_OPTIONS}.items():
     setattr(_HIGHS_OPTIONS, _key, ("on" if _val else "off") if _key == "presolve" else _val)
 del _key, _val
+_BASIC, _AT_LOWER = _highs.HighsBasisStatus.kBasic, _highs.HighsBasisStatus.kLower
 
 
 class LPModel:
     """The constraint matrix, rows A_ub over A_eq as CSC, and the column bounds
     (None infinite) of a loop of LPs that differ only in their costs and
-    right-hand sides, built once per loop. hot is (HiGHS instance, c, lhs,
-    rhs) of the last run on it that passed linprog's checks, None before the
-    first run and after a failed one."""
+    right-hand sides, built once per loop. start, if given, marks the basic
+    variables, the columns and then the rows' slacks, of the basis a cold run
+    starts from; every other variable starts at its lower bound. hot is
+    (HiGHS instance, c, lhs, rhs) of the last run on it that passed linprog's
+    checks, None before the first run and after a failed one."""
 
-    def __init__(self, A_eq, A_ub=None, bounds=(0, None)):
+    def __init__(self, A_eq, A_ub=None, bounds=(0, None), start=None):
         self.A = (A_eq if A_ub is None else sparse.vstack([A_ub, A_eq])).tocsc()
         self.n_ub = 0 if A_ub is None else A_ub.shape[0]
         if not np.isfinite(self.A.data).all():
@@ -205,6 +214,7 @@ class LPModel:
         inf = _highs.kHighsInf
         self.lb = np.nan_to_num(bnd[:, 0], nan=-inf, posinf=inf, neginf=-inf)
         self.ub = np.nan_to_num(bnd[:, 1], nan=inf, posinf=inf, neginf=-inf)
+        self.start = start
         self.hot = None
 
 
@@ -221,14 +231,16 @@ def linprog(model, c, b_eq, b_ub=None):
     once, at import (_HIGHS_OPTIONS). Like scipy it raises ValueError on
     non-finite input.
 
-    A run on a model without a hot instance is cold. Otherwise linprog
-    changes that instance's costs (changeColsCost) and row bounds
-    (changeRowBounds) where they differ from the last run's and runs it again
-    from its last optimal basis. A cost change leaves that basis primal
-    feasible and a bound change leaves it dual feasible, so the run is the
-    simplex's repair of one or the other, not a solve from the slack basis. A
-    hot run is read and checked below exactly like a cold one; on a
-    degenerate LP it may end at another optimal vertex than a cold solve.
+    A run on a model without a hot instance is cold: from the slack basis, or
+    from model.start, which linprog hands HiGHS with setBasis; a cold run
+    without a start keeps scipy's bits. Otherwise linprog changes that
+    instance's costs (changeColsCost) and row bounds (changeRowBounds) where
+    they differ from the last run's and runs it again from its last optimal
+    basis. A cost change leaves that basis primal feasible and a bound change
+    leaves it dual feasible, so the run is the simplex's repair of one or the
+    other, not a solve from the slack basis. A hot run is read and checked
+    below exactly like a cold one; on a degenerate LP it may end at another
+    optimal vertex than a cold solve.
 
     This is the one place a solver status is read: an LP HiGHS proves
     infeasible raises InfeasibleError; every other outcome but an optimum
@@ -268,6 +280,12 @@ def linprog(model, c, b_eq, b_ub=None):
                            np.zeros(c.size, dtype=np.int32)  # integrality: every column continuous
                            ) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP model")
+        if model.start is not None:
+            basis = _highs.HighsBasis()
+            start = [_BASIC if basic else _AT_LOWER for basic in model.start.tolist()]
+            basis.col_status, basis.row_status, basis.valid = start[:c.size], start[c.size:], True
+            if highs.setBasis(basis) == _highs.HighsStatus.kError:
+                raise SolverError("HiGHS rejected the LP start basis")
     model.hot = None  # set again below after a run that passes every check
     highs.run()
     status = highs.getModelStatus()
@@ -291,11 +309,15 @@ def linprog(model, c, b_eq, b_ub=None):
 
 
 def _staircase(p, q):
-    """Rows and columns of the north-west corner rule on masses p and q in
-    index order: the k0 + k1 - 1 cells of a path through every row and column."""
+    """Rows, columns and masses of the north-west corner rule on masses p and q
+    in index order: the k0 + k1 - 1 cells of a path through every row and
+    column, a spanning tree, and the one coupling of p and q on them."""
     A, B = np.cumsum(p), np.cumsum(q)
-    down = np.argsort(np.concatenate([A[:-1] / A[-1], B[:-1] / B[-1]]), kind="stable") < p.size - 1
-    return np.concatenate([[0], np.cumsum(down)]), np.concatenate([[0], np.cumsum(~down)])
+    cuts = np.concatenate([A[:-1] / A[-1], B[:-1] / B[-1]])
+    order = np.argsort(cuts, kind="stable")
+    down = order < p.size - 1
+    mass = np.diff(cuts[order], prepend=0.0, append=1.0) * A[-1]
+    return np.concatenate([[0], np.cumsum(down)]), np.concatenate([[0], np.cumsum(~down)]), mass
 
 
 def _best_shift(x, y, p, q):
@@ -331,15 +353,18 @@ def _best_shift(x, y, p, q):
 
 
 def _line_cells(x, y, p, q, period):
-    """Flat cells i * q.size + j of the optimal coupling of sum p_i delta_{x_i}
-    and sum q_j delta_{y_j}, for positions nondecreasing in index: on a line
+    """(cells, mass): the flat cells i * q.size + j of the optimal coupling of
+    sum p_i delta_{x_i} and sum q_j delta_{y_j}, for positions nondecreasing
+    in index, in increasing order, and the coupling's masses on them: on a line
     (period None) the north-west corner rule in index order, and on a circle of
     length period the same rule from the cut of _best_shift."""
     r = s = -1
     if period is not None:
         r, s = _best_shift(x / period, y / period, p, q)
-    i, j = _staircase(np.roll(p, -1 - r), np.roll(q, -1 - s))
-    return np.sort((i + 1 + r) % p.size * q.size + (j + 1 + s) % q.size)
+    i, j, mass = _staircase(np.roll(p, -1 - r), np.roll(q, -1 - s))
+    cells = (i + 1 + r) % p.size * q.size + (j + 1 + s) % q.size
+    order = np.argsort(cells)
+    return cells[order], mass[order]
 
 
 def _cells_matrix(k0, k1, cells):
@@ -357,20 +382,37 @@ def _marginal_matrix(n0, n1):
     return _cells_matrix(n0, n1, np.arange(n0 * n1))
 
 
-def _priced_shortlist(C, mass, cells):
+def _priced_shortlist(C, mass, tree):
     """(plan, cost, duals) of the transport LP with costs C and marginals mass,
-    solved on the flat cells; every cell of C whose reduced cost against the
-    LP's duals is below -1e-12 max C joins them and the LP is solved again,
-    until none does."""
+    solved first on tree, the (cells, masses) of a spanning tree of flat cells
+    and the coupling on it (_line_cells); every cell of C whose reduced cost
+    against the LP's duals is below -1e-12 max C joins the cells and the LP is
+    solved again, from the slack basis, until none does.
+
+    The first LP starts at the tree's basis: every tree cell is basic, and so
+    is the slack of the last marginal row, which the other rows make
+    redundant. The other variables are slacks of equality rows, so the basis
+    is dual feasible; the tree's masses are its primal values, so where they
+    are nonnegative HiGHS stops before its first iteration. The start is used
+    only when every mass is at least _TREE_MASS_FLOOR. Below it the full LP is
+    exact only to its primal tolerance, while the tree start gives the exact
+    optimum (on cycle:3 with marginals 1.8e-11 apart, W2^2 = 2.0e-12 against
+    the full LP's 0.0), so the tree's LP runs from the slack basis like the
+    full LP."""
     k0, k1 = C.shape
+    cells, tree_mass = tree
+    start = None
+    if tree_mass.min() >= _TREE_MASS_FLOOR:
+        start = np.zeros(cells.size + k0 + k1, dtype=bool)
+        start[:cells.size] = start[-1] = True
     while True:
-        x, fun, y, _ = linprog(LPModel(_cells_matrix(k0, k1, cells)), C.ravel()[cells], mass)
+        x, fun, y, _ = linprog(LPModel(_cells_matrix(k0, k1, cells), start=start), C.ravel()[cells], mass)
         reduced = C - y[:k0, None] - y[None, k0:]
         reduced.flat[cells] = 0.0  # the LP's own columns, priced by HiGHS
         violators = np.flatnonzero(reduced < -1e-12 * C.max())
         if not violators.size:
             break
-        cells = np.union1d(cells, violators)
+        cells, start = np.union1d(cells, violators), None
     plan = np.zeros(C.shape)
     plan.flat[cells] = x
     return plan, fun, y
@@ -413,7 +455,8 @@ def exact_ot(C, a, b, line=None):
     line, mmspace.line_of of the space C lives on, is (positions, period) for
     C the squared distances of points on a segment (period None) or a circle.
     With it the LP runs on a shortlist of cells of the supports, first the
-    k0 + k1 - 1 cells of the optimal line coupling (_line_cells), and every
+    k0 + k1 - 1 cells of the optimal line coupling (_line_cells), from its
+    basis (_priced_shortlist), and every
     pair of the supports is priced against its duals: each cell whose reduced
     cost C - u - v is below -1e-12 max C joins the shortlist and the LP runs
     again, until none does (the shortlist method of Gottschlich and
@@ -423,8 +466,10 @@ def exact_ot(C, a, b, line=None):
 
     The last successful solve is remembered: a call whose C, a, b and line
     are byte-equal to it returns the same objects without an LP. Every solve
-    here is cold, and HiGHS is deterministic, so a new solve would return the
-    same bits. A failed solve leaves the memory as it was.
+    here builds its own models, so it starts from the slack basis or from the
+    line coupling's, never from an earlier call's; HiGHS is deterministic, so
+    a new solve would return the same bits. A failed solve leaves the memory
+    as it was.
     """
     global _OT_LAST
     C = np.asarray(C, dtype=float)

@@ -486,14 +486,16 @@ def test_a_line_solve_certifies_itself_and_matches_the_full_lp(problem):
 
 def _theta_zero_cells(x, y, p, q, period):
     """The north-west corner cells in index order: on a cycle, the coupling cut at theta = 0."""
-    i, j = solvers._staircase(p, q)
-    return i * q.size + j
+    i, j, mass = solvers._staircase(p, q)
+    return i * q.size + j, mass
 
 
 def _antitone_cells(x, y, p, q, period):
     """The north-west corner cells with the columns in reverse order: on a segment, the worst coupling."""
-    i, j = solvers._staircase(p, q[::-1])
-    return np.sort(i * q.size + q.size - 1 - j)
+    i, j, mass = solvers._staircase(p, q[::-1])
+    cells = i * q.size + q.size - 1 - j
+    order = np.argsort(cells)
+    return cells[order], mass[order]
 
 
 @pytest.mark.parametrize("kind, n, cells", [("cycle", 16, _theta_zero_cells), ("cycle", 40, _theta_zero_cells),
@@ -527,6 +529,66 @@ def test_every_golden_speed_lp_is_one_lp_on_the_line_coupling(monkeypatch, linpr
         assert len(linprog_calls) == len(pairs)
         for columns, (a, b) in zip(linprog_calls, pairs):
             assert columns <= (a.weights > 0).sum() + (b.weights > 0).sum() - 1
+
+
+def _solved_models(monkeypatch):
+    """(model, simplex iterations) of each solvers.linprog call from here on."""
+    real, runs = solvers.linprog, []
+
+    def spy(model, *args, **kwargs):
+        out = real(model, *args, **kwargs)
+        runs.append((model, model.hot[0].getInfo().simplex_iteration_count))
+        return out
+
+    monkeypatch.setattr(solvers, "linprog", spy)
+    return runs
+
+
+def _tree_mass(space, a, b):
+    """The north-west corner masses of the line coupling of a and b on their supports."""
+    x, period = line_of(space)
+    ia, ib = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
+    return solvers._line_cells(x[ia], x[ib], a[ia], b[ib], period)[1]
+
+
+def test_a_golden_speed_lp_with_tree_masses_above_the_floor_runs_no_simplex_iteration(monkeypatch):
+    monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
+    s = make_model_space("cycle", 64)
+    form = dirichlet_form(s)
+    mu0 = bump_measure(s, 16, 0.12)
+    for flow in (lambda: heat.semigroup_flow(form, mu0.density(), np.linspace(0.0, 0.1, 11)),
+                 lambda: heat.jko_flow(mu0, 0.004, 10, inner_tol=1e-6, form=form)):
+        with pytest.MonkeyPatch.context() as mp:
+            runs = _solved_models(mp)
+            trace = flow()
+        pairs = list(zip(trace.measures, trace.measures[1:]))[::-1]
+        assert len(runs) == len(pairs)
+        started = 0
+        for (model, iterations), (a, b) in zip(runs, pairs):
+            if _tree_mass(s, a.weights, b.weights).min() >= 1e-8:
+                assert model.start is not None and iterations == 0
+                started += 1
+        assert started >= 1
+
+
+def test_a_tree_below_the_mass_floor_runs_from_the_slack_basis(monkeypatch):
+    # marginals 1.8e-11 apart: the full LP is exact only to its 1e-10 primal
+    # tolerance and costs 0.0, the exact tree coupling 2.0e-12
+    space = make_model_space("cycle", 3)
+    C = space.metric ** 2
+    a = np.full(3, 1.0 / 3.0)
+    b = a + np.array([1.8e-11, 0.0, -1.8e-11])
+    assert _tree_mass(space, a, b).min() < 1e-8
+    monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
+    with pytest.MonkeyPatch.context() as mp:
+        runs = _solved_models(mp)
+        cost = solvers.exact_ot(C, a, b, line=line_of(space))[0]
+    assert [model.start for model, _ in runs] == [None]
+    full = solvers.exact_ot(C, a, b)[0]
+    assert np.float64(cost).tobytes() == np.float64(full).tobytes()
+    # with no floor the tree start is taken and returns the exact tree cost
+    monkeypatch.setattr(solvers, "_TREE_MASS_FLOOR", 0.0)
+    assert solvers.exact_ot(C, a, b, line=line_of(space))[0] != full
 
 
 # -- solvers.linprog: one direct HiGHS call ---------------------------------------
