@@ -257,12 +257,20 @@ def _draws(task):
     return task.get("op") == "form" and "f" not in task and task.get("sub", "energy") in ("energy", "gamma", "laplacian")
 
 
-def run_task(task, space, seed):
-    """Execute one task spec, its specs read; returns (payload dict, assert_failures list)."""
+def run_task(task, space, seed, forms):
+    """Execute one task spec, its specs read; returns (payload dict, assert_failures list).
+
+    forms maps a conductance rule to the run's DirichletForm of it, built here
+    at the first task that needs it, so the tasks of one run share each form
+    and its spectral decomposition (heat._spectral)."""
     op = _coerced(task, "op", _exactly(str))
     measure = functools.partial(_measure, space)
     rule = _coerced(task, "rule", _exactly(str), "metric_measure")
-    form = dirichlet_form(space, rule) if op in ("form", "flow", "verify") else None
+    form = None
+    if op in ("form", "flow", "verify"):
+        if rule not in forms:
+            forms[rule] = dirichlet_form(space, rule)
+        form = forms[rule]
     failures = []
     if op == "validate":
         rep = mmspace.validate_space(space)
@@ -392,8 +400,9 @@ def run(config, base_dir=".") -> int:
         space = _coerced(config, "space", _space)
         scalars = []
         any_failures = []
+        forms = {}
         for idx, task in enumerate(config["tasks"]):
-            payload, failures = run_task(task, space, seed if seed is None else seed + idx)
+            payload, failures = run_task(task, space, seed if seed is None else seed + idx, forms)
             name = _coerced(task, "name", _exactly(str), f"task{idx:02d}_{task['op']}")
             artifact = {
                 "schema_version": SCHEMA_VERSION,

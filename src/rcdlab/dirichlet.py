@@ -433,19 +433,22 @@ def _pair_distances(W, m, pairs, rel_tol, eta0_value=0.5):
     Lagrangian dual.
 
     The duals in the vertex multipliers eta >= 0 of all pairs are minimized
-    by L-BFGS-B in lockstep (_dual_minimize). Then, pair by pair, while the
-    pair is not certified to rel_tol, a projected Newton polish of at most 40
-    steps follows; the certificate is tested before each step, so a pair
-    certified at the L-BFGS-B exit costs no polish. The primal is recovered
-    from the KKT system, rescaled to hard feasibility. Q(eta) is built and
-    solved once per eta visited. Returns a (value, upper bound) pair per
-    pair, certified unless the polish stalled.
+    by L-BFGS-B in lockstep (_dual_minimize), at the first value asked for.
+    Then, pair by pair as each value is asked for, while the pair is not
+    certified to rel_tol, a projected Newton polish of at most 40 steps
+    follows; the certificate is tested before each step, so a pair
+    certified at the L-BFGS-B exit costs no polish, and a pair never asked
+    for is never polished. The primal is recovered from the KKT system,
+    rescaled to hard feasibility. Q(eta) is built and solved once per eta
+    visited. Yields a (value, upper bound) pair per pair, in order,
+    certified unless the polish stalled.
     """
     cs = np.zeros((len(pairs), len(m)))
     for c, (x, y) in zip(cs, pairs):
         c[x], c[y] = 1.0, -1.0
     runs = _dual_minimize(W, m, cs, np.full(cs.shape, eta0_value))
-    return [_polish(W, m, c, *run, rel_tol) for c, run in zip(cs, runs)]
+    for c, run in zip(cs, runs):
+        yield _polish(W, m, c, *run, rel_tol)
 
 
 def _polish(W, m, c, eta, seen, at_seen, rel_tol):
@@ -490,26 +493,26 @@ def intrinsic_metric(form: DirichletForm, rel_tol=1e-6, eta0_value=0.5):
     The pairs of each connected component are solved together on its
     conductances and vertex measure (_pair_distances: one lockstep L-BFGS-B
     stack, then a Newton polish of each pair that is not yet certified) and
-    checked in (x, y) order: each distance is certified by weak duality to
-    the requested relative tolerance, and the first pair that is not raises
-    FormError. Disconnected pairs are +inf.
+    checked in (x, y) order, each polished only when its turn comes: each
+    distance is certified by weak duality to the requested relative
+    tolerance, and the first pair that is not raises FormError, before any
+    later pair is polished. Disconnected pairs are +inf.
     """
     n = form.n
     labels = form.components()
-    bounds = {}
+    distances = []  # per component, its pairs' (value, upper bound) in (x, y) order
     for k in range(labels.max() + 1):
-        on = np.flatnonzero(labels == k).tolist()
+        on = np.flatnonzero(labels == k)
         pairs = [(a, b) for a in range(len(on)) for b in range(a + 1, len(on))]
-        block = form.weights[np.ix_(on, on)], form.vertex_measure[on]
-        for (a, b), vu in zip(pairs, _pair_distances(*block, pairs, rel_tol, eta0_value)):
-            bounds[on[a], on[b]] = vu
+        distances.append(_pair_distances(form.weights[np.ix_(on, on)], form.vertex_measure[on], pairs, rel_tol,
+                                          eta0_value))
     out = np.zeros((n, n))
     for x in range(n):
         for y in range(x + 1, n):
             if labels[x] != labels[y]:
                 out[x, y] = out[y, x] = np.inf
                 continue
-            val, ub = bounds[x, y]
+            val, ub = next(distances[labels[x]])
             if not _certified(val, ub, rel_tol):
                 raise FormError(f"intrinsic metric pair ({x},{y}) gap {ub - val:.2e} above tolerance")
             out[x, y] = out[y, x] = 0.5 * (val + ub)

@@ -35,12 +35,28 @@ class GeodesyError(ValueError):
     pass
 
 
-def _w2(mu, nu):
+def _cost(C, a, b, store=None):
+    """exact_ot(C, a, b)[0]. store, a dict local to one geodesic build, holds
+    the cost of each transport LP solved with it, keyed by the LP's bytes:
+    the support-restricted C, a and b, whose lengths fix its shape. A repeat
+    of a stored LP returns its cost without a solve; the transpose of one is
+    another key, since it need not give the same last digit."""
+    if store is None:
+        return exact_ot(C, a, b)[0]
+    ia, ib = a > 0, b > 0
+    key = (C[ia][:, ib].tobytes(), a[ia].tobytes(), b[ib].tobytes())
+    if key not in store:
+        store[key] = exact_ot(C, a, b)[0]
+    return store[key]
+
+
+def _w2(mu, nu, store=None):
     """W2(mu, nu) on the full transport LP, as ot.w2 gives it without a line:
     the builders turn a one-ulp change of a W2 value into tolerance-level
-    changes of their measures, so they keep the full LP's bits."""
+    changes of their measures, so they keep the full LP's bits. store is
+    _cost's."""
     _same_space(mu, nu)
-    return float(np.sqrt(max(exact_ot(mu.space.metric ** 2, mu.weights, nu.weights)[0], 0.0)))
+    return float(np.sqrt(max(_cost(mu.space.metric ** 2, mu.weights, nu.weights, store), 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,11 +149,11 @@ def intermediate_entropy_min(mu0: ProbMeasure, mu1: ProbMeasure, t, epsilon, tol
     return _entropy_min(mu0, mu1, prob, tol)
 
 
-def _entropy_min(mu0, mu1, prob, tol):
+def _entropy_min(mu0, mu1, prob, tol, store=None):
     """The minimization behind intermediate_entropy_min, for 0 < t < 1 or
     epsilon > 0, on a set already known to be nonempty. The certificate's
     entropy, transport costs and eps_used are those of the returned (snapped)
-    measure."""
+    measure; store is _cost's."""
     t, W = prob.t, prob.W
     space = mu0.space
     m = space.ref_measure
@@ -164,7 +180,7 @@ def _entropy_min(mu0, mu1, prob, tol):
         nu, bound, method, iterations = res.nu, res.dual_bound, "budgeted_fw", res.iterations
     mu = ProbMeasure(space, _snap(nu))
     ent = relative_entropy(mu, m)
-    costs = (exact_ot(C0, m0, mu.weights)[0], exact_ot(C1, m1, mu.weights)[0])
+    costs = (_cost(C0, m0, mu.weights, store), _cost(C1, m1, mu.weights, store))
     eps_used = max(np.sqrt(max(costs[0], 0.0)) - t * W, np.sqrt(max(costs[1], 0.0)) - (1.0 - t) * W, 0.0)
     return mu, MinimizerCertificate(ent, bound, ent - bound, costs, float(eps_used), method, iterations, prob)
 
@@ -177,6 +193,11 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
     carries a gaussian profile tag and mu1 a bounded-support tag, the time
     t0 = min(c2/(2 K^-), 1/2) is fixed first and the density bound constant
     max(sup rho1, c1) * exp((2 K^- + c2) D^2) is recorded in meta.
+
+    Each transport LP of the build is solved once: the W2 values and the
+    certificates' transport costs share a store local to the call (_cost),
+    so the W2 from a midpoint's left end at the next level and the W2 values
+    from mu0 reuse the costs its certificate already holds.
     """
     if depth < 0:
         raise GeodesyError("depth >= 0 required")
@@ -202,19 +223,20 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
     certs = {}
     construction = {}
     eps_max = 0.0
+    store = {}
 
     def solve_between(ta, tb, tmid):
         nonlocal eps_max
         a, b = nodes[ta], nodes[tb]
         frac = (tmid - ta) / (tb - ta)
-        Wab = _w2(a, b)
+        Wab = _w2(a, b, store)
         if auto:
             # the least relaxation comes with verified slack and the set only
             # grows with epsilon, so the margin, which gives the entropy
             # minimizer room, needs no second feasibility check
             need = _epsilon_min_lp(space.metric ** 2, a.weights, b.weights, frac, Wab)
             eps_here = 1.2 * need + 1e-6 if need > 0 else 0.0
-            nu, cert = _entropy_min(a, b, IntermediateSpec(frac, eps_here, Wab), tol)
+            nu, cert = _entropy_min(a, b, IntermediateSpec(frac, eps_here, Wab), tol, store)
         else:
             try:
                 nu, cert = intermediate_entropy_min(a, b, frac, eps_req, tol=tol, W=Wab)
@@ -242,7 +264,7 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
     times = sorted(nodes)
     measures = [nodes[t] for t in times]
     entropies = [relative_entropy(mu, m) for mu in measures]
-    w2s = [_w2(mu0, mu) for mu in measures]
+    w2s = [_w2(mu0, mu, store) for mu in measures]
     sup_d = [float(mu.density().max()) for mu in measures]
     cert_list = [certs.get(t) for t in times]
     return GeodesicTrace(

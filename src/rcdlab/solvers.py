@@ -11,6 +11,15 @@ options scipy.optimize.linprog would pass, so the results are scipy's bits
 without scipy's per-call wrapper work, which cost more than the solve on the
 small transport LPs.
 
+Every LPModel is built from the CSC arrays of its matrix, computed here in
+NumPy, with float column bounds. The arrays are the ones scipy.sparse built
+for the same LP (rows A_ub over A_eq, converted to CSC), byte for byte:
+each column of a transport LP holds its two marginal rows, and each column
+of a linked-pair LP (_linked_pair_lp) its budget entry where that is
+nonzero, its marginal row and its link row, so all columns are filled at
+once. Building them through scipy.sparse cost more than HiGHS spends on
+many of the small linked-pair LPs.
+
 Every entropy here, Ent_m of a measure and KL(gamma | 1 x m) of a coupling,
 is measures.relative_entropy, the one evaluation of Ent_m in the package.
 The package's one other exact convex program, dirichlet.mod2, needs no LP:
@@ -123,7 +132,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize._highspy import _core as _highs
 
 from .measures import relative_entropy
@@ -197,23 +205,33 @@ _BASIC, _AT_LOWER = _highs.HighsBasisStatus.kBasic, _highs.HighsBasisStatus.kLow
 
 
 class LPModel:
-    """The constraint matrix, rows A_ub over A_eq as CSC, and the column bounds
-    (None infinite) of a loop of LPs that differ only in their costs and
-    right-hand sides, built once per loop. start, if given, marks the basic
-    variables, the columns and then the rows' slacks, of the basis a cold run
-    starts from; every other variable starts at its lower bound. hot is
-    (HiGHS instance, c, lhs, rhs) of the last run on it that passed linprog's
-    checks, None before the first run and after a failed one."""
+    """The constraint matrix of a loop of LPs that differ only in their costs
+    and right-hand sides, built once per loop, and its column bounds. The
+    matrix is rows A_ub over A_eq, its first n_ub rows the A_ub rows, given
+    as the CSC arrays indptr, indices (int32) and data of the given shape
+    (rows, columns): column k's entries are data[indptr[k]:indptr[k + 1]] in
+    the rows indices[indptr[k]:indptr[k + 1]]. lb and ub are the column
+    bounds, numbers or arrays, -inf and inf where a column is unbounded.
+    start, if given, marks the basic variables, the columns and then the
+    rows' slacks, of the basis a cold run starts from; every other variable
+    starts at its lower bound. hot is (HiGHS instance, c, lhs, rhs) of the
+    last run on it that passed linprog's checks, None before the first run
+    and after a failed one."""
 
-    def __init__(self, A_eq, A_ub=None, bounds=(0, None), start=None):
-        self.A = (A_eq if A_ub is None else sparse.vstack([A_ub, A_eq])).tocsc()
-        self.n_ub = 0 if A_ub is None else A_ub.shape[0]
-        if not np.isfinite(self.A.data).all():
+    def __init__(self, shape, indptr, indices, data, n_ub=0, lb=0.0, ub=np.inf, start=None):
+        self.shape, self.n_ub = shape, n_ub
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int32)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int32)
+        self.data = np.ascontiguousarray(data, dtype=float)
+        # HiGHS reads these arrays through raw pointers, sized by the shape and indptr[-1]
+        if self.indptr.shape != (shape[1] + 1,) or not self.indptr[-1] == self.indices.size == self.data.size:
+            raise ValueError(f"LP matrix arrays disagree with its shape {shape}")
+        if not np.isfinite(self.data).all():
             raise ValueError("LP input contains inf or nan")
-        bnd = np.broadcast_to(np.asarray(bounds, dtype=float), (self.A.shape[1], 2))  # None -> nan -> infinite
-        inf = _highs.kHighsInf
-        self.lb = np.nan_to_num(bnd[:, 0], nan=-inf, posinf=inf, neginf=-inf)
-        self.ub = np.nan_to_num(bnd[:, 1], nan=inf, posinf=inf, neginf=-inf)
+        self.lb = np.full(shape[1], lb, dtype=float)
+        self.ub = np.full(shape[1], ub, dtype=float)
+        self.lhs_ub = np.full(n_ub, -np.inf)  # the left sides of the A_ub rows
+        self.integrality = np.zeros(shape[1], dtype=np.int32)  # every column continuous
         self.start = start
         self.hot = None
 
@@ -255,12 +273,12 @@ def linprog(model, c, b_eq, b_ub=None):
     c = np.ascontiguousarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    A, n_ub = model.A, model.n_ub
-    lhs = np.concatenate([np.full(n_ub, -_highs.kHighsInf), b_eq])
+    n_ub = model.n_ub
+    lhs = np.concatenate([model.lhs_ub, b_eq])
     rhs = np.concatenate([b_ub, b_eq])
     # HiGHS reads these arrays through raw pointers, sized by c and rhs
-    if c.ndim != 1 or b_eq.ndim != 1 or b_ub.shape != (n_ub,) or A.shape != (rhs.size, c.size):
-        raise ValueError(f"LP shapes disagree: c {c.shape}, A {A.shape}, b_ub {b_ub.shape}, b_eq {b_eq.shape}")
+    if c.ndim != 1 or b_eq.ndim != 1 or b_ub.shape != (n_ub,) or model.shape != (rhs.size, c.size):
+        raise ValueError(f"LP shapes disagree: c {c.shape}, A {model.shape}, b_ub {b_ub.shape}, b_eq {b_eq.shape}")
     if not all(np.isfinite(v).all() for v in (c, b_ub, b_eq)):
         raise ValueError("LP input contains inf or nan")
 
@@ -275,10 +293,9 @@ def linprog(model, c, b_eq, b_ub=None):
         highs = _highs._Highs()
         if highs.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP options")
-        if highs.passModel(c.size, rhs.size, A.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize, 0.0,
-                           c, model.lb, model.ub, lhs, rhs, A.indptr, A.indices, A.data,
-                           np.zeros(c.size, dtype=np.int32)  # integrality: every column continuous
-                           ) == _highs.HighsStatus.kError:
+        if highs.passModel(c.size, rhs.size, model.data.size, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
+                           0.0, c, model.lb, model.ub, lhs, rhs, model.indptr, model.indices, model.data,
+                           model.integrality) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP model")
         if model.start is not None:
             basis = _highs.HighsBasis()
@@ -296,7 +313,7 @@ def linprog(model, c, b_eq, b_ub=None):
 
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    fun = highs.getInfo().objective_function_value
+    fun = highs.getObjectiveValue()
     slack = rhs - solution.row_value
     tol = _RESULT_TOL
     if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
@@ -368,18 +385,22 @@ def _line_cells(x, y, p, q, period):
 
 
 def _cells_matrix(k0, k1, cells):
-    """Marginal constraints of the transport LP on the flat cells i * k1 + j of
-    a k0 x k1 coupling: cell (i, j) has a 1 in rows i and k0 + j. Built
-    directly; indexing the full matrix costs three times as much."""
+    """(shape, indptr, indices, data), the CSC arrays of LPModel, of the
+    marginal constraints of the transport LP on the flat cells i * k1 + j of
+    a k0 x k1 coupling: cell (i, j) has a 1 in rows i and k0 + j."""
     rows = np.empty((cells.size, 2), dtype=np.int32)
     rows[:, 0], rows[:, 1] = cells // k1, k0 + cells % k1
-    return sparse.csc_matrix((np.ones(rows.size), rows.ravel(), np.arange(0, rows.size + 1, 2, dtype=np.int32)),
-                             shape=(k0 + k1, cells.size))
+    return (k0 + k1, cells.size), np.arange(0, rows.size + 1, 2, dtype=np.int32), rows.ravel(), np.ones(rows.size)
 
 
 @functools.lru_cache(maxsize=None)
 def _marginal_matrix(n0, n1):
-    return _cells_matrix(n0, n1, np.arange(n0 * n1))
+    """_cells_matrix of every cell of an n0 x n1 coupling, read-only, as its
+    arrays serve every transport LP of that size."""
+    shape, *arrays = _cells_matrix(n0, n1, np.arange(n0 * n1))
+    for a in arrays:
+        a.flags.writeable = False
+    return (shape, *arrays)
 
 
 def _priced_shortlist(C, mass, tree):
@@ -406,7 +427,7 @@ def _priced_shortlist(C, mass, tree):
         start = np.zeros(cells.size + k0 + k1, dtype=bool)
         start[:cells.size] = start[-1] = True
     while True:
-        x, fun, y, _ = linprog(LPModel(_cells_matrix(k0, k1, cells), start=start), C.ravel()[cells], mass)
+        x, fun, y, _ = linprog(LPModel(*_cells_matrix(k0, k1, cells), start=start), C.ravel()[cells], mass)
         reduced = C - y[:k0, None] - y[None, k0:]
         reduced.flat[cells] = 0.0  # the LP's own columns, priced by HiGHS
         violators = np.flatnonzero(reduced < -1e-12 * C.max())
@@ -482,7 +503,7 @@ def exact_ot(C, a, b, line=None):
     ia, ib, Cs, mass = _on_supports(C, a, b)
     k0, k1 = ia.size, ib.size
     if line is None:  # the shortlist is every cell: one LP
-        x, fun, y, _ = linprog(LPModel(_marginal_matrix(k0, k1)), Cs.ravel(), mass)
+        x, fun, y, _ = linprog(LPModel(*_marginal_matrix(k0, k1)), Cs.ravel(), mass)
         block = x.reshape(k0, k1)
     else:
         block, fun, y = _priced_shortlist(Cs, mass, _line_cells(line[0][ia], line[0][ib], a[ia], b[ib], line[1]))
@@ -521,35 +542,44 @@ def exact_ot_costs(C, pairs, line=None):
     for a, b in pairs:
         ia, ib, Cs, mass = _on_supports(C, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
         if (ia.tobytes(), ib.tobytes()) != held:
-            held, model = (ia.tobytes(), ib.tobytes()), LPModel(_marginal_matrix(ia.size, ib.size))
+            held, model = (ia.tobytes(), ib.tobytes()), LPModel(*_marginal_matrix(ia.size, ib.size))
         costs.append(linprog(model, Cs.ravel(), mass)[1])
     return costs
-
-
-@functools.lru_cache(maxsize=256)
-def _linked_pair_matrix(s0, s1, n):
-    M0, M1 = _marginal_matrix(s0, n), _marginal_matrix(s1, n)
-    return sparse.bmat([[M0[:s0], None], [None, M1[:s1]], [M0[s0:], -M1[s1:]]], format="csr")
 
 
 def _linked_pair_lp(C0, C1, scale=None):
     """LPModel of two couplings, of (mu0, nu) and of (mu1, nu), that share
     their second marginal nu; the columns are the raveled couplings. Its rows
     are the budget rows <gamma_i, C_i> / scale_i, then the marginal
-    equalities, whose right-hand side is (mu0, mu1, 0). Without scale, one
-    more column, interior_point's free common slack s, joins both budget rows.
+    equalities, whose right-hand side is (mu0, mu1, 0): the rows of mu0 and
+    mu1 and the n link rows of nu, where gamma_0 has a 1 and gamma_1 a -1.
+    Without scale, one more column, interior_point's free common slack s,
+    has a 1 in both budget rows.
+
+    Each column of a coupling holds, in row order, its budget entry, which
+    is left out where it is 0, its marginal row's 1 and its link row's
+    +-1, so the arrays are built for all columns at once.
     """
-    s0, n = C0.shape
+    (s0, n), s1 = C0.shape, C1.shape[0]
     N = C0.size + C1.size
     slack = scale is None
     scale = (1.0, 1.0) if slack else scale
-    rows = np.zeros((2, N + slack))
-    rows[0, : C0.size] = C0.ravel() / scale[0]
-    rows[1, C0.size : N] = C1.ravel() / scale[1]
-    rows[:, N:] = 1.0  # the slack s, absent from the equalities
-    A_eq = _linked_pair_matrix(s0, C1.shape[0], n)
-    A_eq = sparse.csr_matrix((A_eq.data, A_eq.indices, A_eq.indptr), shape=(A_eq.shape[0], N + slack))
-    return LPModel(A_eq, sparse.csr_matrix(rows), [(0, None)] * N + [(None, None)] if slack else (0, None))
+    rows = np.zeros((N + slack, 3), dtype=np.int32)  # per column: budget, marginal and link row
+    rows[C0.size:N, 0] = 1
+    rows[:N, 1] = 2 + np.arange(s0 + s1).repeat(n)
+    rows[:N, 2] = 2 + s0 + s1 + np.tile(np.arange(n), s0 + s1)
+    data = np.ones((N + slack, 3))
+    data[:C0.size, 0] = C0.ravel() / scale[0]
+    data[C0.size:N, 0] = C1.ravel() / scale[1]
+    data[C0.size:N, 2] = -1.0
+    keep = data != 0  # a budget entry of 0 is not stored
+    if slack:
+        rows[N, 1] = 1
+        keep[N, 2] = False
+    indptr = np.zeros(N + slack + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    lb = np.append(np.zeros(N), -np.inf) if slack else 0.0
+    return LPModel((2 + s0 + s1 + n, N + slack), indptr, rows[keep], data[keep], n_ub=2, lb=lb)
 
 
 def interior_point(C0, C1, mu0, mu1, budget0, budget1, model=None):

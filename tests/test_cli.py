@@ -409,6 +409,35 @@ def test_a_config_error_quotes_the_field_not_the_config(tmp_path, capsys):
 
 # --- property: the exit-code contract under one mutation of a working config ---
 
+def test_a_run_builds_one_form_per_rule(tmp_path, monkeypatch):
+    # the flows, the battery and the form task of one rule share one form and
+    # its one eigendecomposition, and each task's result is the one it gets
+    # alone, on a form of its own
+    bump = {"kind": "bump", "center": 2, "radius": 0.2}
+    f = [0.0, 0.5, 1.0, 0.5, 0.0, -0.5, -1.0, -0.5]
+    tasks = [
+        {"op": "flow", "name": "s", "f0": bump, "t_grid": [0.0, 0.01, 0.02]},
+        {"op": "flow", "name": "j", "flavor": "jko", "f0": bump, "tau": 0.01, "steps": 1},
+        {"op": "form", "name": "u", "sub": "laplacian", "rule": "unit", "f": f},
+        {"op": "verify", "name": "r",
+         "config": {"K": 0.0, "t_grid": [0.01, 0.02, 0.04], "n_quadratic": 1, "n_additivity": 1, "n_probes": 1}},
+    ]
+    rules, eighs = [], []
+    real_form, real_eigh = cli.dirichlet_form, np.linalg.eigh
+    monkeypatch.setattr(cli, "dirichlet_form", lambda space, rule: rules.append(rule) or real_form(space, rule))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: eighs.append(1) or real_eigh(*a))
+
+    def results(config):
+        assert cli.run(dict(config, space={"kind": "cycle", "n": 8}, output_dir=str(tmp_path / "out"))) == 0
+        return {t["name"]: json.loads((tmp_path / "out" / f"{t['name']}.json").read_text())["result"]
+                for t in config["tasks"]}
+
+    together = results({"seed": 3, "tasks": tasks})
+    assert rules == ["metric_measure", "unit"] and len(eighs) == 1
+    for idx, task in enumerate(tasks):
+        assert results({"seed": 3 + idx, "tasks": [task]}) == {task["name"]: together[task["name"]]}
+
+
 def _every_op_config():
     f = [0.0, 0.5, 1.0, 0.5, 0.0, -0.5, -1.0, -0.5]
     bump = {"kind": "bump", "center": 2, "radius": 0.2}

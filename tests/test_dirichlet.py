@@ -561,7 +561,7 @@ def test_a_pair_certified_at_the_lbfgsb_exit_is_not_polished(monkeypatch, x, y, 
     W, m = form.weights, form.vertex_measure
     c, eta0 = _objective(8, x, y), np.full(8, 0.5)
     out = []
-    pair = _evaluated_points(monkeypatch, lambda: out.append(dirichlet._pair_distances(W, m, [(x, y)], 1e-6)[0]))
+    pair = _evaluated_points(monkeypatch, lambda: out.append(next(dirichlet._pair_distances(W, m, [(x, y)], 1e-6))))
     lbfgsb = _evaluated_points(monkeypatch, lambda: out.append(dirichlet._dual_minimize(W, m, c[None], eta0[None])[0]))
     assert [p.tobytes() for p in pair[:len(lbfgsb)]] == [p.tobytes() for p in lbfgsb]
     (val, ub), (eta, _, _) = out
@@ -572,6 +572,22 @@ def test_a_pair_certified_at_the_lbfgsb_exit_is_not_polished(monkeypatch, x, y, 
         assert len(after) <= 1 and all(p.tobytes() == exit_point for p in after)
     else:
         assert len(after) > 1
+
+
+@pytest.mark.parametrize("name", ["grid:4", "cycle:8"])
+def test_no_pair_is_polished_after_the_first_uncertified_one(monkeypatch, name):
+    # both forms fail at pair (0, 3); the pairs after it are never polished
+    form = _PAIR_FORMS[name]()
+    real, polished = dirichlet._polish, []
+
+    def recording(W, m, c, *args):
+        polished.append((int(np.argmax(c)), int(np.argmin(c))))
+        return real(W, m, c, *args)
+
+    monkeypatch.setattr(dirichlet, "_polish", recording)
+    with pytest.raises(FormError, match=r"pair \(0,3\) gap"):
+        intrinsic_metric(form)
+    assert polished == [(0, 1), (0, 2), (0, 3)]
 
 
 @st.composite
@@ -596,7 +612,7 @@ def _connected_forms(draw):
 @given(_connected_forms())
 def test_intrinsic_metric_returns_only_certified_distances(form):
     W, m, n = form.weights, form.vertex_measure, form.n
-    bounds = {(x, y): dirichlet._pair_distances(W, m, [(x, y)], 1e-6)[0] for x in range(n) for y in range(x + 1, n)}
+    bounds = {(x, y): next(dirichlet._pair_distances(W, m, [(x, y)], 1e-6)) for x in range(n) for y in range(x + 1, n)}
     # weak duality, up to the rounding of the two evaluations: val exceeds ub
     # by one ulp on the two-point form with conductance 0.9375
     assert all(val - ub <= 4 * np.spacing(abs(ub)) for val, ub in bounds.values())

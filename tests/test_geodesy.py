@@ -249,6 +249,33 @@ def test_the_convexity_check_reads_its_w2_values_from_the_trace(monkeypatch, end
         assert rep["worst"] == max(local + glob)
 
 
+def test_a_build_solves_each_transport_lp_once(monkeypatch):
+    # criterion 3's segment:17 pair at depth 2, once as it is and once with
+    # every W2 value and certificate cost solved on its own
+    s = make_model_space("segment", 17)
+    mu0, mu1 = gaussian_measure(s, 8.0), bump_measure(s, 12, 0.13)
+    real_ot, real_cost = geodesy.exact_ot, geodesy._cost
+
+    def build(cost):
+        lps = []
+
+        def recording(C, a, b):
+            lps.append((C[a > 0][:, b > 0].tobytes(), a[a > 0].tobytes(), b[b > 0].tobytes()))
+            return real_ot(C, a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(geodesy, "exact_ot", recording)
+            patch.setattr(geodesy, "_cost", cost)
+            return build_good_geodesic(mu0, mu1, 2, epsilon="auto", K=0.0, tol=5e-3), lps
+
+    trace, lps = build(real_cost)
+    reference, every_lp = build(lambda C, a, b, store=None: real_cost(C, a, b))
+    assert len(set(lps)) == len(lps) < len(every_lp) and set(lps) == set(every_lp)
+    assert [mu.weights.tobytes() for mu in trace.measures] == [mu.weights.tobytes() for mu in reference.measures]
+    assert trace.entropies == reference.entropies and trace.w2_from_start == reference.w2_from_start
+    assert [c and c.transport_costs for c in trace.certificates] == [c and c.transport_costs for c in reference.certificates]
+
+
 def test_the_warm_probe_saves_oracle_lps(monkeypatch):
     # criterion 3's segment:17 build, once as it is and once with the probe failing
     s = make_model_space("segment", 17)

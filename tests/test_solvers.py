@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import sys
 import threading
 from unittest import mock
@@ -427,11 +429,11 @@ def test_transport_on_the_supports_is_the_full_transport_lp(problem):
     C, n = space.metric ** 2, space.n
     M = solvers._marginal_matrix(n, n)
     # full supports: the one LP is the whole problem, with linprog's bits
-    x, fun, y, _ = solvers.linprog(solvers.LPModel(M), C.ravel(), np.concatenate(full))
+    x, fun, y, _ = solvers.linprog(solvers.LPModel(*M), C.ravel(), np.concatenate(full))
     assert _bits(solvers.exact_ot(C, *full)) == _bits((fun, x.reshape(n, n), y[:n], y[n:]))
     # empty sites: the same optimum, duals feasible on every pair, no mass off the supports
     cost, plan, u, v = solvers.exact_ot(C, a, b)
-    whole = solvers.linprog(solvers.LPModel(M), C.ravel(), np.concatenate([a, b]))[1]
+    whole = solvers.linprog(solvers.LPModel(*M), C.ravel(), np.concatenate([a, b]))[1]
     assert abs(cost - whole) <= 1e-12 * abs(whole)
     assert (u[:, None] + v[None, :] <= C + 1e-9).all()
     assert not plan[a == 0].any() and not plan[:, b == 0].any()
@@ -591,6 +593,101 @@ def test_a_tree_below_the_mass_floor_runs_from_the_slack_basis(monkeypatch):
     assert solvers.exact_ot(C, a, b, line=line_of(space))[0] != full
 
 
+# -- LP models: CSC arrays built in NumPy, byte-equal to scipy.sparse's ------------
+
+
+def _scipy_arrays(A_eq, A_ub=None, bounds=(0, None)):
+    """(CSC matrix, lb, ub, n_ub) of an LP as scipy.optimize.linprog hands it
+    to HiGHS: rows A_ub over A_eq, and bounds (lo, hi) pairs with None
+    infinite."""
+    A = (A_eq if A_ub is None else sparse.vstack([A_ub, A_eq])).tocsc()
+    bnd = np.broadcast_to(np.asarray(bounds, dtype=float), (A.shape[1], 2))  # None -> nan -> infinite
+    lb = np.nan_to_num(bnd[:, 0], nan=-np.inf, posinf=np.inf, neginf=-np.inf)
+    ub = np.nan_to_num(bnd[:, 1], nan=np.inf, posinf=np.inf, neginf=-np.inf)
+    return A, lb, ub, 0 if A_ub is None else A_ub.shape[0]
+
+
+def _scipy_model(A_eq, A_ub=None, bounds=(0, None)):
+    """The LPModel of scipy.sparse matrices and linprog-style bounds."""
+    A, lb, ub, n_ub = _scipy_arrays(A_eq, A_ub, bounds)
+    return solvers.LPModel(A.shape, A.indptr, A.indices, A.data, n_ub, lb, ub)
+
+
+def _scipy_matrix(model):
+    """The constraint matrix of an LPModel as a scipy.sparse CSC matrix."""
+    return sparse.csc_matrix((model.data, model.indices, model.indptr), shape=model.shape)
+
+
+def _scipy_cells_matrix(k0, k1, cells):
+    """The marginal constraints of the transport LP on the flat cells, built
+    with scipy.sparse as solvers._cells_matrix once built them."""
+    rows = np.empty((cells.size, 2), dtype=np.int32)
+    rows[:, 0], rows[:, 1] = cells // k1, k0 + cells % k1
+    return sparse.csc_matrix((np.ones(rows.size), rows.ravel(), np.arange(0, rows.size + 1, 2, dtype=np.int32)),
+                             shape=(k0 + k1, cells.size))
+
+
+def _scipy_linked_pair_lp(C0, C1, scale=None):
+    """_scipy_arrays of solvers._linked_pair_lp's LP, built with scipy.sparse
+    as it once was: the marginal blocks by bmat, the budget rows as a sparse
+    matrix of the dense rows, which drops their zeros."""
+    s0, n = C0.shape
+    s1 = C1.shape[0]
+    M0, M1 = _scipy_cells_matrix(s0, n, np.arange(C0.size)), _scipy_cells_matrix(s1, n, np.arange(C1.size))
+    A_eq = sparse.bmat([[M0[:s0], None], [None, M1[:s1]], [M0[s0:], -M1[s1:]]], format="csr")
+    N = C0.size + C1.size
+    slack = scale is None
+    scale = (1.0, 1.0) if slack else scale
+    rows = np.zeros((2, N + slack))
+    rows[0, :C0.size] = C0.ravel() / scale[0]
+    rows[1, C0.size:N] = C1.ravel() / scale[1]
+    rows[:, N:] = 1.0
+    A_eq = sparse.csr_matrix((A_eq.data, A_eq.indices, A_eq.indptr), shape=(A_eq.shape[0], N + slack))
+    return _scipy_arrays(A_eq, sparse.csr_matrix(rows), [(0, None)] * N + [(None, None)] if slack else (0, None))
+
+
+def _assert_same_arrays(model, reference):
+    A, lb, ub, n_ub = reference
+    assert model.shape == A.shape and model.n_ub == n_ub
+    for got, want in ((model.indptr, A.indptr), (model.indices, A.indices), (model.data, A.data),
+                      (model.lb, lb), (model.ub, ub)):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _costs(draw, rows, cols):
+    """A rows x cols cost matrix with some entries exactly 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(0.0, 10.0, (rows, cols)) * (rng.uniform(size=(rows, cols)) < draw(st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_lp_models_are_the_arrays_scipy_sparse_builds(data):
+    s0, s1, n = (data.draw(st.integers(1, 8)) for _ in range(3))
+    C0, C1 = data.draw(_costs(s0, n)), data.draw(_costs(s1, n))
+    _assert_same_arrays(solvers._linked_pair_lp(C0, C1), _scipy_linked_pair_lp(C0, C1))
+    scale = np.array([data.draw(st.floats(1e-14, 1e3)) for _ in range(2)])
+    _assert_same_arrays(solvers._linked_pair_lp(C0, C1, scale), _scipy_linked_pair_lp(C0, C1, scale))
+    k0, k1 = s0 + s1, n
+    cells = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=k0 * k1, max_size=k0 * k1).filter(any)))
+    _assert_same_arrays(solvers.LPModel(*solvers._cells_matrix(k0, k1, cells)),
+                        _scipy_arrays(_scipy_cells_matrix(k0, k1, cells)))
+    _assert_same_arrays(solvers.LPModel(*solvers._marginal_matrix(k0, k1)),
+                        _scipy_arrays(_scipy_cells_matrix(k0, k1, np.arange(k0 * k1))))
+
+
+def test_solvers_imports_no_scipy_sparse():
+    tree = ast.parse(pathlib.Path(solvers.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.update([node.module] + [f"{node.module}.{alias.name}" for alias in node.names])
+    assert imported and not any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in imported)
+
+
 # -- solvers.linprog: one direct HiGHS call ---------------------------------------
 
 
@@ -630,7 +727,7 @@ def test_linprog_is_bit_identical_to_scipy(monkeypatch, case):
     real_linprog, lps = solvers.linprog, []
 
     def recording(model, c, b_eq, b_ub=None):
-        A, n = model.A, model.n_ub
+        A, n = _scipy_matrix(model), model.n_ub
         lps.append((c, A[n:], b_eq, A[:n] if n else None, b_ub, np.column_stack([model.lb, model.ub])))
         return real_linprog(model, c, b_eq, b_ub)
 
@@ -639,7 +736,7 @@ def test_linprog_is_bit_identical_to_scipy(monkeypatch, case):
     _LP_CASES[case]()
     assert lps
     for c, A_eq, b_eq, A_ub, b_ub, bounds in lps:
-        x, fun, y_eq, y_ub = real_linprog(solvers.LPModel(A_eq, A_ub, bounds), c, b_eq, b_ub)
+        x, fun, y_eq, y_ub = real_linprog(_scipy_model(A_eq, A_ub, bounds), c, b_eq, b_ub)
         ref = scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs",
                             options=solvers._LP_OPTIONS)
         assert ref.status == 0
@@ -675,14 +772,14 @@ def test_an_optimum_off_its_constraints_is_a_solver_error(monkeypatch):
 def test_a_model_highs_rejects_is_a_solver_error_not_infeasibility():
     # HiGHS refuses a matrix entry of 1e15 or more, though x = (1, 0) is feasible
     with pytest.raises(SolverError, match="rejected the LP model") as err:
-        solvers.linprog(solvers.LPModel(sparse.csc_matrix([[1.0, 1e16]])), np.zeros(2), [1.0])
+        solvers.linprog(_scipy_model(sparse.csc_matrix([[1.0, 1e16]])), np.zeros(2), [1.0])
     assert not isinstance(err.value, InfeasibleError)
 
 
 def test_an_unbounded_lp_is_a_solver_error_not_infeasibility():
     # min -x0 over x0 = x1 >= 0 has no minimum but plenty of feasible points
     with pytest.raises(SolverError, match="Unbounded") as err:
-        solvers.linprog(solvers.LPModel(sparse.csc_matrix([[1.0, -1.0]])), np.array([-1.0, 0.0]), [0.0])
+        solvers.linprog(_scipy_model(sparse.csc_matrix([[1.0, -1.0]])), np.array([-1.0, 0.0]), [0.0])
     assert not isinstance(err.value, InfeasibleError)
 
 
@@ -699,7 +796,7 @@ def test_budgets_far_below_the_costs_give_an_exact_oracle_lp():
 def test_disagreeing_lp_shapes_are_a_value_error():
     # HiGHS would read past the arrays it is given
     C, a, b = _ot_problem(18)
-    M = solvers.LPModel(solvers._marginal_matrix(7, 7))
+    M = solvers.LPModel(*solvers._marginal_matrix(7, 7))
     with pytest.raises(ValueError, match="shapes"):
         solvers.linprog(M, C.ravel()[:-1], np.concatenate([a, b]))
     with pytest.raises(ValueError, match="shapes"):
@@ -898,7 +995,8 @@ def test_hot_oracle_and_epsilon_sequences_match_cold_solves(problem, t):
 
     def recording(model, c, b_eq, b_ub=None):
         out = real_linprog(model, c, b_eq, b_ub)
-        lps.append((model.A[model.n_ub:], b_eq, model.A[:model.n_ub], b_ub, out[0]))
+        A = _scipy_matrix(model)
+        lps.append((A[model.n_ub:], b_eq, A[:model.n_ub], b_ub, out[0]))
         return out
 
     lp = solvers._oracle_lp(*args[:2], budgets)
