@@ -126,12 +126,18 @@ def intermediate_entropy_min(mu0: ProbMeasure, mu1: ProbMeasure, t, epsilon, tol
     requested epsilon leaves the set empty; raises SolverError when the
     certificate gap cannot be brought below tol.
     """
+    return _intermediate_entropy_min(mu0, mu1, t, epsilon, tol, W)
+
+
+def _intermediate_entropy_min(mu0, mu1, t, epsilon, tol, W, store=None):
+    """intermediate_entropy_min with _cost's store, which a geodesic build
+    shares between its W2 values and its certificates' transport costs."""
     if not (0.0 <= t <= 1.0):
         raise GeodesyError("t in [0,1] required")
     if epsilon < 0:
         raise GeodesyError("epsilon >= 0 required")
     if W is None:
-        W = _w2(mu0, mu1)
+        W = _w2(mu0, mu1, store)
     prob = IntermediateSpec(float(t), float(epsilon), float(W))
     if epsilon == 0.0 and t in (0.0, 1.0):
         mu = mu0 if t == 0.0 else mu1
@@ -146,7 +152,7 @@ def intermediate_entropy_min(mu0: ProbMeasure, mu1: ProbMeasure, t, epsilon, tol
             raise InfeasibleError(
                 f"I_t^eps empty at epsilon={epsilon:.3e}; needs >= {eps_need:.3e}", min_budget=eps_need
             )
-    return _entropy_min(mu0, mu1, prob, tol)
+    return _entropy_min(mu0, mu1, prob, tol, store)
 
 
 def _entropy_min(mu0, mu1, prob, tol, store=None):
@@ -194,10 +200,11 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
     t0 = min(c2/(2 K^-), 1/2) is fixed first and the density bound constant
     max(sup rho1, c1) * exp((2 K^- + c2) D^2) is recorded in meta.
 
-    Each transport LP of the build is solved once: the W2 values and the
-    certificates' transport costs share a store local to the call (_cost),
-    so the W2 from a midpoint's left end at the next level and the W2 values
-    from mu0 reuse the costs its certificate already holds.
+    Each transport LP of the build is solved once, at a fixed epsilon as with
+    "auto": the W2 values and the certificates' transport costs share a
+    store local to the call (_cost), so the W2 from a midpoint's left end at
+    the next level and the W2 values from mu0 reuse the costs its
+    certificate already holds.
     """
     if depth < 0:
         raise GeodesyError("depth >= 0 required")
@@ -239,7 +246,7 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
             nu, cert = _entropy_min(a, b, IntermediateSpec(frac, eps_here, Wab), tol, store)
         else:
             try:
-                nu, cert = intermediate_entropy_min(a, b, frac, eps_req, tol=tol, W=Wab)
+                nu, cert = _intermediate_entropy_min(a, b, frac, eps_req, tol, Wab, store)
             except InfeasibleError as err:
                 if err.min_budget is None:  # a solver report, not an empty set
                     raise

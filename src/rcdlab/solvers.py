@@ -75,7 +75,10 @@ and a change of costs primal feasible. Three loops use one:
   a cold one took 73;
 - epsilon_min's Newton cuts, which differ only in their budgets.
 Hot runs are checked like cold ones, and each model is built and dropped
-within one call, so no result depends on the call history outside it.
+within one call. A dropped small model's HiGHS instance is cleared and kept
+(_IDLE) for a later cold run, which passes it the options and the model
+anew and gets a new instance's bits, so no result depends on the call
+history outside the call.
 
 interior_point measures the common slack of the linked-pair polytope: two
 couplings sharing their second marginal, each under a quadratic-cost budget.
@@ -128,7 +131,9 @@ debiasing potential, is computed the same way.
 
 from __future__ import annotations
 
+import collections
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,7 +221,8 @@ class LPModel:
     rows' slacks, of the basis a cold run starts from; every other variable
     starts at its lower bound. hot is (HiGHS instance, c, lhs, rhs) of the
     last run on it that passed linprog's checks, None before the first run
-    and after a failed one."""
+    and after a failed one. When the model is dropped, the instance hot holds
+    may be cleared and kept for a later cold run (_pool_instance)."""
 
     def __init__(self, shape, indptr, indices, data, n_ub=0, lb=0.0, ub=np.inf, start=None):
         self.shape, self.n_ub = shape, n_ub
@@ -234,6 +240,28 @@ class LPModel:
         self.integrality = np.zeros(shape[1], dtype=np.int32)  # every column continuous
         self.start = start
         self.hot = None
+        # reads hot as it is when the model is dropped; not run at interpreter exit
+        weakref.finalize(self, _pool_instance, vars(self)).atexit = False
+
+
+# cleared HiGHS instances of dropped models, taken by the next cold runs; a
+# full pool drops its oldest. Building an instance costs 70 to 110 us, more
+# than many of the small LPs take to solve. A cleared instance keeps the
+# memory of the largest model it held (about 0.3 MB after 17 x 17 transport,
+# 5 MB after 128 x 128), so an instance is kept only after a model of at
+# most _IDLE_MAX_COLUMNS columns, and so were all its earlier models; on a
+# larger LP the 0.1 ms is lost in the solve.
+_IDLE = collections.deque(maxlen=4)
+_IDLE_MAX_COLUMNS = 1024
+
+
+def _pool_instance(state):
+    """Keep the HiGHS instance of a dropped LPModel, whose attributes state
+    holds, for a later cold run, if its last run passed every check."""
+    if state["hot"] and state["shape"][1] <= _IDLE_MAX_COLUMNS:
+        highs = state["hot"][0]
+        highs.clearModel()
+        _IDLE.append(highs)
 
 
 def linprog(model, c, b_eq, b_ub=None):
@@ -251,7 +279,10 @@ def linprog(model, c, b_eq, b_ub=None):
 
     A run on a model without a hot instance is cold: from the slack basis, or
     from model.start, which linprog hands HiGHS with setBasis; a cold run
-    without a start keeps scipy's bits. Otherwise linprog changes that
+    without a start keeps scipy's bits. It runs on an idle instance, one a
+    dropped model left cleared (_pool_instance), or on a new one if there is
+    none; either way it is passed the options and the model anew, and returns
+    the bits a new instance would. Otherwise linprog changes that
     instance's costs (changeColsCost) and row bounds (changeRowBounds) where
     they differ from the last run's and runs it again from its last optimal
     basis. A cost change leaves that basis primal feasible and a bound change
@@ -290,7 +321,10 @@ def linprog(model, c, b_eq, b_ub=None):
         for i in np.flatnonzero((lhs != held_lhs) | (rhs != held_rhs)).tolist():
             highs.changeRowBounds(i, lhs[i], rhs[i])
     else:
-        highs = _highs._Highs()
+        try:
+            highs = _IDLE.pop()
+        except IndexError:
+            highs = _highs._Highs()
         if highs.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP options")
         if highs.passModel(c.size, rhs.size, model.data.size, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
@@ -299,7 +333,9 @@ def linprog(model, c, b_eq, b_ub=None):
             raise SolverError("HiGHS rejected the LP model")
         if model.start is not None:
             basis = _highs.HighsBasis()
-            start = [_BASIC if basic else _AT_LOWER for basic in model.start.tolist()]
+            start = [_AT_LOWER] * model.start.size
+            for i in np.flatnonzero(model.start).tolist():
+                start[i] = _BASIC
             basis.col_status, basis.row_status, basis.valid = start[:c.size], start[c.size:], True
             if highs.setBasis(basis) == _highs.HighsStatus.kError:
                 raise SolverError("HiGHS rejected the LP start basis")
@@ -312,15 +348,15 @@ def linprog(model, c, b_eq, b_ub=None):
         raise SolverError(f"LP failed: HiGHS model status {highs.modelStatusToString(status)}")
 
     solution = highs.getSolution()
-    x = np.array(solution.col_value)
+    x = np.array(solution.col_value, dtype=float)
     fun = highs.getObjectiveValue()
-    slack = rhs - solution.row_value
+    slack = rhs - np.array(solution.row_value, dtype=float)
     tol = _RESULT_TOL
-    if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
-            or (x < model.lb - tol).any() or (x > model.ub + tol).any()
-            or (slack[:n_ub] < -tol).any() or (np.abs(slack[n_ub:]) > tol).any()):
+    # each comparison is False at a nan, so a nan in x, fun or slack fails too
+    if not (fun == fun and (x >= model.lb - tol).all() and (x <= model.ub + tol).all()
+            and (slack[:n_ub] >= -tol).all() and (np.abs(slack[n_ub:]) <= tol).all()):
         raise SolverError(f"LP optimum misses its constraints by more than {tol:.2e}")
-    dual = np.array(solution.row_dual)
+    dual = np.array(solution.row_dual, dtype=float)
     model.hot = (highs, c.copy(), lhs, rhs)  # c may be a view of the caller's array
     return x, fun, dual[n_ub:], dual[:n_ub]
 
@@ -809,32 +845,50 @@ def _hull_minimize(vertices, m, theta0=None):
     x = 0.9 * theta + 0.1 / r
     nu, glog, g = evaluate(x)
     lam = g.min() - 1.0
-    z = g - lam
+    # x and z, and dx and dz, are held stacked, so that a boundary, a step and
+    # its sign check are one array operation each
+    xz = np.concatenate([x, g - lam])
+    x, z = xz[:r], xz[r:]
+    d = np.empty(2 * r)
+    dx, dz = d[:r], d[r:]
+    allowance = _rounding_allowance(sum(W.shape), 1.0)  # times the scale below
     K = np.ones((r + 1, r + 1))
     K[r, r] = 0.0
+    K_diagonal = K.reshape(-1)[:r * (r + 2):r + 2]  # a view of K's first r diagonal entries
+    rhs = np.empty(r + 1)  # K's right-hand side, the residual plus (rc / x, 0)
     for _ in range(_HULL_ITER_CAP):
         # x.g and min g each sum terms of absolute sum at most max_j W_j.(|glog| + 1)
-        if x @ g - g.min() <= _rounding_allowance(sum(W.shape), 2.0 * float((W @ (np.abs(glog) + 1.0)).max())):
+        if x @ g - g.min() <= allowance * (2.0 * float((W @ (np.abs(glog) + 1.0)).max())):
             break
-        K[:r, :r] = (W / nu) @ W.T + np.diag(z / x)
+        K[:r, :r] = (W / nu) @ W.T
+        np.add(K_diagonal, z / x, out=K_diagonal)
         K_inv = np.linalg.inv(K)
-        residual = np.append(z + lam - g, 1.0 - x.sum())
-
-        def newton(rc):  # (dx, dlam, dz) for the complementarity target rc of x dz + z dx
-            sol = K_inv @ (residual + np.append(rc / x, 0.0))
-            return sol[:r], -sol[r], (rc - z * sol[:r]) / x
-
-        dx, _, dz = newton(-x * z)
-        step = min(1.0, boundary(x, dx), boundary(z, dz))
+        residual = z + lam - g
+        rhs[r] = 1.0 - x.sum()  # never -0.0, so adding the 0 of (rc / x, 0) leaves it as it is
+        # (dx, dlam, dz) for the complementarity target rc of x dz + z dx, the
+        # predictor's and then the corrector's
+        rc = -x * z
+        np.add(residual, rc / x, out=rhs[:r])
+        sol = K_inv @ rhs
+        dx[:] = sol[:r]
+        np.divide(rc - z * dx, x, out=dz)
+        step = min(1.0, boundary(xz, d))
         mu = x @ z / r
-        sigma = ((x + step * dx) @ (z + step * dz) / (r * mu)) ** 3
-        dx, dlam, dz = newton(sigma * mu - x * z - dx * dz)
-        step = min(1.0, 0.99 * min(boundary(x, dx), boundary(z, dz)))
-        if not ((x + step * dx > 0).all() and (z + step * dz > 0).all()):
+        trial = xz + step * d
+        sigma = (trial[:r] @ trial[r:] / (r * mu)) ** 3
+        rc = sigma * mu - x * z - dx * dz
+        np.add(residual, rc / x, out=rhs[:r])
+        sol = K_inv @ rhs
+        dx[:], dlam = sol[:r], -sol[r]
+        np.divide(rc - z * dx, x, out=dz)
+        step = min(1.0, 0.99 * boundary(xz, d))
+        trial = xz + step * d
+        if not (trial > 0).all():
             break
-        x, lam, z = x + step * dx, lam + step * dlam, z + step * dz
+        xz, lam = trial, lam + step * dlam
+        x, z = xz[:r], xz[r:]
         nu, glog, g = evaluate(x)
-    x /= x.sum()
+    x = x / x.sum()
     ent = relative_entropy(x @ V, m)
     return (x, ent) if ent < cur else (theta, cur)
 

@@ -154,6 +154,34 @@ def test_the_check_sees_a_private_scipy_import(tmp_path):
                                            "scipy.optimize._slsqplib"]
 
 
+def _functions_naming(paths, attr):
+    """(file, function) of every function of the files whose own body names
+    attr as an attribute, such as _highs._Highs( or highs.getModelStatus."""
+    out = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(n, ast.Attribute) and n.attr == attr for n in _own_nodes(node)):
+                out.append((path.name, node.name))
+    return sorted(out)
+
+
+def test_one_function_builds_highs_instances_and_reads_their_status():
+    # linprog is the one LP wrapper: it alone makes HiGHS instances (or takes
+    # an idle one) and interprets a solver status
+    paths = sorted(SRC.glob("*.py"))
+    assert _functions_naming(paths, "_Highs") == [("solvers.py", "linprog")]
+    assert _functions_naming(paths, "getModelStatus") == [("solvers.py", "linprog")]
+
+
+def test_the_check_sees_a_second_lp_wrapper(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text("def solve(lp):\n    h = _highs._Highs()\n    return h.getModelStatus()\n\n"
+                 "def other(h):\n    def inner():\n        return h.getModelStatus()\n    return inner\n")
+    assert _functions_naming([f], "_Highs") == [("m.py", "solve")]
+    assert _functions_naming([f], "getModelStatus") == [("m.py", "inner"), ("m.py", "solve")]
+
+
 def _unreferenced_definitions(defining, searched):
     """(file, line, name) for every function, method and class defined in the
     defining files, dunders excepted, that no Name, Attribute or import in

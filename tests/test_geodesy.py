@@ -249,11 +249,10 @@ def test_the_convexity_check_reads_its_w2_values_from_the_trace(monkeypatch, end
         assert rep["worst"] == max(local + glob)
 
 
-def test_a_build_solves_each_transport_lp_once(monkeypatch):
-    # criterion 3's segment:17 pair at depth 2, once as it is and once with
-    # every W2 value and certificate cost solved on its own
-    s = make_model_space("segment", 17)
-    mu0, mu1 = gaussian_measure(s, 8.0), bump_measure(s, 12, 0.13)
+def _builds_with_and_without_the_store(monkeypatch, mu0, mu1, depth, epsilon):
+    """(trace, LPs) of build_good_geodesic as it is and of the same build with
+    every W2 value and certificate cost solved on its own; the LPs are the
+    (restricted C, a, b) bytes of each builder-level exact_ot call."""
     real_ot, real_cost = geodesy.exact_ot, geodesy._cost
 
     def build(cost):
@@ -266,14 +265,34 @@ def test_a_build_solves_each_transport_lp_once(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(geodesy, "exact_ot", recording)
             patch.setattr(geodesy, "_cost", cost)
-            return build_good_geodesic(mu0, mu1, 2, epsilon="auto", K=0.0, tol=5e-3), lps
+            return build_good_geodesic(mu0, mu1, depth, epsilon=epsilon, K=0.0, tol=5e-3), lps
 
-    trace, lps = build(real_cost)
-    reference, every_lp = build(lambda C, a, b, store=None: real_cost(C, a, b))
-    assert len(set(lps)) == len(lps) < len(every_lp) and set(lps) == set(every_lp)
+    return build(real_cost), build(lambda C, a, b, store=None: real_cost(C, a, b))
+
+
+def _assert_same_bits(trace, reference):
     assert [mu.weights.tobytes() for mu in trace.measures] == [mu.weights.tobytes() for mu in reference.measures]
     assert trace.entropies == reference.entropies and trace.w2_from_start == reference.w2_from_start
     assert [c and c.transport_costs for c in trace.certificates] == [c and c.transport_costs for c in reference.certificates]
+
+
+def test_a_build_solves_each_transport_lp_once(monkeypatch):
+    # criterion 3's segment:17 pair at depth 2, once as it is and once with
+    # every W2 value and certificate cost solved on its own
+    s = make_model_space("segment", 17)
+    mu0, mu1 = gaussian_measure(s, 8.0), bump_measure(s, 12, 0.13)
+    (trace, lps), (reference, every_lp) = _builds_with_and_without_the_store(monkeypatch, mu0, mu1, 2, "auto")
+    assert len(set(lps)) == len(lps) < len(every_lp) and set(lps) == set(every_lp)
+    _assert_same_bits(trace, reference)
+
+
+def test_a_fixed_epsilon_build_solves_each_transport_lp_once(monkeypatch):
+    # the Dirac geodesic of the geodesic benchmark: segment:9, depth 3, epsilon 0
+    s = make_model_space("segment", 9)
+    (trace, lps), (reference, every_lp) = _builds_with_and_without_the_store(monkeypatch, dirac(s, 0), dirac(s, 8), 3, 0.0)
+    assert len(lps) == len(set(lps)) == len(set(every_lp)) == 9 < len(every_lp)
+    _assert_same_bits(trace, reference)
+    assert [c and c.spec.epsilon for c in trace.certificates] == [None] + [0.0] * 7 + [None]
 
 
 def test_the_warm_probe_saves_oracle_lps(monkeypatch):

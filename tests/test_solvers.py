@@ -1,4 +1,5 @@
 import ast
+import collections
 import pathlib
 import sys
 import threading
@@ -372,6 +373,102 @@ def test_a_failed_run_empties_an_lp_path(failure):
     # so the next LP on the model is a cold solve
     on_model, cold = (solvers.linprog(m, c[::-1], b_eq, b_ub) for m in (model, new_model()))
     assert all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(on_model, cold))
+
+
+# -- idle HiGHS instances: a dropped model's instance serves a later cold run ------
+
+
+def _tree_lp():
+    """(new_model, c, b_eq) of the line shortlist LP on segment:9 that starts at its tree's basis."""
+    x, period = line_of(make_model_space("segment", 9))
+    rng = np.random.default_rng(41)
+    a, b = rng.dirichlet(np.ones(9)), rng.dirichlet(np.ones(9))
+    cells = solvers._line_cells(x, x, a, b, period)[0]
+    start = np.zeros(cells.size + 18, dtype=bool)
+    start[:cells.size] = start[-1] = True
+    C = (x[:, None] - x[None, :]) ** 2
+    return lambda: solvers.LPModel(*solvers._cells_matrix(9, 9, cells), start=start), C.ravel()[cells], np.concatenate([a, b])
+
+
+def _transport_lp():
+    C, a, b = _ot_problem(42)
+    return lambda: solvers.LPModel(*solvers._marginal_matrix(7, 7)), C.ravel(), np.concatenate([a, b])
+
+
+_POOL_TARGETS = {"transport-7": _transport_lp, "oracle": lambda: _oracle_lp(43), "tree-start": _tree_lp}
+
+
+def _pool_before_another_shape():
+    solvers.exact_ot(*_ot_problem(44, n=5))
+
+
+def _pool_before_a_hot_series():
+    C, pairs = _flow_pairs()
+    solvers.exact_ot_costs(C, pairs[1:4])
+
+
+def _pool_before_a_tree_start():
+    space = make_model_space("segment", 9)
+    rng = np.random.default_rng(45)
+    solvers.exact_ot(space.metric ** 2, rng.dirichlet(np.ones(9)), rng.dirichlet(np.ones(9)), line=line_of(space))
+
+
+_POOL_BEFORE = {"another-shape": _pool_before_another_shape, "hot-series": _pool_before_a_hot_series,
+                "tree-start": _pool_before_a_tree_start}
+
+
+@pytest.mark.parametrize("target", sorted(_POOL_TARGETS))
+@pytest.mark.parametrize("before", sorted(_POOL_BEFORE))
+def test_a_cold_lp_on_a_reused_instance_has_a_fresh_instances_bits(monkeypatch, before, target):
+    new_model, *args = _POOL_TARGETS[target]()
+    monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
+    monkeypatch.setattr(solvers, "_IDLE", collections.deque(maxlen=solvers._IDLE.maxlen))
+    _POOL_BEFORE[before]()
+    assert len(solvers._IDLE) == 1
+    idle = solvers._IDLE[0]
+    assert idle.getNumCol() == 0  # cleared
+    model = new_model()
+    reused = solvers.linprog(model, *args)
+    assert model.hot[0] is idle and not solvers._IDLE
+    monkeypatch.setattr(solvers, "_IDLE", collections.deque(maxlen=0))  # every cold run on a new instance
+    fresh = solvers.linprog(new_model(), *args)
+    assert [np.asarray(v).tobytes() for v in reused] == [np.asarray(v).tobytes() for v in fresh]
+
+
+def test_an_instance_from_a_failed_run_is_never_reused(monkeypatch):
+    monkeypatch.setattr(solvers, "_OT_LAST", (None, None))
+    monkeypatch.setattr(solvers, "_IDLE", collections.deque(maxlen=solvers._IDLE.maxlen))
+    new_model, c, b_eq, b_ub = _oracle_lp(46)
+    model = new_model()
+    solvers.linprog(model, c, b_eq, b_ub)
+    model.hot[0].setOptionValue("time_limit", 0.0)  # a hot run that fails
+    with pytest.raises(SolverError, match="Time limit"):
+        solvers.linprog(model, c[::-1], b_eq, b_ub)
+    del model
+    assert not solvers._IDLE
+    solvers.exact_ot(*_ot_problem(47, n=5))  # leaves its instance idle
+    assert len(solvers._IDLE) == 1
+    with monkeypatch.context() as patch:  # a cold run on it that fails, as it is passed the options anew
+        patch.setattr(solvers._HIGHS_OPTIONS, "time_limit", 0.0)
+        with pytest.raises(SolverError, match="Time limit"):
+            solvers.exact_ot(*_ot_problem(47))
+    assert not solvers._IDLE
+
+
+def test_the_idle_pool_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(solvers, "_IDLE", collections.deque(maxlen=solvers._IDLE.maxlen))
+    C, a, b = _ot_problem(48, n=5)
+    models = [solvers.LPModel(*solvers._marginal_matrix(5, 5)) for _ in range(100)]
+    for model in models:
+        solvers.linprog(model, C.ravel(), np.concatenate([a, b]))
+    del models, model
+    assert 0 < len(solvers._IDLE) == solvers._IDLE.maxlen <= 8
+    # the instance of a model above _IDLE_MAX_COLUMNS columns, which keeps its memory, is not kept
+    solvers._IDLE.clear()
+    n = int(np.sqrt(solvers._IDLE_MAX_COLUMNS)) + 1
+    C, a, b = _ot_problem(49, n=n)
+    solvers.linprog(solvers.LPModel(*solvers._marginal_matrix(n, n)), C.ravel(), np.concatenate([a, b]))
+    assert not solvers._IDLE
 
 
 # -- transport LPs on the supports of their marginals ------------------------------
