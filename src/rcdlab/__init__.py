@@ -48,15 +48,12 @@ from .dirichlet import (
     chain_rule_check,
     dirichlet_form,
     energy,
-    essential_bound_check,
     gamma,
     intrinsic_metric,
     laplacian,
-    locality_check,
     mod2,
     path_step_lengths,
     product_form,
-    transfer_identity_check,
     weighted_form,
 )
 from .heat import (

@@ -152,7 +152,13 @@ def laplacian_matrix(form: DirichletForm):
 def weighted_form(form: DirichletForm, rho: ProbMeasure) -> DirichletForm:
     """Form with vertex measure rho and conductances transferred by
     w'_e = w_e * min(g(x), g(y)) for the density g of rho; edges into the
-    zero set of g are dropped, realizing locality of the reweighting."""
+    zero set of g are dropped, realizing locality of the reweighting.
+
+    This is the package's one conductance-transfer rule. theta = min is a
+    discretization choice, not an identity: the logarithmic mean would make
+    E_rho(log g, phi) = E(g, phi) exact (Maas, J. Funct. Anal. 2011).
+    Criterion 9's two-point oracle hard-codes theta = min.
+    """
     g = rho.density()
     theta = np.minimum(g[:, None], g[None, :])
     W = form.weights * theta
@@ -170,27 +176,6 @@ def weighted_form(form: DirichletForm, rho: ProbMeasure) -> DirichletForm:
         )
         return DirichletForm(sub_space, W[np.ix_(idx, idx)], rho.weights[idx])
     return DirichletForm(form.space, W, rho.weights)
-
-
-def transfer_identity_check(form: DirichletForm, g, phi) -> dict:
-    """Residual of E_rho(log g, phi) = E(g, phi) for rho = g m.
-
-    Out of domain (flagged, not asserted) when g vanishes across an edge where
-    phi differs.
-    """
-    g = np.asarray(g, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if g.min() < 0:
-        raise FormError("g must be a nonnegative density")
-    dphi = np.abs(phi[None, :] - phi[:, None])
-    dead = (np.minimum(g[:, None], g[None, :]) == 0) & (form.weights > 0) & (dphi > 0)
-    in_domain = not bool(dead.any())
-    theta = np.minimum(g[:, None], g[None, :])
-    logg = np.log(np.maximum(g, 1e-300))
-    dlog = np.where(theta > 0, logg[None, :] - logg[:, None], 0.0)
-    lhs = 0.5 * float((form.weights * theta * dlog * (phi[None, :] - phi[:, None])).sum())
-    rhs = energy(form, g, phi)
-    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs), "in_domain": in_domain}
 
 
 def chain_rule_check(form: DirichletForm, f, phi, phi_prime) -> dict:
@@ -257,47 +242,6 @@ def mod2(paths, m) -> tuple:
     r = E @ u - e
     g = -r[:n] / r[n] / root
     return float(m @ g**2), g
-
-
-def locality_check(form: DirichletForm, f1, f2) -> dict:
-    """Max |Gamma(f1,f1) - Gamma(f2,f2)| over vertices where f1 and f2 agree
-    together with their whole neighborhood (exactly zero for the graph form)."""
-    f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
-    eq = f1 == f2
-    qualified = []
-    for x in range(form.n):
-        nb = np.nonzero(form.weights[x] > 0)[0]
-        if eq[x] and eq[nb].all():
-            qualified.append(x)
-    g1 = form.gamma_vector(f1, f1)
-    g2 = form.gamma_vector(f2, f2)
-    worst = float(np.abs(g1[qualified] - g2[qualified]).max()) if qualified else 0.0
-    return {"qualified": qualified, "worst": worst}
-
-
-def essential_bound_check(form: DirichletForm, g, g_prime, phi) -> dict:
-    """Weighted-energy perturbation bound: the difference of the two
-    transferred energies against the two Cauchy-Schwarz products over the
-    closed neighborhood of the disagreement set {g != g'}."""
-    g = np.asarray(g, dtype=float)
-    gp = np.asarray(g_prime, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    lhs = abs(transfer_identity_check(form, g, phi)["lhs"] - transfer_identity_check(form, gp, phi)["lhs"])
-    diff = g != gp
-    E = diff.copy()
-    for x in np.nonzero(diff)[0]:
-        E |= form.weights[x] > 0
-    m = form.vertex_measure
-
-    def part(dens):
-        sq = np.sqrt(np.maximum(dens, 0.0))
-        a = float((form.gamma_vector(sq, sq) * m)[E].sum())
-        b = float((form.gamma_vector(phi, phi) * dens * m)[E].sum())
-        return 2.0 * math.sqrt(max(a, 0.0)) * math.sqrt(max(b, 0.0))
-
-    rhs = part(g) + part(gp)
-    return {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs}
 
 
 # ---------------------------------------------------------------------------

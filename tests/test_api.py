@@ -222,14 +222,26 @@ def test_the_check_sees_an_unreferenced_definition(tmp_path):
     assert _unreferenced_definitions([lib], [lib, user]) == [("lib.py", 8, "dead"), ("lib.py", 14, "unused")]
 
 
-def _unledgered_exports(init, readme):
-    """The names init imports that no first-column cell of the table under
-    readme's '## API ledger' heading names in backquotes."""
+def _exports_and_ledger_names(init, readme):
+    """The names init imports, and the names that first-column cells of the
+    table under readme's '## API ledger' heading give in backquotes."""
     exports = {a.asname or a.name for node in ast.parse(init.read_text()).body
                if isinstance(node, ast.ImportFrom) for a in node.names}
     section = readme.read_text().split("\n## API ledger\n", 1)[1].split("\n## ", 1)[0]
     cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("|")]
-    return sorted(exports - {name for cell in cells for name in re.findall(r"`(\w+)`", cell)})
+    return exports, {name for cell in cells for name in re.findall(r"`(\w+)`", cell)}
+
+
+def _unledgered_exports(init, readme):
+    """The exports that no ledger row names."""
+    exports, ledger = _exports_and_ledger_names(init, readme)
+    return sorted(exports - ledger)
+
+
+def _stale_ledger_names(init, readme):
+    """The names ledger rows give that are not exports."""
+    exports, ledger = _exports_and_ledger_names(init, readme)
+    return sorted(ledger - exports)
 
 
 def test_every_export_has_a_ledger_row():
@@ -237,10 +249,24 @@ def test_every_export_has_a_ledger_row():
     assert _unledgered_exports(SRC / "__init__.py", README) == []
 
 
-def test_the_check_sees_a_missing_ledger_row(tmp_path):
+def test_every_ledger_row_names_an_export():
+    # a row for a deleted or private name documents code nobody can call
+    assert _stale_ledger_names(SRC / "__init__.py", README) == []
+
+
+def _ledger_fixture(tmp_path):
     init = tmp_path / "__init__.py"
     init.write_text("from .a import (\n    kept,\n    probe,\n)\nfrom .b import Report\n\n__version__ = '0'\n")
     readme = tmp_path / "README.md"
     readme.write_text("# lib\n\n## API ledger\n\n| name | statement |\n|---|---|\n"
-                      "| `kept`, `Report` | like `probe` |\n\n## Notes\n\n| `probe` | |\n")
-    assert _unledgered_exports(init, readme) == ["probe"]
+                      "| `kept`, `Report` | like `probe` |\n| `gone` | |\n\n## Notes\n\n| `probe` | |\n"
+                      "| `elsewhere` | |\n")
+    return init, readme
+
+
+def test_the_check_sees_a_missing_ledger_row(tmp_path):
+    assert _unledgered_exports(*_ledger_fixture(tmp_path)) == ["probe"]
+
+
+def test_the_check_sees_a_stale_ledger_row(tmp_path):
+    assert _stale_ledger_names(*_ledger_fixture(tmp_path)) == ["gone"]

@@ -18,15 +18,12 @@ from rcdlab.dirichlet import (
     chain_rule_check,
     dirichlet_form,
     energy,
-    essential_bound_check,
     gamma,
     intrinsic_metric,
     laplacian,
-    locality_check,
     mod2,
     path_step_lengths,
     product_form,
-    transfer_identity_check,
     weighted_form,
 )
 from rcdlab.measures import ProbMeasure, measure_from_density, uniform_measure
@@ -133,43 +130,6 @@ def test_weighted_form_drops_zero_density_vertices():
     rho = ProbMeasure(s, w)
     wf = weighted_form(form, rho)
     assert wf.n == 5
-
-
-def test_transfer_identity_exact_and_refinement():
-    s = make_model_space("cycle", 16)
-    form = dirichlet_form(s)
-    # constant g or constant phi: both sides zero
-    rep = transfer_identity_check(form, np.full(16, 2.0), np.sin(np.arange(16)))
-    assert rep["residual"] == pytest.approx(0.0, abs=1e-14)
-    rep = transfer_identity_check(form, 1 + np.arange(16.0) / 16, np.full(16, 1.0))
-    assert rep["residual"] == pytest.approx(0.0, abs=1e-14)
-    # the symmetric cos/sin pair cancels exactly on cycles
-    sym = make_model_space("cycle", 32)
-    pos = np.array(sym.meta["positions"])
-    rep = transfer_identity_check(dirichlet_form(sym), 1 + 0.5 * np.cos(2 * np.pi * pos), np.sin(2 * np.pi * pos))
-    assert rep["residual"] <= 1e-13
-    # a phase-shifted profile exposes the O(1/n) error of the min-transfer
-    # rule (measured ratio -> 2 per doubling out to n = 512)
-    resid = []
-    for n in (16, 32, 64):
-        sn = make_model_space("cycle", n)
-        fn = dirichlet_form(sn)
-        pos = np.array(sn.meta["positions"])
-        g = 1 + 0.5 * np.cos(2 * np.pi * pos + 0.7)
-        phi = np.sin(2 * np.pi * pos)
-        rep = transfer_identity_check(fn, g, phi)
-        assert rep["in_domain"]
-        resid.append(rep["residual"])
-    assert resid[1] < resid[0] / 1.8
-    assert resid[2] < resid[1] / 1.8
-
-
-def test_transfer_identity_flags_out_of_domain():
-    s = make_model_space("segment", 6)
-    form = dirichlet_form(s)
-    g = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
-    phi = np.arange(6.0)
-    assert not transfer_identity_check(form, g, phi)["in_domain"]
 
 
 def test_chain_rule_exact_for_affine():
@@ -308,51 +268,6 @@ def test_mod2_of_thirty_paths_is_one_fast_certified_solve():
     eta = np.maximum(np.linalg.lstsq(A[:, active], 2.0 * m * g, rcond=None)[0], 0.0)
     dual = eta.sum() - 0.25 * float(((A[:, active] @ eta) ** 2 / m).sum())
     assert dual == pytest.approx(val, rel=1e-10)
-
-
-def test_locality_exact():
-    rng = np.random.default_rng(7)
-    s = make_model_space("segment", 14)
-    form = dirichlet_form(s)
-    f1 = rng.normal(size=14)
-    f2 = f1.copy()
-    f2[10:] += rng.normal(size=4)  # agree on [0..9], interface at 10
-    rep = locality_check(form, f1, f2)
-    assert rep["worst"] == 0.0
-    assert 8 in rep["qualified"] and 12 not in rep["qualified"]
-    rep_same = locality_check(form, f1, f1)
-    assert rep_same["worst"] == 0.0 and len(rep_same["qualified"]) == 14
-
-
-def test_essential_bound_trivial_and_local():
-    s = make_model_space("cycle", 16)
-    form = dirichlet_form(s)
-    pos = np.array(s.meta["positions"])
-    g = 1 + 0.5 * np.cos(2 * np.pi * pos)
-    g = g / (g * form.vertex_measure).sum()
-    phi = np.sin(2 * np.pi * pos)
-    rep = essential_bound_check(form, g, g, phi)
-    assert rep["lhs"] == pytest.approx(0.0, abs=1e-14)
-    g2 = g.copy()
-    g2[3] *= 1.3
-    g2 = g2 / (g2 * form.vertex_measure).sum()
-    rep = essential_bound_check(form, g, g2, phi)
-    assert rep["margin"] >= 0.0
-
-
-def test_essential_bound_refinement_margin():
-    for n in (16, 32, 64):
-        s = make_model_space("cycle", n)
-        form = dirichlet_form(s)
-        pos = np.array(s.meta["positions"])
-        g = 1 + 0.5 * np.cos(2 * np.pi * pos)
-        g = g / (g * form.vertex_measure).sum()
-        bump = 1 + 0.2 * np.exp(-50 * (pos - 0.5) ** 2)
-        g2 = g * bump
-        g2 = g2 / (g2 * form.vertex_measure).sum()
-        phi = np.sin(2 * np.pi * pos)
-        rep = essential_bound_check(form, g, g2, phi)
-        assert rep["lhs"] <= rep["rhs"] + 1e-12
 
 
 def test_intrinsic_metric_single_vertex_and_two_point():

@@ -221,6 +221,61 @@ def test_dissipation_identity_on_cycle():
     assert rep["dissipation_residual_rel"] <= 1e-3
 
 
+def test_identification_check_normalizes_f0():
+    s, form = cycle_form(32)
+    pos = np.array(s.meta["positions"])
+    f0 = 1 + 0.9 * np.cos(2 * np.pi * pos)
+    rep = identification_check(form, f0, [0.02], [4e-3, 2e-3], t_diss=0.02)
+    assert max(rep["l1_gaps"]) <= 0.02 and rep["fitted_order"] >= 0.9
+    tripled = identification_check(form, 3 * f0, [0.02], [4e-3, 2e-3], t_diss=0.02)
+    assert tripled.keys() == rep.keys()
+    for key, value in rep.items():
+        assert tripled[key] == pytest.approx(value, rel=1e-9)
+
+
+def test_identification_check_dissipation_near_t_zero():
+    s, form = cycle_form(32)
+    pos = np.array(s.meta["positions"])
+    f0 = 1 + 0.9 * np.cos(2 * np.pi * pos)
+    for t_diss in (0.0, 5e-5):
+        rep = identification_check(form, f0, [0.02], [4e-3], t_diss=t_diss)
+        assert 0 < rep["fisher_at_t"] < np.inf and rep["dissipation_residual_rel"] <= 0.05
+
+
+def test_identification_check_refuses_a_density_that_vanishes_at_t_diss():
+    s, form = cycle_form(16)
+    f0 = bump_measure(s, 4, 0.2).density()
+    with pytest.raises(HeatError, match=r"t_diss = 0\.0"):
+        identification_check(form, f0, [0.02], [4e-3], t_diss=0.0)
+
+
+@st.composite
+def positive_heat_starts(draw):
+    """A form on a small random space, a positive density and a time scaled
+    to the form's largest vertex rate."""
+    kind = draw(st.sampled_from(["cycle", "segment", "random_metric", "grid"]))
+    n = draw(st.integers(2, 4)) if kind == "grid" else draw(st.integers(3, 16))
+    space = make_model_space(kind, n, {"seed": draw(st.integers(0, 2**16))} if kind == "random_metric" else None)
+    form = dirichlet_form(space, rule=draw(st.sampled_from(["metric_measure", "unit", "inverse_length"])))
+    rate = float((form.weights.sum(axis=1) / form.vertex_measure).max())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return form, np.exp(rng.normal(size=space.n)), draw(st.floats(0.05, 1.0)) / rate, rate
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(positive_heat_starts())
+def test_exact_dissipation_matches_a_centered_entropy_difference(start):
+    # the finite difference is the oracle: |D - Fisher| with D = -dEnt/dt from
+    # the check's exact E(rho, log rho) against D from Ent at t +- h
+    form, f0, t, rate = start
+    h = 1e-4 / rate
+    ent = lambda s: relative_entropy(heat._heat_measure(form, f0, s), form.vertex_measure)
+    d_fd = -(ent(t + h) - ent(t - h)) / (2 * h)
+    rep = identification_check(form, f0, [t], [], t_diss=t)
+    fisher = rep["fisher_at_t"]
+    assert abs(rep["dissipation_residual_rel"] * fisher - abs(d_fd - fisher)) <= 1e-6 * d_fd
+
+
 def test_bakry_emery_trivial_cases():
     s, form = cycle_form(16)
     const = np.full(16, 2.0)
