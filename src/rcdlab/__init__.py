@@ -45,7 +45,6 @@ from .dirichlet import (
     DirichletForm,
     calibrated_segment,
     cheeger_energy,
-    chain_rule_check,
     dirichlet_form,
     energy,
     gamma,
@@ -64,7 +63,6 @@ from .heat import (
     heat_kernel,
     identification_check,
     jko_flow,
-    lipschitz_regularization_check,
     log_sobolev_check,
     semigroup_apply,
     semigroup_flow,
@@ -73,7 +71,6 @@ from .heat import (
 from .evi import (
     InequalityReport,
     dw2_derivative_check,
-    ede_check,
     entropy_inequality_check,
     evi_check,
     rcd_verify,

@@ -178,24 +178,6 @@ def weighted_form(form: DirichletForm, rho: ProbMeasure) -> DirichletForm:
     return DirichletForm(form.space, W, rho.weights)
 
 
-def chain_rule_check(form: DirichletForm, f, phi, phi_prime) -> dict:
-    """Gap of sqrt(Gamma(phi(f))) vs |phi'(f)| sqrt(Gamma(f)) and the
-    integrated second-argument residual int Gamma(g, phi(f)) - phi'(f) Gamma(g, f) dm.
-
-    Exact for affine phi; on refinement families of smooth profiles both gaps
-    shrink like the mesh.
-    """
-    f = np.asarray(f, dtype=float)
-    pf = np.array([phi(v) for v in f], dtype=float)
-    dpf = np.array([phi_prime(v) for v in f], dtype=float)
-    g1 = np.sqrt(np.maximum(form.gamma_vector(pf, pf), 0.0))
-    g2 = np.abs(dpf) * np.sqrt(np.maximum(form.gamma_vector(f, f), 0.0))
-    pointwise = float(np.abs(g1 - g2).max())
-    lhs = float(form.gamma_vector(f, pf) @ form.vertex_measure)
-    rhs = float((dpf * form.gamma_vector(f, f)) @ form.vertex_measure)
-    return {"pointwise_gap": pointwise, "integrated_residual": abs(lhs - rhs)}
-
-
 def path_step_lengths(space: FiniteMMSpace, vertex_path):
     """Per-vertex step lengths of a path: half the incident traversed length."""
     p = list(vertex_path)

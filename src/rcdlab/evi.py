@@ -1,5 +1,5 @@
-"""Inequality verifiers: EVI, energy-dissipation equality, the transport
-derivative formula, and the entropy inequality, plus the composite battery.
+"""Inequality verifiers: EVI, the transport derivative formula and the
+entropy inequality, plus the composite battery.
 
 All checks are pure report producers: residuals are signed (positive means
 violation) and assertions live in the test suite, which distinguishes
@@ -83,32 +83,9 @@ def evi_check(flow: FlowTrace, sigma: ProbMeasure, K) -> InequalityReport:
     return InequalityReport("evi", tuple(grid), tuple(residuals), float(worst), extras={"K": K})
 
 
-def ede_check(flow: FlowTrace) -> InequalityReport:
-    """Residual of the energy-dissipation identity
-    Ent(mu_0) = Ent(mu_T) + sum [speed^2/2 + Fisher/2] dt over the trace,
-    with interval speeds and trapezoid Fisher quadrature."""
-    if not flow.w2_speeds or any(np.isnan(flow.fisher)):
-        raise EviError("flow lacks speed or Fisher series")
-    times = np.asarray(flow.times)
-    fisher = np.asarray(flow.fisher)
-    speeds = np.asarray(flow.w2_speeds)
-    total = 0.0
-    for i in range(len(times) - 1):
-        dt = times[i + 1] - times[i]
-        total += 0.5 * speeds[i] ** 2 * dt
-        total += 0.5 * 0.5 * (fisher[i] + fisher[i + 1]) * dt
-    drop = flow.entropies[0] - flow.entropies[-1]
-    res = float(abs(drop - total))
-    return InequalityReport(
-        "ede", (float(times[0]), float(times[-1])), (res,), res,
-        extras={"entropy_drop": float(drop), "dissipation": float(total)},
-    )
-
-
 def dw2_derivative_check(flow: FlowTrace, sigma: ProbMeasure, form: DirichletForm) -> InequalityReport:
     """Residual of d/dt W2^2(mu_t, sigma)/2 = -E_{mu_t}(phi_t, log f_t) at
-    interior trace times, using gauge-normalized potentials; also evaluates
-    the a-priori difference-quotient envelope as a sanity check."""
+    interior trace times, using gauge-normalized potentials."""
     times = np.asarray(flow.times)
     if len(times) < 3:
         raise EviError("need at least 3 time samples")
@@ -122,7 +99,6 @@ def dw2_derivative_check(flow: FlowTrace, sigma: ProbMeasure, form: DirichletFor
             pairs[i] = kantorovich_potentials(mu_t, sigma, gauge=gauge)
     residuals = []
     grid = []
-    envelope_ok = []
     for i, pair in pairs.items():
         mu_t = flow.measures[i]
         f_t = mu_t.density()
@@ -131,22 +107,8 @@ def dw2_derivative_check(flow: FlowTrace, sigma: ProbMeasure, form: DirichletFor
         lhs = (wsq[i + 1] - wsq[i - 1]) / (2.0 * h) / 2.0
         residuals.append(float(abs(lhs - rhs)))
         grid.append(float(times[i]))
-        # envelope: quotient^2 <= (8/window) * int C(sqrt f) * int Gamma(phi) dmu
-        quot = (wsq[i + 1] - wsq[i - 1]) / (2.0 * h)
-        win = 0.0
-        for j in (i - 1, i):
-            dt_j = times[j + 1] - times[j]
-            mid = flow.measures[j].density()
-            ch = cheeger_energy(form, np.sqrt(np.maximum(mid, 0.0)))
-            gp = float((form.gamma_vector(pair.phi, pair.phi) * flow.measures[j].weights).sum())
-            win += ch * gp * dt_j
-        bound = (8.0 / (times[i + 1] - times[i - 1])) * win
-        envelope_ok.append(bool((0.5 * quot) ** 2 <= bound + 1e-9))
     worst = max(residuals) if residuals else 0.0
-    return InequalityReport(
-        "dw2_derivative", tuple(grid), tuple(residuals), float(worst),
-        extras={"envelope_ok": envelope_ok},
-    )
+    return InequalityReport("dw2_derivative", tuple(grid), tuple(residuals), float(worst))
 
 
 def entropy_inequality_check(eta: ProbMeasure, sigma: ProbMeasure, K, form: DirichletForm) -> InequalityReport:
@@ -155,7 +117,7 @@ def entropy_inequality_check(eta: ProbMeasure, sigma: ProbMeasure, K, form: Diri
     The statement is existential in the potential, but the only freedom among
     the potentials kantorovich_potentials returns is the gauge, a constant
     added to phi, and the energy sees only differences of phi. So one
-    potential decides: status is "ok" or "violation_candidate".
+    potential decides.
     """
     _require_finite(K=K)
     space = eta.space
@@ -167,10 +129,7 @@ def entropy_inequality_check(eta: ProbMeasure, sigma: ProbMeasure, K, form: Diri
     lhs = relative_entropy(sigma, m) - relative_entropy(eta, m) - 0.5 * K * wsq
     pair = kantorovich_potentials(eta, sigma, gauge=int(sigma.support()[0]))
     resid = float(lhs + energy(weighted_form(form, eta), pair.phi, np.log(f)))
-    return InequalityReport(
-        "entropy_inequality", (0.0,), (-resid,), -resid,
-        extras={"status": "ok" if resid >= 0 else "violation_candidate", "K": K},
-    )
+    return InequalityReport("entropy_inequality", (0.0,), (-resid,), -resid, extras={"K": K})
 
 
 def rcd_verify(form: DirichletForm, *, K=0.0, seed=0, t_grid=None, evi_tol=1e-2,

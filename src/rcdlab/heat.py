@@ -216,7 +216,10 @@ def identification_check(form: DirichletForm, f0, t_grid, tau_grid, blur=0.25, t
     """Compare the proximal flow against the semigroup and fit the order in
     tau; check -dEnt/dt = Fisher along the semigroup at t_diss, where
     -dEnt/dt = E(rho, log rho) exactly for rho = h_t f0 / int h_t f0 dm.
-    f0 is normalized first, so a multiple of it gives the same report."""
+    So dissipation_residual_rel is the integrated chain-rule defect for
+    phi = log, |int Gamma(rho, log rho) - Gamma(rho, rho) / rho dm|, over the
+    Fisher information. f0 is normalized first, so a multiple of it gives
+    the same report."""
     m = form.vertex_measure
     f0 = np.asarray(f0, dtype=float)
     f0 = f0 / (f0 * m).sum()
@@ -279,36 +282,6 @@ def bakry_emery_check(form: DirichletForm, f, t_grid, K, tol=1e-10) -> dict:
                 caps = np.log(np.maximum(R[bind], 0.0) / (L[bind] - tol)) / (2.0 * t)
             largest = min(largest, float(caps.min()))
     return {"worst_residual": worst, "largest_K": largest, "tol": tol}
-
-
-def i_rate(K, t):
-    """int_0^t exp(K r) dr."""
-    if abs(K) < 1e-14:
-        return float(t)
-    return float((np.exp(K * t) - 1.0) / K)
-
-
-def lipschitz_regularization_check(form: DirichletForm, f, t, K) -> dict:
-    """Residual of 2 I_{2K}(t) Gamma(h_t f) <= h_t(f^2) pointwise, and the
-    sup-norm slope bound sqrt(2 I_{2K}(t)) * max sqrt(Gamma(h_t f)) <= ||f||_inf.
-    A K that is not finite raises HeatError."""
-    if not np.isfinite(K):
-        raise HeatError(f"not finite: K = {K!r}")
-    f = np.asarray(f, dtype=float)
-    if not t > 0:
-        raise HeatError(f"t > 0 required, got {t!r}")
-    ht_f = semigroup_apply(form, f, t)
-    ht_f2 = semigroup_apply(form, f * f, t)
-    I = i_rate(2.0 * K, t)
-    lhs = 2.0 * I * form.gamma_vector(ht_f, ht_f)
-    worst = float((lhs - ht_f2).max())
-    slope_bound = float(np.sqrt(2.0 * I) * np.sqrt(np.maximum(form.gamma_vector(ht_f, ht_f), 0.0)).max())
-    return {
-        "worst_residual": worst,
-        "slope_bound": slope_bound,
-        "sup_norm": float(np.abs(f).max()),
-        "slope_margin": float(np.abs(f).max() - slope_bound),
-    }
 
 
 def log_sobolev_check(form: DirichletForm, f, K, n_family=20, seed=0) -> dict:

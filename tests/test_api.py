@@ -222,14 +222,19 @@ def test_the_check_sees_an_unreferenced_definition(tmp_path):
     assert _unreferenced_definitions([lib], [lib, user]) == [("lib.py", 8, "dead"), ("lib.py", 14, "unused")]
 
 
+def _ledger_rows(readme):
+    """The stripped cells of each row of the table under readme's
+    '## API ledger' heading."""
+    section = readme.read_text().split("\n## API ledger\n", 1)[1].split("\n## ", 1)[0]
+    return [[cell.strip() for cell in line.split("|")[1:-1]] for line in section.splitlines() if line.startswith("|")]
+
+
 def _exports_and_ledger_names(init, readme):
     """The names init imports, and the names that first-column cells of the
-    table under readme's '## API ledger' heading give in backquotes."""
+    ledger give in backquotes."""
     exports = {a.asname or a.name for node in ast.parse(init.read_text()).body
                if isinstance(node, ast.ImportFrom) for a in node.names}
-    section = readme.read_text().split("\n## API ledger\n", 1)[1].split("\n## ", 1)[0]
-    cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("|")]
-    return exports, {name for cell in cells for name in re.findall(r"`(\w+)`", cell)}
+    return exports, {name for row in _ledger_rows(readme) for name in re.findall(r"`(\w+)`", row[0])}
 
 
 def _unledgered_exports(init, readme):
@@ -254,13 +259,27 @@ def test_every_ledger_row_names_an_export():
     assert _stale_ledger_names(SRC / "__init__.py", README) == []
 
 
+def _uncalled_results(readme):
+    """The names of the ledger rows that state a result, their statement
+    cell not starting with "—", yet name "none" as their caller."""
+    return sorted(name for row in _ledger_rows(readme)
+                  if not row[1].startswith("—") and re.match(r"none\b", row[-1])
+                  for name in re.findall(r"`(\w+)`", row[0]))
+
+
+def test_every_stated_result_has_a_caller():
+    # a check that no criterion, task or workload runs gates nothing
+    assert _uncalled_results(README) == []
+
+
 def _ledger_fixture(tmp_path):
     init = tmp_path / "__init__.py"
-    init.write_text("from .a import (\n    kept,\n    probe,\n)\nfrom .b import Report\n\n__version__ = '0'\n")
+    init.write_text("from .a import (\n    kept,\n    probe,\n)\nfrom .b import Report, checked\n\n__version__ = '0'\n")
     readme = tmp_path / "README.md"
-    readme.write_text("# lib\n\n## API ledger\n\n| name | statement |\n|---|---|\n"
-                      "| `kept`, `Report` | like `probe` |\n| `gone` | |\n\n## Notes\n\n| `probe` | |\n"
-                      "| `elsewhere` | |\n")
+    readme.write_text("# lib\n\n## API ledger\n\n| name | statement | returns | caller |\n|---|---|---|---|\n"
+                      "| `kept`, `Report` | like `probe` | residual | none |\n| `checked` | a law | residual | criterion 1 |\n"
+                      "| `gone` | — builds | plain value | none: users |\n\n## Notes\n\n"
+                      "| `probe` | a law | residual | none |\n| `elsewhere` | | | |\n")
     return init, readme
 
 
@@ -270,3 +289,7 @@ def test_the_check_sees_a_missing_ledger_row(tmp_path):
 
 def test_the_check_sees_a_stale_ledger_row(tmp_path):
     assert _stale_ledger_names(*_ledger_fixture(tmp_path)) == ["gone"]
+
+
+def test_the_check_sees_a_stated_result_without_a_caller(tmp_path):
+    assert _uncalled_results(_ledger_fixture(tmp_path)[1]) == ["Report", "kept"]

@@ -15,7 +15,6 @@ from rcdlab.dirichlet import (
     ModulusInfeasibleError,
     calibrated_segment,
     cheeger_energy,
-    chain_rule_check,
     dirichlet_form,
     energy,
     gamma,
@@ -26,7 +25,7 @@ from rcdlab.dirichlet import (
     product_form,
     weighted_form,
 )
-from rcdlab.measures import ProbMeasure, measure_from_density, uniform_measure
+from rcdlab.measures import ProbMeasure, uniform_measure
 from rcdlab.mmspace import FiniteMMSpace, make_model_space, product_space
 
 
@@ -130,31 +129,6 @@ def test_weighted_form_drops_zero_density_vertices():
     rho = ProbMeasure(s, w)
     wf = weighted_form(form, rho)
     assert wf.n == 5
-
-
-def test_chain_rule_exact_for_affine():
-    rng = np.random.default_rng(5)
-    s = make_model_space("cycle", 12)
-    form = dirichlet_form(s)
-    f = rng.normal(size=12)
-    rep = chain_rule_check(form, f, lambda x: x, lambda x: 1.0)
-    assert rep["pointwise_gap"] == pytest.approx(0.0, abs=1e-12)
-    rep = chain_rule_check(form, f, lambda x: 2.0 * x + 1.0, lambda x: 2.0)
-    assert rep["pointwise_gap"] == pytest.approx(0.0, abs=1e-12)
-    assert rep["integrated_residual"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_chain_rule_log_refinement():
-    resid = []
-    for n in (16, 32, 64):
-        s = make_model_space("cycle", n)
-        form = dirichlet_form(s)
-        pos = np.array(s.meta["positions"])
-        f = 2 + np.cos(2 * np.pi * pos)
-        rep = chain_rule_check(form, f, np.log, lambda x: 1.0 / x)
-        resid.append(rep["integrated_residual"])
-    assert resid[2] < resid[1] < resid[0]
-    assert resid[2] <= resid[0] / 2  # at least O(1/n)
 
 
 def test_mod2_empty_single_and_disjoint():

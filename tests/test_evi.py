@@ -6,7 +6,6 @@ from rcdlab.dirichlet import dirichlet_form, energy, weighted_form
 from rcdlab.evi import (
     EviError,
     dw2_derivative_check,
-    ede_check,
     entropy_inequality_check,
     evi_check,
     fit_trend,
@@ -63,52 +62,6 @@ def test_evi_needs_three_samples():
         evi_check(flow, uniform_measure(s), K=0.0)
 
 
-def test_ede_stationary_and_two_point_closed_form():
-    tp, form = two_point_setup()
-    unif = uniform_measure(tp)
-    grid = np.linspace(0, 0.2, 21).tolist()
-    flow = semigroup_flow(form, unif.density(), grid)
-    rep = ede_check(flow)
-    assert rep.worst <= 1e-12
-
-    # closed-form oracle: evaluate the same discrete functionals from the
-    # analytic flow p(t) and compare residuals
-    p0, T, dt = 0.9, 0.1, 1e-4
-    grid = np.arange(0.0, T + dt / 2, dt)
-    flow2 = semigroup_flow(form, np.array([2 * p0, 2 * (1 - p0)]), grid.tolist())
-
-    def ent(p):
-        return p * np.log(2 * p) + (1 - p) * np.log(2 * (1 - p))
-
-    def fisher(p):
-        return (2 - 4 * p) ** 2 * 0.5 * (1 / (2 * p) + 1 / (2 * (1 - p)))
-
-    ps = two_point_closed_form(p0, grid)
-    total = 0.0
-    for k in range(len(grid) - 1):
-        w2sq = abs(ps[k + 1] - ps[k])  # two-point W2^2 = moved mass * 1^2
-        total += 0.5 * w2sq / dt + 0.25 * (fisher(ps[k]) + fisher(ps[k + 1])) * dt
-    oracle_residual = abs(ent(ps[0]) - ent(ps[-1]) - total)
-    rep2 = ede_check(flow2)
-    assert rep2.worst == pytest.approx(oracle_residual, abs=1e-4)
-
-
-def test_ede_cycle_lattice_regime():
-    # the discrete metric speed grows as dt shrinks below the lattice scale,
-    # so the residual improves as dt grows out of that regime
-    s = make_model_space("cycle", 64)
-    form = dirichlet_form(s)
-    pos = np.array(s.meta["positions"])
-    f0 = 1 + 0.9 * np.cos(2 * np.pi * pos)
-    rels = []
-    for dt in (1e-3, 4e-3, 1e-2):
-        grid = np.arange(0.0, 0.1 + dt / 2, dt).tolist()
-        rep = ede_check(semigroup_flow(form, f0, grid))
-        rels.append(rep.worst / abs(rep.extras["entropy_drop"]))
-    assert rels[2] < rels[1] < rels[0]
-    assert rels[2] <= 0.5
-
-
 def test_dw2_derivative_two_point_closed_form():
     tp, form = two_point_setup()
     p0, q = 0.9, 0.2
@@ -127,7 +80,6 @@ def test_dw2_derivative_two_point_closed_form():
     rhs = -min(f) * phi_diff * (np.log(f[0]) - np.log(f[1]))
     oracle_residual = abs(lhs - rhs)
     assert rep.residuals[0] == pytest.approx(oracle_residual, abs=1e-4)
-    assert all(rep.extras["envelope_ok"])
 
 
 def test_dw2_derivative_segment_refinement():
@@ -171,7 +123,6 @@ def test_entropy_inequality_segment_family():
         sigma = bump_measure(s, int(0.7 * (n - 1)), 0.2)
         rep = entropy_inequality_check(eta, sigma, 0.0, form)
         worsts.append(rep.worst)
-        assert rep.extras["status"] == ("ok" if rep.worst <= 0 else "violation_candidate")
     tol_n = {16: 0.05, 32: 0.03, 64: 0.02}
     for n, wv in zip((16, 32, 64), worsts):
         assert wv <= tol_n[n]
@@ -245,8 +196,3 @@ def test_rcd_verify_solves_one_transport_lp_per_probe_time(monkeypatch, exact_ot
     assert battery() == got
     assert len(exact_ot_calls) == 2 * len(t_grid) + 2 * (2 * len(t_grid) - 1)
 
-
-def test_ede_refuses_a_trace_without_speeds_or_fisher():
-    form = dirichlet_form(make_model_space("cycle", 8))
-    with pytest.raises(EviError, match="lacks speed or Fisher"):
-        ede_check(heat._semigroup_trace(form, np.ones(8), [0.0, 0.1]))

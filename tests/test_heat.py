@@ -12,10 +12,8 @@ from rcdlab.heat import (
     bakry_emery_check,
     contraction_check,
     heat_kernel,
-    i_rate,
     identification_check,
     jko_flow,
-    lipschitz_regularization_check,
     log_sobolev_check,
     semigroup_apply,
     semigroup_flow,
@@ -242,6 +240,17 @@ def test_identification_check_dissipation_near_t_zero():
         assert 0 < rep["fisher_at_t"] < np.inf and rep["dissipation_residual_rel"] <= 0.05
 
 
+def test_identification_check_dissipation_falls_with_the_mesh():
+    # the residual is the integrated chain-rule defect for phi = log, which
+    # falls about 4x per mesh doubling on a smooth profile
+    rels = []
+    for n in (16, 32, 64):
+        s, form = cycle_form(n)
+        f0 = 1 + 0.9 * np.cos(2 * np.pi * np.array(s.meta["positions"]))
+        rels.append(identification_check(form, f0, t_grid=[0.1], tau_grid=[0.05])["dissipation_residual_rel"])
+    assert rels[1] <= rels[0] / 3 and rels[2] <= rels[1] / 3
+
+
 def test_identification_check_refuses_a_density_that_vanishes_at_t_diss():
     s, form = cycle_form(16)
     f0 = bump_measure(s, 4, 0.2).density()
@@ -311,23 +320,6 @@ def test_bakry_emery_largest_K_is_where_the_estimate_binds():
         assert abs(bakry_emery_check(form, f, grid, K)["worst_residual"] - 1e-10) <= 1e-16
         assert bakry_emery_check(form, f, grid, K * (1 - 1e-9))["worst_residual"] <= 1e-10
         assert bakry_emery_check(form, f, grid, K * (1 + 1e-9))["worst_residual"] > 1e-10
-
-
-def test_lipschitz_regularization():
-    s, form = cycle_form(64)
-    pos = np.array(s.meta["positions"])
-    f = np.sign(np.cos(2 * np.pi * pos))
-    rep = lipschitz_regularization_check(form, f, 0.1, K=0.0)
-    assert rep["worst_residual"] <= 0.0
-    assert rep["slope_margin"] >= 0.0
-    const = np.full(64, 1.5)
-    rep2 = lipschitz_regularization_check(form, const, 0.2, K=0.0)
-    assert rep2["worst_residual"] <= 0.0
-    # t -> 0: the I-term vanishes, inequality slack
-    rep3 = lipschitz_regularization_check(form, f, 1e-6, K=0.0)
-    assert rep3["worst_residual"] <= 0.0
-    assert i_rate(0.0, 0.3) == pytest.approx(0.3)
-    assert i_rate(2.0, 0.3) == pytest.approx((np.exp(0.6) - 1) / 2.0)
 
 
 def test_log_sobolev_two_point_scalar_oracle():
@@ -453,8 +445,6 @@ def test_a_curvature_that_is_not_finite_is_a_heat_error(K):
         bakry_emery_check(form, f, [0.0, 0.1, 0.2], K)
     with pytest.raises(HeatError, match=re.escape(repr(K))):
         contraction_check(form, dirac(s, 0), dirac(s, 8), K, [0.1])
-    with pytest.raises(HeatError, match=re.escape(repr(K))):
-        lipschitz_regularization_check(form, f, 0.1, K)
 
 
 def test_negative_time_rejected():
