@@ -136,8 +136,8 @@ def _w2_speeds(space, measures, steps):
     """W2(mu_k, mu_{k+1}) / step_k along a trace on space, one series
     (exact_ot_costs) walked from the last pair to the first: a flow's support
     grows from its start to full, so without a line the series solves the
-    full model cold once, on the smoothest pair, and restarts only on the
-    small LPs of the first pairs, a third fewer simplex iterations than
+    full supports' LP cold once, on the smoothest pair, and restarts only on
+    the small LPs of the first pairs, a third fewer simplex iterations than
     walking forward on the flows of configs/cycle64_rcd.json solved without
     their line."""
     pairs = [(a.weights, b.weights) for a, b in zip(measures, measures[1:])]

@@ -39,21 +39,29 @@ solve, so a W2 value followed by the potentials of the same problem costs
 one LP; its arrays are read-only because a repeat call hands the same
 objects to the next caller.
 
-On a segment or a cycle (mmspace.line_of) the optimal plan is known in
-advance up to one parameter: the monotone coupling, on a cycle at the best
-shift (Delon, Salomon and Sobolevski, SIAM J. Appl. Math. 2010), with at most
-k0 + k1 - 1 cells. exact_ot then solves the LP on those cells only, prices
-every other pair of the supports by its reduced cost against the LP's duals,
-and adds the violators and solves again until there are none (the shortlist
+exact_ot solves the LP on a shortlist of cells of the supports, prices every
+other pair of the supports by its reduced cost against the LP's duals, and
+adds the violators and solves again until there are none (the shortlist
 method; Gottschlich and Schuhmacher, PLoS ONE 2014). The check, not the
-structure, makes the result optimal on the full LP. The cells are a spanning
+choice of cells, makes the result optimal on the full LP; a poor shortlist
+costs rounds. On a segment or a cycle (mmspace.line_of) the optimal plan is
+known in advance up to one parameter: the monotone coupling, on a cycle at
+the best shift (Delon, Salomon and Sobolevski, SIAM J. Appl. Math. 2010),
+with at most k0 + k1 - 1 cells, which are the shortlist. They are a spanning
 tree whose one coupling is the north-west corner masses, so the first LP
 starts HiGHS at the tree's basis, which is optimal on the cells wherever the
 masses are nonnegative; the later LPs start from the slack basis. On the
 flows of configs/cycle64_rcd.json every shortlist holds at its first LP, of
 at most 127 columns where the full model has 4096, and 30 of the 34 LPs of
 one run of it end without a simplex iteration, where each took about 130
-from the slack basis.
+from the slack basis. Without a line the shortlist is the 16 cheapest cells
+of each row and of each column (_SEED_CELLS) and the north-west staircase of
+the marginals in index order, which carries a coupling, so the first LP is
+feasible; it is not a tree and runs from the slack basis. On random_metric:128
+with Dirichlet marginals that is about 2500 of the 16384 cells, the LP holds
+at its first or second round, and a solve takes about 7 ms against 18 ms for
+the full LP. Up to min(k0, k1) = 48 (_SEED_GATE) the shortlist is every cell,
+so the one LP is the full LP, with its bits.
 
 A sequence of LPs that differ only in their costs and right-hand sides runs
 on one LPModel, the matrix and column bounds its loop builds once. After a
@@ -66,7 +74,9 @@ and a change of costs primal feasible. Three loops use one:
   a line, such as the speeds along a flow or the distances from each flow
   measure to one target on a random metric; on the flows of
   configs/cycle64_rcd.json, solved without their line, that halved the
-  simplex iterations. A change of either support is a new model, whose first
+  simplex iterations. Each problem runs on the last shortlist model of the
+  problem before it, and only one whose pricing finds violators builds new
+  models, cold. A change of either support is a new shortlist, whose first
   LP is cold, so a series orders its problems to restart on small models
   (heat._w2_speeds walks a flow from its end). With a line each problem is
   exact_ot's, whose first shortlist LP starts at the line coupling's basis;
@@ -164,6 +174,17 @@ _POTENTIAL_TOL = 1e-13  # symmetric_potential stops on a step below this times e
 _PROX_SWEEP_CAP = 20000  # dual sweeps per prox_entropy_step call
 _PROX_SWEEP_TOL = 1e-11  # prox_entropy_step stops on a sweep below this times taub
 _SCALING_BOUND = 30.0  # |log| of a scaling beyond which it is absorbed into the log-domain potentials
+# cheapest cells per row and per column of a transport shortlist without a
+# line. Per solve on random_metric:128 with Dirichlet marginals, at 1 BLAS
+# thread: k = 4, 8, 12, 16, 24, 32 took 16.0, 12.2, 11.1, 6.7, 7.2, 7.9 ms in
+# 3.5, 2.7, 1.9, 1.25, 1.0, 1.0 LPs, against 17.8 ms for the full LP; at n = 64,
+# 6.7, 3.8, 3.2, 2.8, 3.1, 3.5 against 4.4 ms
+_SEED_CELLS = 16
+# min(k0, k1) up to which that shortlist is every cell, so the LP is the full
+# one, bit for bit. In the same sweep k = 16 gained nothing at n = 32 (1.74
+# against 1.72 ms) and 1 ms at n = 48 (2.35 against 3.39); 48 keeps criterion
+# 1's n = 30 and every test space up to 48 points on the full LP
+_SEED_GATE = 48
 
 
 class SolverError(RuntimeError):
@@ -439,40 +460,76 @@ def _marginal_matrix(n0, n1):
     return (shape, *arrays)
 
 
-def _priced_shortlist(C, mass, tree):
-    """(plan, cost, duals) of the transport LP with costs C and marginals mass,
-    solved first on tree, the (cells, masses) of a spanning tree of flat cells
-    and the coupling on it (_line_cells); every cell of C whose reduced cost
-    against the LP's duals is below -1e-12 max C joins the cells and the LP is
-    solved again, from the slack basis, until none does.
+def _tree_start(tree_mass, rows):
+    """LPModel's start at the basis of a spanning tree of cells whose one
+    coupling has the masses tree_mass, for a transport LP with that many
+    marginal rows: every tree cell is basic, and so is the slack of the last
+    marginal row, which the other rows make redundant. The other variables
+    are slacks of equality rows, so the basis is dual feasible; the tree's
+    masses are its primal values, so where they are nonnegative HiGHS stops
+    before its first iteration. None, the slack basis, unless every mass is
+    at least _TREE_MASS_FLOOR: below it the full LP is exact only to its
+    primal tolerance, while the tree start gives the exact optimum (on
+    cycle:3 with marginals 1.8e-11 apart, W2^2 = 2.0e-12 against the full
+    LP's 0.0), so the tree's LP runs from the slack basis like the full LP."""
+    if tree_mass.min() < _TREE_MASS_FLOOR:
+        return None
+    start = np.zeros(tree_mass.size + rows, dtype=bool)
+    start[:tree_mass.size] = start[-1] = True
+    return start
 
-    The first LP starts at the tree's basis: every tree cell is basic, and so
-    is the slack of the last marginal row, which the other rows make
-    redundant. The other variables are slacks of equality rows, so the basis
-    is dual feasible; the tree's masses are its primal values, so where they
-    are nonnegative HiGHS stops before its first iteration. The start is used
-    only when every mass is at least _TREE_MASS_FLOOR. Below it the full LP is
-    exact only to its primal tolerance, while the tree start gives the exact
-    optimum (on cycle:3 with marginals 1.8e-11 apart, W2^2 = 2.0e-12 against
-    the full LP's 0.0), so the tree's LP runs from the slack basis like the
-    full LP."""
+
+def _shortlist_model(k0, k1, cells, start=None):
+    """LPModel of the transport LP on the flat cells of a k0 x k1 coupling;
+    on every cell its arrays are _marginal_matrix's."""
+    arrays = _marginal_matrix(k0, k1) if cells.size == k0 * k1 else _cells_matrix(k0, k1, cells)
+    return LPModel(*arrays, start=start)
+
+
+def _cheap_cells(C, mass):
+    """The flat cells of the first shortlist of the transport LP with costs C
+    and marginals mass, none of them on a line: the _SEED_CELLS cheapest cells
+    of each row and of each column, and the north-west corner staircase of the
+    marginals in index order (_staircase), a spanning tree that carries a
+    coupling, so the first LP is feasible whenever the masses agree. Up to
+    the gate, min(k0, k1) <= _SEED_GATE, it is every cell, so the first LP
+    is the full one."""
     k0, k1 = C.shape
-    cells, tree_mass = tree
-    start = None
-    if tree_mass.min() >= _TREE_MASS_FLOOR:
-        start = np.zeros(cells.size + k0 + k1, dtype=bool)
-        start[:cells.size] = start[-1] = True
+    if min(k0, k1) <= _SEED_GATE:
+        return np.arange(C.size)
+    keep = np.zeros(C.shape, dtype=bool)
+    np.put_along_axis(keep, np.argpartition(C, _SEED_CELLS - 1, axis=1)[:, :_SEED_CELLS], True, axis=1)
+    np.put_along_axis(keep, np.argpartition(C, _SEED_CELLS - 1, axis=0)[:_SEED_CELLS], True, axis=0)
+    i, j, _ = _staircase(mass[:k0], mass[k0:])
+    keep[i, j] = True
+    return np.flatnonzero(keep)
+
+
+def _priced_shortlist(C, mass, cells, model):
+    """(x, cost, duals, cells, model) of the transport LP with costs C and
+    marginals mass, solved first on the sorted flat cells with model, their
+    LPModel, and then priced: every cell of C whose reduced cost against the
+    LP's duals is below -1e-12 max C joins the cells and the LP is solved
+    again, on a new model from the slack basis, until none does. x is the
+    optimum on the returned cells, which model, the last LP's, holds.
+
+    The first run is the model's: from its start, a tree's basis
+    (_tree_start), on a line's shortlist; from the slack basis on a seed that
+    is not a tree (_cheap_cells), which has no start; or hot from the last
+    basis of a held model (exact_ot_costs)."""
+    k0, k1 = C.shape
     while True:
-        x, fun, y, _ = linprog(LPModel(*_cells_matrix(k0, k1, cells), start=start), C.ravel()[cells], mass)
+        x, fun, y, _ = linprog(model, C.ravel()[cells], mass)
+        if cells.size == C.size:  # the full LP leaves no cell to price
+            return x, fun, y, cells, model
         reduced = C - y[:k0, None] - y[None, k0:]
         reduced.flat[cells] = 0.0  # the LP's own columns, priced by HiGHS
-        violators = np.flatnonzero(reduced < -1e-12 * C.max())
-        if not violators.size:
-            break
-        cells, start = np.union1d(cells, violators), None
-    plan = np.zeros(C.shape)
-    plan.flat[cells] = x
-    return plan, fun, y
+        joining = reduced < -1e-12 * C.max()
+        if not joining.any():
+            return x, fun, y, cells, model
+        joining.flat[cells] = True
+        cells = np.flatnonzero(joining)
+        model = _shortlist_model(k0, k1, cells)
 
 
 # (key, result) of the last successful exact_ot solve; replaced whole by one
@@ -509,17 +566,20 @@ def exact_ot(C, a, b, line=None):
     v(y) = min over all x of C(x, y) - u(x), so u + v <= C holds on every
     pair and the cost is unchanged.
 
-    line, mmspace.line_of of the space C lives on, is (positions, period) for
-    C the squared distances of points on a segment (period None) or a circle.
-    With it the LP runs on a shortlist of cells of the supports, first the
-    k0 + k1 - 1 cells of the optimal line coupling (_line_cells), from its
-    basis (_priced_shortlist), and every
-    pair of the supports is priced against its duals: each cell whose reduced
-    cost C - u - v is below -1e-12 max C joins the shortlist and the LP runs
-    again, until none does (the shortlist method of Gottschlich and
-    Schuhmacher, PLoS ONE 2014). So the result is optimal on the full LP by
-    that check, whatever the line; a wrong line costs rounds, not accuracy.
-    Without a line the shortlist is every cell, so the first LP is the last.
+    The LP runs on a shortlist of cells of the supports, and every pair of
+    the supports is priced against its duals: each cell whose reduced cost
+    C - u - v is below -1e-12 max C joins the shortlist and the LP runs
+    again, until none does (_priced_shortlist; the shortlist method of
+    Gottschlich and Schuhmacher, PLoS ONE 2014). So the result is optimal on
+    the full LP by that check, whatever the first shortlist; a poor one
+    costs rounds, not accuracy. line, mmspace.line_of of the space C lives
+    on, is (positions, period) for C the squared distances of points on a
+    segment (period None) or a circle. With it the first shortlist is the
+    k0 + k1 - 1 cells of the optimal line coupling (_line_cells), solved from
+    their basis. Without a line it is the cheapest cells of each row and
+    column and the north-west staircase (_cheap_cells), solved from the
+    slack basis; up to its gate that is every cell, so the first LP is the
+    full one and the last.
 
     The last successful solve is remembered: a call whose C, a, b and line
     are byte-equal to it returns the same objects without an LP. Every solve
@@ -538,11 +598,14 @@ def exact_ot(C, a, b, line=None):
         return last
     ia, ib, Cs, mass = _on_supports(C, a, b)
     k0, k1 = ia.size, ib.size
-    if line is None:  # the shortlist is every cell: one LP
-        x, fun, y, _ = linprog(LPModel(*_marginal_matrix(k0, k1)), Cs.ravel(), mass)
-        block = x.reshape(k0, k1)
+    if line is None:
+        cells, start = _cheap_cells(Cs, mass), None
     else:
-        block, fun, y = _priced_shortlist(Cs, mass, _line_cells(line[0][ia], line[0][ib], a[ia], b[ib], line[1]))
+        cells, tree_mass = _line_cells(line[0][ia], line[0][ib], a[ia], b[ib], line[1])
+        start = _tree_start(tree_mass, k0 + k1)
+    x, fun, y, cells, _ = _priced_shortlist(Cs, mass, cells, _shortlist_model(k0, k1, cells, start))
+    block = np.zeros((k0, k1))
+    block.flat[cells] = x
     if Cs is C:
         plan, u, v = block, y[:k0], y[k0:]
     else:
@@ -565,21 +628,40 @@ def exact_ot_costs(C, pairs, line=None):
 
     With a line each problem is exact_ot's, which reads and writes its memory.
     Without one, each run of consecutive pairs with the same supports shares
-    one LPModel built here: the first LP of a run is cold, with exact_ot's
-    bits, and the rest run hot from the last optimal basis (see linprog). A
-    hot cost agrees with a cold one to solver precision. exact_ot's memory is
-    neither read nor written, and the model lives as long as the call, so the
-    costs depend only on the arguments.
+    one shortlist: the first pair of a run is solved as exact_ot solves it,
+    with its bits, and each later pair runs hot from the last optimal basis
+    (see linprog) on the last LPModel of the pair before it and is priced
+    like it, so only a pair with violators builds new, cold models. The held
+    cells carry a coupling of the earlier pair, not always of this one: if
+    its hot LP is infeasible and the cells lack this pair's staircase, the
+    pair is solved cold on the cells and the staircase. Below _cheap_cells'
+    gate the shortlist is every cell, so a run is one model. A hot cost
+    agrees with a cold one to solver precision. exact_ot's memory is neither
+    read nor written, and the models live as long as the call, so the costs
+    depend only on the arguments.
     """
     if line is not None:
         return [exact_ot(C, a, b, line=line)[0] for a, b in pairs]
     C = np.asarray(C, dtype=float)
-    costs, held, model = [], None, None
+    costs, held = [], None
     for a, b in pairs:
         ia, ib, Cs, mass = _on_supports(C, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        k0, k1 = ia.size, ib.size
         if (ia.tobytes(), ib.tobytes()) != held:
-            held, model = (ia.tobytes(), ib.tobytes()), LPModel(*_marginal_matrix(ia.size, ib.size))
-        costs.append(linprog(model, Cs.ravel(), mass)[1])
+            held, cells = (ia.tobytes(), ib.tobytes()), _cheap_cells(Cs, mass)
+            model = _shortlist_model(k0, k1, cells)
+        try:
+            _, fun, _, cells, model = _priced_shortlist(Cs, mass, cells, model)
+        except InfeasibleError:
+            i, j, _ = _staircase(mass[:k0], mass[k0:])
+            keep = np.zeros(Cs.size, dtype=bool)
+            keep[cells] = True
+            if keep[i * k1 + j].all():
+                raise
+            keep[i * k1 + j] = True
+            cells = np.flatnonzero(keep)
+            _, fun, _, cells, model = _priced_shortlist(Cs, mass, cells, _shortlist_model(k0, k1, cells))
+        costs.append(fun)
     return costs
 
 

@@ -566,6 +566,38 @@ def test_backward_speed_path_matches_cold_solves(flow):
         assert len(set(map(id, models))) == len(models)  # segments and cycles solve each shortlist LP cold
 
 
+@st.composite
+def flows_above_the_shortlist_gate(draw):
+    """A short semigroup or minimizing-movement flow on random_metric:n, n from
+    49 to 72, whose full-support pairs solve on shortlists of cheap cells."""
+    n = draw(st.integers(solvers._SEED_GATE + 1, 72))
+    space = make_model_space("random_metric", n, {"seed": draw(st.integers(0, 2**16))})
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu0 = ProbMeasure(space, rng.dirichlet(np.ones(n)))
+    steps = draw(st.lists(st.floats(0.005, 0.05), min_size=2, max_size=5))
+    if draw(st.booleans()):
+        return space, heat._semigroup_trace(dirichlet_form(space), mu0.density(), np.cumsum([0.0] + steps))
+    return space, heat._jko_trace(mu0, steps[0], len(steps), 1e-6, 0.25)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(flows_above_the_shortlist_gate())
+def test_hot_shortlist_speeds_match_cold_solves(flow):
+    # At these sizes a hot run, on a shortlist or on every cell alike, may end
+    # at another vertex within HiGHS's 1e-10 primal tolerance than a cold
+    # solve: over 367 pairs of such flows, 5 costs were more than 1e-12 apart
+    # relative, by up to 1.9e-8 relative or 1.5e-12 max C absolute, on the
+    # full LP as on shortlists. So the costs agree to 1e-12 relative or to
+    # that tolerance times max C, the most a unit of mass can cost.
+    space, trace = flow
+    C = space.metric ** 2
+    steps = np.diff(trace.times)
+    speeds = heat._w2_speeds(space, trace.measures, steps)
+    for speed, a, b, dt in zip(speeds, trace.measures, trace.measures[1:], steps):
+        cold = solvers.exact_ot(C, a.weights, b.weights)[0]
+        assert abs((speed * dt) ** 2 - cold) <= 1e-12 * cold + 1e-10 * C.max()
+
+
 def test_a_bump_start_flow_restarts_its_speed_path_only_at_the_bump(monkeypatch):
     s = make_model_space("random_metric", 64, {"seed": 1})
     form = dirichlet_form(s)

@@ -253,8 +253,8 @@ def _flow_pairs(n=16, steps=6):
 
 
 @st.composite
-def _series_problems(draw):
-    n = draw(st.integers(2, 16))
+def _series_problems(draw, sizes=(2, 16)):
+    n = draw(st.integers(*sizes))
     C = make_model_space("random_metric", n, {"seed": draw(st.integers(0, 2**16))}).metric ** 2
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pairs = [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)))]
@@ -274,6 +274,16 @@ def _series_problems(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_series_problems())
 def test_every_cost_of_a_series_is_an_exact_optimum(problem):
+    C, pairs = problem
+    for cost, (a, b) in zip(solvers.exact_ot_costs(C, pairs), pairs):
+        cold = solvers.exact_ot(C, a, b)[0]
+        assert abs(cost - cold) <= 1e-12 * abs(cold)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_series_problems((solvers._SEED_GATE + 1, 72)))
+def test_every_cost_of_a_shortlist_series_is_an_exact_optimum(problem):
+    # above the gate each pair runs hot on the last shortlist of the pair before it
     C, pairs = problem
     for cost, (a, b) in zip(solvers.exact_ot_costs(C, pairs), pairs):
         cold = solvers.exact_ot(C, a, b)[0]
@@ -688,6 +698,102 @@ def test_a_tree_below_the_mass_floor_runs_from_the_slack_basis(monkeypatch):
     # with no floor the tree start is taken and returns the exact tree cost
     monkeypatch.setattr(solvers, "_TREE_MASS_FLOOR", 0.0)
     assert solvers.exact_ot(C, a, b, line=line_of(space))[0] != full
+
+
+# -- transport without a line: a shortlist of cheap cells above the gate, priced ---
+
+
+def _full_lp(C, a, b):
+    """linprog on every cell of the n x n transport LP, zero marginals included."""
+    return solvers.linprog(solvers.LPModel(*solvers._marginal_matrix(*C.shape)), C.ravel(), np.concatenate([a, b]))
+
+
+def _assert_certified(C, a, b, out, full):
+    cost, plan, u, v = out
+    assert abs(cost - full) <= 1e-12 * abs(full)
+    assert (u[:, None] + v[None, :] <= C + 1e-12 * C.max()).all()
+    assert np.abs(plan.sum(axis=1) - a).max() <= ot.MARGINAL_TOL
+    assert np.abs(plan.sum(axis=0) - b).max() <= ot.MARGINAL_TOL
+    assert not plan[a == 0].any() and not plan[:, b == 0].any()
+
+
+@st.composite
+def _problems_above_the_gate(draw):
+    """random_metric:n for n from 49 to 80, with Dirichlet marginals empty on
+    up to n - 49 sites each, so both supports stay above the gate."""
+    gate = solvers._SEED_GATE
+    n = draw(st.integers(gate + 1, 80))
+    C = make_model_space("random_metric", n, {"seed": draw(st.integers(0, 2**16))}).metric ** 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    marginals = []
+    for _ in "ab":
+        w = rng.dirichlet(np.ones(n))
+        w[rng.choice(n, draw(st.integers(0, n - gate - 1)), replace=False)] = 0.0
+        marginals.append(w / w.sum())
+    return C, *marginals
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_problems_above_the_gate())
+def test_a_shortlist_above_the_gate_certifies_itself_and_matches_the_full_lp(problem):
+    C, a, b = problem
+    _assert_certified(C, a, b, solvers.exact_ot(C, a, b), _full_lp(C, a, b)[1])
+
+
+def _staircase_only(C, mass):
+    i, j, _ = solvers._staircase(mass[:C.shape[0]], mass[C.shape[0]:])
+    return np.sort(i * C.shape[1] + j)
+
+
+def test_a_staircase_seed_costs_rounds_not_accuracy(monkeypatch, linprog_calls):
+    C, a, b = _ot_problem(51, n=64)
+    monkeypatch.setattr(solvers, "_cheap_cells", _staircase_only)
+    out = solvers.exact_ot(C, a, b)
+    assert len(linprog_calls) >= 2 and linprog_calls[0] == 2 * 64 - 1
+    _assert_certified(C, a, b, out, _full_lp(C, a, b)[1])
+
+
+def test_at_the_gate_transport_is_the_full_lp_and_above_it_a_shortlist(linprog_calls):
+    n = solvers._SEED_GATE
+    C, a, b = _ot_problem(52, n=n)
+    x, fun, y, _ = _full_lp(C, a, b)
+    linprog_calls.clear()
+    assert _bits(solvers.exact_ot(C, a, b)) == _bits((fun, x.reshape(n, n), y[:n], y[n:]))
+    assert linprog_calls == [n * n]
+    C, a, b = _ot_problem(52, n=n + 1)
+    linprog_calls.clear()
+    solvers.exact_ot(C, a, b)
+    assert linprog_calls[0] < (n + 1) ** 2
+
+
+def test_a_held_shortlist_that_cannot_carry_the_next_pair_takes_its_staircase(monkeypatch):
+    # nearly all of the second pair's mass must cross the cell (0, j) of the
+    # farthest point j from 0, which the first pair's shortlist lacks
+    C, a, b = _ot_problem(53, n=64)
+    j = int(np.argmax(C[0]))
+    a2, b2 = np.full(64, 1e-3 / 63), np.full(64, 1e-3 / 63)
+    a2[0], b2[j] = 1.0 - 1e-3, 1.0 - 1e-3
+    mass = np.concatenate([a, b])
+    seed = solvers._cheap_cells(C, mass)
+    held = solvers._priced_shortlist(C, mass, seed, solvers._shortlist_model(64, 64, seed))[3]
+    assert j not in held  # the flat index of the cell (0, j)
+    real, failed = solvers.linprog, []
+
+    def linprog(model, *args):
+        try:
+            return real(model, *args)
+        except InfeasibleError:
+            failed.append(model)
+            raise
+
+    monkeypatch.setattr(solvers, "linprog", linprog)
+    costs = solvers.exact_ot_costs(C, [(a, b), (a2, b2)])
+    assert len(failed) == 1  # the hot LP on the first pair's shortlist
+    for cost, pair in zip(costs, [(a, b), (a2, b2)]):
+        cold = solvers.exact_ot(C, *pair)[0]
+        assert abs(cost - cold) <= 1e-12 * cold
+    with pytest.raises(InfeasibleError, match="LP infeasible"):  # and unequal masses still are infeasible
+        solvers.exact_ot_costs(C, [(a, b), (a2, 1.5 * b2)])
 
 
 # -- LP models: CSC arrays built in NumPy, byte-equal to scipy.sparse's ------------
