@@ -3,9 +3,11 @@
 Every LP is one call of linprog below, and linprog is the one place where a
 solver status is read: an LP HiGHS proves infeasible raises InfeasibleError,
 any other failure (time limit, unbounded, rejected model, numerical trouble)
-raises SolverError. Each LP is one HiGHS dual simplex run without presolve,
+raises SolverError. Each LP is one HiGHS simplex run without presolve,
 which misreports tiny marginals as infeasible and costs about 40% of a 64x64
-transport LP, at primal tolerance 1e-10 to match ot.MARGINAL_TOL (_LP_OPTIONS).
+transport LP, at primal tolerance 1e-10 to match ot.MARGINAL_TOL (_LP_OPTIONS):
+the dual simplex, but the primal one on a hot run whose costs alone changed
+(below).
 linprog drives the HiGHS core bundled with scipy directly, with the model and
 options scipy.optimize.linprog would pass, so the results are scipy's bits
 without scipy's per-call wrapper work, which cost more than the solve on the
@@ -66,10 +68,13 @@ so the one LP is the full LP, with its bits.
 A sequence of LPs that differ only in their costs and right-hand sides runs
 on one LPModel, the matrix and column bounds its loop builds once. After a
 run linprog holds the model's HiGHS instance and changes only its costs and
-row bounds for the next, so the dual simplex restarts from the last optimal
-basis (Huangfu and Hall, Parallelizing the dual revised simplex method, Math.
-Prog. Comp. 2018), which a change of right-hand sides leaves dual feasible
-and a change of costs primal feasible. Three loops use one:
+row bounds for the next, and restarts from the last optimal basis with the
+simplex the change leaves feasible. A change of right-hand sides leaves the
+basis dual feasible, so the dual simplex repairs it (Huangfu and Hall,
+Parallelizing the dual revised simplex method, Math. Prog. Comp. 2018); a
+change of costs alone leaves it primal feasible, so the primal simplex does
+(Bertsimas and Tsitsiklis, Introduction to Linear Optimization, 1997, 5.1),
+where the dual simplex would start dual infeasible. Three loops use one:
 - exact_ot_costs, a series of transport problems on one cost matrix without
   a line, such as the speeds along a flow or the distances from each flow
   measure to one target on a random metric; on the flows of
@@ -81,8 +86,9 @@ and a change of costs primal feasible. Three loops use one:
   (heat._w2_speeds walks a flow from its end). With a line each problem is
   exact_ot's, whose first shortlist LP starts at the line coupling's basis;
 - entropy_budget_min's oracle LPs, which differ only in their objective; on
-  the geodesic benchmark a hot oracle LP takes 23 simplex iterations where
-  a cold one took 73;
+  a pass of the geodesic benchmark a hot oracle LP takes 9.6 simplex
+  iterations on average, 18.0 on the dual simplex, where a cold solve takes
+  78;
 - epsilon_min's Newton cuts, which differ only in their budgets.
 Hot runs are checked like cold ones, and each model is built and dropped
 within one call. A dropped small model's HiGHS instance is cleared and kept
@@ -228,6 +234,7 @@ for _key, _val in {**_HIGHS_FIXED, **_LP_OPTIONS}.items():
     setattr(_HIGHS_OPTIONS, _key, ("on" if _val else "off") if _key == "presolve" else _val)
 del _key, _val
 _BASIC, _AT_LOWER = _highs.HighsBasisStatus.kBasic, _highs.HighsBasisStatus.kLower
+_PRIMAL, _DUAL = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal, _HIGHS_FIXED["simplex_strategy"]
 
 
 class LPModel:
@@ -287,8 +294,8 @@ def _pool_instance(state):
 
 def linprog(model, c, b_eq, b_ub=None):
     """Minimize <c, x> subject to A_ub x <= b_ub, A_eq x = b_eq and the column
-    bounds of model, an LPModel, by one call to the HiGHS dual simplex bundled
-    with scipy, with _LP_OPTIONS.
+    bounds of model, an LPModel, by one run of the HiGHS simplex bundled with
+    scipy, with _LP_OPTIONS.
 
     HiGHS gets the model and the options scipy.optimize.linprog(method="highs")
     gives it: left sides -inf on the A_ub rows and b_eq on the A_eq rows,
@@ -307,10 +314,12 @@ def linprog(model, c, b_eq, b_ub=None):
     instance's costs (changeColsCost) and row bounds (changeRowBounds) where
     they differ from the last run's and runs it again from its last optimal
     basis. A cost change leaves that basis primal feasible and a bound change
-    leaves it dual feasible, so the run is the simplex's repair of one or the
-    other, not a solve from the slack basis. A hot run is read and checked
-    below exactly like a cold one; on a degenerate LP it may end at another
-    optimal vertex than a cold solve.
+    leaves it dual feasible, so a hot run whose costs alone changed is the
+    primal simplex's repair of the one, any other the dual simplex's repair of
+    the other, not a solve from the slack basis. A cold run is the dual
+    simplex of _HIGHS_OPTIONS, which passOptions sets anew. A hot run is read
+    and checked below exactly like a cold one; on a degenerate LP it may end
+    at another optimal vertex than a cold solve.
 
     This is the one place a solver status is read: an LP HiGHS proves
     infeasible raises InfeasibleError; every other outcome but an optimum
@@ -339,8 +348,11 @@ def linprog(model, c, b_eq, b_ub=None):
         cols = np.flatnonzero(c != held_c)
         if cols.size:
             highs.changeColsCost(cols.size, cols.astype(np.int32), c[cols])
-        for i in np.flatnonzero((lhs != held_lhs) | (rhs != held_rhs)).tolist():
+        rows = np.flatnonzero((lhs != held_lhs) | (rhs != held_rhs))
+        for i in rows.tolist():
             highs.changeRowBounds(i, lhs[i], rhs[i])
+        # the instance keeps the strategy of its last run, and a cold run's passOptions resets it
+        highs.setOptionValue("simplex_strategy", _DUAL if rows.size else _PRIMAL)
     else:
         try:
             highs = _IDLE.pop()
@@ -993,7 +1005,7 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
     their gradients are used.
 
     The oracle LPs differ only in their objective, so they share one LPModel,
-    built once per call: each LP after the first re-runs the dual simplex
+    built once per call: each LP after the first re-runs the primal simplex
     from the last optimal basis, which a cost change leaves primal feasible.
     The bound uses the value of each LP's checked optimum, whichever optimal
     vertex a hot run ends at, and the model is local to the call, so the

@@ -319,6 +319,29 @@ def test_the_warm_probe_saves_oracle_lps(monkeypatch):
     assert counts[0] < counts[1]
 
 
+def test_primal_hot_oracle_runs_save_pivots(monkeypatch):
+    # criterion 3's segment:17 pair at depth 2, once as it is and once with
+    # every hot run on the dual simplex; summed over the hot oracle runs
+    s = make_model_space("segment", 17)
+    mu0, mu1 = gaussian_measure(s, 8.0), bump_measure(s, 12, 0.13)
+    real, pivots = solvers._budgeted_oracle, []
+
+    def spy(*args):
+        model = args[-1][0]  # entropy_budget_min passes its oracle's (LPModel, b_ub)
+        hot = model.hot is not None
+        out = real(*args)
+        if hot:
+            pivots[-1] += model.hot[0].getInfo().simplex_iteration_count
+        return out
+
+    monkeypatch.setattr(solvers, "_budgeted_oracle", spy)
+    for primal in (solvers._PRIMAL, solvers._DUAL):
+        monkeypatch.setattr(solvers, "_PRIMAL", primal)
+        pivots.append(0)
+        build_good_geodesic(mu0, mu1, 2, epsilon="auto", K=0.0, tol=5e-3)
+    assert 0 < pivots[0] < pivots[1]
+
+
 def test_a_good_geodesic_does_not_depend_on_the_blas_thread_count():
     # criterion 3's segment:17 pair at depth 1; OpenBLAS fixes its thread
     # count when it loads, so each count needs its own process

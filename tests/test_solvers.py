@@ -350,21 +350,30 @@ def _oracle_lp(seed):
     return lambda: solvers._linked_pair_lp(C0, C1, (1.0, 1.0)), c, np.concatenate([mu0, mu1, np.zeros(9)]), budgets
 
 
+def _strategy(highs):
+    return highs.getOptionValue("simplex_strategy")[1]
+
+
 @pytest.mark.parametrize("change", ["costs", "bounds", "both"])
 def test_an_lp_path_takes_new_costs_and_bounds_to_a_cold_optimum(change):
     new_model, c, b_eq, budgets = _oracle_lp(31)
     rng, b_ub = np.random.default_rng(32), budgets
-    model, instances = new_model(), []
+    model, instances, strategies = new_model(), [], []
     for k in range(6):
         if k and change != "bounds":
             c[:81] = np.tile(rng.normal(size=9), 9)  # in place: the model must hold its own copy
         if k and change != "costs":
             b_ub = budgets * rng.uniform(1.0, 3.0, 2)  # nu = mu1 still meets them
         fun = solvers.linprog(model, c, b_eq, b_ub)[1]
-        cold = solvers.linprog(new_model(), c, b_eq, b_ub)[1]
+        cold_model = new_model()
+        cold = solvers.linprog(cold_model, c, b_eq, b_ub)[1]
         assert abs(fun - cold) <= 1e-9 * (1 + abs(cold))
         instances.append(model.hot[0])
+        strategies.append((_strategy(model.hot[0]), _strategy(cold_model.hot[0])))
     assert all(h is instances[0] for h in instances)  # each later LP re-ran the first one's HiGHS instance
+    # new costs alone leave the held basis primal feasible, new row bounds dual feasible
+    hot = solvers._PRIMAL if change == "costs" else solvers._DUAL
+    assert strategies == [(solvers._DUAL, solvers._DUAL)] + [(hot, solvers._DUAL)] * 5
 
 
 @pytest.mark.parametrize("failure", [InfeasibleError, SolverError], ids=["infeasible", "time-limit"])
@@ -423,8 +432,16 @@ def _pool_before_a_tree_start():
     solvers.exact_ot(space.metric ** 2, rng.dirichlet(np.ones(9)), rng.dirichlet(np.ones(9)), line=line_of(space))
 
 
+def _pool_before_an_oracle_series():
+    new_model, c, b_eq, b_ub = _oracle_lp(44)
+    model = new_model()
+    for objective in (c, c[::-1]):  # the second run is hot on new costs only
+        solvers.linprog(model, objective, b_eq, b_ub)
+    assert _strategy(model.hot[0]) == solvers._PRIMAL
+
+
 _POOL_BEFORE = {"another-shape": _pool_before_another_shape, "hot-series": _pool_before_a_hot_series,
-                "tree-start": _pool_before_a_tree_start}
+                "oracle-series": _pool_before_an_oracle_series, "tree-start": _pool_before_a_tree_start}
 
 
 @pytest.mark.parametrize("target", sorted(_POOL_TARGETS))
@@ -439,7 +456,7 @@ def test_a_cold_lp_on_a_reused_instance_has_a_fresh_instances_bits(monkeypatch, 
     assert idle.getNumCol() == 0  # cleared
     model = new_model()
     reused = solvers.linprog(model, *args)
-    assert model.hot[0] is idle and not solvers._IDLE
+    assert model.hot[0] is idle and not solvers._IDLE and _strategy(idle) == solvers._DUAL
     monkeypatch.setattr(solvers, "_IDLE", collections.deque(maxlen=0))  # every cold run on a new instance
     fresh = solvers.linprog(new_model(), *args)
     assert [np.asarray(v).tobytes() for v in reused] == [np.asarray(v).tobytes() for v in fresh]
