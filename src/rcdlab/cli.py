@@ -14,9 +14,9 @@ field. Exit codes:
     1  an assert-mode check failed, and nothing else (the report path is printed)
     2  config error: an unreadable or non-JSON file, a missing or wrong-type
        field anywhere in a config (space params, measure specs, the verify
-       config and t_grid included), a K or tolerance that is not finite, an
-       invalid space or measure, or a geodesic request that cannot be met
-       (GeodesyError)
+       config and t_grid included), an unknown key in a verify config, a K or
+       tolerance that is not finite, an invalid space or measure, or a
+       geodesic request that cannot be met (GeodesyError)
     3  solver failure: SolverError (InfeasibleError included), FormError,
        HeatError (a time that is not finite, or a t_grid that does not
        increase strictly, included), EviError or TransportError
@@ -365,6 +365,9 @@ def run_task(task, space, seed, forms):
         cfg = _coerced(task, "config", _exactly(dict), {})
         # keyword of evi.rcd_verify -> its kind; an absent or null field keeps the default
         kinds = {"K": _finite, "t_grid": _floats, "evi_tol": _finite, "n_quadratic": int, "n_additivity": int, "n_probes": int}
+        unknown = sorted(set(cfg) - set(kinds))
+        if unknown:
+            raise ConfigError(f"verify config has unknown key {unknown[0]!r}; the keys are {', '.join(kinds)}")
         kwargs = {k: _coerced(cfg, k, kind) for k, kind in kinds.items() if cfg.get(k) is not None}
         rep = evi.rcd_verify(form, seed=seed, **kwargs)
         payload = {

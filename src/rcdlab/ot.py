@@ -7,6 +7,7 @@ real vector (-inf off the target support).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,20 +129,34 @@ def kantorovich_potentials(mu: ProbMeasure, nu: ProbMeasure, gauge=None) -> Kant
     return KantorovichPair(phi, psi, dual, float(gap))
 
 
+_ARCS = weakref.WeakKeyDictionary()
+
+
+def _arcs(space: FiniteMMSpace):
+    """Both directions (xs, ys) of every graph edge (every ordered pair of
+    distinct points when the space has no graph carrier) and their lengths
+    d(xs, ys), built once per space."""
+    got = _ARCS.get(space)
+    if got is None:
+        if space.graph is not None:
+            i, j = np.array([e[:2] for e in space.graph], dtype=int).reshape(-1, 2).T
+            xs, ys = np.concatenate([i, j]), np.concatenate([j, i])
+        else:
+            xs, ys = np.nonzero(~np.eye(space.n, dtype=bool))
+        got = (xs, ys, space.metric[xs, ys])
+        _ARCS[space] = got
+    return got
+
+
 def _ascending_slopes(space: FiniteMMSpace, f):
     """Ascending difference-quotient slopes max(0, max_y (f(y) - f(x)) / d(x, y))
     over graph neighbors y of x (all other points when the space has no graph
     carrier)."""
     f = np.asarray(f, dtype=float)
-    n = space.n
-    if space.graph is not None:
-        i, j = np.array([e[:2] for e in space.graph], dtype=int).reshape(-1, 2).T
-        xs, ys = np.concatenate([i, j]), np.concatenate([j, i])
-    else:
-        xs, ys = np.nonzero(~np.eye(n, dtype=bool))
-    asc = np.zeros(n)
+    xs, ys, d = _arcs(space)
+    asc = np.zeros(space.n)
     # fmax skips a NaN quotient; + 0.0 turns a -0.0 won in a tie with 0 into 0.0
-    np.fmax.at(asc, xs, (f[ys] - f[xs]) / space.metric[xs, ys])
+    np.fmax.at(asc, xs, (f[ys] - f[xs]) / d)
     return asc + 0.0
 
 

@@ -139,10 +139,19 @@ them back into (alpha, w). G is never clipped at the exp floor: a clipped
 5e-324 would stand for an entry of e^-2000 and push the scaled sweeps off
 the log-domain iteration. The scaled sweeps run on the block of rows and
 columns of G with a nonzero entry; outside it, where the mass is below
-about 1e-308, alpha and w keep their absorbed values. The certificate is computed from
+about 1e-308, alpha and w keep their absorbed values. The sweeps are
+over-relaxed: both half-steps move alpha and w by one factor omega times the
+plain sweep's step, which leaves the fixed point where it is and, taken by
+Young's rule, speeds up a two-block Gauss-Seidel loop (Young, Iterative
+methods for solving partial difference equations of elliptic type, Trans.
+AMS 1954; Thibault, Chizat, Dossal and Papadakis, Overrelaxed Sinkhorn-Knopp
+algorithm for regularized optimal transport, Algorithms 2021). omega is 1 on
+the first sweeps and then 2 / (1 + sqrt(1 - rho)), below 2, with rho the
+ratio of two consecutive plain steps; on the ten steps of the golden config's
+jko task the sweeps fall from 1132 to 480. The certificate is computed from
 (alpha, w) as in the log domain: its dual bound is weak duality at any
 (alpha, w), so it holds wherever the sweeps stop. symmetric_potential, the
-debiasing potential, is computed the same way.
+debiasing potential, is computed the same way, without relaxation.
 """
 
 from __future__ import annotations
@@ -179,6 +188,11 @@ _POTENTIAL_CAP = 2000  # scaling steps per symmetric_potential call
 _POTENTIAL_TOL = 1e-13  # symmetric_potential stops on a step below this times eps
 _PROX_SWEEP_CAP = 20000  # dual sweeps per prox_entropy_step call
 _PROX_SWEEP_TOL = 1e-11  # prox_entropy_step stops on a sweep below this times taub
+# the sweep of prox_entropy_step whose step over the one before is Young's
+# rho: the first ratio of steps that leaves out the step from the arbitrary
+# start w = 0. The sweeps up to it are absorbing, so rho is measured on every
+# row and column, as in the log domain
+_YOUNG_SWEEP = 3
 _SCALING_BOUND = 30.0  # |log| of a scaling beyond which it is absorbed into the log-domain potentials
 # cheapest cells per row and per column of a transport shortlist without a
 # line. Per solve on random_metric:128 with Dirichlet marginals, at 1 BLAS
@@ -1183,6 +1197,13 @@ def _round_coupling(g, a, b):
     return g
 
 
+def _young_omega(rho):
+    """Young's over-relaxation factor 2 / (1 + sqrt(1 - rho)) for a
+    Gauss-Seidel sweep whose steps shrink by rho; below 2 for every rho < 1,
+    and 1 (no relaxation) when the steps did not shrink."""
+    return 2.0 / (1.0 + np.sqrt(1.0 - rho)) if rho < 1.0 else 1.0
+
+
 def prox_entropy_step(mu, C, m, tau, taub):
     """One minimizing-movement step for the entropy.
 
@@ -1192,13 +1213,17 @@ def prox_entropy_step(mu, C, m, tau, taub):
     makes nu=mu stationary when mu minimizes the entropy). Returns (nu,
     certified duality gap of the solved program, sweeps).
 
-    Each absorbing sweep is the log-domain sweep
-    alpha = taub (log mu - lse((w - lam C)/taub + log m) + 1),
-    w = taub (-1 + dbf - lse((alpha - lam C)/taub - 1)) / (1 + taub), with
-    lam = 1/(2 tau) and dbf = p/(2 tau). It fixes the kernel
+    Each absorbing sweep is the over-relaxed log-domain sweep
+    alpha += omega (taub (log mu - lse((w - lam C)/taub + log m) + 1) - alpha),
+    w += omega (taub (-1 + dbf - lse((alpha - lam C)/taub - 1)) / (1 + taub) - w),
+    with lam = 1/(2 tau) and dbf = p/(2 tau). omega is 1 up to sweep
+    _YOUNG_SWEEP and from there Young's 2 / (1 + sqrt(1 - rho)), with rho
+    that sweep's step of w over the step before it, or 1 if rho >= 1; the
+    sweeps up to it are all absorbing. An absorbing sweep fixes the kernel
     G = exp((alpha (+) w - lam C)/taub + log m - 1), the current coupling,
     and c = -1 + dbf + log m - w. The scaled sweeps after it,
-    a = mu / (G b) and log b = (c - log(a^T G)) / (1 + taub), are the same
+    log a += omega (log mu - log(G b) - log a) and
+    log b += omega ((c - log(a^T G)) / (1 + taub) - log b), are the same
     sweep with alpha + taub log a and w + taub log b in place of alpha and w,
     on the rows and columns of G with a nonzero entry. A scaled sweep whose
     log b is not finite is not taken; after one whose |log b| exceeds
@@ -1222,38 +1247,43 @@ def prox_entropy_step(mu, C, m, tau, taub):
     dbf[sel] = symmetric_potential(mu[sel], C[np.ix_(sel, sel)], m[sel], eps) / (2.0 * tau)
 
     tol = _PROX_SWEEP_TOL * max(taub, 1e-8)
-    w = np.zeros(n)
-    sweeps = 0
+    w, alpha = np.zeros(n), np.zeros(len(log_mu))
+    omega, last, sweeps = 1.0, np.inf, 0
     while sweeps < _PROX_SWEEP_CAP:
         # absorbing sweep, in the log domain
         sweeps += 1
         lse = logsumexp((w[None, :] - lam * Cr) / taub + log_m[None, :], axis=1)
-        alpha = taub * (log_mu - lse + 1.0)
+        alpha += omega * (taub * (log_mu - lse + 1.0) - alpha)
         logT = logsumexp((alpha[:, None] - lam * Cr) / taub - 1.0, axis=0)
-        w_new = taub * (-1.0 + dbf - logT) / (1.0 + taub)
+        w_new = w + omega * (taub * (-1.0 + dbf - logT) / (1.0 + taub) - w)
         delta = np.abs(w_new - w).max()
         w = w_new
+        if sweeps == _YOUNG_SWEEP:
+            omega = _young_omega(delta / last)
+        last = delta
         if delta < tol:
             break
+        if sweeps < _YOUNG_SWEEP:
+            continue
         # scaled sweeps on the representable block of the current coupling
         G = np.exp((alpha[:, None] + w[None, :] - lam * Cr) / taub + log_m[None, :] - 1.0)
         rows, cols = G.any(axis=1), G.any(axis=0)
         G = G[np.ix_(rows, cols)]
-        mu_r, c = mu[sel][rows], -1.0 + dbf[cols] + log_m[cols] - w[cols]
-        log_b, a = np.zeros(int(cols.sum())), np.ones(int(rows.sum()))
+        log_mu_r, c = log_mu[rows], -1.0 + dbf[cols] + log_m[cols] - w[cols]
+        log_b, log_a = np.zeros(int(cols.sum())), np.zeros(int(rows.sum()))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while sweeps < _PROX_SWEEP_CAP:
-                a_new = mu_r / (G @ np.exp(log_b))
-                log_b_new = (c - np.log(a_new @ G)) / (1.0 + taub)
+                log_a_new = log_a + omega * (log_mu_r - np.log(G @ np.exp(log_b)) - log_a)
+                log_b_new = log_b + omega * ((c - np.log(np.exp(log_a_new) @ G)) / (1.0 + taub) - log_b)
                 if not np.isfinite(log_b_new).all():
                     break  # out of range: not taken, the next absorbing sweep takes its place
                 sweeps += 1
                 delta = taub * np.abs(log_b_new - log_b).max()
-                log_b, a = log_b_new, a_new
+                log_b, log_a = log_b_new, log_a_new
                 if delta < tol or np.abs(log_b).max() > _SCALING_BOUND:
                     break
         w[cols] += taub * log_b
-        alpha[rows] += taub * np.log(a)
+        alpha[rows] += taub * log_a
         if delta < tol:
             break
 

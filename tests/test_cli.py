@@ -407,6 +407,16 @@ def test_a_config_error_quotes_the_field_not_the_config(tmp_path, capsys):
     assert len(err) <= 300 and "'space'" in err and "'x'" in err
 
 
+@pytest.mark.parametrize("key", ["evi_tl", "conifg", "k"])
+def test_an_unknown_verify_config_key_is_a_config_error_that_names_it(tmp_path, capsys, key):
+    checks = {"K": 0.0, "t_grid": [0.01, 0.02, 0.04], "n_probes": 1}
+    config = {"space": {"kind": "cycle", "n": 8}, "seed": 3, "output_dir": str(tmp_path / "o"),
+              "tasks": [{"op": "verify", "name": "r", "config": checks}]}
+    assert cli.run(config) == 0
+    config["tasks"][0]["config"] = dict(checks, **{key: 1e9})
+    assert repr(key) in _one_line_config_error(cli.run(config), capsys)
+
+
 # --- property: the exit-code contract under one mutation of a working config ---
 
 def test_a_run_builds_one_form_per_rule(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from rcdlab.heat import jko_flow
 from rcdlab.measures import ProbMeasure, bump_measure, dirac, measure_from_density, uniform_measure
 from rcdlab.mmspace import FiniteMMSpace, make_model_space
 from rcdlab.ot import _ascending_slopes, c_transform, check_slackness, kantorovich_potentials, w2
+from test_solvers import _log_domain_prox_step
 
 
 def polytope_vertex_minimum(C, mu, nu):
@@ -75,6 +76,16 @@ def test_plans_of_consecutive_jko_steps_meet_their_marginals(flow):
     measures = flow().measures
     for mu0, mu1 in zip(measures, measures[1:]):
         w2(mu0, mu1)[1].check_marginals(mu0, mu1)
+
+
+def test_golden_first_jko_step_reaches_the_plain_sweeps_nu():
+    # prox_entropy_step over-relaxes its sweeps; their fixed point is the plain sweeps'
+    trace = _golden_first_jko_step()
+    mu0 = trace.measures[0]
+    C, m = mu0.space.metric ** 2, mu0.space.ref_measure
+    nu, _, _ = _log_domain_prox_step(mu0.weights, C, m, 0.004, 0.25, relax=False)
+    assert np.abs(trace.measures[1].weights - nu).max() <= 1e-11
+    assert trace.meta["max_inner_gap"] <= 1e-6  # the task's inner_tol
 
 
 def test_w2_three_point_vertex_enumeration_oracle():
