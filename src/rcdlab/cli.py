@@ -2,7 +2,8 @@
 deterministic JSON/CSV artifact emission.
 
 Artifacts are written atomically with a fixed 17-significant-digit float
-format, so identical config + seed reproduce byte-identical files.
+format, so identical config + seed reproduce byte-identical files, and only
+after every task has returned, so a run that exits 2 or 3 writes none.
 
 Outside values get their types here and nowhere else: the config file, the
 space, each measure spec and a verify config are JSON objects given inline or
@@ -401,6 +402,9 @@ def run(config, base_dir=".") -> int:
         config = _read_specs(config, base_dir)
         config_hash = _config_hash(config)
         space = _coerced(config, "space", _space)
+        # every artifact is held until the last task returns, so a run that
+        # raises leaves the output directory as it found it
+        files = []
         scalars = []
         any_failures = []
         forms = {}
@@ -414,15 +418,18 @@ def run(config, base_dir=".") -> int:
                 "tolerances": _coerced(task, "tolerances", _exactly(dict), {}),
                 "result": payload,
             }
-            write_atomic(os.path.join(out_dir, f"{name}.json"), dumps_canonical(artifact) + "\n")
+            files.append((f"{name}.json", dumps_canonical(artifact) + "\n"))
             scalars.extend((name, key, val) for key, val in _series(payload))
             any_failures.extend(f"{name}: {f}" for f in failures)
 
         lines = ["task,name,value"] + [f"{task_name},{key},{_fmt_float(val)}" for task_name, key, val in scalars]
-        write_atomic(os.path.join(out_dir, "diagnostics.csv"), "\n".join(lines) + "\n")
+        files.append(("diagnostics.csv", "\n".join(lines) + "\n"))
+        if any_failures:
+            files.append(("failures.json", dumps_canonical({"failures": any_failures}) + "\n"))
+        for name, text in files:
+            write_atomic(os.path.join(out_dir, name), text)
         if any_failures:
             report_path = os.path.join(out_dir, "failures.json")
-            write_atomic(report_path, dumps_canonical({"failures": any_failures}) + "\n")
             print(f"assert-mode failures; see {report_path}", file=sys.stderr)
             return 1
         return 0

@@ -87,20 +87,22 @@ def test_criterion_03_good_geodesics():
 
 # -- 4. entropy-minimizer oracle battery on 3-point spaces -------------------
 
+def _three_point_instance(rng, t):
+    """(metric, m, mu0, mu1, t): every distance in [0.5, 1], so the triangle
+    inequality holds, and interior endpoint measures."""
+    base = rng.uniform(0.3, 1.0, size=3)
+    d01, d02, d12 = rng.uniform(0.5, 1.0, size=3)
+    d02 = min(d02, d01 + d12 - 1e-3)
+    metric = np.array([[0, d01, d02], [d01, 0, d12], [d02, d12, 0]], dtype=float)
+    m = base / base.sum()
+    mu0 = rng.dirichlet(np.ones(3) * 4) * 0.8 + 0.2 / 3
+    mu1 = rng.dirichlet(np.ones(3) * 4) * 0.8 + 0.2 / 3
+    return metric, m, mu0 / mu0.sum(), mu1 / mu1.sum(), t
+
+
 def _three_point_battery():
     rng = np.random.default_rng(202)
-    battery = []
-    for k in range(20):
-        base = rng.uniform(0.3, 1.0, size=3)
-        d01, d02, d12 = rng.uniform(0.5, 1.0, size=3)
-        d02 = min(d02, d01 + d12 - 1e-3)
-        d01_, d02_, d12_ = sorted([d01, d02, d12])
-        metric = np.array([[0, d01, d02], [d01, 0, d12], [d02, d12, 0]], dtype=float)
-        m = base / base.sum()
-        mu0 = rng.dirichlet(np.ones(3) * 4) * 0.8 + 0.2 / 3
-        mu1 = rng.dirichlet(np.ones(3) * 4) * 0.8 + 0.2 / 3
-        battery.append((metric, m, mu0 / mu0.sum(), mu1 / mu1.sum(), 0.5 if k % 2 == 0 else 0.3))
-    return battery
+    return [_three_point_instance(rng, 0.5 if k % 2 == 0 else 0.3) for k in range(20)]
 
 
 def test_criterion_04_entropy_minimizer_vs_grid_search():

@@ -195,6 +195,23 @@ def test_form_error_exit_code(tmp_path, capsys):
     assert "FormError" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("task, code", [
+    ({"op": "flow", "name": "f", "f0": {"kind": "uniform"}, "flavor": "nope"}, 2),
+    ({"op": "form", "name": "d", "sub": "intrinsic"}, 3),
+], ids=["config-error", "solver-failure"])
+def test_a_failed_run_writes_no_artifact(tmp_path, capsys, task, code):
+    # the validate task returns before the second task raises
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "v.json").write_text("stale\n")
+    cfg = {"space": {"kind": "cycle", "n": 8}, "seed": 0, "output_dir": str(out),
+           "tasks": [{"op": "validate", "name": "v"}, task]}
+    assert cli.run(cfg) == code
+    assert [p.name for p in out.iterdir()] == ["v.json"]
+    assert (out / "v.json").read_text() == "stale\n"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("task, field", [
     ({"op": "ot", "name": "o", "nu": {"kind": "uniform"}}, "mu"),
     ({"op": "ot", "name": "o", "mu": {"kind": "dirac"}, "nu": {"kind": "uniform"}}, "at"),

@@ -2,9 +2,11 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcdlab import geodesy, solvers
 from rcdlab.geodesy import (
@@ -340,6 +342,63 @@ def test_primal_hot_oracle_runs_save_pivots(monkeypatch):
         pivots.append(0)
         build_good_geodesic(mu0, mu1, 2, epsilon="auto", K=0.0, tol=5e-3)
     assert 0 < pivots[0] < pivots[1]
+
+
+def _hull_steps(monkeypatch, share):
+    # KKT inverses of criterion 3's segment:17 build at depth 2; only
+    # _hull_minimize inverts a matrix
+    s = make_model_space("segment", 17)
+    mu0, mu1 = gaussian_measure(s, 8.0), bump_measure(s, 12, 0.13)
+    real, steps = np.linalg.inv, []
+
+    def counting(a):
+        steps.append(1)
+        return real(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "inv", counting)
+        patch.setattr(solvers, "_HULL_SHARE", share)
+        trace = build_good_geodesic(mu0, mu1, 2, epsilon="auto", K=0.0, tol=5e-3)
+    assert max(c.gap for c in trace.certificates if c is not None) <= 5e-3
+    return len(steps)
+
+
+def test_hull_steps_stop_at_their_share_of_the_tolerance(monkeypatch):
+    # as shipped, and with every hull step run to rounding
+    shipped = _hull_steps(monkeypatch, solvers._HULL_SHARE)
+    assert 0 < shipped <= 0.6 * _hull_steps(monkeypatch, 0.0)
+    assert _hull_steps(monkeypatch, solvers._HULL_SHARE) == shipped
+
+
+def _early_and_exact_hull_steps_agree(metric, m, w0, w1, t, tol=2e-4):
+    # criterion 4's midpoint as shipped and with every hull step run to rounding
+    from rcdlab.mmspace import FiniteMMSpace
+
+    space = FiniteMMSpace((0, 1, 2), metric, m)
+    mu0, mu1 = ProbMeasure(space, w0), ProbMeasure(space, w1)
+    eps = max(epsilon_min(mu0, mu1, t), 0.0) + 0.05 * w2(mu0, mu1)[0]
+    cert = intermediate_entropy_min(mu0, mu1, t, eps, tol=tol)[1]
+    with mock.patch.object(solvers, "_HULL_SHARE", 0.0):
+        exact = intermediate_entropy_min(mu0, mu1, t, eps, tol=tol)[1]
+    assert cert.gap <= tol
+    assert cert.dual_bound <= cert.entropy
+    assert abs(cert.entropy - exact.entropy) <= tol
+
+
+def test_stopping_hull_steps_early_keeps_the_battery_certified():
+    from test_acceptance import _three_point_battery
+
+    for instance in _three_point_battery():
+        _early_and_exact_hull_steps_agree(*instance)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0.5, 0.3)))
+def test_stopping_hull_steps_early_keeps_random_batteries_certified(seed, t):
+    # instances drawn as criterion 4's battery draws them
+    from test_acceptance import _three_point_instance
+
+    _early_and_exact_hull_steps_agree(*_three_point_instance(np.random.default_rng(seed), t))
 
 
 def test_a_good_geodesic_does_not_depend_on_the_blas_thread_count():

@@ -1386,12 +1386,13 @@ def _random_hull_problems():
 
 
 def _recorded_hull_problems(run):
-    """The (vertices, m, theta0) of every _hull_minimize call that run makes."""
+    """The (vertices, m, theta0) of every _hull_minimize call that run makes;
+    the run's own calls keep their gap target."""
     real, problems = solvers._hull_minimize, []
 
-    def recording(vertices, m, theta0=None):
+    def recording(vertices, m, theta0=None, target=0.0):
         problems.append((np.array(vertices), m, None if theta0 is None else np.array(theta0)))
-        return real(vertices, m, theta0)
+        return real(vertices, m, theta0, target)
 
     with mock.patch.object(solvers, "_hull_minimize", recording):
         run()
@@ -1429,7 +1430,8 @@ _HULL_CASES = {
 @pytest.mark.parametrize("case", sorted(_HULL_CASES))
 def test_hull_minimize_closes_its_frank_wolfe_gap(case):
     # x.g - min g bounds the excess entropy of the weights x; on the hull
-    # problems rcdlab builds the interior-point step stops with it at rounding
+    # problems rcdlab builds, a call without a gap target stops with it at
+    # rounding
     problems = _HULL_CASES[case]()
     assert problems
     for V, m, theta0 in problems:
