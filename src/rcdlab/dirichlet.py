@@ -11,7 +11,11 @@ so that energy decreases along df/dt = Lap f.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,6 +417,63 @@ def _polish(W, m, c, eta, seen, at_seen, rel_tol):
     return _primal_value(W, m, c, sol), float(val)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of every OpenBLAS mapped into the
+    process, found through /proc/self/maps and looked up once. Empty where
+    there is no /proc or no OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].rsplit("/", 1)[-1].lower()})
+    names = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+             for suffix in ("64_", "", "_64") for prefix in ("scipy_openblas_", "openblas_")]
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        found = [(getattr(lib, get), getattr(lib, put)) for get, put in names if hasattr(lib, get) and hasattr(lib, put)]
+        if found:
+            get, put = found[0]
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+    return tuple(controls)
+
+
+# the thread counts are process-wide, so the guards open in all threads share
+# one save: the first to enter saves the caller's counts, the last to leave
+# restores them
+_BLAS_LOCK = threading.Lock()
+_blas_pin = {"open": 0, "saved": ()}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS at 1 thread and restore the
+    caller's counts afterwards, also when the block raises. A no-op where
+    _openblas_threads finds nothing."""
+    controls = _openblas_threads()
+    with _BLAS_LOCK:
+        if _blas_pin["open"] == 0:
+            _blas_pin["saved"] = tuple(get() for get, _ in controls)
+            for _, put in controls:
+                put(1)
+        _blas_pin["open"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_pin["open"] -= 1
+            if _blas_pin["open"] == 0:
+                for (_, put), count in zip(controls, _blas_pin["saved"]):
+                    put(count)
+
+
 def intrinsic_metric(form: DirichletForm, rel_tol=1e-6, eta0_value=0.5):
     """All-pairs intrinsic distance sup{g(x)-g(y) : Gamma(g,g) <= 1}.
 
@@ -423,26 +484,34 @@ def intrinsic_metric(form: DirichletForm, rel_tol=1e-6, eta0_value=0.5):
     distance is certified by weak duality to the requested relative
     tolerance, and the first pair that is not raises FormError, before any
     later pair is polished. Disconnected pairs are +inf.
+
+    The whole call runs with every loaded OpenBLAS at 1 thread
+    (_one_blas_thread), and the caller's thread counts are restored when it
+    returns or raises. Its systems are 16 x 16 at n = 16 and L-BFGS-B's
+    BLAS calls are smaller still, so worker threads only add hand-offs: at 2
+    threads on 2 cores the call took twice as long. The result's bits do not
+    depend on the thread count.
     """
-    n = form.n
-    labels = form.components()
-    distances = []  # per component, its pairs' (value, upper bound) in (x, y) order
-    for k in range(labels.max() + 1):
-        on = np.flatnonzero(labels == k)
-        pairs = [(a, b) for a in range(len(on)) for b in range(a + 1, len(on))]
-        distances.append(_pair_distances(form.weights[np.ix_(on, on)], form.vertex_measure[on], pairs, rel_tol,
-                                          eta0_value))
-    out = np.zeros((n, n))
-    for x in range(n):
-        for y in range(x + 1, n):
-            if labels[x] != labels[y]:
-                out[x, y] = out[y, x] = np.inf
-                continue
-            val, ub = next(distances[labels[x]])
-            if not _certified(val, ub, rel_tol):
-                raise FormError(f"intrinsic metric pair ({x},{y}) gap {ub - val:.2e} above tolerance")
-            out[x, y] = out[y, x] = 0.5 * (val + ub)
-    return out
+    with _one_blas_thread():
+        n = form.n
+        labels = form.components()
+        distances = []  # per component, its pairs' (value, upper bound) in (x, y) order
+        for k in range(labels.max() + 1):
+            on = np.flatnonzero(labels == k)
+            pairs = [(a, b) for a in range(len(on)) for b in range(a + 1, len(on))]
+            distances.append(_pair_distances(form.weights[np.ix_(on, on)], form.vertex_measure[on], pairs, rel_tol,
+                                              eta0_value))
+        out = np.zeros((n, n))
+        for x in range(n):
+            for y in range(x + 1, n):
+                if labels[x] != labels[y]:
+                    out[x, y] = out[y, x] = np.inf
+                    continue
+                val, ub = next(distances[labels[x]])
+                if not _certified(val, ub, rel_tol):
+                    raise FormError(f"intrinsic metric pair ({x},{y}) gap {ub - val:.2e} above tolerance")
+                out[x, y] = out[y, x] = 0.5 * (val + ub)
+        return out
 
 
 def calibrated_segment(n, rel_tol=1e-8):
@@ -455,6 +524,8 @@ def calibrated_segment(n, rel_tol=1e-8):
     calibration therefore stores the certified intrinsic matrix as the metric.
     Returns (space, form).
     """
+    if n < 2:
+        raise FormError(f"calibrated_segment needs n >= 2, got n = {n}")
     h = 1.0 / (n - 1)
     m = np.full(n, h)
     m[0] = m[-1] = h / 2.0

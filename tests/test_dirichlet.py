@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -303,6 +305,12 @@ def test_calibrated_segment_certified_and_triangle():
     assert worst <= 2e-7 * (1 + space.metric.max())
 
 
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_calibrated_segment_needs_two_vertices(n):
+    with pytest.raises(FormError, match=f"got n = {n}$"):
+        calibrated_segment(n)
+
+
 @pytest.mark.xfail(raises=FormError, strict=True,
                    reason="pair (0,13) ends with relative gap 3.08e-08, above the default rel_tol 1e-8")
 def test_calibrated_segment_certifies_at_its_default_tolerance():
@@ -415,17 +423,110 @@ def test_stacks_of_one_pair_give_the_same_metric(monkeypatch, name):
     assert {shape[0] for shape in sizes if len(shape) == 2} == {1}
 
 
+# Run in a fresh process: reads every loaded OpenBLAS's thread count, apart
+# from the package's own lookup, before the calls, inside every setulb call,
+# after a certified metric and after cycle:8's FormError; prints them with the
+# metric's bytes as one JSON line.
+_THREAD_COUNT_SCRIPT = """
+import ctypes, json, sys
+from rcdlab import dirichlet
+from rcdlab.dirichlet import FormError, calibrated_segment, dirichlet_form, intrinsic_metric
+from rcdlab.mmspace import make_model_space
+
+with open("/proc/self/maps") as fh:
+    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1].lower()})
+getters = []
+for path in paths:
+    lib = ctypes.CDLL(path)
+    names = [p + "get_num_threads" + s for s in ("64_", "", "_64") for p in ("scipy_openblas_", "openblas_")]
+    getters += [getattr(lib, name) for name in names if hasattr(lib, name)][:1]
+for get in getters:
+    get.argtypes, get.restype = [], ctypes.c_int
+
+def counts():
+    return [get() for get in getters]
+
+before, during = counts(), set()
+inner = dirichlet._setulb
+
+def recording(*args):
+    during.update(counts())
+    return inner(*args)
+
+dirichlet._setulb = recording
+metric = intrinsic_metric(calibrated_segment(8)[1]).tobytes().hex()
+after_return = counts()
+try:
+    intrinsic_metric(dirichlet_form(make_model_space("cycle", 8)))
+    sys.exit("cycle:8 was certified")
+except FormError:
+    pass
+print(json.dumps({"metric": metric, "before": before, "during": sorted(during), "after_return": after_return,
+                  "after_error": counts()}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc")
 def test_the_intrinsic_metric_does_not_depend_on_the_blas_thread_count():
     # OpenBLAS fixes its thread count when it loads, so each count needs its own process
-    script = ("import sys; from rcdlab.dirichlet import calibrated_segment, intrinsic_metric; "
-              "sys.stdout.write(intrinsic_metric(calibrated_segment(8)[1]).tobytes().hex())")
     src = os.path.dirname(os.path.dirname(dirichlet.__file__))
-    runs = []
+    runs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        runs.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=300).stdout)
-    assert runs[0] and runs[0] == runs[1]
+        proc = subprocess.run([sys.executable, "-c", _THREAD_COUNT_SCRIPT], env=env, capture_output=True, text=True,
+                              check=True, timeout=300)
+        runs[threads] = json.loads(proc.stdout)
+    if not runs["1"]["before"]:
+        pytest.skip("no OpenBLAS is loaded")
+    assert runs["1"]["metric"] and runs["1"]["metric"] == runs["2"]["metric"]
+    for threads, run in runs.items():
+        # OpenBLAS takes no more threads than the process may run on
+        expected = min(int(threads), len(os.sched_getaffinity(0)))
+        assert run["before"] == [expected] * len(run["before"])
+        assert run["during"] == [1]
+        assert run["after_return"] == run["after_error"] == run["before"]
+
+
+def test_the_metric_is_the_same_without_an_openblas_to_pin(monkeypatch):
+    form, cycle = calibrated_segment(8)[1], _PAIR_FORMS["cycle:8"]()
+    pinned = _metric_or_error(form), _metric_or_error(cycle)
+    assert isinstance(pinned[0], bytes) and "(0,3)" in pinned[1]
+    monkeypatch.setattr(dirichlet, "_openblas_threads", lambda: ())
+    assert (_metric_or_error(form), _metric_or_error(cycle)) == pinned
+
+
+def test_the_lookup_finds_nothing_without_proc(monkeypatch):
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError(args[0])
+
+    monkeypatch.setattr(dirichlet, "open", no_proc, raising=False)
+    assert dirichlet._openblas_threads.__wrapped__() == ()
+
+
+def test_guards_open_in_many_threads_restore_the_callers_count(monkeypatch):
+    count = [3]
+    monkeypatch.setattr(dirichlet, "_openblas_threads", lambda: ((lambda: count[0], lambda k: count.__setitem__(0, k)),))
+    seen = []
+
+    def work():
+        for _ in range(300):
+            with dirichlet._one_blas_thread():
+                seen.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(seen) == 8 * 300 and set(seen) == {1}
+    assert count[0] == 3
 
 
 def _evaluated_points(monkeypatch, run):
