@@ -490,7 +490,10 @@ def intrinsic_metric(form: DirichletForm, rel_tol=1e-6, eta0_value=0.5):
     returns or raises. Its systems are 16 x 16 at n = 16 and L-BFGS-B's
     BLAS calls are smaller still, so worker threads only add hand-offs: at 2
     threads on 2 cores the call took twice as long. The result's bits do not
-    depend on the thread count.
+    depend on the thread count. The counts are process-wide: while a call is
+    open, BLAS work in other Python threads also runs on 1 thread, a count
+    that another thread sets during the call is overwritten on exit, and only
+    the OpenBLAS builds loaded before the first call are pinned.
     """
     with _one_blas_thread():
         n = form.n

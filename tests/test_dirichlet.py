@@ -433,8 +433,11 @@ from rcdlab import dirichlet
 from rcdlab.dirichlet import FormError, calibrated_segment, dirichlet_form, intrinsic_metric
 from rcdlab.mmspace import make_model_space
 
-with open("/proc/self/maps") as fh:
-    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1].lower()})
+try:
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1].lower()})
+except OSError:  # no /proc: the counts are left empty and only the bytes are compared
+    paths = []
 getters = []
 for path in paths:
     lib = ctypes.CDLL(path)
@@ -466,7 +469,6 @@ print(json.dumps({"metric": metric, "before": before, "during": sorted(during), 
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc")
 def test_the_intrinsic_metric_does_not_depend_on_the_blas_thread_count():
     # OpenBLAS fixes its thread count when it loads, so each count needs its own process
     src = os.path.dirname(os.path.dirname(dirichlet.__file__))
@@ -477,13 +479,13 @@ def test_the_intrinsic_metric_does_not_depend_on_the_blas_thread_count():
         proc = subprocess.run([sys.executable, "-c", _THREAD_COUNT_SCRIPT], env=env, capture_output=True, text=True,
                               check=True, timeout=300)
         runs[threads] = json.loads(proc.stdout)
-    if not runs["1"]["before"]:
-        pytest.skip("no OpenBLAS is loaded")
     assert runs["1"]["metric"] and runs["1"]["metric"] == runs["2"]["metric"]
-    for threads, run in runs.items():
-        # OpenBLAS takes no more threads than the process may run on
-        expected = min(int(threads), len(os.sched_getaffinity(0)))
-        assert run["before"] == [expected] * len(run["before"])
+    if not runs["1"]["before"]:
+        pytest.skip("no OpenBLAS found through /proc: the bytes matched, the thread counts were not read")
+    if len(os.sched_getaffinity(0)) > 1:
+        # otherwise the 2-thread run cannot tell a pinned call from an unpinned one
+        assert max(runs["2"]["before"]) > 1
+    for run in runs.values():
         assert run["during"] == [1]
         assert run["after_return"] == run["after_error"] == run["before"]
 
