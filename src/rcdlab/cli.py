@@ -9,15 +9,16 @@ Outside values get their types here and nowhere else: the config file, the
 space, each measure spec and a verify config are JSON objects given inline or
 in a JSON file (``_spec``), all read before any task runs so that the
 config_hash of the artifacts covers what was read, and ``_coerced`` types each
-field. Exit codes:
+field. Each object may hold only the keys ``_KEYS`` lists for it. Exit codes:
 
     0  success
     1  an assert-mode check failed, and nothing else (the report path is printed)
     2  config error: an unreadable or non-JSON file, a missing or wrong-type
        field anywhere in a config (space params, measure specs, the verify
-       config and t_grid included), an unknown key in a verify config, a K or
-       tolerance that is not finite, an invalid space or measure, or a
-       geodesic request that cannot be met (GeodesyError)
+       config and t_grid included), an unknown key in any object of a config,
+       a K or tolerance that is not finite, a verify n_probes below 1, an
+       invalid space or measure, or a geodesic request that cannot be met
+       (GeodesyError)
     3  solver failure: SolverError (InfeasibleError included), FormError,
        HeatError (a time that is not finite, or a t_grid that does not
        increase strictly, included), EviError or TransportError
@@ -48,7 +49,7 @@ from .dirichlet import (
 )
 from .solvers import SolverError
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def schema_version() -> str:
@@ -190,9 +191,47 @@ def _floats(value, n=None):
     return a
 
 
+def _count(value):
+    """A number of probes, an int of at least 1: with none a battery checks nothing."""
+    if int(value) < 1:
+        raise ValueError(f"{value} < 1")
+    return int(value)
+
+
 def _paths(space, value):
     """A JSON list of lists of point indices of space."""
     return [[mmspace._point(space, i) for i in _exactly(list)(p)] for p in _exactly(list)(value)]
+
+
+# object -> the keys it may hold, so that a misspelt key is a ConfigError (_known) and not a default:
+# a task's are _TASK and its op's (its subcommand's flags included), a measure spec's are its kind's,
+# and a verify config's are the keywords of evi.rcd_verify it passes on, each with its kind
+_TASK = ("op", "name", "rule", "tolerances")
+_KEYS = {
+    "config": ("space", "seed", "output_dir", "tasks"),
+    "space": ("kind", "n", "params"),
+    "space params": ("measure", "distance", "seed", "edge_prob"),
+    "space file": ("points", "metric", "measure", "edges", "base_point", "meta"),
+    "task": {
+        "validate": _TASK + ("assert_pass",),
+        "ot": _TASK + ("mu", "nu", "gauge", "gap_tol"),
+        "geodesic": _TASK + ("mu0", "mu1", "depth", "epsilon", "K", "tol", "cd_tol"),
+        "form": _TASK + ("sub", "f", "g", "paths", "rel_tol"),
+        "flow": _TASK + ("f0", "flavor", "t_grid", "t", "steps", "tau", "inner_tol", "blur", "assert_entropy_monotone"),
+        "verify": _TASK + ("config", "assert_verdict"),
+    },
+    "measure": {"weights": ("weights", "meta"), "uniform": ("kind",), "dirac": ("kind", "at"),
+                "gaussian": ("kind", "c2", "x0"), "bump": ("kind", "center", "radius")},
+    "verify config": {"K": _finite, "t_grid": _floats, "evi_tol": _finite, "n_probes": _count},
+}
+
+
+def _known(spec, keys, what):
+    """spec, when it holds no key outside keys; else a ConfigError that names the first it does."""
+    for key in spec:
+        if key not in keys:
+            raise ConfigError(f"{what} has unknown key {_quoted(key)}; the keys are {', '.join(keys)}")
+    return spec
 
 
 # op -> the fields of its task that hold a spec
@@ -211,24 +250,27 @@ def _read_specs(config, base_dir):
 
 
 def _space(spec):
-    if "kind" in spec:
-        return mmspace.make_model_space(spec["kind"], _coerced(spec, "n", int), _coerced(spec, "params", _exactly(dict), {}))
-    return mmspace.space_from_json(spec)
+    if "kind" not in spec:
+        return mmspace.space_from_json(_known(spec, _KEYS["space file"], "space"))
+    _known(spec, _KEYS["space"], "space")
+    params = _known(_coerced(spec, "params", _exactly(dict), {}), _KEYS["space params"], "space params")
+    return mmspace.make_model_space(spec["kind"], _coerced(spec, "n", int), params)
 
 
 def _measure(space, spec):
-    if "weights" in spec:
+    kind = "weights" if "weights" in spec else _coerced(spec, "kind", _exactly(str))
+    if kind not in _KEYS["measure"]:
+        raise ConfigError(f"unknown measure kind {kind!r}")
+    _known(spec, _KEYS["measure"][kind], f"{kind} measure spec")
+    if kind == "weights":
         return measures.ProbMeasure(space, _coerced(spec, "weights", _floats), dict(_coerced(spec, "meta", _exactly(dict), {})))
-    kind = spec.get("kind")
     if kind == "uniform":
         return measures.uniform_measure(space)
     if kind == "dirac":
         return measures.dirac(space, _coerced(spec, "at", int))
     if kind == "gaussian":
         return measures.gaussian_measure(space, _coerced(spec, "c2", float), _coerced(spec, "x0", int, None))
-    if kind == "bump":
-        return measures.bump_measure(space, _coerced(spec, "center", int), _coerced(spec, "radius", float))
-    raise ConfigError(f"unknown measure spec {spec!r}")
+    return measures.bump_measure(space, _coerced(spec, "center", int), _coerced(spec, "radius", float))
 
 
 def _series(report):
@@ -265,6 +307,9 @@ def run_task(task, space, seed, forms):
     at the first task that needs it, so the tasks of one run share each form
     and its spectral decomposition (heat._spectral)."""
     op = _coerced(task, "op", _exactly(str))
+    if op not in _KEYS["task"]:
+        raise ConfigError(f"unknown op {op!r}")
+    _known(task, _KEYS["task"][op], f"{op} task")
     measure = functools.partial(_measure, space)
     rule = _coerced(task, "rule", _exactly(str), "metric_measure")
     form = None
@@ -363,12 +408,9 @@ def run_task(task, space, seed, forms):
         if _coerced(task, "assert_entropy_monotone", _exactly(bool), True) and not mono:
             failures.append("flow: entropy not nonincreasing")
     elif op == "verify":
-        cfg = _coerced(task, "config", _exactly(dict), {})
-        # keyword of evi.rcd_verify -> its kind; an absent or null field keeps the default
-        kinds = {"K": _finite, "t_grid": _floats, "evi_tol": _finite, "n_quadratic": int, "n_additivity": int, "n_probes": int}
-        unknown = sorted(set(cfg) - set(kinds))
-        if unknown:
-            raise ConfigError(f"verify config has unknown key {unknown[0]!r}; the keys are {', '.join(kinds)}")
+        kinds = _KEYS["verify config"]
+        cfg = _known(_coerced(task, "config", _exactly(dict), {}), kinds, "verify config")
+        # an absent or null field keeps rcd_verify's default
         kwargs = {k: _coerced(cfg, k, kind) for k, kind in kinds.items() if cfg.get(k) is not None}
         rep = evi.rcd_verify(form, seed=seed, **kwargs)
         payload = {
@@ -381,14 +423,13 @@ def run_task(task, space, seed, forms):
         }
         if _coerced(task, "assert_verdict", _exactly(bool), True) and not rep["verdict"]:
             failures.append("verify: battery failed")
-    else:
-        raise ConfigError(f"unknown op {op!r}")
     return payload, failures
 
 
 def run(config, base_dir=".") -> int:
     """Execute an experiment config; returns the process exit status."""
     try:
+        _known(config, _KEYS["config"], "config")
         tasks = config.get("tasks")
         if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
             raise ConfigError(f"tasks must be a list of objects, got {_quoted(tasks)}")

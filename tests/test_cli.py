@@ -17,7 +17,7 @@ def run_cli(args):
 
 
 def test_schema_version():
-    assert cli.schema_version() == "2"
+    assert cli.schema_version() == "3"
 
 
 def test_canonical_float_formatting():
@@ -33,7 +33,7 @@ def test_validate_task_on_valid_space(tmp_path):
            "tasks": [{"op": "validate", "name": "v"}]}
     assert cli.run(cfg) == 0
     artifact = json.loads((tmp_path / "out" / "v.json").read_text())
-    assert artifact["schema_version"] == "2"
+    assert artifact["schema_version"] == "3"
     assert artifact["result"]["passed"] is True
 
 
@@ -331,12 +331,13 @@ def _one_line_config_error(code, capsys):
     {"tasks": [{"op": "ot", "mu": "bad.json", "nu": {"kind": "uniform"}}]},
     {"tasks": [{"op": "verify", "config": {"K": "abc"}}]},
     {"tasks": [{"op": "verify", "config": {"t_grid": "abc"}}]},
+    {"tasks": [{"op": "verify", "config": {"n_probes": 0}}]},
     {"tasks": [{"op": "flow", "f0": {"kind": "uniform"}, "t_grid": [0.1, "x"]}]},
     {"tasks": [{"op": "form", "f": [1.0, 2.0]}]},
     {"tasks": [{"op": "form", "sub": "mod2", "paths": [[0, 1, 99]]}]},
 ], ids=["space-missing-file", "space-number", "tasks-number", "space-without-points", "params-number",
         "params-seed", "params-edge-prob", "params-gaussian", "measure-number", "measure-not-json",
-        "verify-K", "verify-t-grid", "flow-t-grid", "form-f-length", "mod2-paths"])
+        "verify-K", "verify-t-grid", "verify-no-probes", "flow-t-grid", "form-f-length", "mod2-paths"])
 def test_malformed_run_input_is_one_line_config_error(tmp_path, capsys, fields):
     (tmp_path / "bad.json").write_text("{not json")
     config = dict({"space": {"kind": "cycle", "n": 8}, "seed": 0, "output_dir": str(tmp_path / "o"), "tasks": []},
@@ -381,7 +382,7 @@ def test_every_subcommand_writes_the_artifacts_of_its_run_config(tmp_path):
         return str(path)
 
     a, b = spec("a.json", {"kind": "dirac", "at": 0}), spec("b.json", {"kind": "bump", "center": 2, "radius": 0.2})
-    checks = spec("v.json", {"K": 0.0, "t_grid": [0.01, 0.02, 0.04], "n_quadratic": 2, "n_probes": 1})
+    checks = spec("v.json", {"K": 0.0, "t_grid": [0.01, 0.02, 0.04], "n_probes": 1})
     commands = [
         (["validate"], {}),
         (["ot", "--mu", a, "--nu", b], {"mu": a, "nu": b}),
@@ -447,7 +448,7 @@ def test_a_run_builds_one_form_per_rule(tmp_path, monkeypatch):
         {"op": "flow", "name": "j", "flavor": "jko", "f0": bump, "tau": 0.01, "steps": 1},
         {"op": "form", "name": "u", "sub": "laplacian", "rule": "unit", "f": f},
         {"op": "verify", "name": "r",
-         "config": {"K": 0.0, "t_grid": [0.01, 0.02, 0.04], "n_quadratic": 1, "n_additivity": 1, "n_probes": 1}},
+         "config": {"K": 0.0, "t_grid": [0.01, 0.02, 0.04], "n_probes": 1}},
     ]
     rules, eighs = [], []
     real_form, real_eigh = cli.dirichlet_form, np.linalg.eigh
@@ -481,7 +482,7 @@ def _every_op_config():
             {"op": "form", "name": "g", "sub": "gamma", "rule": "metric_measure", "f": f, "g": f[::-1]},
             {"op": "form", "name": "m", "sub": "mod2", "paths": [[0, 1, 2], [0, 7, 6]]},
             {"op": "verify", "name": "r",
-             "config": {"K": 0.0, "t_grid": [0.01, 0.02, 0.04], "n_quadratic": 2, "n_additivity": 1, "n_probes": 1}},
+             "config": {"K": 0.0, "t_grid": [0.01, 0.02, 0.04], "n_probes": 1}},
             {"op": "geodesic", "name": "d", "depth": 1, "mu0": {"kind": "dirac", "at": 0}, "mu1": {"kind": "dirac", "at": 2}},
         ],
     }
@@ -504,13 +505,21 @@ def _json_type(value):
         type(value), "null")
 
 
+def _at(value, path):
+    return functools.reduce(lambda obj, key: obj[key], path, value)
+
+
 @st.composite
 def _mutations(draw):
-    path = draw(st.sampled_from(list(_locations(_every_op_config()))))
-    kinds = [("drop", None)] + [("replace", v) for v in _REPLACEMENTS]
-    if isinstance(functools.reduce(lambda obj, key: obj[key], path, _every_op_config()), float):
+    # () is the top-level object, whose only mutation is an inserted key
+    path = draw(st.sampled_from([()] + list(_locations(_every_op_config()))))
+    value = _at(_every_op_config(), path)
+    kinds = [("insert", v) for v in _REPLACEMENTS] if isinstance(value, dict) else []
+    if path:
+        kinds += [("drop", None)] + [("replace", v) for v in _REPLACEMENTS]
+    if isinstance(value, float):
         kinds.append(("replace", 1e200))  # not in a count, which would then run 1e200 times
-    if path[-1] in _SPEC_FIELDS:
+    if path and path[-1] in _SPEC_FIELDS:
         kinds += [("replace", "missing.json"), ("replace", "bad.json")]
     return (path,) + draw(st.sampled_from(kinds))
 
@@ -523,15 +532,18 @@ def test_one_mutation_of_a_working_config_keeps_the_exit_code_contract(tmp_path_
     (base / "nu.json").write_text(json.dumps({"kind": "bump", "center": 4, "radius": 0.2}))
     (base / "bad.json").write_text("{not json")
     config = _every_op_config()
-    parent = functools.reduce(lambda obj, key: obj[key], path[:-1], config)
-    old = parent[path[-1]]
-    if kind == "drop":
-        del parent[path[-1]]
+    if kind == "insert":
+        _at(config, path)["unknown_key"] = new
     else:
-        parent[path[-1]] = new
+        parent = _at(config, path[:-1])
+        old = parent[path[-1]]
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
     code = cli.run(config, base_dir=str(base))
     assert code in (0, 1, 2, 3)
-    unreadable = path[-1] in _SPEC_FIELDS and new in ("missing.json", "bad.json")
+    unreadable = kind == "replace" and path[-1] in _SPEC_FIELDS and new in ("missing.json", "bad.json")
     wrong_type = kind == "replace" and new is not None and _json_type(new) != _json_type(old)
-    if unreadable or wrong_type:
+    if unreadable or wrong_type or kind == "insert":
         assert code == 2

@@ -149,6 +149,14 @@ def test_rcd_verify_rejects_a_k_or_tolerance_that_is_not_finite(kwargs):
         evi.rcd_verify(form, n_probes=1, **kwargs)
 
 
+@pytest.mark.parametrize("n_probes", [0, -3])
+def test_rcd_verify_rejects_a_battery_without_probes(n_probes):
+    # with no probe the worst residual stayed -inf, so the verdict was True
+    form = dirichlet_form(make_model_space("cycle", 8))
+    with pytest.raises(EviError, match="n_probes >= 1"):
+        evi.rcd_verify(form, n_probes=n_probes)
+
+
 def test_evi_checks_reject_a_k_that_is_not_finite():
     s = make_model_space("cycle", 8)
     form = dirichlet_form(s)
@@ -170,11 +178,25 @@ def test_inequality_report_consistency_and_trend():
 
 
 def test_rcd_verify_two_point_and_cycle():
+    # on two points W2^2 = |p - q|, which EVI_0 need not satisfy: the battery's worst is the
+    # closed-form centered-difference residual of its own draws, whatever its sign
     tp, form_tp = two_point_setup()
     rep = rcd_verify(form_tp, K=0.0, seed=0, evi_tol=1e-6)
-    assert rep["verdict"]
-    assert rep["checks"]["quadratic_form"].worst <= 1e-12
-    assert rep["checks"]["additivity"].worst <= 1e-10
+    m = tp.ref_measure
+    times = np.array([0.01 * k for k in range(1, 11)])
+    ent = lambda p: p * np.log(p / m[0]) + (1 - p) * np.log((1 - p) / m[1])
+    rng = np.random.default_rng(0)
+    worst = -np.inf
+    for _ in range(2):
+        f0 = np.exp(rng.normal(scale=0.5, size=2))
+        p = two_point_closed_form(f0[0] * m[0] / (f0 * m).sum(), times)
+        gs = np.exp(rng.normal(scale=0.5, size=2))
+        q = gs[0] * m[0] / (gs * m).sum()
+        wsq = np.abs(p - q)
+        resid = (wsq[2:] - wsq[:-2]) / (times[2:] - times[:-2]) / 2.0 + ent(p[1:-1]) - ent(q)
+        worst = max(worst, resid.max())
+    assert abs(rep["checks"]["evi_battery"].worst - worst) <= 1e-12
+    assert rep["verdict"] == (rep["checks"]["evi_battery"].worst <= 1e-6)
 
     s = make_model_space("cycle", 32)
     form = dirichlet_form(s)
@@ -187,7 +209,7 @@ def test_rcd_verify_solves_one_transport_lp_per_probe_time(monkeypatch, exact_ot
     t_grid = [0.01, 0.02, 0.04, 0.06]
 
     def battery():
-        rep = rcd_verify(form, seed=3, t_grid=t_grid, n_quadratic=2, n_additivity=2, n_probes=2)
+        rep = rcd_verify(form, seed=3, t_grid=t_grid, n_probes=2)
         return rep["verdict"], {name: (r.grid, r.residuals, r.worst, r.extras) for name, r in rep["checks"].items()}
 
     got = battery()
