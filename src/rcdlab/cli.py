@@ -220,7 +220,7 @@ _KEYS = {
         "flow": _TASK + ("f0", "flavor", "t_grid", "t", "steps", "tau", "inner_tol", "blur", "assert_entropy_monotone"),
         "verify": _TASK + ("config", "assert_verdict"),
     },
-    "measure": {"weights": ("weights", "meta"), "uniform": ("kind",), "dirac": ("kind", "at"),
+    "measure": {"weights": ("weights",), "uniform": ("kind",), "dirac": ("kind", "at"),
                 "gaussian": ("kind", "c2", "x0"), "bump": ("kind", "center", "radius")},
     "verify config": {"K": _finite, "t_grid": _floats, "evi_tol": _finite, "n_probes": _count},
 }
@@ -263,7 +263,7 @@ def _measure(space, spec):
         raise ConfigError(f"unknown measure kind {kind!r}")
     _known(spec, _KEYS["measure"][kind], f"{kind} measure spec")
     if kind == "weights":
-        return measures.ProbMeasure(space, _coerced(spec, "weights", _floats), dict(_coerced(spec, "meta", _exactly(dict), {})))
+        return measures.ProbMeasure(space, _coerced(spec, "weights", _floats))
     if kind == "uniform":
         return measures.uniform_measure(space)
     if kind == "dirac":

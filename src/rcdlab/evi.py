@@ -85,7 +85,8 @@ def evi_check(flow: FlowTrace, sigma: ProbMeasure, K) -> InequalityReport:
 
 def dw2_derivative_check(flow: FlowTrace, sigma: ProbMeasure, form: DirichletForm) -> InequalityReport:
     """Residual of d/dt W2^2(mu_t, sigma)/2 = -E_{mu_t}(phi_t, log f_t) at
-    interior trace times, using gauge-normalized potentials."""
+    interior trace times where mu_t has a positive density, using
+    gauge-normalized potentials. With no such time it raises EviError."""
     times = np.asarray(flow.times)
     if len(times) < 3:
         raise EviError("need at least 3 time samples")
@@ -97,6 +98,8 @@ def dw2_derivative_check(flow: FlowTrace, sigma: ProbMeasure, form: DirichletFor
         wsq.append(exact_ot(C, mu_t.weights, sigma.weights, line=line)[0])
         if 0 < i < len(times) - 1 and mu_t.density().min() > 0:
             pairs[i] = kantorovich_potentials(mu_t, sigma, gauge=gauge)
+    if not pairs:
+        raise EviError("no interior time has a positive density: nothing to check")
     residuals = []
     grid = []
     for i, pair in pairs.items():
@@ -107,8 +110,7 @@ def dw2_derivative_check(flow: FlowTrace, sigma: ProbMeasure, form: DirichletFor
         lhs = (wsq[i + 1] - wsq[i - 1]) / (2.0 * h) / 2.0
         residuals.append(float(abs(lhs - rhs)))
         grid.append(float(times[i]))
-    worst = max(residuals) if residuals else 0.0
-    return InequalityReport("dw2_derivative", tuple(grid), tuple(residuals), float(worst))
+    return InequalityReport("dw2_derivative", tuple(grid), tuple(residuals), max(residuals))
 
 
 def entropy_inequality_check(eta: ProbMeasure, sigma: ProbMeasure, K, form: DirichletForm) -> InequalityReport:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .measures import ProbMeasure, relative_entropy, support_radius
+from .measures import ProbMeasure, gaussian_measure, relative_entropy
 from .ot import _same_space
 from .solvers import (
     InfeasibleError,
@@ -199,9 +199,12 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
 
     At each refinement level the midpoint of every consecutive pair is the
     entropy minimizer of the relaxed intermediate set between them. When mu0
-    carries a gaussian profile tag and mu1 a bounded-support tag, the time
-    t0 = min(c2/(2 K^-), 1/2) is fixed first and the density bound constant
-    max(sup rho1, c1) * exp((2 K^- + c2) D^2) is recorded in meta.
+    carries gaussian_measure's tag and its weights are gaussian_measure's for
+    the tag's c2 and x0, the time t0 = min(c2/(2 K^-), 1/2) is fixed first
+    and the density bound constant max(sup rho1, c1) * exp((2 K^- + c2) D^2)
+    is recorded in meta: c1 is mu0's sup-density and D the radius of mu1's
+    support around x0, finite since the space is. A tag that is malformed or
+    that the weights do not match is a GeodesyError.
 
     Each transport LP of the build is solved once, at a fixed epsilon as with
     "auto": the W2 values and the certificates' transport costs share a
@@ -216,15 +219,20 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
     auto = epsilon == "auto"
     eps_req = 0.0 if auto else float(epsilon)
 
-    gauss = mu0.meta.get("gaussian")
-    bounded = mu1.meta.get("bounded_support")
     t0 = None
     meta = {}
-    if gauss is not None and bounded is not None:
+    if "gaussian" in mu0.meta:
+        gauss = mu0.meta["gaussian"]
+        try:
+            profile = gaussian_measure(space, gauss["c2"], gauss["x0"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise GeodesyError(f"malformed gaussian tag {gauss!r}: {type(err).__name__}: {err}") from None
+        if not np.array_equal(mu0.weights, profile.weights):
+            raise GeodesyError(f"mu0's weights are not those of its gaussian tag {gauss!r}")
         Kminus = max(-K, 0.0)
-        c1, c2, x0 = gauss["c1"], gauss["c2"], gauss["x0"]
+        c1, c2, x0 = float(mu0.density().max()), profile.meta["gaussian"]["c2"], profile.meta["gaussian"]["x0"]
         t0 = 0.5 if Kminus == 0.0 else min(c2 / (2.0 * Kminus), 0.5)
-        D = support_radius(mu1, x0)
+        D = float(mu1.space.metric[mu1.support(), x0].max())
         rho1_sup = float(mu1.density().max())
         bound_const = max(rho1_sup, c1) * float(np.exp((2.0 * Kminus + c2) * D * D))
         meta = {"t0": t0, "density_bound": bound_const, "D": D, "c1": c1, "c2": c2, "K": K}
@@ -311,7 +319,8 @@ def cd_convexity_check(trace: GeodesicTrace, K) -> dict:
     triple. The check solves nothing: W2(s, r) of an interval is the W of its
     measure's certificate and W2(mu0, mu1) the last w2_from_start, the
     builder's own geodesy._w2 values. A K that is not finite raises
-    GeodesyError: a NaN worst would pass every comparison it meets.
+    GeodesyError: a NaN worst would pass every comparison it meets. A trace
+    with no interior time has no triple to assert and raises GeodesyError too.
     """
     if not np.isfinite(K):
         raise GeodesyError(f"not finite: K = {K!r}")
@@ -325,10 +334,10 @@ def cd_convexity_check(trace: GeodesicTrace, K) -> dict:
     W2sq = trace.w2_from_start[-1] ** 2
     for t in times[1:-1]:
         glob.append(float(cd_residual(times[0], t, times[-1], ent[times[0]], ent[t], ent[times[-1]], W2sq, K)))
-    asserted = local + glob
-    worst = max(asserted) if asserted else 0.0
+    if not glob:
+        raise GeodesyError("a trace with no interior time has no triple to check")
     return {
         "local_residuals": local,
         "global_residuals": glob,
-        "worst": float(worst),
+        "worst": max(local + glob),
     }

@@ -264,10 +264,13 @@ def bakry_emery_check(form: DirichletForm, f, t_grid, K, tol=1e-10) -> dict:
     R_t <= 0; the largest K is the least cap (-inf when some site admits no
     K, +inf when no site binds). At t = 0, L = R exactly and nothing binds.
     A K that is not finite raises HeatError: max(-inf, nan) keeps -inf, so a
-    NaN K would read as a pass.
+    NaN K would read as a pass. An empty t_grid checks nothing and raises
+    HeatError too.
     """
     if not np.isfinite(K):
         raise HeatError(f"not finite: K = {K!r}")
+    if not len(t_grid):
+        raise HeatError("an empty t_grid checks nothing")
     f = np.asarray(f, dtype=float)
     gf = form.gamma_vector(f, f)
     worst, largest = -np.inf, np.inf
@@ -315,14 +318,17 @@ def log_sobolev_check(form: DirichletForm, f, K, n_family=20, seed=0) -> dict:
 def contraction_check(form: DirichletForm, mu: ProbMeasure, nu: ProbMeasure, K, t_grid) -> dict:
     """max over t of W2(h_t mu, h_t nu) - exp(-Kt) W2(mu, nu), from one
     series of transport problems (exact_ot_costs): (mu, nu), then
-    (h_t mu, h_t nu) along t_grid. A K that is not finite raises HeatError."""
+    (h_t mu, h_t nu) along t_grid. A K that is not finite or an empty t_grid
+    raises HeatError."""
     if not np.isfinite(K):
         raise HeatError(f"not finite: K = {K!r}")
+    if not len(t_grid):
+        raise HeatError("an empty t_grid checks nothing")
     pairs = [(mu.weights, nu.weights)] + [(_heat_measure(form, mu.density(), t).weights,
                                            _heat_measure(form, nu.density(), t).weights) for t in t_grid]
     w0, *wt = (np.sqrt(max(c, 0.0)) for c in exact_ot_costs(form.space.metric ** 2, pairs, line_of(form.space)))
     series = [float(w - np.exp(-K * t) * w0) for w, t in zip(wt, t_grid)]
-    return {"worst": max(series, default=-np.inf), "series": series, "w2_initial": float(w0)}
+    return {"worst": max(series), "series": series, "w2_initial": float(w0)}
 
 
 def tensorization_check(form_a: DirichletForm, form_b: DirichletForm, f_a, f_b, t) -> dict:

@@ -24,9 +24,8 @@ class MeasureError(ValueError):
 class ProbMeasure:
     """Finite nonnegative weights over the points of a space, summing to one.
 
-    meta can carry profile tags used by the geodesic builder:
-      gaussian: {"c1": sup-density, "c2": decay rate, "x0": index}
-      bounded_support: {"D": radius around the profile base point}
+    meta holds the profile tag gaussian_measure sets, gaussian: {"c2": decay
+    rate, "x0": index}, which the geodesic builder checks against the weights.
     """
 
     space: FiniteMMSpace
@@ -138,17 +137,16 @@ def dirac(space: FiniteMMSpace, i) -> ProbMeasure:
     i = _point(space, i, MeasureError)
     w = np.zeros(space.n)
     w[i] = 1.0
-    return ProbMeasure(space, w, meta={"bounded_support": {"center": i}})
+    return ProbMeasure(space, w)
 
 
 def gaussian_measure(space: FiniteMMSpace, c2, x0=None) -> ProbMeasure:
     """Measure with density proportional to exp(-c2 d(.,x0)^2); records the
-    sup-density c1 and decay rate c2 needed by the good-geodesic builder."""
+    decay rate c2 and centre x0 the good-geodesic builder needs."""
     if c2 <= 0:
         raise MeasureError("c2 > 0 required")
     tilt = tilt_reference(space, c2, x0)
-    rho = tilt.tilted_weights / space.ref_measure
-    return ProbMeasure(space, tilt.tilted_weights, meta={"gaussian": {"c1": float(rho.max()), "c2": float(c2), "x0": tilt.x0}})
+    return ProbMeasure(space, tilt.tilted_weights, meta={"gaussian": {"c2": float(c2), "x0": tilt.x0}})
 
 
 def bump_measure(space: FiniteMMSpace, center, radius) -> ProbMeasure:
@@ -159,17 +157,11 @@ def bump_measure(space: FiniteMMSpace, center, radius) -> ProbMeasure:
     if w.sum() <= 0:
         raise MeasureError("empty bump support")
     w = w / w.sum()
-    return ProbMeasure(space, w, meta={"bounded_support": {"center": i, "radius": float(radius)}})
+    return ProbMeasure(space, w)
 
 
-def measure_from_density(space: FiniteMMSpace, rho, meta=None) -> ProbMeasure:
+def measure_from_density(space: FiniteMMSpace, rho) -> ProbMeasure:
     w = np.asarray(rho, dtype=float) * space.ref_measure
     if w.min() < 0:
         raise MeasureError("negative density")
-    return ProbMeasure(space, w / w.sum(), meta=dict(meta or {}))
-
-
-def support_radius(mu: ProbMeasure, x0) -> float:
-    """Largest distance from x0 to a support point of mu."""
-    sup = mu.support()
-    return float(mu.space.metric[sup, int(x0)].max())
+    return ProbMeasure(space, w / w.sum())

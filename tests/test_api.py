@@ -293,3 +293,28 @@ def test_the_check_sees_a_stale_ledger_row(tmp_path):
 
 def test_the_check_sees_a_stated_result_without_a_caller(tmp_path):
     assert _uncalled_results(_ledger_fixture(tmp_path)[1]) == ["Report", "kept"]
+
+
+def _tagged_measures(path):
+    """Lines that call ProbMeasure with a third positional argument or meta=."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ProbMeasure":
+            if len(node.args) > 2 or any(k.arg == "meta" for k in node.keywords):
+                out.append(node.lineno)
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "measures.py"], ids=lambda p: p.name)
+def test_only_the_measure_constructors_tag_a_measure(path):
+    # the geodesic builder reads mu0's profile tag, so a tag comes only from a
+    # constructor that derives it from the weights it builds
+    assert _tagged_measures(path) == []
+
+
+def test_the_check_sees_a_tagged_measure(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text("from rcdlab import measures\nfrom rcdlab.measures import ProbMeasure\n\n"
+                 "def build(s, w, tag):\n    a = ProbMeasure(s, w)\n    b = ProbMeasure(s, w, tag)\n"
+                 "    return a, b, measures.ProbMeasure(s, w, meta=tag)\n")
+    assert _tagged_measures(f) == [6, 7]

@@ -4,7 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rcdlab import cli, heat
 from rcdlab.dirichlet import dirichlet_form
@@ -335,9 +335,11 @@ def _one_line_config_error(code, capsys):
     {"tasks": [{"op": "flow", "f0": {"kind": "uniform"}, "t_grid": [0.1, "x"]}]},
     {"tasks": [{"op": "form", "f": [1.0, 2.0]}]},
     {"tasks": [{"op": "form", "sub": "mod2", "paths": [[0, 1, 99]]}]},
+    {"tasks": [{"op": "geodesic", "depth": 0, "mu0": {"kind": "dirac", "at": 0}, "mu1": {"kind": "dirac", "at": 4}}]},
 ], ids=["space-missing-file", "space-number", "tasks-number", "space-without-points", "params-number",
         "params-seed", "params-edge-prob", "params-gaussian", "measure-number", "measure-not-json",
-        "verify-K", "verify-t-grid", "verify-no-probes", "flow-t-grid", "form-f-length", "mod2-paths"])
+        "verify-K", "verify-t-grid", "verify-no-probes", "flow-t-grid", "form-f-length", "mod2-paths",
+        "geodesic-depth-0"])
 def test_malformed_run_input_is_one_line_config_error(tmp_path, capsys, fields):
     (tmp_path / "bad.json").write_text("{not json")
     config = dict({"space": {"kind": "cycle", "n": 8}, "seed": 0, "output_dir": str(tmp_path / "o"), "tasks": []},
@@ -521,19 +523,22 @@ def _mutations(draw):
         kinds.append(("replace", 1e200))  # not in a count, which would then run 1e200 times
     if path and path[-1] in _SPEC_FIELDS:
         kinds += [("replace", "missing.json"), ("replace", "bad.json")]
+    if isinstance(value, dict) and "weights" in value:
+        kinds.append(("meta", {"gaussian": {"c2": 1e-9, "x0": 0}}))  # a profile tag only a constructor sets
     return (path,) + draw(st.sampled_from(kinds))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(_mutations())
+@example((("tasks", 1, "mu"), "meta", {"gaussian": {}}))
 def test_one_mutation_of_a_working_config_keeps_the_exit_code_contract(tmp_path_factory, mutation):
     path, kind, new = mutation
     base = tmp_path_factory.mktemp("mutation")
     (base / "nu.json").write_text(json.dumps({"kind": "bump", "center": 4, "radius": 0.2}))
     (base / "bad.json").write_text("{not json")
     config = _every_op_config()
-    if kind == "insert":
-        _at(config, path)["unknown_key"] = new
+    if kind in ("insert", "meta"):
+        _at(config, path)["unknown_key" if kind == "insert" else "meta"] = new
     else:
         parent = _at(config, path[:-1])
         old = parent[path[-1]]
@@ -545,5 +550,5 @@ def test_one_mutation_of_a_working_config_keeps_the_exit_code_contract(tmp_path_
     assert code in (0, 1, 2, 3)
     unreadable = kind == "replace" and path[-1] in _SPEC_FIELDS and new in ("missing.json", "bad.json")
     wrong_type = kind == "replace" and new is not None and _json_type(new) != _json_type(old)
-    if unreadable or wrong_type or kind == "insert":
+    if unreadable or wrong_type or kind in ("insert", "meta"):
         assert code == 2

@@ -11,8 +11,9 @@ from rcdlab.evi import (
     fit_trend,
     rcd_verify,
 )
+from rcdlab.geodesy import GeodesyError, build_good_geodesic, cd_convexity_check
 from rcdlab.heat import semigroup_flow
-from rcdlab.measures import ProbMeasure, bump_measure, gaussian_measure, measure_from_density, relative_entropy, uniform_measure
+from rcdlab.measures import ProbMeasure, bump_measure, dirac, gaussian_measure, measure_from_density, relative_entropy, uniform_measure
 from rcdlab.mmspace import make_model_space
 from rcdlab.ot import kantorovich_potentials, w2
 
@@ -155,6 +156,32 @@ def test_rcd_verify_rejects_a_battery_without_probes(n_probes):
     form = dirichlet_form(make_model_space("cycle", 8))
     with pytest.raises(EviError, match="n_probes >= 1"):
         evi.rcd_verify(form, n_probes=n_probes)
+
+
+def _vacuous_checks():
+    """Each check's call on an input it can assert nothing about, with the
+    error it must raise; each returned a pass before."""
+    s = make_model_space("segment", 16)
+    form = dirichlet_form(s)
+    f = np.linspace(0.0, 1.0, 16)
+    # from a Dirac no time of this flow has a positive density
+    flow = semigroup_flow(form, dirac(s, 0).density(), [1e-6, 2e-6, 3e-6])
+    s9 = make_model_space("segment", 9)
+    return {
+        "contraction": (heat.HeatError, lambda: heat.contraction_check(form, dirac(s, 0), dirac(s, 15), 0.0, [])),
+        "bakry_emery": (heat.HeatError, lambda: heat.bakry_emery_check(form, f, [], 0.0)),
+        "cd_convexity": (GeodesyError, lambda: cd_convexity_check(build_good_geodesic(dirac(s9, 0), dirac(s9, 8), 0), 0.0)),
+        "dw2_derivative": (EviError, lambda: dw2_derivative_check(flow, uniform_measure(s), form)),
+    }
+
+
+@pytest.mark.parametrize("check", ["contraction", "bakry_emery", "cd_convexity", "dw2_derivative"])
+def test_a_check_with_nothing_to_assert_raises(check):
+    # an empty t_grid, a depth-0 trace and a flow with no positive density
+    # gave worst -inf or 0.0, which every tolerance passes
+    error, call = _vacuous_checks()[check]
+    with pytest.raises(error, match="nothing|no triple"):
+        call()
 
 
 def test_evi_checks_reject_a_k_that_is_not_finite():

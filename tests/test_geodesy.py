@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcdlab import geodesy, solvers
+from rcdlab import cli, geodesy, solvers
 from rcdlab.geodesy import (
     GeodesyError,
     build_good_geodesic,
@@ -18,7 +18,7 @@ from rcdlab.geodesy import (
     intermediate_entropy_min,
     synthetic_entropy_profile,
 )
-from rcdlab.measures import ProbMeasure, bump_measure, dirac, gaussian_measure, relative_entropy
+from rcdlab.measures import ProbMeasure, bump_measure, dirac, gaussian_measure, relative_entropy, uniform_measure
 from rcdlab.mmspace import make_model_space
 from rcdlab.ot import w2
 from rcdlab.solvers import InfeasibleError, SolverError
@@ -217,6 +217,35 @@ def test_good_geodesic_gaussian_bump_segment():
     W = w2(mu0, mu1)[0]
     for t, wv in zip(tr.times, tr.w2_from_start):
         assert t * W - 2 * tr.epsilon_used - 1e-9 <= wv <= t * W + 2 * tr.epsilon_used + 1e-9
+
+
+# a tag with keys missing, and a well-formed tag that uniform weights do not
+# match; with K = -1 the second gave times 0, 2.5e-10, 5e-10, 0.50000000025, 1
+@pytest.mark.parametrize("tag", [{}, {"c2": 1e-9, "x0": 0}])
+def test_a_forged_gaussian_tag_is_refused(tag, tmp_path, capsys):
+    s = make_model_space("segment", 9)
+    forged = ProbMeasure(s, np.full(9, 1 / 9), {"gaussian": tag})
+    with pytest.raises(GeodesyError, match="gaussian tag"):
+        build_good_geodesic(forged, dirac(s, 4), 1, K=-1.0)
+    # a config cannot carry the tag: a weights spec has no meta
+    mu0 = {"weights": [1 / 9] * 9, "meta": {"gaussian": tag}}
+    task = {"op": "geodesic", "mu0": mu0, "mu1": {"kind": "dirac", "at": 4}, "depth": 1, "K": -1.0}
+    assert cli.run({"space": {"kind": "segment", "n": 9}, "tasks": [task], "output_dir": str(tmp_path)}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ConfigError: ") and "'meta'" in err and "Traceback" not in err
+
+
+def test_a_genuine_gaussian_tag_keeps_its_profile():
+    # criterion 3's segment:17 pair: the sup-density the builder derives from
+    # the weights is the one the tag used to carry, to the bit
+    s = make_model_space("segment", 17)
+    mu0 = gaussian_measure(s, 8.0)
+    tr = build_good_geodesic(mu0, bump_measure(s, 12, 0.13), 0)
+    assert tr.meta == {"t0": 0.5, "density_bound": 10.472737286321308, "D": 0.375, "c1": 1.7535945208487427,
+                       "c2": 8.0, "K": 0.0}
+    # t0 comes first for every mu1, since every finite measure has bounded support
+    tr = build_good_geodesic(mu0, uniform_measure(s), 0, K=-20.0)
+    assert tr.times == (0.0, 0.2, 1.0) and tr.construction == {0.2: (0.0, 1.0)}
 
 
 @pytest.mark.parametrize("endpoints", ["gaussian_bump_17", "dirac_9"])
