@@ -515,8 +515,8 @@ def main(argv=None) -> int:
     try:
         if cmd == "run":
             config = _spec(args["config"], ".")
-            if out:
-                config["output_dir"] = out
+            if out:  # a command-line path, so relative to the working directory
+                config["output_dir"] = os.path.abspath(out)
             return run(config, base_dir=os.path.dirname(os.path.abspath(args["config"])))
         space, seed = args.pop("space"), args.pop("seed")
         if ":" in space and not os.path.exists(space):

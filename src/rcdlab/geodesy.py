@@ -185,8 +185,8 @@ def _entropy_min(mu0, mu1, prob, tol, store=None):
             warm.append(entropy_capacity_min(m, [(m0, C0), (m1, C1)], budgets))
         except SolverError:
             pass
-        res = entropy_budget_min(m, [(m0, C0), (m1, C1)], budgets, tol=tol, warm_points=warm)
-        nu, bound, method, iterations = res.nu, res.dual_bound, "budgeted_fw", res.iterations
+        nu, bound, iterations = entropy_budget_min(m, [(m0, C0), (m1, C1)], budgets, tol=tol, warm_points=warm)
+        method = "budgeted_fw"
     mu = ProbMeasure(space, _snap(nu))
     ent = relative_entropy(mu, m)
     costs = (_cost(C0, m0, mu.weights, store), _cost(C1, m1, mu.weights, store))

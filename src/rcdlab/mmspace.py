@@ -72,13 +72,17 @@ class ValidationReport:
 
 
 def graph_shortest_paths(n, edges):
-    """Dense all-pairs shortest-path matrix of an undirected weighted edge list."""
+    """Dense all-pairs shortest-path matrix of an undirected weighted edge
+    list. Of parallel edges, in either direction, the shortest counts, where
+    the sparse matrix would add them up."""
     if not edges:
         return np.full((n, n), np.inf) + np.diag(np.zeros(n))
-    i = [e[0] for e in edges] + [e[1] for e in edges]
-    j = [e[1] for e in edges] + [e[0] for e in edges]
-    w = [e[2] for e in edges] * 2
-    g = coo_matrix((w, (i, j)), shape=(n, n))
+    e = np.asarray(edges, dtype=float)
+    i, j = e[:, 0].astype(int), e[:, 1].astype(int)
+    lengths = np.full((n, n), np.inf)
+    np.minimum.at(lengths, (np.concatenate([i, j]), np.concatenate([j, i])), np.tile(e[:, 2], 2))
+    i, j = np.nonzero(lengths < np.inf)
+    g = coo_matrix((lengths[i, j], (i, j)), shape=(n, n))
     return shortest_path(g, method="D", directed=False)
 
 
@@ -128,13 +132,14 @@ def validate_space(space: FiniteMMSpace) -> ValidationReport:
         violations.append(("positive_measure", (int(np.argmin(space.ref_measure)),), float(-space.ref_measure.min())))
 
     if space.graph is not None:
-        for i, j, w in space.graph:
-            if w <= 0:
-                violations.append(("edge_weight", (i, j), float(-w)))
+        bad = [(i, j, w) for i, j, w in space.graph if not w > 0]
+        violations.extend(("edge_weight", (i, j), float(-w)) for i, j, w in bad)
         gap_edge = max((abs(d[i, j] - w) for i, j, w in space.graph), default=0.0)
         if gap_edge > METRIC_TOL:
             violations.append(("edge_length_vs_metric", None, float(gap_edge)))
-        sp = graph_shortest_paths(n, space.graph)
+        # an undirected negative edge is a negative cycle, on which scipy's
+        # Dijkstra runs out of memory; with a bad edge, sp = d skips the checks
+        sp = d if bad else graph_shortest_paths(n, space.graph)
         if space.meta.get("metric_kind") == "l2_product":
             # product carrier: graph paths may only overshoot the l2 metric
             short = (d - sp).max()

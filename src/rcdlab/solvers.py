@@ -116,10 +116,12 @@ Revisiting Frank-Wolfe: projection-free sparse convex optimization, ICML
 Frank-Wolfe optimization variants, NeurIPS 2015). On criterion 3's builds
 that takes at most 7 steps of one small KKT inverse each, where running to
 rounding took up to 17, and criterion 3's geodesics come out with the same
-bits at 1 and at 2 BLAS threads. Weak duality of the oracle LP gives the
-certified optimality gap, and it is the only certificate for those midpoints.
+bits at 1 and at 2 BLAS threads. The only certificate for those midpoints is
+the closed-form Frank-Wolfe bound D(c) = min <c, .> - sum_y m_y e^{c_y - 1}
+at c = grad Ent of an iterate, with min <c, .> the oracle LP's value.
 dirac_pair_min solves the case of Dirac anchors by projected Newton on its
-low-dimensional dual. Both dual bounds are returned less an allowance for
+low-dimensional dual. The two return (nu, bound), entropy_budget_min with its
+iteration count as well. Both dual bounds are returned less an allowance for
 their rounding error, so a certified gap is never negative.
 
 entropy_capacity_min is an uncertified warm probe for entropy_budget_min:
@@ -166,7 +168,6 @@ from __future__ import annotations
 import collections
 import functools
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
@@ -917,17 +918,6 @@ def entropy_capacity_min(m, anchors, budgets):
 # certified entropy minimization over the budgeted linked polytope
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EntropyMinResult:
-    """Certified output of entropy_budget_min."""
-
-    nu: np.ndarray               # feasible middle marginal, sums to 1
-    entropy: float               # Ent_m(nu)
-    dual_bound: float            # certified lower bound on the optimum
-    gap: float                   # entropy - dual_bound
-    iterations: int
-
-
 def _hull_minimize(vertices, m, theta0=None, target=0.0):
     """Minimize Ent_m over the convex hull of the vertex rows by a primal-dual
     interior-point method on the weight simplex, Mehrotra's predictor-corrector
@@ -1018,15 +1008,16 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
     extreme points of the feasible set (so every hull iterate is exactly
     feasible) and the hull weights are re-optimized after each oracle call.
 
-    The certificate is the conditional-gradient gap made rigorous: with
-    c = grad Ent at the incumbent on its support, convexity plus LP weak
-    duality give Ent >= Ent(nu) + [LP min <c, .> - <c, nu>] over the feasible
-    set, corrected by -sum m_y e^{c_y - 1} on the incumbent's zero coordinates
-    (the pointwise minimum of the entropy integrand against the chosen linear
-    lower bound there). The bound is taken less the rounding allowance of its
-    terms and of the entropy, and never above Ent(nu) less that allowance.
-    warm_points supply extra gradient probes; they need not be feasible, only
-    their gradients are used.
+    The certificate is the Frank-Wolfe gap in closed form: for any c, the
+    termwise x log(x / m) >= c x - m e^{c - 1} and LP weak duality bound the
+    optimum below by D(c) = min <c, .> - sum_y m_y e^{c_y - 1} over the
+    feasible set. Each iterate nu takes c = grad Ent(nu), where m e^{c - 1} = nu,
+    and CLAMP off its support. The bound is the largest D less its rounding
+    allowance, capped at Ent less that allowance of the incumbent, the
+    lowest-entropy iterate. warm_points supply extra gradient probes; only
+    their gradients are used. Returns (incumbent, bound, vertices added) once
+    Ent(incumbent) - bound <= tol; raises SolverError with the gap after
+    _ORACLE_CAP oracle LPs.
 
     Each hull step stops once the Frank-Wolfe gap of its weights is at most
     _HULL_SHARE * tol. The bound is weak duality at whatever nu the weights
@@ -1045,7 +1036,7 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
     sup_mus = [np.asarray(a[0], dtype=float) for a in anchors]
     Cs = [np.asarray(a[1], dtype=float) for a in anchors]
     budgets = np.asarray(budgets, dtype=float)
-    CLAMP = -60.0  # zero-coordinate gradient; correction term ~ e^{-61} per site
+    CLAMP = -60.0  # zero-coordinate gradient; its Gibbs term is m_y e^{-61}
 
     def grad_at(nu):
         return np.where(nu > 0, np.log(np.maximum(nu / m, 1e-300)) + 1.0, CLAMP)
@@ -1060,7 +1051,7 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
     hull_target = _HULL_SHARE * tol
     theta, _ = _hull_minimize(V, m, target=hull_target)
 
-    best = None
+    lower, best_ent = -np.inf, np.inf
     for it in range(_ORACLE_CAP):
         nu = theta @ V
         nu = np.maximum(nu, 0.0)
@@ -1068,29 +1059,23 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
         ent = relative_entropy(nu, m)
         c = grad_at(nu)
         v_new, lp_value = oracle(c)
-        zero_corr = float(np.sum(m[nu <= 0] * np.exp(CLAMP - 1.0)))
-        # each term of Ent(nu), of <c, nu> and of the entropy the caller
-        # evaluates for the measure returned is at most nu_y (|c_y| + 2)
-        allowance = _rounding_allowance(len(m), 4.0 * (float(np.abs(c) @ nu) + 2.0) + abs(lp_value) + zero_corr)
-        bound = ent + lp_value - float(c @ nu) - zero_corr - allowance
-        if best is None or ent - bound < best.gap or ent < best.entropy - 1e-15:
-            prev = best.dual_bound if best else -np.inf
-            best = EntropyMinResult(nu=nu, entropy=ent, dual_bound=max(bound, prev), gap=0.0, iterations=it)
-            ceiling = ent - allowance
-        else:
-            best.dual_bound = max(best.dual_bound, bound)
-        # nu lies in the hull of the oracle's vertices, so the optimum is at most
-        # Ent(nu); a bound above that is an LP value HiGHS left within its
-        # optimality tolerance, not a fact
-        best.dual_bound = min(best.dual_bound, ceiling)
-        best.gap = best.entropy - best.dual_bound
-        if best.gap <= tol:
-            break
+        gibbs = float(m @ np.exp(c - 1.0))
+        # each term of Ent(nu), of the caller's entropy of the measure returned
+        # and of the Gibbs sum off the zero coordinates is at most nu_y (|c_y| + 2)
+        allowance = _rounding_allowance(len(m), 4.0 * (float(np.abs(c) @ nu) + 2.0) + abs(lp_value) + gibbs)
+        lower = max(lower, lp_value - gibbs - allowance)
+        if ent < best_ent:
+            # nu lies in the hull of the oracle's vertices, so the optimum is at
+            # most Ent(nu); a bound above that is an LP value HiGHS left within
+            # its optimality tolerance, not a fact
+            best, best_ent, ceiling = nu, ent, ent - allowance
+        bound = min(lower, ceiling)
+        if best_ent - bound <= tol:
+            return best, bound, it
         V = np.vstack([V, v_new])
         theta, _ = _hull_minimize(V, m, theta0=np.append(theta * (1 - 1e-3), 1e-3), target=hull_target)
-    if best.gap > tol:
-        raise SolverError(f"budgeted entropy gap {best.gap:.3e} exceeds tol {tol:.3e}", gap=best.gap)
-    return best
+    gap = best_ent - bound
+    raise SolverError(f"budgeted entropy gap {gap:.3e} exceeds tol {tol:.3e}", gap=gap)
 
 
 def dirac_pair_min(m, q_list, budgets):

@@ -113,6 +113,31 @@ def test_assert_failure_exit_code(tmp_path):
     assert cli.run(cfg) == 2
 
 
+def test_a_failed_assertion_exits_1_and_writes_its_report(tmp_path, capsys):
+    # the battery's worst EVI residual is above a tolerance of -1, so its verdict fails
+    checks = {"K": 0.0, "t_grid": [0.01, 0.02, 0.04], "n_probes": 1, "evi_tol": -1.0}
+    out = tmp_path / "o"
+    cfg = {"space": {"kind": "cycle", "n": 8}, "seed": 3, "output_dir": str(out),
+           "tasks": [{"op": "verify", "name": "r", "config": checks}]}
+    assert cli.run(cfg) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["diagnostics.csv", "failures.json", "r.json"]
+    assert json.loads((out / "r.json").read_text())["result"]["verdict"] is False
+    assert json.loads((out / "failures.json").read_text()) == {"failures": ["r: verify: battery failed"]}
+    assert capsys.readouterr().err == f"assert-mode failures; see {out / 'failures.json'}\n"
+
+
+def test_run_out_is_relative_to_the_working_directory(tmp_path, monkeypatch):
+    # --out is a command-line path like the subcommands', not a config field
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "work").mkdir()
+    config = {"space": {"kind": "cycle", "n": 8}, "tasks": [{"op": "validate", "name": "v"}]}
+    (tmp_path / "configs" / "c.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path / "work")
+    assert cli.main(["run", "../configs/c.json", "--out", "results"]) == 0
+    assert sorted(p.name for p in (tmp_path / "work" / "results").iterdir()) == ["diagnostics.csv", "v.json"]
+    assert not (tmp_path / "configs" / "results").exists()
+
+
 def test_round_trip_artifact_structure(tmp_path):
     cfg = {"space": {"kind": "two_point", "n": 2}, "seed": 0,
            "output_dir": str(tmp_path / "out"),

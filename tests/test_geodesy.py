@@ -76,16 +76,28 @@ def test_epsilon_min_zero_on_lattice_compatible():
     assert epsilon_min(dirac(s, 0), dirac(s, 8), 0.5) == 0.0
 
 
-def test_certificate_contract_randomized():
+def test_certificate_contract_randomized(monkeypatch):
+    # the bound is also re-derived from the oracle LPs' objectives c and
+    # values: it is at most the largest D(c) = min <c, .> - sum_y m_y e^{c_y - 1}
+    real, seen = solvers._budgeted_oracle, []
+
+    def recording(*args):
+        out = real(*args)
+        seen.append((args[5], out[1]))
+        return out
+
+    monkeypatch.setattr(solvers, "_budgeted_oracle", recording)
     rng = np.random.default_rng(8)
     s = make_model_space("segment", 11)
     for _ in range(4):
         mu0 = ProbMeasure(s, rng.dirichlet(np.ones(11) * 2))
         mu1 = ProbMeasure(s, rng.dirichlet(np.ones(11) * 2))
         eps = max(epsilon_min(mu0, mu1, 0.5), 0.0) + 2e-3
+        seen.clear()
         nu, cert = intermediate_entropy_min(mu0, mu1, 0.5, eps, tol=1e-3)
         assert cert.dual_bound <= cert.entropy + 1e-12
-        assert cert.gap <= 1e-3
+        assert cert.dual_bound <= max(value - float(s.ref_measure @ np.exp(c - 1.0)) for c, value in seen)
+        assert 0.0 <= cert.gap <= 1e-3
         W = w2(mu0, mu1)[0]
         assert np.sqrt(cert.transport_costs[0]) <= 0.5 * W + eps + 1e-8
         assert np.sqrt(cert.transport_costs[1]) <= 0.5 * W + eps + 1e-8

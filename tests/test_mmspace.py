@@ -14,6 +14,8 @@ from rcdlab.mmspace import (
 )
 
 
+
+
 def floyd_warshall(n, edges):
     # independent shortest-path oracle
     d = np.full((n, n), np.inf)
@@ -55,6 +57,54 @@ def test_shortest_path_closure_idempotent():
     edges = [(i, j, s.metric[i, j]) for i, j, _ in s.graph]
     again = graph_shortest_paths(s.n, edges)
     assert np.abs(again - s.metric).max() < 1e-12
+
+
+def test_parallel_edges_count_once_at_their_shortest():
+    # the sparse matrix adds up duplicate entries, but a path takes one edge
+    assert np.array_equal(graph_shortest_paths(2, [(0, 1, 1.0), (1, 0, 1.0)]), [[0.0, 1.0], [1.0, 0.0]])
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (1, 0, 0.5), (2, 0, 3.0), (0, 2, 2.0), (2, 1, 4.0)]
+    assert np.array_equal(graph_shortest_paths(3, edges), floyd_warshall(3, edges))
+    # a space file that lists each edge in both directions is valid
+    obj = space_to_json(make_model_space("segment", 5))
+    obj["edges"] = [list(e) for e in obj["edges"]] + [[j, i, w] for i, j, w in obj["edges"]]
+    assert validate_space(space_from_json(obj)).passed
+
+
+def _set(d, cells, value):
+    for i, j in cells:
+        d[i, j] = value
+
+
+# one corruption of segment:3 (points 0, 0.5, 1; edges 0-1 and 1-2 of length
+# 0.5) per kind: (kind, metric change, edge change, meta, base point,
+# witness, magnitude)
+_CORRUPTIONS = [
+    ("symmetry", lambda d: _set(d, [(0, 1)], 0.75), None, {}, 1, (0, 1), 0.25),
+    ("zero_diagonal", lambda d: _set(d, [(2, 2)], 0.125), None, {}, 1, (2,), 0.125),
+    ("positivity", lambda d: _set(d, [(0, 1), (1, 0)], -0.25), None, {}, 1, (0, 1), 0.25),
+    ("edge_weight", None, (1, (1, 2, -0.5)), {}, 1, (1, 2), 0.5),
+    ("edge_length_vs_metric", None, (0, (0, 1, 0.75)), {}, 1, None, 0.25),
+    ("graph_shorter_than_metric", lambda d: _set(d, [(0, 2), (2, 0)], 1.25), None,
+     {"metric_kind": "l2_product"}, 1, (0, 2), 0.25),
+    ("graph_metric_consistency", lambda d: _set(d, [(0, 2), (2, 0)], 0.75), None, {}, 1, (0, 2), 0.25),
+    ("base_point_range", None, None, {}, 3, (3,), float("nan")),
+]
+
+
+@pytest.mark.parametrize("kind, metric, edge, meta, base, witness, magnitude", _CORRUPTIONS,
+                         ids=[c[0] for c in _CORRUPTIONS])
+def test_each_violation_kind_is_witnessed(kind, metric, edge, meta, base, witness, magnitude):
+    s = make_model_space("segment", 3)
+    d, edges = s.metric.copy(), list(s.graph)
+    if metric:
+        metric(d)
+    if edge:
+        edges[edge[0]] = edge[1]
+    rep = validate_space(FiniteMMSpace(s.points, d, s.ref_measure, tuple(edges), base, dict(s.meta, **meta)))
+    found = [v for v in rep.violations if v[0] == kind]
+    assert not rep.passed and len(found) == 1
+    assert found[0][1] == witness
+    assert found[0][2] == magnitude or np.isnan(magnitude) and np.isnan(found[0][2])
 
 
 def test_segment_two_points():

@@ -7,8 +7,9 @@ import pytest
 from rcdlab.dirichlet import dirichlet_form
 from rcdlab.heat import jko_flow
 from rcdlab.measures import ProbMeasure, bump_measure, dirac, measure_from_density, uniform_measure
-from rcdlab.mmspace import FiniteMMSpace, make_model_space
+from rcdlab.mmspace import FiniteMMSpace, line_of, make_model_space
 from rcdlab.ot import _ascending_slopes, c_transform, check_slackness, kantorovich_potentials, w2
+from rcdlab.solvers import exact_ot
 from test_solvers import _log_domain_prox_step
 
 
@@ -112,6 +113,31 @@ def test_strong_duality_random_instances():
         fin = np.isfinite(pair.psi)
         feas = (pair.phi[:, None] + pair.psi[None, fin] - 0.5 * s.metric[:, fin] ** 2).max()
         assert feas <= 1e-9
+
+
+def test_the_potentials_gap_is_half_the_cost_less_their_dual_value():
+    # the reported gap re-derived from the pair and exact_ot's cost, on cycles
+    # and random metrics with empty sites in nu; a gap off by a factor shows
+    # wherever the gap is not exactly 0
+    rng = np.random.default_rng(12)
+    nonzero = 0
+    for seed in range(12):
+        s = random_space(12, seed) if seed % 2 else make_model_space("cycle", 12)
+        w = rng.dirichlet(np.ones(12)) * (rng.uniform(size=12) < 0.7)
+        w[seed] += 0.1
+        mu, nu = ProbMeasure(s, rng.dirichlet(np.ones(12))), ProbMeasure(s, w / w.sum())
+        pair = kantorovich_potentials(mu, nu)
+        C = s.metric ** 2
+        cost = exact_ot(C, mu.weights, nu.weights, line=line_of(s))[0]
+        sup = nu.weights > 0
+        assert np.isneginf(pair.psi[~sup]).all()
+        dual = float(pair.phi @ mu.weights + pair.psi[sup] @ nu.weights[sup])
+        assert pair.dual_value == pytest.approx(dual, rel=1e-12, abs=0)
+        assert pair.gap == pytest.approx(0.5 * cost - dual, rel=1e-9, abs=0)
+        nonzero += pair.gap != 0.0
+        # phi (+) psi <= C/2 on the support of nu, up to the rounding of phi
+        assert (pair.phi[:, None] + pair.psi[None, sup] - 0.5 * C[:, sup]).max() <= 1e-15 * C.max()
+    assert nonzero >= 6
 
 
 def test_w2_metric_axioms_random_triples():

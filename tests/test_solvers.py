@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import brentq, linprog as scipy_linprog, minimize
 from scipy.special import logsumexp
@@ -1635,8 +1635,18 @@ def _prox_problem(draw):
     return space.metric ** 2, space.ref_measure, weights / weights.sum(), tau, taub
 
 
+def _spike_on_cycle64():
+    """mu = (1, 1e-200, ..., 1e-200), normalized, on cycle:64 at eps = 1e-2:
+    symmetric_potential's scaled steps leave their range and absorb twice."""
+    space = make_model_space("cycle", 64)
+    mu = np.full(64, 1e-200)
+    mu[0] = 1.0
+    return space.metric ** 2, space.ref_measure, mu / mu.sum(), 0.02, 0.25
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_prox_problem())
+@example(_spike_on_cycle64())
 def test_scaled_sweeps_are_the_log_domain_iteration(problem):
     C, m, mu, tau, taub = problem
     nu, gap, sweeps = solvers.prox_entropy_step(mu, C, m, tau, taub)
