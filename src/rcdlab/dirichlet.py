@@ -19,12 +19,12 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.optimize._lbfgsb import setulb as _setulb
-from scipy.sparse.csgraph import connected_components
 
 from .measures import ProbMeasure
 from .mmspace import FiniteMMSpace, _freeze
+from .solvers import _scipy_extension
+
+_setulb = _scipy_extension("scipy.optimize._lbfgsb").setulb
 
 
 class FormError(ValueError):
@@ -60,8 +60,16 @@ class DirichletForm:
 
     def components(self):
         """Connected components of the positive-conductance graph, labelled
-        in order of each component's lowest vertex."""
-        return connected_components(self.weights > 0, directed=False)[1]
+        in order of each component's lowest vertex: each vertex takes the
+        least label of its neighbours until no label changes, which leaves
+        every vertex its component's lowest vertex."""
+        edge = self.weights > 0
+        label = np.arange(self.n)
+        while True:
+            least = np.minimum(label, np.where(edge, label, self.n).min(axis=1))
+            if np.array_equal(least, label):
+                return np.unique(label, return_inverse=True)[1]
+            label = least
 
     def gamma_vector(self, f, g):
         return _gamma(self.weights, self.vertex_measure, f, g)
@@ -221,6 +229,8 @@ def mod2(paths, m) -> tuple:
     E = np.vstack([A / root[:, None], np.ones(k)])
     e = np.zeros(n + 1)
     e[n] = 1.0
+    from scipy.optimize import nnls  # here, not at import: scipy.optimize loads scipy.sparse and scipy.linalg
+
     try:
         u, _ = nnls(E, e)
     except RuntimeError as err:  # its iteration cap

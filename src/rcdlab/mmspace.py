@@ -10,8 +10,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
-from scipy.sparse import coo_matrix
 
 METRIC_TOL = 1e-12
 
@@ -72,18 +70,34 @@ class ValidationReport:
 
 
 def graph_shortest_paths(n, edges):
-    """Dense all-pairs shortest-path matrix of an undirected weighted edge
-    list. Of parallel edges, in either direction, the shortest counts, where
-    the sparse matrix would add them up."""
-    if not edges:
-        return np.full((n, n), np.inf) + np.diag(np.zeros(n))
-    e = np.asarray(edges, dtype=float)
+    """Dense all-pairs shortest-path matrix of an undirected edge list with
+    positive lengths. Of parallel edges, in either direction, the shortest
+    counts.
+
+    Dijkstra's algorithm from every source at once. In each round every row
+    closes its nearest open vertex u and relaxes through u's edges,
+    d[row] = min(d[row], d[row, u] + lengths[u]), the sum scipy's csgraph
+    Dijkstra forms, so the distances are its bits. A closed vertex keeps its
+    distance, which is no more than d[row, u]; so a row with no reachable
+    open vertex left may pick a closed one, and the last open vertex of a
+    row needs no round.
+    """
+    e = np.asarray(edges, dtype=float).reshape(-1, 3)
     i, j = e[:, 0].astype(int), e[:, 1].astype(int)
     lengths = np.full((n, n), np.inf)
     np.minimum.at(lengths, (np.concatenate([i, j]), np.concatenate([j, i])), np.tile(e[:, 2], 2))
-    i, j = np.nonzero(lengths < np.inf)
-    g = coo_matrix((lengths[i, j], (i, j)), shape=(n, n))
-    return shortest_path(g, method="D", directed=False)
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    closed = np.zeros((n, n))  # inf where the row's vertex is closed
+    key = np.empty((n, n))
+    rows = np.arange(n)
+    for _ in range(n - 1):
+        u = np.add(d, closed, out=key).argmin(axis=1)
+        closed[rows, u] = np.inf
+        through_u = lengths.take(u, axis=0)
+        through_u += d[rows, u][:, None]
+        np.minimum(d, through_u, out=d)
+    return d
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite data is reported, not warned about
@@ -137,8 +151,8 @@ def validate_space(space: FiniteMMSpace) -> ValidationReport:
         gap_edge = max((abs(d[i, j] - w) for i, j, w in space.graph), default=0.0)
         if gap_edge > METRIC_TOL:
             violations.append(("edge_length_vs_metric", None, float(gap_edge)))
-        # an undirected negative edge is a negative cycle, on which scipy's
-        # Dijkstra runs out of memory; with a bad edge, sp = d skips the checks
+        # with a non-positive edge, path distances mean nothing (an undirected
+        # negative edge is a negative cycle); sp = d skips the checks
         sp = d if bad else graph_shortest_paths(n, space.graph)
         if space.meta.get("metric_kind") == "l2_product":
             # product carrier: graph paths may only overshoot the l2 metric

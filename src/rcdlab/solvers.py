@@ -11,7 +11,10 @@ the dual simplex, but the primal one on a hot run whose costs alone changed
 linprog drives the HiGHS core bundled with scipy directly, with the model and
 options scipy.optimize.linprog would pass, so the results are scipy's bits
 without scipy's per-call wrapper work, which cost more than the solve on the
-small transport LPs.
+small transport LPs. The core is loaded from its own file (_scipy_extension):
+importing it through its package would run scipy.optimize's __init__, which
+loads scipy.sparse and scipy.linalg and takes longer than all the rest of
+`import rcdlab`.
 
 Every LPModel is built from the CSC arrays of its matrix, computed here in
 NumPy, with float column bounds. The arrays are the ones scipy.sparse built
@@ -167,13 +170,42 @@ from __future__ import annotations
 
 import collections
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import weakref
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
+import scipy
 
 from .measures import relative_entropy
 from .mmspace import _freeze
+
+
+def _scipy_extension(name):
+    """The compiled scipy module of that dotted name, loaded from its file
+    under scipy's directory without running the __init__ of its packages.
+    It is registered in sys.modules under its name, and a module already
+    there is returned as it is, so scipy's own imports of it and ours share
+    one module object whichever comes first. A package imported later does
+    not get it as an attribute; import statements find it in sys.modules."""
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.exists(stem + suffix):
+            break
+    else:
+        raise ImportError(f"no compiled module {name} at {stem}")
+    spec = importlib.util.spec_from_file_location(name, stem + suffix)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_highs = _scipy_extension("scipy.optimize._highspy._core")
 
 _EXP_FLOOR = -745.0  # exp underflow threshold
 _LP_TIME_LIMIT = 120.0  # seconds per HiGHS call

@@ -122,8 +122,9 @@ def test_the_check_sees_scipy_minimize(tmp_path):
 
 
 def _private_scipy_modules(paths):
-    """The private scipy modules the files import, each named up to its first
-    component that starts with an underscore."""
+    """The private scipy modules the files import or load with
+    _scipy_extension("..."), each named up to its first component that starts
+    with an underscore."""
     out = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -131,6 +132,8 @@ def _private_scipy_modules(paths):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
                 names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_scipy_extension":
+                names = [a.value for a in node.args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
             else:
                 continue
             for parts in (name.split(".") for name in names if name.startswith("scipy.")):
@@ -152,6 +155,9 @@ def test_the_check_sees_a_private_scipy_import(tmp_path):
                  "from scipy.optimize import _lbfgsb, minimize\nimport scipy.optimize._highspy._core as core\n")
     assert _private_scipy_modules([f]) == ["scipy.optimize._highspy", "scipy.optimize._lbfgsb",
                                            "scipy.optimize._slsqplib"]
+    f.write_text("import scipy.sparse\nslsqp = _scipy_extension(\"scipy.optimize._slsqplib\").slsqp\n"
+                 "name = \"scipy.optimize._lbfgsb\"\n")
+    assert _private_scipy_modules([f]) == ["scipy.optimize._slsqplib"]
 
 
 def _functions_naming(paths, attr):

@@ -92,25 +92,17 @@ def test_only_a_task_that_draws_needs_a_seed(tmp_path, task, code):
     assert cli.run(cfg) == code
 
 
-def test_assert_failure_exit_code(tmp_path):
-    # a flow task asserting entropy monotone on a valid instance passes,
-    # a validate task on a broken space file fails with exit 1
+def test_an_invalid_inline_space_exits_2(tmp_path, capsys):
+    # segment:4 with d(0, 3) = 9 breaks the triangle inequality: the loader
+    # raises, which is a config error
     space = make_model_space("segment", 4)
-    obj = {
-        "points": list(range(4)),
-        "metric": space.metric.tolist(),
-        "measure": space.ref_measure.tolist(),
-    }
-    obj["metric"][0][3] = 9.0
-    obj["metric"][3] = list(obj["metric"][3])
-    obj["metric"][3][0] = 9.0
-    f = tmp_path / "broken.json"
-    f.write_text(json.dumps(obj))
-    cfg = {"space": {"points": obj["points"], "metric": obj["metric"], "measure": obj["measure"]},
+    metric = space.metric.tolist()
+    metric[0][3] = metric[3][0] = 9.0
+    cfg = {"space": {"points": list(range(4)), "metric": metric, "measure": space.ref_measure.tolist()},
            "seed": 0, "output_dir": str(tmp_path / "o"),
            "tasks": [{"op": "validate", "name": "v"}]}
-    # inline invalid space: loader raises -> config error
     assert cli.run(cfg) == 2
+    assert "fails validation: (('triangle', (0, 1, 3), 8.0),)" in capsys.readouterr().err
 
 
 def test_a_failed_assertion_exits_1_and_writes_its_report(tmp_path, capsys):

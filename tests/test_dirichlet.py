@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
+from scipy.sparse.csgraph import connected_components
 
 from rcdlab import dirichlet
 from rcdlab.dirichlet import (
@@ -490,6 +491,37 @@ def test_the_intrinsic_metric_does_not_depend_on_the_blas_thread_count():
         assert run["after_return"] == run["after_error"] == run["before"]
 
 
+# Run in a fresh process: the OpenBLAS builds mapped after `import rcdlab`,
+# and those mapped after scipy's BLAS users load too, as one JSON line.
+_OPENBLAS_MAPS_SCRIPT = """
+import json
+
+def openblas():
+    with open("/proc/self/maps") as fh:
+        return sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1].lower()})
+
+import rcdlab
+after_rcdlab = openblas()
+import scipy.linalg, scipy.optimize
+print(json.dumps({"rcdlab": after_rcdlab, "scipy": openblas()}))
+"""
+
+
+def test_import_rcdlab_maps_every_openblas_that_scipy_uses():
+    # _openblas_threads is looked up once, at the first pinned call, and pins
+    # only the builds mapped by then; import rcdlab must already map them all
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc: the mapped libraries cannot be read")
+    src = os.path.dirname(os.path.dirname(dirichlet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _OPENBLAS_MAPS_SCRIPT], env=env, capture_output=True, text=True,
+                          check=True, timeout=300)
+    maps = json.loads(proc.stdout)
+    if not maps["scipy"]:
+        pytest.skip("no OpenBLAS is mapped: there is nothing to pin")
+    assert maps["scipy"] == maps["rcdlab"]
+
+
 def test_the_metric_is_the_same_without_an_openblas_to_pin(monkeypatch):
     form, cycle = calibrated_segment(8)[1], _PAIR_FORMS["cycle:8"]()
     pinned = _metric_or_error(form), _metric_or_error(cycle)
@@ -660,6 +692,13 @@ def test_components_are_labelled_by_lowest_vertex():
     for k in range(30):
         form = _random_form(rng, int(rng.integers(1, 14)), (0.05, 0.15, 0.4)[k % 3])
         assert form.components().tolist() == _components_by_search(form).tolist()
+
+
+def test_components_are_scipys_labels():
+    rng = np.random.default_rng(13)
+    for k in range(200):
+        form = _random_form(rng, int(rng.integers(1, 20)), (0.03, 0.08, 0.15, 0.4)[k % 4])
+        assert form.components().tolist() == connected_components(form.weights > 0, directed=False)[1].tolist()
 
 
 def test_product_form_matches_the_elementwise_construction():

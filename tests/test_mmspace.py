@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from rcdlab.mmspace import (
     FiniteMMSpace,
@@ -68,6 +71,51 @@ def test_parallel_edges_count_once_at_their_shortest():
     obj = space_to_json(make_model_space("segment", 5))
     obj["edges"] = [list(e) for e in obj["edges"]] + [[j, i, w] for i, j, w in obj["edges"]]
     assert validate_space(space_from_json(obj)).passed
+
+
+def csgraph_distances(n, edges):
+    """scipy's Dijkstra on the edge list, each pair given its parallel edges'
+    minimum (the sparse matrix would add them up)."""
+    lengths = {}
+    for i, j, w in edges:
+        key = (min(i, j), max(i, j))
+        lengths[key] = min(lengths.get(key, np.inf), w)
+    rows, cols = [i for i, _ in lengths], [j for _, j in lengths]
+    g = coo_matrix((list(lengths.values()), (rows, cols)), shape=(n, n))
+    return shortest_path(g, method="D", directed=False)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) with 1 to 9 vertices and up to 3n edges. Pairs repeat in
+    either direction and lengths repeat, so parallel edges, ties, isolated
+    vertices, several components and empty lists all occur."""
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    length = st.one_of(st.sampled_from((0.125, 0.5, 1.0, 0.1, 0.2, 0.3)), st.floats(1e-3, 10.0))
+    return n, draw(st.lists(st.tuples(vertex, vertex, length), max_size=3 * n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edge_lists())
+def test_shortest_paths_are_scipys_bits(case):
+    n, edges = case
+    assert graph_shortest_paths(n, edges).tobytes() == csgraph_distances(n, edges).tobytes()
+
+
+@pytest.mark.parametrize("kind, n, params", [("cycle", 64, {}), ("segment", 65, {}), ("grid", 16, {}),
+                                             ("random_metric", 128, {"seed": 4})])
+def test_model_space_graphs_have_scipys_distances(kind, n, params):
+    s = make_model_space(kind, n, params)
+    assert graph_shortest_paths(s.n, s.graph).tobytes() == csgraph_distances(s.n, s.graph).tobytes()
+
+
+def test_a_one_point_model_space_validates():
+    # its edge list is empty, and a point is at distance 0 from itself
+    s = make_model_space("segment", 1)
+    assert s.graph == () and validate_space(s).passed
+    assert np.array_equal(graph_shortest_paths(3, []), [[0.0, np.inf, np.inf], [np.inf, 0.0, np.inf],
+                                                        [np.inf, np.inf, 0.0]])
 
 
 def _set(d, cells, value):

@@ -1,6 +1,9 @@
 import ast
 import collections
+import json
+import os
 import pathlib
+import subprocess
 import sys
 import threading
 from unittest import mock
@@ -906,6 +909,42 @@ def test_solvers_imports_no_scipy_sparse():
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.update([node.module] + [f"{node.module}.{alias.name}" for alias in node.names])
     assert imported and not any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in imported)
+
+
+# Run in a fresh process, with scipy.optimize imported before rcdlab when the
+# argument is "scipy": which heavy scipy packages `import rcdlab.cli` left
+# out, whether rcdlab and scipy share the compiled modules, and what scipy's
+# own linprog and L-BFGS-B return afterwards, as one JSON line.
+_IMPORT_SCRIPT = """
+import json, sys
+names = ("scipy.optimize._highspy._core", "scipy.optimize._lbfgsb")
+if sys.argv[1] == "scipy":
+    import scipy.optimize
+before = [sys.modules.get(name) for name in names]
+import rcdlab.cli
+from rcdlab import dirichlet, solvers
+left_out = [name for name in ("scipy.optimize", "scipy.sparse", "scipy.linalg") if name not in sys.modules]
+import scipy.optimize
+lp = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method="highs")
+qp = scipy.optimize.minimize(lambda x: ((x - 3.0) ** 2).sum(), [0.0], method="L-BFGS-B", bounds=[(0, 2)])
+core, lbfgsb = after = [sys.modules[name] for name in names]
+shared = [solvers._highs is core, dirichlet._setulb is lbfgsb.setulb]
+print(json.dumps({"left_out": left_out, "lp": [lp.status] + lp.x.tolist(), "qp": [qp.status] + qp.x.tolist(),
+                  "shared": shared + [b is None or b is a for b, a in zip(before, after)]}))
+"""
+
+
+@pytest.mark.parametrize("first", ["rcdlab", "scipy"])
+def test_rcdlab_and_scipy_share_the_compiled_modules(first):
+    src = str(pathlib.Path(solvers.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT, first], env=env, capture_output=True, text=True,
+                          check=True, timeout=300)
+    out = json.loads(proc.stdout)
+    if first == "rcdlab":
+        assert out["left_out"] == ["scipy.optimize", "scipy.sparse", "scipy.linalg"]
+    assert out["shared"] == [True] * 4
+    assert out["lp"] == [0, 1.0, 0.0] and out["qp"] == [0, 2.0]
 
 
 # -- solvers.linprog: one direct HiGHS call ---------------------------------------
