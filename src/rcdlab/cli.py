@@ -15,8 +15,9 @@ field. Each object may hold only the keys ``_KEYS`` lists for it. Exit codes:
     1  an assert-mode check failed, and nothing else (the report path is printed)
     2  config error: an unreadable or non-JSON file, a missing or wrong-type
        field anywhere in a config (space params, measure specs, the verify
-       config and t_grid included), an unknown key in any object of a config,
-       a K or tolerance that is not finite, a verify n_probes below 1, an
+       config and t_grid included; a bool is no number, and an integer field
+       takes no fraction), an unknown key in any object of a config, a K,
+       tolerance or epsilon that is not finite, a verify n_probes below 1, an
        invalid space or measure, or a geodesic request that cannot be met
        (GeodesyError)
     3  solver failure: SolverError (InfeasibleError included), FormError,
@@ -166,36 +167,46 @@ def _coerced(spec, key, kind, *default):
 
 
 def _exactly(cls):
-    """A kind for _coerced that passes a cls through and rejects the rest."""
+    """A kind for _coerced that passes a cls through and rejects the rest (a bool is no int)."""
     def check(value):
-        if not isinstance(value, cls):
+        if not isinstance(value, cls) or isinstance(value, bool) and cls is not bool:
             raise TypeError(f"expected {cls.__name__}, got {type(value).__name__}")
         return value
     return check
 
 
+_integer = _exactly(int)  # a number with a fraction or a decimal point is not truncated
+
+
+def _float(value):
+    """float(value); a bool, which float reads as 0 or 1, is not a number."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got bool")
+    return float(value)
+
+
 def _finite(value):
-    """A finite JSON number, as a float: K and the tolerances, which a NaN
-    would pass every comparison of."""
-    x = float(value)
+    """A finite JSON number, as a float: K, epsilon and the tolerances, which
+    a NaN would pass every comparison of."""
+    x = _float(value)
     if not np.isfinite(x):
         raise ValueError(f"{x} is not finite")
     return x
 
 
 def _floats(value, n=None):
-    """A nonempty JSON list of numbers, of length n when n is given, as a vector."""
+    """A nonempty JSON list of numbers (no bool), of length n when n is given, as a vector."""
     a = np.asarray(value, dtype=float)
-    if a.ndim != 1 or not len(a) or n is not None and len(a) != n:
+    if a.ndim != 1 or not len(a) or n is not None and len(a) != n or any(isinstance(v, bool) for v in value):
         raise ValueError(f"expected a list of {n or 'some'} numbers")
     return a
 
 
 def _count(value):
     """A number of probes, an int of at least 1: with none a battery checks nothing."""
-    if int(value) < 1:
+    if _integer(value) < 1:
         raise ValueError(f"{value} < 1")
-    return int(value)
+    return value
 
 
 def _paths(space, value):
@@ -254,7 +265,7 @@ def _space(spec):
         return mmspace.space_from_json(_known(spec, _KEYS["space file"], "space"))
     _known(spec, _KEYS["space"], "space")
     params = _known(_coerced(spec, "params", _exactly(dict), {}), _KEYS["space params"], "space params")
-    return mmspace.make_model_space(spec["kind"], _coerced(spec, "n", int), params)
+    return mmspace.make_model_space(spec["kind"], _coerced(spec, "n", _integer), params)
 
 
 def _measure(space, spec):
@@ -267,10 +278,10 @@ def _measure(space, spec):
     if kind == "uniform":
         return measures.uniform_measure(space)
     if kind == "dirac":
-        return measures.dirac(space, _coerced(spec, "at", int))
+        return measures.dirac(space, _coerced(spec, "at", _integer))
     if kind == "gaussian":
-        return measures.gaussian_measure(space, _coerced(spec, "c2", float), _coerced(spec, "x0", int, None))
-    return measures.bump_measure(space, _coerced(spec, "center", int), _coerced(spec, "radius", float))
+        return measures.gaussian_measure(space, _coerced(spec, "c2", _float), _coerced(spec, "x0", _integer, None))
+    return measures.bump_measure(space, _coerced(spec, "center", _integer), _coerced(spec, "radius", _float))
 
 
 def _series(report):
@@ -341,10 +352,10 @@ def run_task(task, space, seed, forms):
     elif op == "geodesic":
         mu0 = _coerced(task, "mu0", measure)
         mu1 = _coerced(task, "mu1", measure)
-        eps = "auto" if task.get("epsilon") in (None, "auto") else _coerced(task, "epsilon", float)
+        eps = "auto" if task.get("epsilon") in (None, "auto") else _coerced(task, "epsilon", _finite)
         K = _coerced(task, "K", _finite, 0.0)
         trace = geodesy.build_good_geodesic(
-            mu0, mu1, _coerced(task, "depth", int, 3),
+            mu0, mu1, _coerced(task, "depth", _integer, 3),
             epsilon=eps, K=K, tol=_coerced(task, "tol", _finite, 2e-3),
         )
         cd = geodesy.cd_convexity_check(trace, K)
@@ -386,12 +397,12 @@ def run_task(task, space, seed, forms):
         if flavor == "semigroup":
             grid = _coerced(task, "t_grid", _floats, None)
             if grid is None:
-                grid = np.linspace(0, _coerced(task, "t", float, 0.1), _coerced(task, "steps", int, 20) + 1)
+                grid = np.linspace(0, _coerced(task, "t", _float, 0.1), _coerced(task, "steps", _integer, 20) + 1)
             trace = heat.semigroup_flow(form, f0.density(), grid)
         elif flavor == "jko":
-            trace = heat.jko_flow(f0, _coerced(task, "tau", float), _coerced(task, "steps", int),
+            trace = heat.jko_flow(f0, _coerced(task, "tau", _float), _coerced(task, "steps", _integer),
                                   inner_tol=_coerced(task, "inner_tol", _finite, 1e-6),
-                                  blur=_coerced(task, "blur", float, 0.25), form=form)
+                                  blur=_coerced(task, "blur", _float, 0.25), form=form)
         else:
             raise ConfigError(f"unknown flavor {flavor!r}")
         payload = {
@@ -433,7 +444,7 @@ def run(config, base_dir=".") -> int:
         tasks = config.get("tasks")
         if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
             raise ConfigError(f"tasks must be a list of objects, got {_quoted(tasks)}")
-        seed = _coerced(config, "seed", int, None)
+        seed = _coerced(config, "seed", _integer, None)
         if seed is None and any(map(_draws, tasks)):
             raise ConfigError("seed is mandatory when any task uses randomness")
         if seed is not None and seed < 0:

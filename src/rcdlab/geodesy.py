@@ -8,6 +8,8 @@ slack actually used. Midpoint measures are entropy minimizers over the relaxed
 set, produced by a conditional-gradient solver with certified optimality gaps;
 when both endpoints are Dirac masses the budgets are linear in the middle
 marginal and an exact exponential-family solve is used instead.
+Every W2 here is ot.w2_distance's; a build reads each interval's from the
+certificate that opened it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import ProbMeasure, gaussian_measure, relative_entropy
-from .ot import _same_space
+from .mmspace import line_of
+from .ot import w2_distance
 from .solvers import (
     InfeasibleError,
     SolverError,
@@ -33,33 +36,6 @@ _SNAP_REL = 1e-12  # _snap drops weights below this fraction of the largest
 
 class GeodesyError(ValueError):
     pass
-
-
-def _cost(C, a, b, store=None):
-    """exact_ot(C, a, b)[0]. store, a dict local to one geodesic build, holds
-    the cost of each transport LP solved with it, keyed by the LP's bytes:
-    the support-restricted C, a and b, whose lengths fix its shape. A repeat
-    of a stored LP returns its cost without a solve; the transpose of one is
-    another key, since it need not give the same last digit."""
-    if store is None:
-        return exact_ot(C, a, b)[0]
-    ia, ib = a > 0, b > 0
-    key = (C[ia][:, ib].tobytes(), a[ia].tobytes(), b[ib].tobytes())
-    if key not in store:
-        store[key] = exact_ot(C, a, b)[0]
-    return store[key]
-
-
-def _w2(mu, nu, store=None):
-    """W2(mu, nu) as ot.w2 gives it without a line. The builders can turn a
-    one-ulp change of a W2 value into tolerance-level changes of their
-    measures, so they do not take the line's shortlist, whose bits differ.
-    Without a line exact_ot solves the full LP up to solvers._SEED_GATE
-    points and a shortlist of cheap cells above it: on criterion 3's
-    segment:65 build, 15 of its 50 costs are one ulp off the full LP's and
-    its measures keep their bytes. store is _cost's."""
-    _same_space(mu, nu)
-    return float(np.sqrt(max(_cost(mu.space.metric ** 2, mu.weights, nu.weights, store), 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,29 +95,27 @@ def epsilon_min(mu0: ProbMeasure, mu1: ProbMeasure, t) -> float:
     """Least uniform relaxation making I_t^eps nonempty, by solvers.epsilon_min's
     dual Newton cuts: each iterate is a certified lower bound, and the value
     returned has verified slack."""
-    return _epsilon_min_lp(mu0.space.metric ** 2, mu0.weights, mu1.weights, t, _w2(mu0, mu1))
+    return _epsilon_min_lp(mu0.space.metric ** 2, mu0.weights, mu1.weights, t, w2_distance(mu0, mu1))
 
 
 def intermediate_entropy_min(mu0: ProbMeasure, mu1: ProbMeasure, t, epsilon, tol=1e-3, W=None):
     """Entropy minimizer over I_t^epsilon with a certified optimality gap.
 
-    Raises InfeasibleError (carrying the least feasible relaxation) when the
-    requested epsilon leaves the set empty; raises SolverError when the
-    certificate gap cannot be brought below tol.
+    W is W2(mu0, mu1), ot.w2_distance's when not given. An epsilon whose
+    squared radii are not finite (a NaN or infinite epsilon among them) is a
+    GeodesyError. Raises InfeasibleError (carrying the least feasible
+    relaxation) when the requested epsilon leaves the set empty; raises
+    SolverError when the certificate gap cannot be brought below tol.
     """
-    return _intermediate_entropy_min(mu0, mu1, t, epsilon, tol, W)
-
-
-def _intermediate_entropy_min(mu0, mu1, t, epsilon, tol, W, store=None):
-    """intermediate_entropy_min with _cost's store, which a geodesic build
-    shares between its W2 values and its certificates' transport costs."""
     if not (0.0 <= t <= 1.0):
         raise GeodesyError("t in [0,1] required")
     if epsilon < 0:
         raise GeodesyError("epsilon >= 0 required")
     if W is None:
-        W = _w2(mu0, mu1, store)
+        W = w2_distance(mu0, mu1)
     prob = IntermediateSpec(float(t), float(epsilon), float(W))
+    if not all(np.isfinite(r * r) for r in prob.radii()):
+        raise GeodesyError(f"not finite: the squared radii at epsilon = {epsilon!r}")
     if epsilon == 0.0 and t in (0.0, 1.0):
         mu = mu0 if t == 0.0 else mu1
         ent = relative_entropy(mu, mu0.space.ref_measure)
@@ -155,41 +129,42 @@ def _intermediate_entropy_min(mu0, mu1, t, epsilon, tol, W, store=None):
             raise InfeasibleError(
                 f"I_t^eps empty at epsilon={epsilon:.3e}; needs >= {eps_need:.3e}", min_budget=eps_need
             )
-    return _entropy_min(mu0, mu1, prob, tol, store)
+    return _entropy_min(mu0, mu1, prob, tol)
 
 
-def _entropy_min(mu0, mu1, prob, tol, store=None):
+def _entropy_min(mu0, mu1, prob, tol):
     """The minimization behind intermediate_entropy_min, for 0 < t < 1 or
     epsilon > 0, on a set already known to be nonempty. The certificate's
     entropy, transport costs and eps_used are those of the returned (snapped)
-    measure; store is _cost's."""
+    measure mu. Its costs are exact_ot's with the space's line, from mu0 to
+    mu and from mu to mu1, so the square root of each is ot.w2_distance of
+    its pair, bit for bit."""
     t, W = prob.t, prob.W
     space = mu0.space
     m = space.ref_measure
-    if W < 1e-14:
-        ent = relative_entropy(mu0, m)
-        return mu0, MinimizerCertificate(ent, ent, 0.0, (0.0, 0.0), 0.0, "coincident", 0, prob)
-
     C = space.metric ** 2
-    budgets = np.array([r ** 2 for r in prob.radii()])
-    sel0 = mu0.weights > 0
-    sel1 = mu1.weights > 0
-    C0, C1 = C[sel0], C[sel1]
-    m0, m1 = mu0.weights[sel0], mu1.weights[sel1]
-    if sel0.sum() == 1 and sel1.sum() == 1:
-        nu, bound = dirac_pair_min(m, np.vstack([C0[0], C1[0]]), budgets)
-        method, iterations = "dirac_newton", 0
+    if W < 1e-14:
+        mu, bound, method, iterations = mu0, relative_entropy(mu0, m), "coincident", 0
     else:
-        warm = []
-        try:
-            warm.append(entropy_capacity_min(m, [(m0, C0), (m1, C1)], budgets))
-        except SolverError:
-            pass
-        nu, bound, iterations = entropy_budget_min(m, [(m0, C0), (m1, C1)], budgets, tol=tol, warm_points=warm)
-        method = "budgeted_fw"
-    mu = ProbMeasure(space, _snap(nu))
+        budgets = np.array([r ** 2 for r in prob.radii()])
+        sel0 = mu0.weights > 0
+        sel1 = mu1.weights > 0
+        C0, C1 = C[sel0], C[sel1]
+        m0, m1 = mu0.weights[sel0], mu1.weights[sel1]
+        if sel0.sum() == 1 and sel1.sum() == 1:
+            nu, bound = dirac_pair_min(m, np.vstack([C0[0], C1[0]]), budgets)
+            method, iterations = "dirac_newton", 0
+        else:
+            warm = []
+            try:
+                warm.append(entropy_capacity_min(m, [(m0, C0), (m1, C1)], budgets))
+            except SolverError:
+                pass
+            nu, bound, iterations = entropy_budget_min(m, [(m0, C0), (m1, C1)], budgets, tol=tol, warm_points=warm)
+            method = "budgeted_fw"
+        mu = ProbMeasure(space, _snap(nu))
     ent = relative_entropy(mu, m)
-    costs = (_cost(C0, m0, mu.weights, store), _cost(C1, m1, mu.weights, store))
+    costs = tuple(exact_ot(C, a.weights, b.weights, line_of(space))[0] for a, b in ((mu0, mu), (mu, mu1)))
     eps_used = max(np.sqrt(max(costs[0], 0.0)) - t * W, np.sqrt(max(costs[1], 0.0)) - (1.0 - t) * W, 0.0)
     return mu, MinimizerCertificate(ent, bound, ent - bound, costs, float(eps_used), method, iterations, prob)
 
@@ -204,13 +179,13 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
     and the density bound constant max(sup rho1, c1) * exp((2 K^- + c2) D^2)
     is recorded in meta: c1 is mu0's sup-density and D the radius of mu1's
     support around x0, finite since the space is. A tag that is malformed or
-    that the weights do not match is a GeodesyError.
+    that the weights do not match is a GeodesyError, and so is an epsilon
+    that is not finite or whose squared radii are not.
 
-    Each transport LP of the build is solved once, at a fixed epsilon as with
-    "auto": the W2 values and the certificates' transport costs share a
-    store local to the call (_cost), so the W2 from a midpoint's left end at
-    the next level and the W2 values from mu0 reuse the costs its
-    certificate already holds.
+    Each W2 of the build is ot.w2_distance's and is solved once: W2(mu0, mu1)
+    first, then, when a midpoint is placed in (ta, tb), its certificate's
+    transport costs are W2^2(ta, tmid) and W2^2(tmid, tb) for the next level
+    and for w2_from_start.
     """
     if depth < 0:
         raise GeodesyError("depth >= 0 required")
@@ -218,6 +193,8 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
     m = space.ref_measure
     auto = epsilon == "auto"
     eps_req = 0.0 if auto else float(epsilon)
+    if not np.isfinite(eps_req):
+        raise GeodesyError(f"not finite: epsilon = {epsilon!r}")
 
     t0 = None
     meta = {}
@@ -241,23 +218,23 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
     certs = {}
     construction = {}
     eps_max = 0.0
-    store = {}
+    w2s = {(0.0, 1.0): w2_distance(mu0, mu1)}  # (ta, tb) -> W2(nodes[ta], nodes[tb])
 
     def solve_between(ta, tb, tmid):
         nonlocal eps_max
         a, b = nodes[ta], nodes[tb]
         frac = (tmid - ta) / (tb - ta)
-        Wab = _w2(a, b, store)
+        Wab = w2s[ta, tb]
         if auto:
             # the least relaxation comes with verified slack and the set only
             # grows with epsilon, so the margin, which gives the entropy
             # minimizer room, needs no second feasibility check
             need = _epsilon_min_lp(space.metric ** 2, a.weights, b.weights, frac, Wab)
             eps_here = 1.2 * need + 1e-6 if need > 0 else 0.0
-            nu, cert = _entropy_min(a, b, IntermediateSpec(frac, eps_here, Wab), tol, store)
+            nu, cert = _entropy_min(a, b, IntermediateSpec(frac, eps_here, Wab), tol)
         else:
             try:
-                nu, cert = _intermediate_entropy_min(a, b, frac, eps_req, tol, Wab, store)
+                nu, cert = intermediate_entropy_min(a, b, frac, eps_req, tol, Wab)
             except InfeasibleError as err:
                 if err.min_budget is None:  # a solver report, not an empty set
                     raise
@@ -267,6 +244,7 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
         nodes[tmid] = nu
         certs[tmid] = cert
         construction[tmid] = (ta, tb)
+        w2s[ta, tmid], w2s[tmid, tb] = (float(np.sqrt(max(c, 0.0))) for c in cert.transport_costs)
         eps_max = max(eps_max, cert.eps_used, eps_req)
 
     if t0 is not None and abs(t0 - 0.5) > 1e-12:
@@ -282,11 +260,11 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
     times = sorted(nodes)
     measures = [nodes[t] for t in times]
     entropies = [relative_entropy(mu, m) for mu in measures]
-    w2s = [_w2(mu0, mu, store) for mu in measures]
+    from_start = [w2s[0.0, t] if (0.0, t) in w2s else w2_distance(mu0, nodes[t]) for t in times]
     sup_d = [float(mu.density().max()) for mu in measures]
     cert_list = [certs.get(t) for t in times]
     return GeodesicTrace(
-        tuple(times), tuple(measures), tuple(entropies), tuple(w2s), tuple(sup_d),
+        tuple(times), tuple(measures), tuple(entropies), tuple(from_start), tuple(sup_d),
         float(eps_max), tuple(cert_list), construction, meta,
     )
 
@@ -317,8 +295,8 @@ def cd_convexity_check(trace: GeodesicTrace, K) -> dict:
     The asserted set follows the composition argument: each interior measure
     against the interval it was selected in, plus every global (0, t, 1)
     triple. The check solves nothing: W2(s, r) of an interval is the W of its
-    measure's certificate and W2(mu0, mu1) the last w2_from_start, the
-    builder's own geodesy._w2 values. A K that is not finite raises
+    measure's certificate and W2(mu0, mu1) the last w2_from_start, each
+    ot.w2_distance of its two measures. A K that is not finite raises
     GeodesyError: a NaN worst would pass every comparison it meets. A trace
     with no interior time has no triple to assert and raises GeodesyError too.
     """

@@ -219,7 +219,13 @@ def identification_check(form: DirichletForm, f0, t_grid, tau_grid, blur=0.25, t
     So dissipation_residual_rel is the integrated chain-rule defect for
     phi = log, |int Gamma(rho, log rho) - Gamma(rho, rho) / rho dm|, over the
     Fisher information. f0 is normalized first, so a multiple of it gives
-    the same report."""
+    the same report. A t_grid with no positive time or a tau_grid that is
+    empty or takes no step to max(t_grid) checks nothing: a HeatError."""
+    if not any(t > 0 for t in t_grid):
+        raise HeatError("a t_grid with no positive time checks nothing")
+    T = max(t_grid)
+    if not len(tau_grid) or any(round(T / tau) < 1 for tau in tau_grid):
+        raise HeatError(f"tau_grid {list(tau_grid)!r} takes no step to T = {T!r}, so it checks nothing")
     m = form.vertex_measure
     f0 = np.asarray(f0, dtype=float)
     f0 = f0 / (f0 * m).sum()
@@ -230,7 +236,6 @@ def identification_check(form: DirichletForm, f0, t_grid, tau_grid, blur=0.25, t
     fisher = fisher_information(mu_diss, form)
     rel = abs(energy(form, rho, np.log(rho)) - fisher) / max(abs(fisher), 1e-300)
     mu0 = ProbMeasure(form.space, f0 * m)
-    T = max(t_grid)
     gaps = []
     for tau in tau_grid:
         nsteps = int(round(T / tau))
@@ -264,13 +269,13 @@ def bakry_emery_check(form: DirichletForm, f, t_grid, K, tol=1e-10) -> dict:
     R_t <= 0; the largest K is the least cap (-inf when some site admits no
     K, +inf when no site binds). At t = 0, L = R exactly and nothing binds.
     A K that is not finite raises HeatError: max(-inf, nan) keeps -inf, so a
-    NaN K would read as a pass. An empty t_grid checks nothing and raises
-    HeatError too.
+    NaN K would read as a pass. A t_grid with no positive time checks
+    nothing and raises HeatError too: at t = 0, L = R whatever K.
     """
     if not np.isfinite(K):
         raise HeatError(f"not finite: K = {K!r}")
-    if not len(t_grid):
-        raise HeatError("an empty t_grid checks nothing")
+    if not any(t > 0 for t in t_grid):
+        raise HeatError("a t_grid with no positive time checks nothing")
     f = np.asarray(f, dtype=float)
     gf = form.gamma_vector(f, f)
     worst, largest = -np.inf, np.inf
@@ -318,12 +323,12 @@ def log_sobolev_check(form: DirichletForm, f, K, n_family=20, seed=0) -> dict:
 def contraction_check(form: DirichletForm, mu: ProbMeasure, nu: ProbMeasure, K, t_grid) -> dict:
     """max over t of W2(h_t mu, h_t nu) - exp(-Kt) W2(mu, nu), from one
     series of transport problems (exact_ot_costs): (mu, nu), then
-    (h_t mu, h_t nu) along t_grid. A K that is not finite or an empty t_grid
-    raises HeatError."""
+    (h_t mu, h_t nu) along t_grid. A K that is not finite or a t_grid with
+    no positive time raises HeatError."""
     if not np.isfinite(K):
         raise HeatError(f"not finite: K = {K!r}")
-    if not len(t_grid):
-        raise HeatError("an empty t_grid checks nothing")
+    if not any(t > 0 for t in t_grid):
+        raise HeatError("a t_grid with no positive time checks nothing")
     pairs = [(mu.weights, nu.weights)] + [(_heat_measure(form, mu.density(), t).weights,
                                            _heat_measure(form, nu.density(), t).weights) for t in t_grid]
     w0, *wt = (np.sqrt(max(c, 0.0)) for c in exact_ot_costs(form.space.metric ** 2, pairs, line_of(form.space)))

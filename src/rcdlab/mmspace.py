@@ -304,9 +304,11 @@ def product_space(a: FiniteMMSpace, b: FiniteMMSpace) -> FiniteMMSpace:
 
 
 def _point(space: FiniteMMSpace, i, error=SpaceError) -> int:
-    """int(i) for a point index of space; anything else is an error."""
-    if not 0 <= int(i) < space.n:
-        raise error(f"point index {i} outside 0..{space.n - 1}")
+    """int(i) for a point index of space; anything else is an error, a bool
+    or a number that is not integral among them."""
+    if (isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer, float))
+            or not (0 <= i < space.n and i == int(i))):
+        raise error(f"point index {i!r} is not an integer in 0..{space.n - 1}")
     return int(i)
 
 

@@ -353,10 +353,12 @@ def _one_line_config_error(code, capsys):
     {"tasks": [{"op": "form", "f": [1.0, 2.0]}]},
     {"tasks": [{"op": "form", "sub": "mod2", "paths": [[0, 1, 99]]}]},
     {"tasks": [{"op": "geodesic", "depth": 0, "mu0": {"kind": "dirac", "at": 0}, "mu1": {"kind": "dirac", "at": 4}}]},
+    *({"tasks": [{"op": "geodesic", "epsilon": eps, "mu0": {"kind": "dirac", "at": 0}, "mu1": {"kind": "dirac", "at": 4}}]}
+      for eps in (float("nan"), float("inf"), 1e200)),
 ], ids=["space-missing-file", "space-number", "tasks-number", "space-without-points", "params-number",
         "params-seed", "params-edge-prob", "params-gaussian", "measure-number", "measure-not-json",
         "verify-K", "verify-t-grid", "verify-no-probes", "flow-t-grid", "form-f-length", "mod2-paths",
-        "geodesic-depth-0"])
+        "geodesic-depth-0", "geodesic-epsilon-nan", "geodesic-epsilon-inf", "geodesic-epsilon-1e200"])
 def test_malformed_run_input_is_one_line_config_error(tmp_path, capsys, fields):
     (tmp_path / "bad.json").write_text("{not json")
     config = dict({"space": {"kind": "cycle", "n": 8}, "seed": 0, "output_dir": str(tmp_path / "o"), "tasks": []},
@@ -516,7 +518,7 @@ def _locations(value, path=()):
 
 
 _SPEC_FIELDS = {"space", "mu", "nu", "mu0", "mu1", "f0", "config"}
-_REPLACEMENTS = ["x", [], [1], None, -1, 0, 0.5, 2, {}, {"x": 1}, -1e-13, float("nan")]
+_REPLACEMENTS = ["x", [], [1], None, True, -1, 0, 0.5, 2, {}, {"x": 1}, -1e-13, float("nan")]
 
 
 def _json_type(value):
@@ -548,6 +550,9 @@ def _mutations(draw):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(_mutations())
 @example((("tasks", 1, "mu"), "meta", {"gaussian": {}}))
+@example((("tasks", 7, "depth"), "replace", 1.9))  # each was truncated to an int
+@example((("tasks", 7, "mu0", "at"), "replace", True))
+@example((("tasks", 6, "config", "K"), "replace", True))
 def test_one_mutation_of_a_working_config_keeps_the_exit_code_contract(tmp_path_factory, mutation):
     path, kind, new = mutation
     base = tmp_path_factory.mktemp("mutation")
@@ -567,5 +572,8 @@ def test_one_mutation_of_a_working_config_keeps_the_exit_code_contract(tmp_path_
     assert code in (0, 1, 2, 3)
     unreadable = kind == "replace" and path[-1] in _SPEC_FIELDS and new in ("missing.json", "bad.json")
     wrong_type = kind == "replace" and new is not None and _json_type(new) != _json_type(old)
-    if unreadable or wrong_type or kind in ("insert", "meta"):
+    # an integer field, a count or a point index, takes no number with a fraction
+    fraction = (kind == "replace" and _json_type(old) == "number" and isinstance(old, int)
+                and isinstance(new, float) and not new.is_integer())
+    if unreadable or wrong_type or fraction or kind in ("insert", "meta"):
         assert code == 2

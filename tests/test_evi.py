@@ -172,13 +172,22 @@ def _vacuous_checks():
         "bakry_emery": (heat.HeatError, lambda: heat.bakry_emery_check(form, f, [], 0.0)),
         "cd_convexity": (GeodesyError, lambda: cd_convexity_check(build_good_geodesic(dirac(s9, 0), dirac(s9, 8), 0), 0.0)),
         "dw2_derivative": (EviError, lambda: dw2_derivative_check(flow, uniform_measure(s), form)),
+        # at t = 0 the semigroup is the identity, so each passed K = 1e6
+        "contraction_at_zero": (heat.HeatError, lambda: heat.contraction_check(form, dirac(s, 0), dirac(s, 15), 1e6, [0.0])),
+        "bakry_emery_at_zero": (heat.HeatError, lambda: heat.bakry_emery_check(form, f, [0.0], 1e6)),
+        "identification_t_grid": (heat.HeatError, lambda: heat.identification_check(form, np.ones(16), [], [4e-3])),
+        "identification_tau_grid": (heat.HeatError, lambda: heat.identification_check(form, np.ones(16), [0.02], [])),
+        "identification_no_step": (heat.HeatError, lambda: heat.identification_check(form, np.ones(16), [0.02], [1.0])),
     }
 
 
-@pytest.mark.parametrize("check", ["contraction", "bakry_emery", "cd_convexity", "dw2_derivative"])
+@pytest.mark.parametrize("check", ["contraction", "bakry_emery", "cd_convexity", "dw2_derivative",
+                                   "contraction_at_zero", "bakry_emery_at_zero", "identification_t_grid",
+                                   "identification_tau_grid", "identification_no_step"])
 def test_a_check_with_nothing_to_assert_raises(check):
-    # an empty t_grid, a depth-0 trace and a flow with no positive density
-    # gave worst -inf or 0.0, which every tolerance passes
+    # an empty t_grid, a grid whose only time is 0, a depth-0 trace, a flow
+    # with no positive density and an identification run with no tau or no
+    # step gave worst -inf or 0.0, no gaps or a traceback
     error, call = _vacuous_checks()[check]
     with pytest.raises(error, match="nothing|no triple"):
         call()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcdlab import cli, geodesy, solvers
+from rcdlab import cli, geodesy, ot, solvers
 from rcdlab.geodesy import (
     GeodesyError,
     build_good_geodesic,
@@ -269,73 +269,56 @@ def test_the_convexity_check_reads_its_w2_values_from_the_trace(monkeypatch, end
     else:
         s = make_model_space("segment", 9)
         tr = build_good_geodesic(dirac(s, 0), dirac(s, 8), 3, epsilon=0.0)
-    real_linprog, real_w2, calls = solvers.linprog, geodesy._w2, []
+    real_linprog, calls = solvers.linprog, []
     monkeypatch.setattr(solvers, "linprog", lambda *a: calls.append("linprog") or real_linprog(*a))
-    monkeypatch.setattr(geodesy, "_w2", lambda *a: calls.append("_w2") or real_w2(*a))
     reports = {K: cd_convexity_check(tr, K) for K in (0.0, -1.0, 2.0)}
     assert calls == []
     for K in (float("nan"), float("inf"), float("-inf")):  # a NaN worst would pass every cd_tol
         with pytest.raises(GeodesyError, match="not finite: K"):
             cd_convexity_check(tr, K)
     monkeypatch.undo()
-    # the reference: every W2 re-solved on the full LP
+    # the reference: every W2 re-solved
     node = dict(zip(tr.times, tr.measures))
     ent = dict(zip(tr.times, tr.entropies))
     t0, t1 = tr.times[0], tr.times[-1]
     for K, rep in reports.items():
-        local = [float(cd_residual(s_, t, r, ent[s_], ent[t], ent[r], real_w2(node[s_], node[r]) ** 2, K))
+        local = [float(cd_residual(s_, t, r, ent[s_], ent[t], ent[r], ot.w2_distance(node[s_], node[r]) ** 2, K))
                  for t, (s_, r) in sorted(tr.construction.items())]
-        glob = [float(cd_residual(t0, t, t1, ent[t0], ent[t], ent[t1], real_w2(node[t0], node[t1]) ** 2, K))
+        glob = [float(cd_residual(t0, t, t1, ent[t0], ent[t], ent[t1], ot.w2_distance(node[t0], node[t1]) ** 2, K))
                 for t in tr.times[1:-1]]
         assert rep["local_residuals"] == local
         assert rep["global_residuals"] == glob
         assert rep["worst"] == max(local + glob)
 
 
-def _builds_with_and_without_the_store(monkeypatch, mu0, mu1, depth, epsilon):
-    """(trace, LPs) of build_good_geodesic as it is and of the same build with
-    every W2 value and certificate cost solved on its own; the LPs are the
-    (restricted C, a, b) bytes of each builder-level exact_ot call."""
-    real_ot, real_cost = geodesy.exact_ot, geodesy._cost
+@pytest.mark.parametrize("endpoints", ["gaussian_bump_17", "dirac_9"])
+def test_each_w2_of_a_build_is_the_line_solvers_and_is_solved_once(monkeypatch, endpoints):
+    # criterion 3's segment:17 pair at depth 2, and the Dirac geodesic of the
+    # geodesic benchmark: segment:9, depth 3, epsilon 0
+    if endpoints == "gaussian_bump_17":
+        s = make_model_space("segment", 17)
+        mu0, mu1, depth, epsilon = gaussian_measure(s, 8.0), bump_measure(s, 12, 0.13), 2, "auto"
+    else:
+        s = make_model_space("segment", 9)
+        mu0, mu1, depth, epsilon = dirac(s, 0), dirac(s, 8), 3, 0.0
+    pairs = []
+    for module in (geodesy, ot):
+        def recording(C, a, b, line=None, real=module.exact_ot):
+            pairs.append(tuple(sorted((a.tobytes(), b.tobytes()))))
+            return real(C, a, b, line)
 
-    def build(cost):
-        lps = []
-
-        def recording(C, a, b):
-            lps.append((C[a > 0][:, b > 0].tobytes(), a[a > 0].tobytes(), b[b > 0].tobytes()))
-            return real_ot(C, a, b)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(geodesy, "exact_ot", recording)
-            patch.setattr(geodesy, "_cost", cost)
-            return build_good_geodesic(mu0, mu1, depth, epsilon=epsilon, K=0.0, tol=5e-3), lps
-
-    return build(real_cost), build(lambda C, a, b, store=None: real_cost(C, a, b))
-
-
-def _assert_same_bits(trace, reference):
-    assert [mu.weights.tobytes() for mu in trace.measures] == [mu.weights.tobytes() for mu in reference.measures]
-    assert trace.entropies == reference.entropies and trace.w2_from_start == reference.w2_from_start
-    assert [c and c.transport_costs for c in trace.certificates] == [c and c.transport_costs for c in reference.certificates]
-
-
-def test_a_build_solves_each_transport_lp_once(monkeypatch):
-    # criterion 3's segment:17 pair at depth 2, once as it is and once with
-    # every W2 value and certificate cost solved on its own
-    s = make_model_space("segment", 17)
-    mu0, mu1 = gaussian_measure(s, 8.0), bump_measure(s, 12, 0.13)
-    (trace, lps), (reference, every_lp) = _builds_with_and_without_the_store(monkeypatch, mu0, mu1, 2, "auto")
-    assert len(set(lps)) == len(lps) < len(every_lp) and set(lps) == set(every_lp)
-    _assert_same_bits(trace, reference)
-
-
-def test_a_fixed_epsilon_build_solves_each_transport_lp_once(monkeypatch):
-    # the Dirac geodesic of the geodesic benchmark: segment:9, depth 3, epsilon 0
-    s = make_model_space("segment", 9)
-    (trace, lps), (reference, every_lp) = _builds_with_and_without_the_store(monkeypatch, dirac(s, 0), dirac(s, 8), 3, 0.0)
-    assert len(lps) == len(set(lps)) == len(set(every_lp)) == 9 < len(every_lp)
-    _assert_same_bits(trace, reference)
-    assert [c and c.spec.epsilon for c in trace.certificates] == [None] + [0.0] * 7 + [None]
+        monkeypatch.setattr(module, "exact_ot", recording)
+    tr = build_good_geodesic(mu0, mu1, depth, epsilon=epsilon, K=0.0, tol=5e-3)
+    monkeypatch.undo()
+    assert len(pairs) == len(set(pairs)) > 0
+    node = dict(zip(tr.times, tr.measures))
+    cert = dict(zip(tr.times, tr.certificates))
+    assert len(tr.construction) == 2 ** depth - 1
+    for t, (s_, r) in tr.construction.items():
+        assert cert[t].spec.W == ot.w2_distance(node[s_], node[r])
+    assert list(tr.w2_from_start) == [ot.w2_distance(mu0, mu) for mu in tr.measures]
+    if epsilon == 0.0:  # a fixed epsilon is each interval's
+        assert [c and c.spec.epsilon for c in tr.certificates] == [None] + [0.0] * 7 + [None]
 
 
 def test_the_warm_probe_saves_oracle_lps(monkeypatch):

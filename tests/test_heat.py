@@ -280,7 +280,7 @@ def test_exact_dissipation_matches_a_centered_entropy_difference(start):
     h = 1e-4 / rate
     ent = lambda s: relative_entropy(heat._heat_measure(form, f0, s), form.vertex_measure)
     d_fd = -(ent(t + h) - ent(t - h)) / (2 * h)
-    rep = identification_check(form, f0, [t], [], t_diss=t)
+    rep = identification_check(form, f0, [t], [t], t_diss=t)
     fisher = rep["fisher_at_t"]
     assert abs(rep["dissipation_residual_rel"] * fisher - abs(d_fd - fisher)) <= 1e-6 * d_fd
 

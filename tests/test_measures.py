@@ -182,3 +182,18 @@ def test_gaussian_measure_is_the_normalized_tilt():
     assert np.array_equal(mu.weights, w / w.sum())
     # the builder derives the sup-density from the weights, so the tag holds only what they cannot give
     assert mu.meta == {"gaussian": {"c2": 3.0, "x0": 2}}
+
+
+@pytest.mark.parametrize("at", [True, np.True_, 2.7, -1e-13, float("nan"), float("inf"), "2", None])
+def test_a_point_index_is_an_integer(at):
+    # int() read True as 1, 2.7 as 2, -1e-13 as 0 and "2" as 2, and raised a
+    # bare TypeError, ValueError or OverflowError on the rest
+    s = make_model_space("segment", 5)
+    with pytest.raises(MeasureError, match="not an integer"):
+        dirac(s, at)
+
+
+def test_a_numpy_integer_or_an_integral_float_is_a_point_index():
+    s = make_model_space("segment", 5)
+    for at in (np.int64(2), np.int32(2), 2.0):
+        assert dirac(s, at).support().tolist() == [2]
