@@ -77,11 +77,16 @@ class DirichletForm:
 
 def _gamma(W, m, f, g):
     """Gamma(f, g) of the conductances W and vertex measure m, row by row for
-    stacks of f and g of shape (..., n)."""
+    stacks of f and g of shape (..., n). When g is f, one difference array
+    serves as both."""
+    same = g is f
     f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
     df = f[..., None, :] - f[..., :, None]
-    dg = g[..., None, :] - g[..., :, None]
+    if same:
+        dg = df
+    else:
+        g = np.asarray(g, dtype=float)
+        dg = g[..., None, :] - g[..., :, None]
     return (W * df * dg).sum(axis=-1) / (2.0 * m)
 
 
@@ -284,8 +289,8 @@ def _pair_dual(W, m, c, eta):
 def _lbfgsb(x):
     """L-BFGS-B on the pair dual over eta >= _ETA_FLOOR from x, as a
     generator: it yields each new point at which it needs the dual, is sent
-    the _pair_dual there, and returns (eta, the last point evaluated, the
-    _pair_dual there).
+    (stack, r), a stacked _pair_dual whose row r is the dual there, and
+    returns (eta, the last point evaluated, the _pair_dual there).
 
     This drives the L-BFGS-B C routine bundled with scipy (Byrd, Lu, Nocedal
     and Zhu, SIAM J. Sci. Comput. 1995; Zhu et al., ACM TOMS 1997) with the
@@ -293,10 +298,13 @@ def _lbfgsb(x):
     so eta is minimize(method="L-BFGS-B")'s bits with maxcor 10, ftol 1e-18,
     gtol 1e-14, maxls 20, maxiter _LBFGSB_ITER_CAP and maxfun
     _LBFGSB_EVAL_CAP, without the wrapper work it adds to each evaluation.
-    The dual is asked for once per new point."""
+    The dual is asked for once per new point. The run reads the stack it
+    was last sent by reference and copies from it only the gradient row it
+    hands to setulb, which may write to it; when it stops, it copies its
+    whole row out, so the value it returns holds no stacked array."""
     n = len(x)
     seen = x.copy()
-    at_seen = yield seen
+    stack, r = yield seen
     evaluations, iterations = 1, 0
     lower, upper = np.full(n, _ETA_FLOOR), np.zeros(n)
     kinds = np.ones(n, dtype=np.int32)  # bounded below only
@@ -308,14 +316,13 @@ def _lbfgsb(x):
     isave, dsave = np.zeros(44, dtype=np.int32), np.zeros(29)
     factr = 1e-18 / np.finfo(float).eps
     while True:
-        g = g.astype(np.float64)
         _setulb(k, x, lower, upper, kinds, f, g, factr, 1e-14, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
         if task[0] == 3:  # f and g wanted at x
-            if not np.array_equal(x, seen):
+            if not (x == seen).all():
                 seen = x.copy()
-                at_seen = yield seen
+                stack, r = yield seen
                 evaluations += 1
-            f, g = at_seen[0], at_seen[1]
+            f, g = stack[0][r], stack[1][r].copy()
         elif task[0] == 1:  # a new iterate
             iterations += 1
             if iterations >= _LBFGSB_ITER_CAP:
@@ -324,7 +331,7 @@ def _lbfgsb(x):
                 task[:] = 5, 502
         else:
             break
-    return x, seen, at_seen
+    return x, seen, tuple(part[r].copy() for part in stack)
 
 
 def _dual_minimize(W, m, cs, eta0s):
@@ -333,24 +340,27 @@ def _dual_minimize(W, m, cs, eta0s):
     running row steps its own L-BFGS-B until it stops or asks for the dual at
     a new point, and all those points are evaluated in one stacked
     _pair_dual. A row that stops leaves the stack. The rows run in stacks of
-    at most max(1, _STACK_ENTRIES // n**2), and each keeps only its own copy
-    of its last evaluation, so no stacked array outlives its round. Each
-    row's result is that of its own L-BFGS-B run: (eta, the last point
-    evaluated, the _pair_dual there)."""
+    at most max(1, _STACK_ENTRIES // n**2). A running row holds the current
+    round's stack by its index in it, and a row that stops copies its own
+    row out, so a stack is dropped once the next round's is sent and no
+    result holds one. Each row's result is that of its own L-BFGS-B run:
+    (eta, the last point evaluated, the _pair_dual there)."""
     per_stack = max(1, _STACK_ENTRIES // len(m) ** 2)
     out = [None] * len(cs)
     for lo in range(0, len(cs), per_stack):
-        runs = {j: _lbfgsb(np.maximum(eta0s[j], _ETA_FLOOR)) for j in range(lo, min(lo + per_stack, len(cs)))}
-        points = {j: next(run) for j, run in runs.items()}
-        while points:
-            rows = list(points)
-            stacked = _pair_dual(W, m, cs[rows], np.array([points[j] for j in rows]))
-            points = {}
-            for r, j in enumerate(rows):
+        rows = list(range(lo, min(lo + per_stack, len(cs))))
+        runs = [_lbfgsb(np.maximum(eta0s[j], _ETA_FLOOR)) for j in rows]
+        points = [next(run) for run in runs]
+        while rows:
+            stack = _pair_dual(W, m, cs[rows], np.array(points))
+            points, going = [], []
+            for r, run in enumerate(runs):
                 try:
-                    points[j] = runs[j].send(tuple(part[r].copy() for part in stacked))
+                    points.append(run.send((stack, r)))
+                    going.append(r)
                 except StopIteration as done:
-                    out[j] = done.value
+                    out[rows[r]] = done.value
+            rows, runs = [rows[r] for r in going], [runs[r] for r in going]
     return out
 
 

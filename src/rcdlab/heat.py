@@ -218,9 +218,11 @@ def identification_check(form: DirichletForm, f0, t_grid, tau_grid, blur=0.25, t
     -dEnt/dt = E(rho, log rho) exactly for rho = h_t f0 / int h_t f0 dm.
     So dissipation_residual_rel is the integrated chain-rule defect for
     phi = log, |int Gamma(rho, log rho) - Gamma(rho, rho) / rho dm|, over the
-    Fisher information. f0 is normalized first, so a multiple of it gives
-    the same report. A t_grid with no positive time or a tau_grid that is
-    empty or takes no step to max(t_grid) checks nothing: a HeatError."""
+    Fisher information. fitted_order is the log-log slope of the L1 gaps
+    against tau, and None for a tau_grid of one tau, from which no order can
+    be fitted. f0 is normalized first, so a multiple of it gives the same
+    report. A t_grid with no positive time or a tau_grid that is empty or
+    takes no step to max(t_grid) checks nothing: a HeatError."""
     if not any(t > 0 for t in t_grid):
         raise HeatError("a t_grid with no positive time checks nothing")
     T = max(t_grid)
@@ -245,11 +247,9 @@ def identification_check(form: DirichletForm, f0, t_grid, tau_grid, blur=0.25, t
             ft = semigroup_apply(form, f0, t)
             worst = max(worst, float(np.abs(mu.weights - ft * m).sum()))
         gaps.append(worst)
-    tau_arr = np.asarray(tau_grid, dtype=float)
-    if len(tau_arr) >= 2:
-        order = float(np.polyfit(np.log(tau_arr), np.log(np.maximum(gaps, 1e-300)), 1)[0])
-    else:
-        order = float("nan")
+    order = None
+    if len(tau_grid) >= 2:
+        order = float(np.polyfit(np.log(np.asarray(tau_grid, dtype=float)), np.log(np.maximum(gaps, 1e-300)), 1)[0])
     return {
         "l1_gaps": gaps,
         "tau_grid": list(map(float, tau_grid)),

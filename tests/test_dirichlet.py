@@ -378,6 +378,29 @@ def _dual_bytes(out):
     return [np.asarray(part).tobytes() for part in out]
 
 
+@pytest.mark.parametrize("name, eval_cap", [("calibrated_segment:8", None), ("cycle:8", 20)])
+def test_each_row_returns_its_own_dual_in_memory_of_its_own(monkeypatch, name, eval_cap):
+    # one stack whose rows stop in different rounds: all pairs of the form
+    # from 0.5, or cycle:8's pairs (0, y) from 2.0 with two of them stopped
+    # by the evaluation cap
+    form = _PAIR_FORMS[name]()
+    W, m = form.weights, form.vertex_measure
+    n = len(m)
+    if eval_cap is None:
+        cs, eta0 = np.array([_objective(n, x, y) for x, y in _all_pairs(n)]), 0.5
+    else:
+        monkeypatch.setattr(dirichlet, "_LBFGSB_EVAL_CAP", eval_cap)
+        cs, eta0 = np.array([_objective(n, 0, y) for y in range(1, n)]), 2.0
+    sizes = []
+    inner = dirichlet._pair_dual
+    monkeypatch.setattr(dirichlet, "_pair_dual", lambda W, m, c, eta: sizes.append(len(eta)) or inner(W, m, c, eta))
+    runs = dirichlet._dual_minimize(W, m, cs, np.full(cs.shape, eta0))
+    assert sizes[0] == len(cs) and len(set(sizes)) > 2
+    for c, (_, seen, at_seen) in zip(cs, runs):
+        assert _dual_bytes(at_seen) == _dual_bytes(inner(W, m, c, seen))
+        assert all(part.base is None for part in at_seen)  # no view keeps a stack alive
+
+
 def test_a_stacked_pair_dual_keeps_the_bits_of_each_row():
     form = _PAIR_FORMS["random_metric:12"]()
     W, m = form.weights, form.vertex_measure

@@ -211,6 +211,14 @@ def test_identification_check_solves_no_transport_lp(monkeypatch, exact_ot_calls
     assert len(exact_ot_calls) == 5 + 10
 
 
+def test_one_tau_fits_no_order():
+    s, form = cycle_form(16)
+    f0 = bump_measure(s, 4, 0.2).density()
+    rep = identification_check(form, f0, [0.02], [4e-3], t_diss=0.02)
+    assert rep["fitted_order"] is None and len(rep["l1_gaps"]) == 1
+    assert identification_check(form, f0, [0.02], [4e-3], t_diss=0.02) == rep
+
+
 def test_dissipation_identity_on_cycle():
     s, form = cycle_form(64)
     pos = np.array(s.meta["positions"])

@@ -947,6 +947,12 @@ def test_rcdlab_and_scipy_share_the_compiled_modules(first):
     assert out["lp"] == [0, 1.0, 0.0] and out["qp"] == [0, 2.0]
 
 
+def test_a_module_already_registered_is_returned_as_it_is(monkeypatch):
+    sentinel = object()
+    monkeypatch.setitem(sys.modules, "scipy.optimize._lbfgsb", sentinel)
+    assert solvers._scipy_extension("scipy.optimize._lbfgsb") is sentinel
+
+
 # -- solvers.linprog: one direct HiGHS call ---------------------------------------
 
 
