@@ -185,7 +185,7 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
     Each W2 of the build is ot.w2_distance's and is solved once: W2(mu0, mu1)
     first, then, when a midpoint is placed in (ta, tb), its certificate's
     transport costs are W2^2(ta, tmid) and W2^2(tmid, tb) for the next level
-    and for w2_from_start.
+    and for w2_from_start, and its entropy is the certificate's.
     """
     if depth < 0:
         raise GeodesyError("depth >= 0 required")
@@ -259,7 +259,7 @@ def build_good_geodesic(mu0: ProbMeasure, mu1: ProbMeasure, depth, epsilon="auto
 
     times = sorted(nodes)
     measures = [nodes[t] for t in times]
-    entropies = [relative_entropy(mu, m) for mu in measures]
+    entropies = [certs[t].entropy if t in certs else relative_entropy(nodes[t], m) for t in times]
     from_start = [w2s[0.0, t] if (0.0, t) in w2s else w2_distance(mu0, nodes[t]) for t in times]
     sup_d = [float(mu.density().max()) for mu in measures]
     cert_list = [certs.get(t) for t in times]

@@ -16,11 +16,13 @@ importing it through its package would run scipy.optimize's __init__, which
 loads scipy.sparse and scipy.linalg and takes longer than all the rest of
 `import rcdlab`.
 
-Every LPModel is built from the CSC arrays of its matrix, computed here in
-NumPy, with float column bounds. The arrays are the ones scipy.sparse built
-for the same LP (rows A_ub over A_eq, converted to CSC), byte for byte:
-each column of a transport LP holds its two marginal rows, and each column
-of a linked-pair LP (_linked_pair_lp) its budget entry where that is
+Every LPModel is built from the CSC arrays of its matrix, laid out in NumPy
+when the model is built, with float column bounds; so the transport layer
+keeps no state per size, only exact_ot's last solve (_OT_LAST) and idle
+HiGHS instances (_IDLE). The arrays are the ones scipy.sparse built for the
+same LP (rows A_ub over A_eq, converted to CSC), byte for byte: each column
+of a transport LP holds its two marginal rows (_shortlist_model), and each
+column of a linked-pair LP (_linked_pair_lp) its budget entry where that is
 nonzero, its marginal row and its link row, so all columns are filled at
 once. Building them through scipy.sparse cost more than HiGHS spends on
 many of the small linked-pair LPs.
@@ -169,7 +171,6 @@ debiasing potential, is computed the same way, without relaxation.
 from __future__ import annotations
 
 import collections
-import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -510,25 +511,6 @@ def _line_cells(x, y, p, q, period):
     return cells[order], mass[order]
 
 
-def _cells_matrix(k0, k1, cells):
-    """(shape, indptr, indices, data), the CSC arrays of LPModel, of the
-    marginal constraints of the transport LP on the flat cells i * k1 + j of
-    a k0 x k1 coupling: cell (i, j) has a 1 in rows i and k0 + j."""
-    rows = np.empty((cells.size, 2), dtype=np.int32)
-    rows[:, 0], rows[:, 1] = cells // k1, k0 + cells % k1
-    return (k0 + k1, cells.size), np.arange(0, rows.size + 1, 2, dtype=np.int32), rows.ravel(), np.ones(rows.size)
-
-
-@functools.lru_cache(maxsize=None)
-def _marginal_matrix(n0, n1):
-    """_cells_matrix of every cell of an n0 x n1 coupling, read-only, as its
-    arrays serve every transport LP of that size."""
-    shape, *arrays = _cells_matrix(n0, n1, np.arange(n0 * n1))
-    for a in arrays:
-        a.flags.writeable = False
-    return (shape, *arrays)
-
-
 def _tree_start(tree_mass, rows):
     """LPModel's start at the basis of a spanning tree of cells whose one
     coupling has the masses tree_mass, for a transport LP with that many
@@ -549,10 +531,13 @@ def _tree_start(tree_mass, rows):
 
 
 def _shortlist_model(k0, k1, cells, start=None):
-    """LPModel of the transport LP on the flat cells of a k0 x k1 coupling;
-    on every cell its arrays are _marginal_matrix's."""
-    arrays = _marginal_matrix(k0, k1) if cells.size == k0 * k1 else _cells_matrix(k0, k1, cells)
-    return LPModel(*arrays, start=start)
+    """LPModel, from start, of the transport LP on the flat cells i * k1 + j
+    of a k0 x k1 coupling: cell (i, j) has a 1 in the marginal rows i and
+    k0 + j. The arrays are laid out anew for each model; none is kept."""
+    rows = np.empty((cells.size, 2), dtype=np.int32)
+    rows[:, 0], rows[:, 1] = cells // k1, k0 + cells % k1
+    return LPModel((k0 + k1, cells.size), np.arange(0, rows.size + 1, 2, dtype=np.int32), rows.ravel(),
+                   np.ones(rows.size), start=start)
 
 
 def _cheap_cells(C, mass):
@@ -962,14 +947,21 @@ def _hull_minimize(vertices, m, theta0=None, target=0.0):
     of x, is at most target or within the rounding of its evaluation, after
     _HULL_ITER_CAP steps, or before a step that would leave the positive
     orthant. g is taken on the coordinates some vertex charges, with the
-    oracle's slightly negative entries clipped at 0. The result replaces the
-    start only if it lowers the entropy. Returns (theta, entropy)."""
+    oracle's slightly negative entries clipped at 0. Of the start and the
+    result it returns the one whose measure nu, theta @ V clipped at 0 and
+    normalized, has the lower entropy, as (theta, nu, Ent_m(nu))."""
     V = np.asarray(vertices, dtype=float)
     r = V.shape[0]
     theta = np.full(r, 1.0 / r) if theta0 is None else np.asarray(theta0, dtype=float)
     theta = np.maximum(theta, 1e-16)
     theta /= theta.sum()
-    cur = relative_entropy(theta @ V, m)
+
+    def measure(w):  # (w, nu, Ent_m(nu)) for nu = max(w @ V, 0), normalized
+        nu = np.maximum(w @ V, 0.0)
+        nu = nu / nu.sum()
+        return w, nu, relative_entropy(nu, m)
+
+    start = measure(theta)
     charged = V.max(axis=0) > 0
     W, m_w = np.maximum(V[:, charged], 0.0), m[charged]
 
@@ -1028,9 +1020,8 @@ def _hull_minimize(vertices, m, theta0=None, target=0.0):
         xz, lam = trial, lam + step * dlam
         x, z = xz[:r], xz[r:]
         nu, glog, g = evaluate(x)
-    x = x / x.sum()
-    ent = relative_entropy(x @ V, m)
-    return (x, ent) if ent < cur else (theta, cur)
+    result = measure(x / x.sum())
+    return result if result[2] < start[2] else start
 
 
 def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
@@ -1081,14 +1072,10 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
     probes = [np.zeros(len(m))] + [grad_at(p) for p in warm_points]
     V = np.array([oracle(c)[0] for c in probes])
     hull_target = _HULL_SHARE * tol
-    theta, _ = _hull_minimize(V, m, target=hull_target)
+    theta, nu, ent = _hull_minimize(V, m, target=hull_target)
 
     lower, best_ent = -np.inf, np.inf
     for it in range(_ORACLE_CAP):
-        nu = theta @ V
-        nu = np.maximum(nu, 0.0)
-        nu = nu / nu.sum()
-        ent = relative_entropy(nu, m)
         c = grad_at(nu)
         v_new, lp_value = oracle(c)
         gibbs = float(m @ np.exp(c - 1.0))
@@ -1105,7 +1092,7 @@ def entropy_budget_min(m, anchors, budgets, tol=1e-3, warm_points=()):
         if best_ent - bound <= tol:
             return best, bound, it
         V = np.vstack([V, v_new])
-        theta, _ = _hull_minimize(V, m, theta0=np.append(theta * (1 - 1e-3), 1e-3), target=hull_target)
+        theta, nu, ent = _hull_minimize(V, m, theta0=np.append(theta * (1 - 1e-3), 1e-3), target=hull_target)
     gap = best_ent - bound
     raise SolverError(f"budgeted entropy gap {gap:.3e} exceeds tol {tol:.3e}", gap=gap)
 
@@ -1187,6 +1174,8 @@ def symmetric_potential(mu, C, m, eps):
     keep p0. A scaled step whose log s is not finite is not taken; after one
     whose |log s| exceeds _SCALING_BOUND, s is absorbed. Every step ends with
     the stopping test on the step of p, and _POTENTIAL_CAP counts both kinds.
+    Without a step below the tolerance by the cap it raises SolverError, as
+    its last iterate is not the fixed point the debiasing term is.
     """
     log_m = np.log(m)
     d = np.log(np.maximum(mu, 1e-300)) - log_m
@@ -1216,7 +1205,7 @@ def symmetric_potential(mu, C, m, eps):
                 if np.abs(log_s_new).max() > _SCALING_BOUND:
                     break
         p = p + eps * log_s
-    return p
+    raise SolverError(f"symmetric_potential did not converge within _POTENTIAL_CAP = {_POTENTIAL_CAP} steps")
 
 
 def _round_coupling(g, a, b):

@@ -409,12 +409,12 @@ def _tree_lp():
     start = np.zeros(cells.size + 18, dtype=bool)
     start[:cells.size] = start[-1] = True
     C = (x[:, None] - x[None, :]) ** 2
-    return lambda: solvers.LPModel(*solvers._cells_matrix(9, 9, cells), start=start), C.ravel()[cells], np.concatenate([a, b])
+    return lambda: solvers._shortlist_model(9, 9, cells, start), C.ravel()[cells], np.concatenate([a, b])
 
 
 def _transport_lp():
     C, a, b = _ot_problem(42)
-    return lambda: solvers.LPModel(*solvers._marginal_matrix(7, 7)), C.ravel(), np.concatenate([a, b])
+    return lambda: solvers._shortlist_model(7, 7, np.arange(C.size)), C.ravel(), np.concatenate([a, b])
 
 
 _POOL_TARGETS = {"transport-7": _transport_lp, "oracle": lambda: _oracle_lp(43), "tree-start": _tree_lp}
@@ -488,7 +488,7 @@ def test_an_instance_from_a_failed_run_is_never_reused(monkeypatch):
 def test_the_idle_pool_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(solvers, "_IDLE", collections.deque(maxlen=solvers._IDLE.maxlen))
     C, a, b = _ot_problem(48, n=5)
-    models = [solvers.LPModel(*solvers._marginal_matrix(5, 5)) for _ in range(100)]
+    models = [solvers._shortlist_model(5, 5, np.arange(C.size)) for _ in range(100)]
     for model in models:
         solvers.linprog(model, C.ravel(), np.concatenate([a, b]))
     del models, model
@@ -497,7 +497,7 @@ def test_the_idle_pool_stays_within_its_bound(monkeypatch):
     solvers._IDLE.clear()
     n = int(np.sqrt(solvers._IDLE_MAX_COLUMNS)) + 1
     C, a, b = _ot_problem(49, n=n)
-    solvers.linprog(solvers.LPModel(*solvers._marginal_matrix(n, n)), C.ravel(), np.concatenate([a, b]))
+    solvers.linprog(solvers._shortlist_model(n, n, np.arange(C.size)), C.ravel(), np.concatenate([a, b]))
     assert not solvers._IDLE
 
 
@@ -554,13 +554,13 @@ def _problems_with_empty_sites(draw):
 def test_transport_on_the_supports_is_the_full_transport_lp(problem):
     space, full, (a, b) = problem
     C, n = space.metric ** 2, space.n
-    M = solvers._marginal_matrix(n, n)
+    cells = np.arange(n * n)
     # full supports: the one LP is the whole problem, with linprog's bits
-    x, fun, y, _ = solvers.linprog(solvers.LPModel(*M), C.ravel(), np.concatenate(full))
+    x, fun, y, _ = solvers.linprog(solvers._shortlist_model(n, n, cells), C.ravel(), np.concatenate(full))
     assert _bits(solvers.exact_ot(C, *full)) == _bits((fun, x.reshape(n, n), y[:n], y[n:]))
     # empty sites: the same optimum, duals feasible on every pair, no mass off the supports
     cost, plan, u, v = solvers.exact_ot(C, a, b)
-    whole = solvers.linprog(solvers.LPModel(*M), C.ravel(), np.concatenate([a, b]))[1]
+    whole = solvers.linprog(solvers._shortlist_model(n, n, cells), C.ravel(), np.concatenate([a, b]))[1]
     assert abs(cost - whole) <= 1e-12 * abs(whole)
     assert (u[:, None] + v[None, :] <= C + 1e-9).all()
     assert not plan[a == 0].any() and not plan[:, b == 0].any()
@@ -725,7 +725,7 @@ def test_a_tree_below_the_mass_floor_runs_from_the_slack_basis(monkeypatch):
 
 def _full_lp(C, a, b):
     """linprog on every cell of the n x n transport LP, zero marginals included."""
-    return solvers.linprog(solvers.LPModel(*solvers._marginal_matrix(*C.shape)), C.ravel(), np.concatenate([a, b]))
+    return solvers.linprog(solvers._shortlist_model(*C.shape, np.arange(C.size)), C.ravel(), np.concatenate([a, b]))
 
 
 def _assert_certified(C, a, b, out, full):
@@ -843,7 +843,7 @@ def _scipy_matrix(model):
 
 def _scipy_cells_matrix(k0, k1, cells):
     """The marginal constraints of the transport LP on the flat cells, built
-    with scipy.sparse as solvers._cells_matrix once built them."""
+    with scipy.sparse as solvers once built them."""
     rows = np.empty((cells.size, 2), dtype=np.int32)
     rows[:, 0], rows[:, 1] = cells // k1, k0 + cells % k1
     return sparse.csc_matrix((np.ones(rows.size), rows.ravel(), np.arange(0, rows.size + 1, 2, dtype=np.int32)),
@@ -894,9 +894,9 @@ def test_lp_models_are_the_arrays_scipy_sparse_builds(data):
     _assert_same_arrays(solvers._linked_pair_lp(C0, C1, scale), _scipy_linked_pair_lp(C0, C1, scale))
     k0, k1 = s0 + s1, n
     cells = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=k0 * k1, max_size=k0 * k1).filter(any)))
-    _assert_same_arrays(solvers.LPModel(*solvers._cells_matrix(k0, k1, cells)),
+    _assert_same_arrays(solvers._shortlist_model(k0, k1, cells),
                         _scipy_arrays(_scipy_cells_matrix(k0, k1, cells)))
-    _assert_same_arrays(solvers.LPModel(*solvers._marginal_matrix(k0, k1)),
+    _assert_same_arrays(solvers._shortlist_model(k0, k1, np.arange(k0 * k1)),
                         _scipy_arrays(_scipy_cells_matrix(k0, k1, np.arange(k0 * k1))))
 
 
@@ -1061,7 +1061,7 @@ def test_budgets_far_below_the_costs_give_an_exact_oracle_lp():
 def test_disagreeing_lp_shapes_are_a_value_error():
     # HiGHS would read past the arrays it is given
     C, a, b = _ot_problem(18)
-    M = solvers.LPModel(*solvers._marginal_matrix(7, 7))
+    M = solvers._shortlist_model(7, 7, np.arange(C.size))
     with pytest.raises(ValueError, match="shapes"):
         solvers.linprog(M, C.ravel()[:-1], np.concatenate([a, b]))
     with pytest.raises(ValueError, match="shapes"):
@@ -1410,9 +1410,10 @@ def _simplex_kkt(V, m, theta):
 @pytest.mark.parametrize("seed", range(30))
 def test_hull_minimize_meets_the_simplex_kkt_conditions(seed):
     V, m = _random_hull(seed)
-    warm, _ = solvers._hull_minimize(V[:-1], m)
+    warm = solvers._hull_minimize(V[:-1], m)[0]
     for theta0 in (None, np.append(warm * (1 - 1e-3), 1e-3)):
-        theta, ent = solvers._hull_minimize(V, m, theta0)
+        theta, nu, ent = solvers._hull_minimize(V, m, theta0)
+        assert ent == relative_entropy(nu, m)
         assert theta.min() >= 0.0
         assert abs(theta.sum() - 1.0) <= 1e-12
         comp, dual = _simplex_kkt(V, m, theta)
@@ -1425,7 +1426,7 @@ def _random_hull_problems():
     out = []
     for seed in range(30):
         V, m = _random_hull(seed)
-        warm, _ = solvers._hull_minimize(V[:-1], m)
+        warm = solvers._hull_minimize(V[:-1], m)[0]
         out += [(V, m, None), (V, m, np.append(warm * (1 - 1e-3), 1e-3))]
     return out
 
@@ -1480,12 +1481,14 @@ def test_hull_minimize_closes_its_frank_wolfe_gap(case):
     problems = _HULL_CASES[case]()
     assert problems
     for V, m, theta0 in problems:
-        theta, ent = solvers._hull_minimize(V, m, theta0)
+        theta, nu, ent = solvers._hull_minimize(V, m, theta0)
         charged = V.max(axis=0) > 0
         W = np.maximum(V[:, charged], 0.0)
         g = W @ (np.log(theta @ W / m[charged]) + 1.0)
         assert theta @ g - g.min() <= 1e-12
-        assert ent == relative_entropy(theta @ V, m)
+        clipped = np.maximum(theta @ V, 0.0)
+        assert nu.tobytes() == (clipped / clipped.sum()).tobytes()
+        assert ent == relative_entropy(nu, m)
 
 
 # -- dirac_pair_min: projected Newton on the dual --------------------------------
@@ -1731,6 +1734,15 @@ def test_golden_jko_steps_take_under_six_tenths_of_the_plain_sweeps():
         counts.append((relaxed, plain))
     assert counts[0] == counts[1]
     assert counts[0][0] <= 0.6 * counts[0][1]
+
+
+def test_a_debiasing_potential_stopped_by_its_cap_is_a_solver_error(monkeypatch):
+    # its last iterate is not the fixed point the debias term stands for; the
+    # first jko step of configs/cycle64_rcd.json takes 38 steps to reach it
+    s = make_model_space("cycle", 64)
+    monkeypatch.setattr(solvers, "_POTENTIAL_CAP", 2)
+    with pytest.raises(SolverError, match="_POTENTIAL_CAP = 2 steps"):
+        solvers.prox_entropy_step(bump_measure(s, 16, 0.12).weights, s.metric ** 2, s.ref_measure, 0.004, 0.25)
 
 
 def _extreme_instance(kind, n, seed, tiny):
